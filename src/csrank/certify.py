@@ -37,7 +37,6 @@ class BoundCertificate:
     method: str  # "plain" | "optimized" | "analytic_fock"
     N: int | None
     b: float | None
-    rank_tol: float = DEFAULT_RANK_TOL
     statement: str = STATEMENT
     version: str = field(default=__version__)
 
@@ -60,7 +59,6 @@ class BoundCertificate:
             "epsilon_threshold": self.epsilon_threshold,
             "method": self.method,
             "parameters": {"N": self.N, "b": self.b},
-            "rank_tol": self.rank_tol,
             "statement": self.statement,
             "version": self.version,
         }
@@ -110,19 +108,9 @@ def certify_rank(
         else:
             break
     if best is None:
-        return BoundCertificate(
-            state_descriptor, 0, 0.0, "optimized", None, None, rank_tol=cfg.rank_tol
-        )
+        return BoundCertificate(state_descriptor, 0, 0.0, "optimized", None, None)
     r, res = best
-    return BoundCertificate(
-        state_descriptor,
-        r,
-        res.value,
-        "optimized",
-        res.N_star,
-        res.b_star,
-        rank_tol=cfg.rank_tol,
-    )
+    return BoundCertificate(state_descriptor, r, res.value, "optimized", res.N_star, res.b_star)
 
 
 def recurrence_order(

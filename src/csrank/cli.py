@@ -184,10 +184,7 @@ def cmd_bound(args) -> int:
         else:
             cfg = _search_config(args, n_max)
             res = optimized_bound(psi, r, cfg)
-            cert = BoundCertificate(
-                descriptor, r, res.value, "optimized", res.N_star, res.b_star,
-                rank_tol=cfg.rank_tol,
-            )
+            cert = BoundCertificate(descriptor, r, res.value, "optimized", res.N_star, res.b_star)
 
     payload = cert.to_dict()
     if args.eps is not None:

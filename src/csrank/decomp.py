@@ -17,7 +17,6 @@ from itertools import product
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import gammaln
 
 from .errors import NumericalFailure
 from .fock import (
@@ -26,6 +25,7 @@ from .fock import (
     FockVector,
     _auto_coherent_cutoff,
     coherent_amplitudes,
+    coherent_columns,
     fidelity,
     fock_state,
     superposition_to_fock,
@@ -70,7 +70,7 @@ def _circle_solve(core: FockVector, delta: float):
     k = np.arange(n + 1)
     omega = np.exp(2j * np.pi / (n + 1))
     alphas = delta * omega**k
-    row_scale = np.exp(-0.5 * delta**2 + k * math.log(delta) - 0.5 * gammaln(k + 1))
+    row_scale = coherent_amplitudes(delta, n).real  # |delta>'s amplitudes are real
     # W[k, j] = omega^(j k); the raw matrix is diag(row_scale) @ W.
     W = omega ** np.outer(k, k)
     rhs = core.amplitudes[: n + 1] / row_scale
@@ -142,7 +142,7 @@ def _projection_fit(alphas: np.ndarray, t: np.ndarray):
     onto span(B): fidelity = 1 - min_c ||t - B c||^2 for unit t.
     """
     cutoff = len(t) - 1
-    B = np.column_stack([coherent_amplitudes(a, cutoff) for a in alphas])
+    B = coherent_columns(alphas, cutoff)
     c, _, _, _ = np.linalg.lstsq(B, t, rcond=None)
     resid = t - B @ c
     fid = 1.0 - float(np.vdot(resid, resid).real)

@@ -7,11 +7,12 @@ lambda = -e^{i phi} tanh(r).  All factorial-bearing amplitudes are assembled
 in the log domain so large Fock numbers stay inside double range.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc, gammaln, xlogy
 
 NORM_TOL = 1e-12
 
@@ -93,27 +94,44 @@ class CoherentTerm:
                 raise ValueError(f"{name} must be finite")
 
 
+def merge_coincident(coeffs, alphas):
+    """Merge terms whose displacements coincide within ALPHA_MERGE_TOL.
+
+    ``alphas`` is (k, modes), one displacement row per term; rows are
+    compared by their max-abs distance over the modes.  Scanning in order,
+    each term joins the first kept row it matches, whose displacement stays,
+    or becomes a kept row itself.  Returns the kept coefficients and rows.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    alphas = np.asarray(alphas, dtype=complex)
+    sums = np.empty_like(coeffs)
+    rows = np.empty_like(alphas)
+    kept = 0
+    for c, alpha in zip(coeffs, alphas):
+        dist = np.abs(rows[:kept] - alpha).max(axis=1)
+        hits = np.flatnonzero(dist <= ALPHA_MERGE_TOL)
+        if hits.size:
+            sums[hits[0]] += c
+        else:
+            sums[kept], rows[kept] = c, alpha
+            kept += 1
+    return sums[:kept], rows[:kept]
+
+
 @dataclass(frozen=True)
 class CoherentSuperposition:
     """Finite superposition sum_k c_k |alpha_k> with pairwise distinct alpha.
 
     Terms whose displacements coincide within ALPHA_MERGE_TOL are merged at
-    construction by summing their coefficients.
+    construction by summing their coefficients (see ``merge_coincident``).
     """
 
     terms: tuple
 
     def __init__(self, terms):
-        merged: list[CoherentTerm] = []
-        for t in terms:
-            t = t if isinstance(t, CoherentTerm) else CoherentTerm(*t)
-            for i, m in enumerate(merged):
-                if abs(m.alpha - t.alpha) <= ALPHA_MERGE_TOL:
-                    merged[i] = CoherentTerm(m.c + t.c, m.alpha)
-                    break
-            else:
-                merged.append(t)
-        object.__setattr__(self, "terms", tuple(merged))
+        terms = [t if isinstance(t, CoherentTerm) else CoherentTerm(*t) for t in terms]
+        coeffs, alphas = merge_coincident([t.c for t in terms], [[t.alpha] for t in terms])
+        object.__setattr__(self, "terms", tuple(map(CoherentTerm, coeffs, alphas.reshape(-1))))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -135,6 +153,10 @@ class SqueezedParams:
     def __post_init__(self):
         if not (self.r >= 0 and math.isfinite(self.r)):
             raise ValueError("squeezing magnitude r must be finite and >= 0")
+        try:
+            math.cosh(self.r)
+        except OverflowError:
+            raise ValueError(f"squeezing magnitude r={self.r!r} overflows cosh r") from None
         object.__setattr__(self, "phi", float(self.phi) % (2 * math.pi))
 
     @property
@@ -168,17 +190,29 @@ def core_state(amplitudes, cutoff: int | None = None) -> FockVector:
     return FockVector(amps, len(amps) - 1, normalized=True, tail_weight=0.0)
 
 
+@functools.lru_cache(maxsize=64)
+def _fock_index_column(cutoff: int) -> tuple:
+    """(n, log sqrt(n!)) as read-only (cutoff+1) x 1 columns."""
+    n = np.arange(cutoff + 1)[:, None]
+    half_log_fact = 0.5 * gammaln(n + 1)
+    n.flags.writeable = half_log_fact.flags.writeable = False
+    return n, half_log_fact
+
+
+def coherent_columns(alphas, cutoff: int) -> np.ndarray:
+    """(cutoff+1) x k matrix with column k the truncated coherent state
+    e^{-|alpha_k|^2/2} alpha_k^n / sqrt(n!), n <= cutoff."""
+    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
+    mags = np.abs(alphas)
+    n, half_log_fact = _fock_index_column(cutoff)
+    # xlogy(0, 0) = 0 makes the alpha = 0 column exactly the vacuum
+    log_mag = -0.5 * mags**2 + xlogy(n, mags) - half_log_fact
+    return np.exp(log_mag) * np.exp(1j * n * np.angle(alphas))
+
+
 def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     """Fock amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!) for n <= cutoff."""
-    alpha = complex(alpha)
-    out = np.zeros(cutoff + 1, dtype=complex)
-    if alpha == 0:
-        out[0] = 1.0
-        return out
-    n = np.arange(cutoff + 1)
-    log_mag = -0.5 * abs(alpha) ** 2 + n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1)
-    phase = np.exp(1j * n * np.angle(alpha))
-    return np.exp(log_mag) * phase
+    return coherent_columns(alpha, cutoff)[:, 0]
 
 
 def coherent_tail_weight(alpha: complex, cutoff: int) -> float:
@@ -275,21 +309,17 @@ def squeezed_state(
     return FockVector(amps, cutoff, normalized=False, tail_weight=tail)
 
 
-def coherent_overlap(alpha: complex, beta: complex) -> complex:
-    """Exact <alpha|beta> = exp(-|alpha|^2/2 - |beta|^2/2 + conj(alpha) beta)."""
-    alpha, beta = complex(alpha), complex(beta)
-    return np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * abs(beta) ** 2 + np.conj(alpha) * beta)
+def coherent_gram(alphas) -> np.ndarray:
+    """Exact Gram matrix <alpha_j|alpha_l> of coherent products, alphas (k, modes)."""
+    alphas = np.asarray(alphas, dtype=complex)
+    sq = np.sum(np.abs(alphas) ** 2, axis=1)
+    return np.exp(-0.5 * sq[:, None] - 0.5 * sq[None, :] + np.conj(alphas) @ alphas.T)
 
 
-def superposition_norm_sq(sup: CoherentSuperposition) -> float:
-    """Exact squared norm of sum_k c_k |alpha_k> via the coherent Gram matrix."""
+def superposition_norm_sq(sup) -> float:
+    """Exact squared norm of a single- or multimode coherent superposition."""
     c = sup.coefficients()
-    a = sup.displacements()
-    gram = np.exp(
-        -0.5 * np.abs(a)[:, None] ** 2
-        - 0.5 * np.abs(a)[None, :] ** 2
-        + np.conj(a)[:, None] * a[None, :]
-    )
+    gram = coherent_gram(sup.displacements().reshape(len(c), -1))
     return float(np.real(np.conj(c) @ gram @ c))
 
 
@@ -303,9 +333,7 @@ def superposition_to_fock(
         raise ValueError("empty superposition")
     if cutoff is None:
         cutoff = max(_auto_coherent_cutoff(t.alpha, max_tail) for t in sup.terms)
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    for t in sup.terms:
-        amps += t.c * coherent_amplitudes(t.alpha, cutoff)
+    amps = coherent_columns(sup.displacements(), cutoff) @ sup.coefficients()
     tail = max(0.0, superposition_norm_sq(sup) - float(np.vdot(amps, amps).real))
     return FockVector(amps, cutoff, normalized=False, tail_weight=tail)
 
@@ -331,6 +359,20 @@ def two_norm_distance(a: FockVector, b: FockVector) -> float:
     return float(np.linalg.norm(x - y))
 
 
+def complex_from_pair(pair) -> complex:
+    """A descriptor's JSON [re, im] pair as a complex number."""
+    if (
+        isinstance(pair, (list, tuple))
+        and len(pair) == 2
+        and all(isinstance(x, (int, float)) for x in pair)
+    ):
+        try:
+            return complex(*pair)
+        except OverflowError:
+            pass
+    raise ValueError(f"expected a [re, im] pair of numbers, got {pair!r}")
+
+
 def state_from_descriptor(descriptor: dict) -> FockVector:
     """Build a single-mode state from a JSON descriptor.
 
@@ -347,14 +389,14 @@ def state_from_descriptor(descriptor: dict) -> FockVector:
     if kind == "fock":
         return fock_state(int(descriptor["n"]), cutoff)
     if kind == "core":
-        amps = [complex(re, im) for re, im in descriptor["amps"]]
+        amps = [complex_from_pair(a) for a in descriptor["amps"]]
         return core_state(amps, cutoff)
     if kind == "squeezed":
         params = SqueezedParams(float(descriptor["r"]), float(descriptor.get("phi", 0.0)))
         return squeezed_state(params, cutoff)
     if kind == "superposition":
         terms = [
-            CoherentTerm(complex(*t["c"]), complex(*t["alpha"]))
+            CoherentTerm(complex_from_pair(t["c"]), complex_from_pair(t["alpha"]))
             for t in descriptor["terms"]
         ]
         return superposition_to_fock(CoherentSuperposition(terms), cutoff)

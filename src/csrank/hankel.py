@@ -66,7 +66,6 @@ class SearchConfig:
     N_max: int | None = None
     b_grid: tuple = (1e-3, 10.0, 200)
     refine_iters: int = 40
-    rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         b_min, b_max, points = self.b_grid
@@ -76,8 +75,6 @@ class SearchConfig:
             raise SearchConfigError("b grid needs at least 2 points")
         if self.N_max is not None and self.N_min > self.N_max:
             raise SearchConfigError("N_min must not exceed N_max")
-        if not (0 < self.rank_tol < 1):
-            raise SearchConfigError("rank_tol must lie in (0, 1)")
 
     def resolve_n_max(self, cutoff: int) -> int:
         n_max = min(20, cutoff // 2) if self.N_max is None else self.N_max

@@ -20,7 +20,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import NumericalFailure, ResourceLimit
-from .fock import ALPHA_MERGE_TOL, CoherentSuperposition, CoherentTerm, FockVector
+from .fock import (
+    CoherentSuperposition,
+    CoherentTerm,
+    FockVector,
+    complex_from_pair,
+    merge_coincident,
+)
 from .hankel import plain_bound
 
 UNITARY_TOL = 1e-10
@@ -77,20 +83,11 @@ class MultimodeSuperposition:
     terms: tuple
 
     def __init__(self, terms):
-        merged: list[tuple[complex, np.ndarray]] = []
-        for c, alpha in terms:
-            alpha = np.asarray(alpha, dtype=complex)
-            c = complex(c)
-            for i, (mc, ma) in enumerate(merged):
-                if len(ma) == len(alpha) and np.max(np.abs(ma - alpha)) <= ALPHA_MERGE_TOL:
-                    merged[i] = (mc + c, ma)
-                    break
-            else:
-                merged.append((c, alpha))
-        modes = {len(a) for _, a in merged}
-        if len(modes) > 1:
+        terms = [(c, np.asarray(alpha, dtype=complex)) for c, alpha in terms]
+        if len({alpha.shape for _, alpha in terms}) > 1:
             raise ValueError("terms must share the mode count")
-        object.__setattr__(self, "terms", tuple(merged))
+        coeffs, alphas = merge_coincident([c for c, _ in terms], [a for _, a in terms])
+        object.__setattr__(self, "terms", tuple(zip(coeffs.tolist(), alphas)))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -98,6 +95,13 @@ class MultimodeSuperposition:
     @property
     def modes(self) -> int:
         return len(self.terms[0][1])
+
+    def coefficients(self) -> np.ndarray:
+        return np.array([c for c, _ in self.terms], dtype=complex)
+
+    def displacements(self) -> np.ndarray:
+        """(terms, modes) matrix of displacement rows."""
+        return np.array([a for _, a in self.terms], dtype=complex)
 
 
 def tensor_fock(occupations) -> MultimodeFockState:
@@ -110,7 +114,7 @@ def multimode_from_descriptor(descriptor: dict) -> MultimodeFockState:
     """{"modes": m, "amps": [{"occ": [n1, ..., nm], "c": [re, im]}, ...]}"""
     modes = int(descriptor["modes"])
     amps = {
-        tuple(entry["occ"]): complex(*entry["c"]) for entry in descriptor["amps"]
+        tuple(entry["occ"]): complex_from_pair(entry["c"]) for entry in descriptor["amps"]
     }
     return MultimodeFockState(modes, amps)
 

@@ -13,17 +13,15 @@ which equals <1|^n U |phi> when evaluated at a unitary X = U.  Since
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
-from scipy.special import gammaln
 
-from ._kernels import BACKEND, glynn as _glynn, ryser as _ryser
+from ._kernels import glynn as _glynn, ryser as _ryser
 from .errors import NumericalFailure, ResourceLimit
-from .multimode import MultimodeSuperposition, check_unitary
+from .fock import coherent_columns, superposition_norm_sq
+from .multimode import MultimodeSuperposition
 
 NAIVE_LIMIT = 8
 KERNEL_LIMIT = 24
@@ -104,13 +102,14 @@ class MultilinearFormula:
         return len(self.gammas) * self.n**2
 
 
+def _formula(coeffs: np.ndarray, alphas: np.ndarray) -> MultilinearFormula:
+    gammas = coeffs * np.exp(-0.5 * np.sum(np.abs(alphas) ** 2, axis=1))
+    return MultilinearFormula(alphas.shape[1], gammas, alphas)
+
+
 def formula_from_decomposition(sup: MultimodeSuperposition) -> MultilinearFormula:
     """gamma_j = c_j e^{-||alpha_j||^2/2}; row j of alphas is alpha_j."""
-    n = sup.modes
-    coeffs = np.array([c for c, _ in sup.terms], dtype=complex)
-    alphas = np.array([a for _, a in sup.terms], dtype=complex).reshape(len(sup), n)
-    gammas = coeffs * np.exp(-0.5 * np.sum(np.abs(alphas) ** 2, axis=1))
-    return MultilinearFormula(n, gammas, alphas)
+    return _formula(sup.coefficients(), sup.displacements())
 
 
 def evaluate_formula(formula: MultilinearFormula, x) -> complex:
@@ -122,51 +121,25 @@ def evaluate_formula(formula: MultilinearFormula, x) -> complex:
     return complex(formula.gammas @ np.prod(inner, axis=0))
 
 
-def _fock_expansion(sup: MultimodeSuperposition, per_mode_cutoff: int) -> dict:
-    """Fock amplitudes of the superposition up to a per-mode cutoff."""
-    n = sup.modes
-    singles = []
-    for c, alpha in sup.terms:
-        cols = np.empty((n, per_mode_cutoff + 1), dtype=complex)
-        for i in range(n):
-            a = alpha[i]
-            ks = np.arange(per_mode_cutoff + 1)
-            if a == 0:
-                col = np.zeros(per_mode_cutoff + 1, dtype=complex)
-                col[0] = 1.0
-            else:
-                col = np.exp(
-                    -0.5 * abs(a) ** 2 + ks * math.log(abs(a)) - 0.5 * gammaln(ks + 1)
-                ) * np.exp(1j * ks * np.angle(a))
-            cols[i] = col
-        singles.append((c, cols))
-    amps = {}
-    for occ in product(range(per_mode_cutoff + 1), repeat=n):
-        total = 0j
-        for c, cols in singles:
-            term = c
-            for i, k in enumerate(occ):
-                term *= cols[i, k]
-            total += term
-        amps[occ] = total
-    return amps
+def _box_amplitudes(coeffs: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Fock amplitudes of sum_j c_j |alpha_j> with every occupation <= 2.
 
+    Returns the (3,) * modes array indexed by occupation tuples.  Row j of
+    L (R) is the Kronecker product of term j's cutoff-2 coherent columns
+    over the first (last) half of the modes, so the box is L^T diag(c) R.
+    """
+    k, n = alphas.shape
+    cols = coherent_columns(alphas.reshape(-1), 2).T.reshape(k, n, 3)
 
-def _exact_norm_sq(sup: MultimodeSuperposition) -> float:
-    coeffs = np.array([c for c, _ in sup.terms], dtype=complex)
-    alphas = np.array([a for _, a in sup.terms], dtype=complex)
-    sq = np.sum(np.abs(alphas) ** 2, axis=1)
-    gram = np.exp(
-        -0.5 * sq[:, None] - 0.5 * sq[None, :] + np.conj(alphas) @ alphas.T
-    )
-    return float(np.real(np.conj(coeffs) @ gram @ coeffs))
+    def kron_rows(modes):
+        rows = np.ones((k, 1), dtype=complex)
+        for i in modes:
+            rows = (rows[:, :, None] * cols[:, i, None, :]).reshape(k, -1)
+        return rows
 
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CS_RANK_THREADS", "1")))
-    except ValueError:
-        return 1
+    half = n // 2
+    box = (kron_rows(range(half)).T * coeffs) @ kron_rows(range(half, n))
+    return box.reshape((3,) * n)
 
 
 @dataclass(frozen=True)
@@ -196,15 +169,14 @@ def verify_permanent_bound(
     n = sup.modes
     if n > NAIVE_LIMIT:
         raise ResourceLimit("verification needs the exact permanent; n <= 8")
-    norm = math.sqrt(_exact_norm_sq(sup))
+    norm = math.sqrt(superposition_norm_sq(sup))
     if norm == 0:
         raise ValueError("superposition has zero norm")
-    normalized = MultimodeSuperposition([(c / norm, a) for c, a in sup.terms])
+    coeffs, alphas = sup.coefficients() / norm, sup.displacements()
 
-    ones = tuple([1] * n)
-    expansion = _fock_expansion(normalized, 2)
-    tail = max(0.0, 1.0 - sum(abs(v) ** 2 for v in expansion.values()))
-    overlap = expansion[ones]
+    box = _box_amplitudes(coeffs, alphas)
+    tail = max(0.0, 1.0 - float(np.vdot(box, box).real))
+    overlap = complex(box[(1,) * n])
     fid = min(1.0, abs(overlap) ** 2)
     delta_inf = 1.0 - fid
     if delta_inf > 0.5:
@@ -214,21 +186,14 @@ def verify_permanent_bound(
     bound = math.sqrt(2.0 * delta_inf)
     phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
 
-    formula = formula_from_decomposition(normalized)
-
-    def run_trial(i: int):
+    formula = _formula(coeffs, alphas)
+    rows = []
+    for i in range(trials):
         trial_seed = seed + i
         u = haar_unitary(n, trial_seed)
         per = permanent_glynn(u)
         val = np.conj(phase) * evaluate_formula(formula, u)
-        return (i, trial_seed, abs(per), abs(val), abs(per - val))
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_trial, range(trials)))
-    else:
-        rows = [run_trial(i) for i in range(trials)]
+        rows.append((i, trial_seed, abs(per), abs(val), abs(per - val)))
     max_error = max((row[4] for row in rows), default=0.0)
     report = PermanentBoundReport(delta_inf, bound, max_error, tail, tuple(rows))
     if not report.passed:

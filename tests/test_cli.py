@@ -63,6 +63,23 @@ def test_malformed_json_exits_2(capsys):
     assert main(["certify", '{"type":"fock","n":1}']) == 2  # missing --eps
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", '{"type":"core","amps":[1,0]}', "--r", "1"],
+        ["bound", '{"type":"superposition","terms":[{"c":1,"alpha":[0.5,0]}]}', "--r", "1"],
+        ["multimode", '{"modes":1,"amps":[{"occ":[1],"c":1}]}'],
+        ["bound", '{"type":"squeezed","r":1e308}', "--r", "1"],
+    ],
+    ids=["core-scalar-amps", "superposition-scalar-c", "multimode-scalar-c", "squeezed-huge-r"],
+)
+def test_malformed_descriptor_values_exit_2(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_resource_limit_exits_4(capsys):
     assert main(["permanent", "--n", "9", "--delta", "0.2", "--trials", "1"]) == 4
 
@@ -148,3 +165,31 @@ def test_certify_certificate_checks_too(tmp_path, capsys):
     assert main(["certify", '{"type":"fock","n":2,"cutoff":12}', "--eps", "1e-4",
                  "--n-max", "6", "--out", str(cert_path)]) == 0
     assert main(["certify", "--check", str(cert_path)]) == 0
+
+
+# A certificate as written before the unused "rank_tol" field was dropped.
+OLD_CERTIFICATE = {
+    "epsilon_threshold": 0.22360679770341038,
+    "method": "optimized",
+    "parameters": {"N": 3, "b": 0.5779482574500846},
+    "r": 2,
+    "rank_tol": 1e-10,
+    "state_descriptor": {"cutoff": 8, "n": 3, "type": "fock"},
+    "statement": "any eps < epsilon_threshold implies kappa_eps(state) > r",
+    "version": "0.1.0",
+}
+
+
+def test_check_accepts_certificate_with_rank_tol(tmp_path, capsys):
+    cert_path = tmp_path / "old.json"
+    cert_path.write_text(json.dumps(OLD_CERTIFICATE))
+    assert main(["bound", "--check", str(cert_path)]) == 0
+    assert capsys.readouterr().out.startswith("certificate OK")
+
+
+def test_new_certificates_omit_rank_tol(capsys):
+    code, payload = run_json(capsys, ["bound", '{"type":"fock","n":3,"cutoff":8}',
+                                      "--r", "2", "--n-max", "4"])
+    assert code == 0
+    assert "rank_tol" not in payload
+    assert payload["epsilon_threshold"] == OLD_CERTIFICATE["epsilon_threshold"]

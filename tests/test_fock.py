@@ -1,13 +1,17 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from csrank.fock import (
+    ALPHA_MERGE_TOL,
     CoherentSuperposition,
     CoherentTerm,
     FockVector,
     SqueezedParams,
+    coherent_amplitudes,
+    coherent_columns,
     coherent_state,
     fidelity,
     fock_state,
@@ -16,6 +20,7 @@ from csrank.fock import (
     superposition_to_fock,
     two_norm_distance,
 )
+from csrank.multimode import MultimodeSuperposition
 
 
 def test_fock_state_vacuum():
@@ -206,3 +211,75 @@ def test_descriptor_roundtrip():
     assert v.cutoff == 8
     with pytest.raises(ValueError):
         state_from_descriptor({"type": "wigner"})
+
+
+def _coherent_oracle(alpha: complex, n: int) -> complex:
+    """e^{-|alpha|^2/2} alpha^n / sqrt(n!) one entry at a time via lgamma."""
+    if alpha == 0:
+        return 1.0 if n == 0 else 0.0
+    log_mag = -0.5 * abs(alpha) ** 2 + n * math.log(abs(alpha)) - 0.5 * math.lgamma(n + 1)
+    return math.exp(log_mag) * cmath.exp(1j * n * cmath.phase(alpha))
+
+
+@pytest.mark.parametrize(
+    "alphas, cutoff",
+    [
+        ([0.0], 6),
+        ([0.7 - 0.2j, 0.0, -1.1j], 0),
+        ([5.0, -3.0 + 4.0j, 5j, 0.3 + 0.1j, 0.0], 60),
+    ],
+    ids=["vacuum", "cutoff-0", "abs-5-cutoff-60"],
+)
+def test_coherent_columns_match_scalar_oracle(alphas, cutoff):
+    cols = coherent_columns(alphas, cutoff)
+    assert cols.shape == (cutoff + 1, len(alphas))
+    for k, alpha in enumerate(alphas):
+        expected = np.array([_coherent_oracle(alpha, n) for n in range(cutoff + 1)])
+        assert np.allclose(cols[:, k], expected, rtol=1e-13, atol=1e-300)
+        assert np.array_equal(coherent_amplitudes(alpha, cutoff), cols[:, k])
+
+
+def test_merge_is_shared_by_single_and_multimode_superpositions():
+    above = np.nextafter(ALPHA_MERGE_TOL, 1.0)
+    terms = [
+        (1.0, 0.0),
+        (2.0, 1.5 * ALPHA_MERGE_TOL),  # beyond the tolerance of 0: kept
+        (3.0, 0.75 * ALPHA_MERGE_TOL),  # within tolerance of both: joins the first
+        (4.0, 1j * ALPHA_MERGE_TOL),  # exactly at the tolerance: merges
+        (5.0, 1.0),
+        (6.0, 1.0 + 1j * above),  # just above the tolerance: kept
+        (7.0, 1.5 * ALPHA_MERGE_TOL),
+    ]
+    single = CoherentSuperposition([CoherentTerm(c, a) for c, a in terms])
+    multi = MultimodeSuperposition([(c, [a]) for c, a in terms])
+    expected = [(8.0, 0.0), (9.0, 1.5 * ALPHA_MERGE_TOL), (5.0, 1.0), (6.0, 1.0 + 1j * above)]
+    assert [(t.c, t.alpha) for t in single.terms] == expected
+    assert [(c, a[0]) for c, a in multi.terms] == expected
+    with pytest.raises(ValueError):
+        MultimodeSuperposition([(1.0, [0.1]), (1.0, [0.1, 0.2])])
+
+
+def _merge_by_pairs(terms):
+    """The first-match merge as a Python double loop over (c, alpha row) pairs."""
+    merged = []
+    for c, alpha in terms:
+        for i, (mc, ma) in enumerate(merged):
+            if np.max(np.abs(ma - alpha)) <= ALPHA_MERGE_TOL:
+                merged[i] = (mc + c, ma)
+                break
+        else:
+            merged.append((c, alpha))
+    return merged
+
+
+def test_merge_matches_pairwise_loop_on_clustered_terms():
+    rng = np.random.default_rng(12)
+    centers = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    jitter = rng.uniform(-1.2, 1.2, (80, 2)) * ALPHA_MERGE_TOL
+    alphas = centers[rng.integers(0, 6, 80)] + jitter
+    coeffs = rng.standard_normal(80) + 1j * rng.standard_normal(80)
+    sup = MultimodeSuperposition(zip(coeffs, alphas))
+    expected = _merge_by_pairs(zip(coeffs, alphas))
+    assert len(sup) == len(expected) > 6
+    for (c, a), (ec, ea) in zip(sup.terms, expected):
+        assert c == ec and np.array_equal(a, ea)

@@ -212,7 +212,5 @@ def test_search_config_validation():
         SearchConfig(b_grid=(0.1, 1.0, 1))
     with pytest.raises(SearchConfigError):
         SearchConfig(N_min=5, N_max=2)
-    with pytest.raises(SearchConfigError):
-        SearchConfig(rank_tol=0.0)
     with pytest.raises(ValueError):
         optimized_bound(fock_state(1, 2), 5, SearchConfig(N_max=1))
