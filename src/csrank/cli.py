@@ -29,7 +29,7 @@ from .decomp import (
     fit_superposition,
 )
 from .errors import NumericalFailure, ResourceLimit
-from .fock import fock_state, state_from_descriptor
+from .fock import fock_state, int_field, object_field, real_field, state_from_descriptor
 from .hankel import SearchConfig, optimized_bound, plain_bound, rescaled_bound
 from .multimode import multimode_from_descriptor, multimode_lower_bound
 from .permanent import verify_permanent_bound
@@ -126,23 +126,24 @@ def _search_config(args, n_max: int) -> SearchConfig:
 
 def _check_certificate(args) -> int:
     with open(args.check) as fh:
-        stored = json.load(fh)
-    descriptor = stored["state_descriptor"]
-    r = int(stored["r"])
+        stored = object_field(json.load(fh), "certificate")
+    descriptor = object_field(stored["state_descriptor"], "state_descriptor")
+    r = int_field(stored["r"], "r")
     method = stored["method"]
-    params = stored.get("parameters") or {}
+    params = object_field(stored.get("parameters") or {}, "parameters")
     n_param, b_param = params.get("N"), params.get("b")
     if r == 0 and n_param is None:
         recomputed = 0.0
     elif method == "analytic_fock":
-        recomputed = fock_analytic_threshold(int(descriptor["n"]))
+        recomputed = fock_analytic_threshold(int_field(descriptor["n"], "n"))
     else:
-        psi = _load_state(descriptor, 2 * int(n_param))
+        n_param = int_field(n_param, "N")
+        psi = _load_state(descriptor, 2 * n_param)
         if method == "plain":
-            recomputed = plain_bound(psi, r, int(n_param))
+            recomputed = plain_bound(psi, r, n_param)
         else:
-            recomputed = rescaled_bound(psi, r, int(n_param), float(b_param))
-    stored_value = float(stored["epsilon_threshold"])
+            recomputed = rescaled_bound(psi, r, n_param, real_field(b_param, "b"))
+    stored_value = real_field(stored["epsilon_threshold"], "epsilon_threshold")
     ok = abs(recomputed - stored_value) <= CHECK_REL_TOL * max(
         abs(stored_value), abs(recomputed), 1e-300
     )
@@ -168,7 +169,7 @@ def cmd_bound(args) -> int:
     if args.method == "analytic":
         if descriptor.get("type") != "fock":
             raise ValueError("--method analytic applies to Fock descriptors only")
-        cert = analytic_fock_certificate(int(descriptor["n"]), r)
+        cert = analytic_fock_certificate(int_field(descriptor["n"], "n"), r)
     else:
         n_max = args.n_max if args.n_max is not None else max(r, 10)
         if r > n_max:

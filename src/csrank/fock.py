@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaln, xlogy
 
+from .errors import ResourceLimit
+
 NORM_TOL = 1e-12
+
+# Largest cutoff (amplitude vector length MAX_CUTOFF + 1) a state may have.
+MAX_CUTOFF = 100_000
 
 # Displacements closer than this are treated as the same coherent state.
 ALPHA_MERGE_TOL = 1e-12
@@ -225,11 +230,15 @@ def coherent_tail_weight(alpha: complex, cutoff: int) -> float:
 
 
 def _auto_coherent_cutoff(alpha: complex, max_tail: float) -> int:
-    lam = abs(complex(alpha)) ** 2
+    mag = abs(complex(alpha))
+    # A mean photon number |alpha|^2 above MAX_CUTOFF already needs a larger cutoff.
+    if mag > math.sqrt(MAX_CUTOFF):
+        raise ResourceLimit(f"|alpha| = {mag:.6g} needs a cutoff above {MAX_CUTOFF}")
+    lam = mag**2
     c = max(8, int(lam + 10 * math.sqrt(lam + 1)))
     while coherent_tail_weight(alpha, c) > max_tail:
         c = int(1.5 * c) + 8
-        if c > 100_000:
+        if c > MAX_CUTOFF:
             raise ValueError("cannot reach requested truncation weight")
     while c > 0 and coherent_tail_weight(alpha, c - 1) <= max_tail:
         c -= 1
@@ -373,6 +382,42 @@ def complex_from_pair(pair) -> complex:
     raise ValueError(f"expected a [re, im] pair of numbers, got {pair!r}")
 
 
+def _typed(value, kinds, what: str, name: str):
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def int_field(value, name: str) -> int:
+    """A descriptor's JSON integer; 2.0 reads as 2, while 1.5, true and "2" fail."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return _typed(value, int, "an integer", name)
+
+
+def real_field(value, name: str) -> float:
+    """A descriptor's JSON number as a float."""
+    try:
+        return float(_typed(value, (int, float), "a number", name))
+    except OverflowError:
+        raise ValueError(f"{name}={value!r} is out of range") from None
+
+
+def list_field(value, name: str) -> list:
+    """A descriptor's JSON list."""
+    return _typed(value, list, "a list", name)
+
+
+def object_field(value, name: str) -> dict:
+    """A descriptor's JSON object."""
+    return _typed(value, dict, "an object", name)
+
+
+def _check_cutoff(cutoff: int) -> None:
+    if cutoff > MAX_CUTOFF:
+        raise ResourceLimit(f"cutoff {cutoff} exceeds the supported {MAX_CUTOFF}")
+
+
 def state_from_descriptor(descriptor: dict) -> FockVector:
     """Build a single-mode state from a JSON descriptor.
 
@@ -386,18 +431,27 @@ def state_from_descriptor(descriptor: dict) -> FockVector:
         raise ValueError("state descriptor must be an object with a 'type' field")
     kind = descriptor["type"]
     cutoff = descriptor.get("cutoff")
+    if cutoff is not None:
+        cutoff = int_field(cutoff, "cutoff")
+        if cutoff < 0:
+            raise ValueError(f"cutoff must be non-negative, got {cutoff}")
+        _check_cutoff(cutoff)
     if kind == "fock":
-        return fock_state(int(descriptor["n"]), cutoff)
+        n = int_field(descriptor["n"], "n")
+        _check_cutoff(n)
+        return fock_state(n, cutoff)
     if kind == "core":
-        amps = [complex_from_pair(a) for a in descriptor["amps"]]
-        return core_state(amps, cutoff)
+        amps = list_field(descriptor["amps"], "amps")
+        _check_cutoff(len(amps) - 1)
+        return core_state([complex_from_pair(a) for a in amps], cutoff)
     if kind == "squeezed":
-        params = SqueezedParams(float(descriptor["r"]), float(descriptor.get("phi", 0.0)))
+        r = real_field(descriptor["r"], "r")
+        params = SqueezedParams(r, real_field(descriptor.get("phi", 0.0), "phi"))
         return squeezed_state(params, cutoff)
     if kind == "superposition":
-        terms = [
-            CoherentTerm(complex_from_pair(t["c"]), complex_from_pair(t["alpha"]))
-            for t in descriptor["terms"]
-        ]
+        terms = []
+        for t in list_field(descriptor["terms"], "terms"):
+            t = object_field(t, "term")
+            terms.append(CoherentTerm(complex_from_pair(t["c"]), complex_from_pair(t["alpha"])))
         return superposition_to_fock(CoherentSuperposition(terms), cutoff)
     raise ValueError(f"unknown state type {kind!r}")

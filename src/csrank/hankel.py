@@ -11,7 +11,8 @@ implies the state is not eps-approximable by r coherent states.  Here
 m_n = n+1 for n <= N and 2N-n+1 for N < n <= 2N counts the (i, j) pairs
 with i+j = n.  Factorials and b powers are handled in the log domain: the
 matrix is stored with a global scale factored out (scale_exponent) and the
-bound values are re-exponentiated only at the end.
+bound values are re-exponentiated only at the end.  Every matrix comes from
+``_spectra`` and every bound from ``_thresholds``, both over arrays of b.
 """
 
 import math
@@ -24,6 +25,9 @@ from scipy.special import gammaln
 from .fock import FockVector
 
 DEFAULT_RANK_TOL = 1e-10
+
+# Largest number of complex matrix entries (16 MB) one stacked SVD call holds.
+_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -40,13 +44,6 @@ class HankelBundle:
     b: float
     singular_values: np.ndarray
     scale_exponent: float
-
-    def log_tail_sq(self, r: int) -> float:
-        """log of the true tail sum sum_{l>r} sigma_l^2; -inf when empty/zero."""
-        tail = float(np.sum(self.singular_values[r:] ** 2))
-        if tail <= 0.0:
-            return -math.inf
-        return math.log(tail) + 2.0 * self.scale_exponent
 
 
 class SearchConfigError(ValueError):
@@ -96,39 +93,35 @@ class OptimizedBound(NamedTuple):
     N_star: int
 
 
-def hankel_matrix(psi: FockVector, N: int, b: float = 1.0) -> HankelBundle:
-    """Build H_{N,b}(psi) and its singular values.
-
-    Requires psi.cutoff >= 2N since the matrix reads the first 2N+1
-    amplitudes.
-    """
-    if N < 0:
-        raise ValueError("N must be non-negative")
-    if b <= 0 or not math.isfinite(b):
+def _log_b(b: np.ndarray) -> np.ndarray:
+    """math.log of each rescaling b, all of which must be positive and finite."""
+    if not all(0 < x < math.inf for x in b):
         raise ValueError("rescaling b must be positive and finite")
-    if psi.cutoff < 2 * N:
-        raise ValueError(f"cutoff {psi.cutoff} < 2N = {2 * N}")
+    return np.fromiter(map(math.log, b), float, len(b))
 
+
+def _spectra(psi: FockVector, N: int, b: np.ndarray):
+    """(B, N+1, N+1) scaled matrices H_{N,b}(psi), their singular values from one
+    stacked SVD call and the (B,) log scales, for the B values of ``b``."""
+    if not 0 <= 2 * N <= psi.cutoff:
+        raise ValueError(f"need 0 <= 2N <= cutoff, got N={N}, cutoff {psi.cutoff}")
+    log_b = _log_b(b)
     amps = psi.amplitudes[: 2 * N + 1]
-    n = np.arange(2 * N + 1)
-    mags = np.abs(amps)
-    with np.errstate(divide="ignore"):
-        log_entry = n * math.log(b) + 0.5 * gammaln(n + 1) + np.log(mags)
-    finite = np.isfinite(log_entry)
-    if not finite.any():
-        scale = 0.0
-        vals = np.zeros(2 * N + 1, dtype=complex)
-    else:
-        scale = float(log_entry[finite].max())
-        vals = np.zeros(2 * N + 1, dtype=complex)
-        phases = np.ones(2 * N + 1, dtype=complex)
-        phases[finite] = amps[finite] / mags[finite]
-        vals[finite] = np.exp(log_entry[finite] - scale) * phases[finite]
+    n = np.flatnonzero(amps)  # zero amplitudes stay exact zeros
+    mags = np.abs(amps[n])
+    log_entry = n * log_b[:, None] + 0.5 * gammaln(n + 1) + np.log(mags)
+    scale = log_entry.max(axis=1) if len(n) else np.zeros(len(b))
+    vals = np.zeros((len(b), 2 * N + 1), dtype=complex)
+    vals[:, n] = np.exp(log_entry - scale[:, None]) * (amps[n] / mags)
 
-    idx = np.add.outer(np.arange(N + 1), np.arange(N + 1))
-    matrix = vals[idx]
-    sigma = np.linalg.svd(matrix, compute_uv=False)
-    return HankelBundle(matrix, N, float(b), sigma, scale)
+    matrices = vals[:, np.add.outer(np.arange(N + 1), np.arange(N + 1))]
+    return matrices, np.linalg.svd(matrices, compute_uv=False), scale
+
+
+def hankel_matrix(psi: FockVector, N: int, b: float = 1.0) -> HankelBundle:
+    """Build H_{N,b}(psi) and its singular values (the one-b view of _spectra)."""
+    matrices, sigma, scale = _spectra(psi, N, np.array([b], dtype=float))
+    return HankelBundle(matrices[0], N, float(b), sigma[0], float(scale[0]))
 
 
 def numerical_rank(bundle: HankelBundle, rel_tol: float = DEFAULT_RANK_TOL) -> int:
@@ -141,35 +134,46 @@ def numerical_rank(bundle: HankelBundle, rel_tol: float = DEFAULT_RANK_TOL) -> i
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
-def plain_bound(psi: FockVector, r: int, N: int) -> float:
-    """Certified eps threshold sum_{l>r} sigma_l(H_N)^2 / (2 (N+1) (2N)!)."""
-    if r < 0 or r > N:
-        raise ValueError(f"need 0 <= r <= N, got r={r}, N={N}")
-    bundle = hankel_matrix(psi, N, 1.0)
-    log_tail = bundle.log_tail_sq(r)
-    if log_tail == -math.inf:
-        return 0.0
-    log_den = math.log(2.0) + math.log(N + 1) + float(gammaln(2 * N + 1))
-    return math.exp(log_tail - log_den)
-
-
-def _log_weight_max(N: int, log_b: float) -> float:
-    """log max_{n=0..2N} m_n b^{2n} n! with m_n the anti-diagonal multiplicity."""
+def _log_weight_max(N: int, log_b: np.ndarray) -> np.ndarray:
+    """log max_{n=0..2N} m_n b^{2n} n! for each log b, m_n the anti-diagonal multiplicity."""
     n = np.arange(2 * N + 1)
     m = np.where(n <= N, n + 1, 2 * N - n + 1)
-    return float(np.max(np.log(m) + 2 * n * log_b + gammaln(n + 1)))
+    return np.max(np.log(m) + 2 * n * log_b[:, None] + gammaln(n + 1), axis=1)
+
+
+def _thresholds(psi: FockVector, r: int, N: int, b: np.ndarray, log_den) -> np.ndarray:
+    """sum_{l>r} sigma_l(H_{N,b})^2 / e^{log_den} for each b (0 for an empty tail).
+
+    ``log_den=None`` takes each b's rescaled log 2 max_n m_n b^{2n} n!.  The
+    stack is built in blocks of at most _BLOCK_ENTRIES matrix entries.
+    """
+    if r < 0 or r > N:
+        raise ValueError(f"need 0 <= r <= N, got r={r}, N={N}")
+    out = np.zeros(len(b))
+    step = max(1, _BLOCK_ENTRIES // (N + 1) ** 2)
+    for lo in range(0, len(b), step):
+        block = b[lo : lo + step]
+        _, sigma, scale = _spectra(psi, N, block)
+        if log_den is None:
+            den = math.log(2.0) + _log_weight_max(N, _log_b(block))
+        else:
+            den = [log_den] * len(block)
+        tails = (sigma[:, r:] ** 2).sum(axis=1)
+        for i, tail in enumerate(tails):
+            if tail > 0.0:
+                out[lo + i] = math.exp(math.log(tail) + 2.0 * scale[i] - den[i])
+    return out
+
+
+def plain_bound(psi: FockVector, r: int, N: int) -> float:
+    """Certified eps threshold sum_{l>r} sigma_l(H_N)^2 / (2 (N+1) (2N)!)."""
+    log_den = math.log(2.0) + math.log(N + 1) + float(gammaln(2 * N + 1))
+    return float(_thresholds(psi, r, N, np.ones(1), log_den)[0])
 
 
 def rescaled_bound(psi: FockVector, r: int, N: int, b: float) -> float:
     """The optimized-bound objective at one fixed (N, b)."""
-    if r < 0 or r > N:
-        raise ValueError(f"need 0 <= r <= N, got r={r}, N={N}")
-    bundle = hankel_matrix(psi, N, b)
-    log_tail = bundle.log_tail_sq(r)
-    if log_tail == -math.inf:
-        return 0.0
-    log_den = math.log(2.0) + _log_weight_max(N, math.log(b))
-    return math.exp(log_tail - log_den)
+    return float(_thresholds(psi, r, N, np.array([b], dtype=float), None)[0])
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -218,21 +222,17 @@ def optimized_bound(
     if n_lo > n_max:
         raise ValueError(f"r={r} exceeds the largest searchable N={n_max}")
 
-    grid = cfg.b_values()
-    log_grid = np.log(grid)
+    log_grid = np.log(cfg.b_values())
+    b_grid = np.fromiter(map(math.exp, log_grid), float, len(log_grid))
     best = OptimizedBound(0.0, 1.0, n_lo)
     for N in range(n_lo, n_max + 1):
-        def objective_log_b(log_b: float, N=N) -> float:
-            return rescaled_bound(psi, r, N, math.exp(log_b))
-
-        vals = np.array([objective_log_b(lb) for lb in log_grid])
+        vals = _thresholds(psi, r, N, b_grid, None)
         i = int(np.argmax(vals))
         lo = log_grid[max(i - 1, 0)]
-        hi = log_grid[min(i + 1, len(grid) - 1)]
-        if lo == hi:
-            log_b_star, val = log_grid[i], vals[i]
-        else:
-            log_b_star, val = _golden_max(objective_log_b, lo, hi, cfg.refine_iters)
+        hi = log_grid[min(i + 1, len(log_grid) - 1)]
+        log_b_star, val = _golden_max(
+            lambda lb: rescaled_bound(psi, r, N, math.exp(lb)), lo, hi, cfg.refine_iters
+        )
         if vals[i] > val:
             log_b_star, val = log_grid[i], vals[i]
         b_star = math.exp(log_b_star)

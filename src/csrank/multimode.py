@@ -25,7 +25,10 @@ from .fock import (
     CoherentTerm,
     FockVector,
     complex_from_pair,
+    int_field,
+    list_field,
     merge_coincident,
+    object_field,
 )
 from .hankel import plain_bound
 
@@ -112,10 +115,12 @@ def tensor_fock(occupations) -> MultimodeFockState:
 
 def multimode_from_descriptor(descriptor: dict) -> MultimodeFockState:
     """{"modes": m, "amps": [{"occ": [n1, ..., nm], "c": [re, im]}, ...]}"""
-    modes = int(descriptor["modes"])
-    amps = {
-        tuple(entry["occ"]): complex_from_pair(entry["c"]) for entry in descriptor["amps"]
-    }
+    modes = int_field(descriptor["modes"], "modes")
+    amps = {}
+    for entry in list_field(descriptor["amps"], "amps"):
+        entry = object_field(entry, "amps entry")
+        occ = tuple(int_field(k, "occ entry") for k in list_field(entry["occ"], "occ"))
+        amps[occ] = complex_from_pair(entry["c"])
     return MultimodeFockState(modes, amps)
 
 

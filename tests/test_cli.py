@@ -1,10 +1,15 @@
 import csv
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csrank.cli import main
+from csrank.fock import MAX_CUTOFF, state_from_descriptor
 
 
 def run_json(capsys, argv):
@@ -63,6 +68,11 @@ def test_malformed_json_exits_2(capsys):
     assert main(["certify", '{"type":"fock","n":1}']) == 2  # missing --eps
 
 
+FOCK1 = {"type": "fock", "n": 1}
+CERT = {"state_descriptor": FOCK1, "r": 1, "epsilon_threshold": 0.125,
+        "method": "plain", "parameters": {"N": 1, "b": 1.0}}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -70,10 +80,32 @@ def test_malformed_json_exits_2(capsys):
         ["bound", '{"type":"superposition","terms":[{"c":1,"alpha":[0.5,0]}]}', "--r", "1"],
         ["multimode", '{"modes":1,"amps":[{"occ":[1],"c":1}]}'],
         ["bound", '{"type":"squeezed","r":1e308}', "--r", "1"],
+        ["bound", '{"type":"fock","n":[1]}', "--r", "1"],
+        ["bound", '{"type":"core","amps":5}', "--r", "1"],
+        ["bound", '{"type":"squeezed","r":[1]}', "--r", "1"],
+        ["bound", '{"type":"fock","n":1,"cutoff":"4"}', "--r", "1"],
+        ["bound", '{"type":"fock","n":1.5}', "--r", "1"],
+        ["bound", '{"type":"superposition","terms":[5]}', "--r", "1"],
+        ["bound", '{"type":"squeezed","r":0,"cutoff":-2}', "--r", "1"],
+        ["multimode", '{"modes":2,"amps":[{"occ":1,"c":[1,0]}]}'],
+        ["bound", "--check", dict(CERT, r=[1])],
+        ["bound", "--check", [CERT]],
+        ["bound", "--check", dict(CERT, parameters=[1, 1.0])],
+        ["bound", "--check", dict(CERT, parameters={"b": 1.0})],
     ],
-    ids=["core-scalar-amps", "superposition-scalar-c", "multimode-scalar-c", "squeezed-huge-r"],
+    ids=["core-scalar-amps", "superposition-scalar-c", "multimode-scalar-c", "squeezed-huge-r",
+         "fock-list-n", "core-scalar-amps-field", "squeezed-list-r", "fock-string-cutoff",
+         "fock-fractional-n", "superposition-scalar-term", "squeezed-negative-cutoff",
+         "multimode-scalar-occ",
+         "check-list-r", "check-top-level-list", "check-list-parameters", "check-missing-N"],
 )
-def test_malformed_descriptor_values_exit_2(capsys, argv):
+def test_malformed_descriptor_values_exit_2(capsys, tmp_path, argv):
+    # A non-string argument is a certificate, written to a file for --check.
+    path = tmp_path / "cert.json"
+    for i, arg in enumerate(argv):
+        if not isinstance(arg, str):
+            path.write_text(json.dumps(arg))
+            argv[i] = str(path)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -82,6 +114,65 @@ def test_malformed_descriptor_values_exit_2(capsys, argv):
 
 def test_resource_limit_exits_4(capsys):
     assert main(["permanent", "--n", "9", "--delta", "0.2", "--trials", "1"]) == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", '{"type":"fock","n":1,"cutoff":%d}' % (MAX_CUTOFF + 1), "--r", "1"],
+        ["bound", '{"type":"fock","n":%d}' % (MAX_CUTOFF + 1), "--r", "1"],
+        ["bound", '{"type":"fock","n":1}', "--r", "1", "--n-max", str(MAX_CUTOFF // 2 + 1)],
+        ["certify", '{"type":"squeezed","r":0.5}', "--eps", "0.1",
+         "--n-max", str(MAX_CUTOFF // 2 + 1)],
+        ["bound", '{"type":"superposition","terms":[{"c":[1,0],"alpha":[1e300,0]}]}',
+         "--r", "1"],
+    ],
+    ids=["explicit-cutoff", "fock-n", "bound-n-max", "certify-n-max", "huge-alpha"],
+)
+def test_vectors_past_the_cutoff_cap_exit_4(capsys, argv):
+    assert main(argv) == 4
+    assert str(MAX_CUTOFF) in capsys.readouterr().err
+
+
+def test_cutoff_cap_is_inclusive():
+    assert state_from_descriptor({"type": "fock", "n": 1, "cutoff": MAX_CUTOFF}).cutoff == MAX_CUTOFF
+
+
+_NUMBER = st.integers(-3, 40) | st.floats(-50, 50)
+_SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBER | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["c", "alpha", "occ"]), inner, max_size=2),
+    max_leaves=6,
+)
+_PAIR = st.lists(_NUMBER, min_size=2, max_size=2) | _SMALL_JSON
+
+
+def _descriptor(kind, required, **optional):
+    """A descriptor of one type whose fields are well-formed or arbitrary small JSON."""
+    optional["cutoff"] = st.integers(-3, 40) | _SMALL_JSON
+    return st.fixed_dictionaries({"type": st.just(kind), **required}, optional=optional)
+
+
+_DESCRIPTORS = st.one_of(
+    _descriptor("fock", {"n": _NUMBER | _SMALL_JSON}),
+    _descriptor("core", {"amps": st.lists(_PAIR, max_size=4) | _SMALL_JSON}),
+    _descriptor("squeezed", {"r": _NUMBER | _SMALL_JSON}, phi=_NUMBER | _SMALL_JSON),
+    _descriptor("superposition", {"terms": st.lists(
+        st.fixed_dictionaries({"c": _PAIR, "alpha": _PAIR}), max_size=3) | _SMALL_JSON}),
+    st.dictionaries(st.sampled_from(["type", "n", "r", "amps"]), _SMALL_JSON),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DESCRIPTORS)
+def test_cli_never_leaks_a_traceback(descriptor):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["bound", json.dumps(descriptor), "--r", "1", "--method", "plain",
+                     "--n-max", "2"])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_fit_command(capsys):

@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from csrank import hankel
 from csrank.fock import (
     CoherentSuperposition,
     CoherentTerm,
     FockVector,
+    SqueezedParams,
     coherent_state,
+    core_state,
     fock_state,
+    squeezed_state,
     superposition_to_fock,
 )
 from csrank.hankel import (
@@ -214,3 +218,74 @@ def test_search_config_validation():
         SearchConfig(N_min=5, N_max=2)
     with pytest.raises(ValueError):
         optimized_bound(fock_state(1, 2), 5, SearchConfig(N_max=1))
+
+
+def builder_states():
+    rng = np.random.default_rng(31)
+    core = core_state(rng.standard_normal(5) + 1j * rng.standard_normal(5), cutoff=16)
+    sup = k_term_state([0.4, -0.7 + 0.3j, 1.1j], [1.0, 0.5 - 0.2j, 0.8], 16)
+    return [fock_state(3, 16), squeezed_state(SqueezedParams(0.6, 0.4), 16), core, sup]
+
+
+@pytest.mark.parametrize("state", range(4), ids=["fock", "squeezed", "core", "superposition"])
+@pytest.mark.parametrize("N", [1, 5, 8])
+def test_stacked_spectra_equal_one_b_builds(state, N):
+    psi = builder_states()[state]
+    grid = SearchConfig().b_values()
+    matrices, sigma, scale = hankel._spectra(psi, N, grid)
+    assert matrices.shape == (len(grid), N + 1, N + 1)
+    for k, b in enumerate(grid):
+        bundle = hankel_matrix(psi, N, b)
+        assert np.array_equal(bundle.singular_values, sigma[k])
+        assert bundle.scale_exponent == scale[k]
+        assert np.array_equal(bundle.matrix, matrices[k])
+
+
+def record_blocks(monkeypatch):
+    """Wrap hankel._spectra to record the matrix entries of every call."""
+    entries = []
+    spectra = hankel._spectra
+
+    def wrapped(psi, N, b):
+        entries.append(len(b) * (N + 1) ** 2)
+        return spectra(psi, N, b)
+
+    monkeypatch.setattr(hankel, "_spectra", wrapped)
+    return entries
+
+
+@pytest.mark.parametrize("state", range(4), ids=["fock", "squeezed", "core", "superposition"])
+def test_block_split_keeps_every_threshold(monkeypatch, state):
+    psi = builder_states()[state]
+    N, r = 6, 2
+    grid = SearchConfig().b_values()
+    whole = hankel._thresholds(psi, r, N, grid, None)
+    plain = hankel._thresholds(psi, r, N, grid[:1], 1.5)
+    # blocks of four matrices leave a shorter last block (201 = 50 * 4 + 1)
+    monkeypatch.setattr(hankel, "_BLOCK_ENTRIES", 4 * (N + 1) ** 2 + 1)
+    entries = record_blocks(monkeypatch)
+    split = hankel._thresholds(psi, r, N, grid, None)
+    assert len(entries) == math.ceil(len(grid) / 4)
+    assert max(entries) <= hankel._BLOCK_ENTRIES
+    assert np.array_equal(split, whole)
+    assert np.array_equal(hankel._thresholds(psi, r, N, grid[:1], 1.5), plain)
+    assert [rescaled_bound(psi, r, N, b) for b in grid] == list(whole)
+
+
+def test_stacked_svd_calls_stay_within_the_block_bound(monkeypatch):
+    psi = builder_states()[1]
+    entries = record_blocks(monkeypatch)
+    cfg = SearchConfig(N_min=8, N_max=8, b_grid=(1e-3, 10.0, 30_000))
+    optimized_bound(psi, 1, cfg)
+    grid_calls = [e for e in entries if e > 81]  # the rest are golden-section points
+    assert max(entries) <= hankel._BLOCK_ENTRIES
+    assert len(grid_calls) == math.ceil(30_001 / (hankel._BLOCK_ENTRIES // 81)) > 1
+
+
+@pytest.mark.parametrize("state", range(4), ids=["fock", "squeezed", "core", "superposition"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_optimized_bound_is_the_rescaled_bound_at_its_optimum(state, r):
+    # `bound --check` re-derives an optimized certificate through rescaled_bound
+    psi = builder_states()[state]
+    res = optimized_bound(psi, r, SearchConfig(N_max=8))
+    assert res.value == rescaled_bound(psi, r, res.N_star, res.b_star)
