@@ -115,13 +115,12 @@ def _load_state(descriptor: dict, required_cutoff: int):
 
 
 def _search_config(args, n_max: int) -> SearchConfig:
-    b_grid = (1e-3, 10.0, 200)
-    if getattr(args, "b_grid", None):
-        parts = args.b_grid.split(",")
-        if len(parts) != 3:
-            raise ValueError("--b-grid expects MIN,MAX,POINTS")
-        b_grid = (float(parts[0]), float(parts[1]), int(parts[2]))
-    return SearchConfig(N_max=n_max, b_grid=b_grid)
+    if not getattr(args, "b_grid", None):
+        return SearchConfig(N_max=n_max)
+    parts = args.b_grid.split(",")
+    if len(parts) != 3:
+        raise ValueError("--b-grid expects MIN,MAX,POINTS")
+    return SearchConfig(N_max=n_max, b_grid=(float(parts[0]), float(parts[1]), int(parts[2])))
 
 
 def _check_certificate(args) -> int:

@@ -229,20 +229,34 @@ def coherent_tail_weight(alpha: complex, cutoff: int) -> float:
     return float(gammainc(cutoff + 1, lam))
 
 
+def _smallest_passing(passes, hi: int) -> int:
+    """Smallest n in [0, hi] with passes(n), for a predicate that holds at hi
+    and, once it holds, holds for every larger n (bisection)."""
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _auto_coherent_cutoff(alpha: complex, max_tail: float) -> int:
     mag = abs(complex(alpha))
     # A mean photon number |alpha|^2 above MAX_CUTOFF already needs a larger cutoff.
     if mag > math.sqrt(MAX_CUTOFF):
         raise ResourceLimit(f"|alpha| = {mag:.6g} needs a cutoff above {MAX_CUTOFF}")
     lam = mag**2
-    c = max(8, int(lam + 10 * math.sqrt(lam + 1)))
+    c = min(max(8, int(lam + 10 * math.sqrt(lam + 1))), MAX_CUTOFF)
     while coherent_tail_weight(alpha, c) > max_tail:
-        c = int(1.5 * c) + 8
-        if c > MAX_CUTOFF:
-            raise ValueError("cannot reach requested truncation weight")
-    while c > 0 and coherent_tail_weight(alpha, c - 1) <= max_tail:
-        c -= 1
-    return c
+        if c == MAX_CUTOFF:
+            raise ResourceLimit(
+                f"|alpha| = {mag:.6g} needs a cutoff above {MAX_CUTOFF} "
+                f"for tail weight <= {max_tail:.3g}"
+            )
+        c = min(int(1.5 * c) + 8, MAX_CUTOFF)
+    return _smallest_passing(lambda n: coherent_tail_weight(alpha, n) <= max_tail, c)
 
 
 def coherent_state(
@@ -253,8 +267,9 @@ def coherent_state(
     """Truncated coherent state |alpha>.
 
     With ``cutoff=None`` the smallest cutoff whose truncation weight does not
-    exceed ``max_tail`` is chosen.  The attained tail weight is stored on the
-    returned vector as a diagnostic; the vector is not renormalized.
+    exceed ``max_tail`` is chosen (ResourceLimit if that is above MAX_CUTOFF).
+    The attained tail weight is stored on the returned vector as a
+    diagnostic; the vector is not renormalized.
     """
     if cutoff is None:
         cutoff = _auto_coherent_cutoff(alpha, max_tail)
@@ -293,20 +308,26 @@ def squeezed_state(
     """Truncated squeezed vacuum a_{2n} = lam^n sqrt((2n)!) / (2^n n! sqrt(cosh r)).
 
     Odd amplitudes are exactly zero; with ``cutoff=None`` the smallest cutoff
-    whose truncation weight does not exceed ``max_tail`` is chosen.
+    whose truncation weight does not exceed ``max_tail`` is chosen
+    (ResourceLimit if that is above MAX_CUTOFF).
     """
     if cutoff is None:
+        max_pairs = MAX_CUTOFF // 2
         n_pairs = 4
         while True:
             weights = np.exp(2 * _squeezed_even_log_mags(params, n_pairs))
             if 1.0 - weights.sum() <= max_tail:
                 break
-            n_pairs *= 2
-            if n_pairs > 100_000:
-                raise ValueError("cannot reach requested truncation weight")
-        while n_pairs > 0 and 1.0 - weights[:n_pairs].sum() <= max_tail:
-            n_pairs -= 1
-        cutoff = 2 * n_pairs
+            if n_pairs == max_pairs:
+                raise ResourceLimit(
+                    f"squeezing r = {params.r:.6g} needs a cutoff above {MAX_CUTOFF} "
+                    f"for tail weight <= {max_tail:.3g}"
+                )
+            n_pairs = min(2 * n_pairs, max_pairs)
+        # cutoff 2n keeps weights[:n + 1]
+        cutoff = 2 * _smallest_passing(
+            lambda n: 1.0 - weights[: n + 1].sum() <= max_tail, n_pairs
+        )
     n_pairs = cutoff // 2
     log_mags = _squeezed_even_log_mags(params, n_pairs)
     lam = params.lam

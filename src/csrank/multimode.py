@@ -3,13 +3,15 @@
 A passive linear unitary with matrix U maps creation operators as
 a_j^dag -> sum_i U[i, j] b_i^dag and coherent products as |alpha> -> |U alpha>.
 Evolving a core state therefore amounts to substituting that linear form
-into the homogeneous polynomial of each boson-number sector, which is done
-here on a sparse multi-index representation.  Projecting all modes but the
-first onto vacuum turns an m-mode problem into a single-mode one: the
-amplitude of the fully bunched state |n, 0, ..., 0> is
-d_n = sqrt(n!) P(U[0, 0], ..., U[0, m-1]) with P the top-sector polynomial,
-and a unitary whose first row keeps |P| away from zero certifies the rank
-lower bound n + 1 through the single-mode Hankel machinery.
+into the homogeneous polynomial of each boson-number sector.  Projecting all
+modes but the first onto vacuum turns an m-mode problem into a single-mode
+one: the amplitude of |k, 0, ..., 0> is sqrt(k!) P_k(U[0, 0], ..., U[0, m-1])
+with P_k the sector-k polynomial, so the reduction never forms the evolved
+state.  A unitary whose first row keeps the top-sector |P_n| away from zero
+makes the bunched amplitude d_n nonzero and certifies the rank lower bound
+n + 1 through the single-mode Hankel machinery.  The full evolution
+(``evolve_fock_state``, a sparse multi-index expansion) is kept as a
+reference at desk scale.
 """
 
 import math
@@ -34,7 +36,7 @@ from .hankel import plain_bound
 
 UNITARY_TOL = 1e-10
 
-# Desk-scale limits for the exact polynomial-substitution evolution.
+# Desk-scale limits of the exact evolution; multimode_lower_bound keeps them too.
 MAX_TOTAL_BOSONS = 12
 MAX_MODES = 6
 
@@ -72,11 +74,6 @@ class MultimodeFockState:
             raise ValueError("total weight exceeds 1")
         object.__setattr__(self, "amplitudes", cleaned)
         object.__setattr__(self, "max_total", max_total)
-
-    def top_sector(self) -> dict:
-        return {
-            occ: amp for occ, amp in self.amplitudes.items() if sum(occ) == self.max_total
-        }
 
 
 @dataclass(frozen=True)
@@ -164,41 +161,59 @@ def project_vacuum_tail(sup: MultimodeSuperposition) -> CoherentSuperposition:
     return CoherentSuperposition(terms)
 
 
-def _normalized_monomials(core: MultimodeFockState, occs) -> dict:
-    """occ -> c_occ / sqrt(prod occ_j!) for the given occupations."""
+def _normalized_monomials(core: MultimodeFockState) -> dict:
+    """occ -> c_occ / sqrt(prod occ_j!) over the state's occupations."""
     out = {}
-    for occ in occs:
-        amp = core.amplitudes[occ]
+    for occ, amp in core.amplitudes.items():
         log_norm = 0.5 * sum(float(gammaln(k + 1)) for k in occ)
         out[occ] = amp * math.exp(-log_norm)
     return out
 
 
-def top_sector_polynomial(core: MultimodeFockState):
-    """Evaluator u -> P(u) for the top-sector homogeneous polynomial."""
-    monos = _normalized_monomials(core, core.top_sector())
+def sector_polynomials(core: MultimodeFockState):
+    """Evaluator (u, k) -> P_k(u) for the boson-number sectors of a core state.
 
-    def poly(u: np.ndarray) -> complex:
-        u = np.asarray(u, dtype=complex)
+    P_k(u) = sum over occupations with k bosons of c_occ prod_j u_j^{occ_j} /
+    sqrt(occ_j!), evaluated monomial by monomial in the state's order; a
+    sector without amplitudes gives 0.
+    """
+    sectors = defaultdict(list)
+    for occ, coeff in _normalized_monomials(core).items():
+        sectors[sum(occ)].append((occ, coeff))
+
+    def poly(u: np.ndarray, k: int) -> complex:
         total = 0j
-        for occ, coeff in monos.items():
+        for occ, coeff in sectors.get(k, ()):
             term = coeff
-            for uj, k in zip(u, occ):
-                term *= uj**k
+            for uj, kj in zip(u, occ):
+                term *= uj**kj
             total += term
         return total
 
     return poly
 
 
-def bunched_amplitude(core: MultimodeFockState, U: np.ndarray) -> complex:
-    """d_n = sqrt(n!) P(first row of U) at n = max_total."""
+def reduce_to_single_mode(core: MultimodeFockState, U: np.ndarray) -> FockVector:
+    """Vacuum-projected first mode of the evolved state (sub-normalized).
+
+    The amplitude of |k, 0, ..., 0> after U is sqrt(k!) P_k(U[0, :]): only
+    the b_1^dag part of each substituted creation operator survives the
+    projection, so no other output occupation is ever formed.
+    """
     U = check_unitary(U)
     if U.shape[0] != core.modes:
         raise ValueError("unitary dimension does not match the state")
-    poly = top_sector_polynomial(core)
-    n = core.max_total
-    return complex(math.exp(0.5 * float(gammaln(n + 1))) * poly(U[0, :]))
+    poly = sector_polynomials(core)
+    amps = [
+        math.exp(0.5 * float(gammaln(k + 1))) * poly(U[0, :], k)
+        for k in range(core.max_total + 1)
+    ]
+    return FockVector(np.array(amps, dtype=complex), core.max_total, normalized=False)
+
+
+def bunched_amplitude(core: MultimodeFockState, U: np.ndarray) -> complex:
+    """d_n = sqrt(n!) P_n(first row of U) at n = max_total."""
+    return complex(reduce_to_single_mode(core, U).amplitudes[-1])
 
 
 def _complete_to_unitary(u: np.ndarray) -> np.ndarray:
@@ -228,8 +243,8 @@ def bunching_unitary(
     always candidate 0, which is optimal for |1>^m) and keeps the one
     maximizing |P(u)|; earlier candidates win ties.
     """
-    poly = top_sector_polynomial(core)
-    m = core.modes
+    poly = sector_polynomials(core)
+    n, m = core.max_total, core.modes
     rng = np.random.default_rng(seed)
     candidates = [np.full(m, 1.0 / math.sqrt(m), dtype=complex)]
     for _ in range(trials):
@@ -237,7 +252,7 @@ def bunching_unitary(
         candidates.append(v / np.linalg.norm(v))
     best_u, best_val = None, -1.0
     for u in candidates:
-        val = abs(poly(u))
+        val = abs(poly(u, n))
         if val > best_val:
             best_u, best_val = u, val
     if best_val < 1e-14:
@@ -251,7 +266,7 @@ def bunching_unitary(
 def _check_desk_scale(core: MultimodeFockState):
     if core.max_total > MAX_TOTAL_BOSONS or core.modes > MAX_MODES:
         raise ResourceLimit(
-            f"exact evolution supports <= {MAX_TOTAL_BOSONS} bosons in "
+            f"desk scale is <= {MAX_TOTAL_BOSONS} bosons in "
             f"<= {MAX_MODES} modes; got {core.max_total} bosons, {core.modes} modes"
         )
 
@@ -270,7 +285,7 @@ def evolve_fock_state(core: MultimodeFockState, U: np.ndarray) -> MultimodeFockS
     m = core.modes
     zero = tuple([0] * m)
     out = defaultdict(complex)
-    monos = _normalized_monomials(core, core.amplitudes)
+    monos = _normalized_monomials(core)
     for occ, coeff in monos.items():
         poly = {zero: coeff}
         for j, nj in enumerate(occ):
@@ -294,16 +309,6 @@ def evolve_fock_state(core: MultimodeFockState, U: np.ndarray) -> MultimodeFockS
     return MultimodeFockState(m, fock_amps)
 
 
-def reduce_to_single_mode(core: MultimodeFockState, U: np.ndarray) -> FockVector:
-    """Vacuum-projected first mode of the evolved state (sub-normalized)."""
-    evolved = evolve_fock_state(core, U)
-    amps = np.zeros(core.max_total + 1, dtype=complex)
-    for occ, amp in evolved.amplitudes.items():
-        if all(k == 0 for k in occ[1:]):
-            amps[occ[0]] = amp
-    return FockVector(amps, core.max_total, normalized=False)
-
-
 @dataclass(frozen=True)
 class MultimodeBoundReport:
     """kappa >= bound, with the audit trail of the reduction."""
@@ -325,9 +330,10 @@ def multimode_lower_bound(
     the plain Hankel threshold of the single-mode reduction at r = max_total
     (strictly positive exactly because d_n is nonzero).
     """
+    _check_desk_scale(core)
     n = core.max_total
     U = bunching_unitary(core, trials=trials, seed=seed)
-    d_n = bunched_amplitude(core, U)
     reduction = reduce_to_single_mode(core, U)
+    d_n = complex(reduction.amplitudes[n])
     threshold = plain_bound(reduction.padded(2 * n), n, n)
     return MultimodeBoundReport(n + 1, U, d_n, abs(d_n) ** 2, threshold, reduction)

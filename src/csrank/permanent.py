@@ -53,7 +53,7 @@ def permanent_naive(m) -> complex:
 
 
 def permanent_glynn(m) -> complex:
-    """Glynn's 2^{n-1}-term formula (compiled Gray-code kernel when built)."""
+    """Glynn's 2^{n-1}-term formula."""
     m = _square(m)
     if m.shape[0] > KERNEL_LIMIT:
         raise ResourceLimit(f"Glynn kernel supports n <= {KERNEL_LIMIT}")
@@ -61,7 +61,7 @@ def permanent_glynn(m) -> complex:
 
 
 def permanent_ryser(m) -> complex:
-    """Ryser's inclusion-exclusion formula (compiled kernel when built)."""
+    """Ryser's inclusion-exclusion formula."""
     m = _square(m)
     if m.shape[0] > KERNEL_LIMIT:
         raise ResourceLimit(f"Ryser kernel supports n <= {KERNEL_LIMIT}")

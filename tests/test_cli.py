@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csrank.cli import main
+from csrank.cli import _search_config, main
 from csrank.fock import MAX_CUTOFF, state_from_descriptor
+from csrank.hankel import SearchConfig
 
 
 def run_json(capsys, argv):
@@ -59,6 +61,16 @@ def test_certify_command(capsys):
     assert code == 0
     assert payload["r"] == 1
     assert payload["kappa_eps_at_least"] == 2
+
+
+def test_search_config_takes_the_default_grid_unless_given():
+    args = argparse.Namespace(b_grid=None)
+    assert _search_config(args, 7) == SearchConfig(N_max=7)
+    args.b_grid = "0.1,2,5"
+    assert _search_config(args, 7) == SearchConfig(N_max=7, b_grid=(0.1, 2.0, 5))
+    args.b_grid = "0.1,2"
+    with pytest.raises(ValueError):
+        _search_config(args, 7)
 
 
 def test_malformed_json_exits_2(capsys):
@@ -126,8 +138,12 @@ def test_resource_limit_exits_4(capsys):
          "--n-max", str(MAX_CUTOFF // 2 + 1)],
         ["bound", '{"type":"superposition","terms":[{"c":[1,0],"alpha":[1e300,0]}]}',
          "--r", "1"],
+        ["bound", '{"type":"squeezed","r":4.6}', "--r", "1"],
+        ["bound", '{"type":"superposition","terms":[{"c":[1,0],"alpha":[316,0]}]}',
+         "--r", "1"],
     ],
-    ids=["explicit-cutoff", "fock-n", "bound-n-max", "certify-n-max", "huge-alpha"],
+    ids=["explicit-cutoff", "fock-n", "bound-n-max", "certify-n-max", "huge-alpha",
+         "squeezed-auto-cutoff", "coherent-auto-cutoff"],
 )
 def test_vectors_past_the_cutoff_cap_exit_4(capsys, argv):
     assert main(argv) == 4
@@ -198,6 +214,14 @@ def test_multimode_command(capsys):
     assert code == 0
     assert payload["lower_bound"] == 3
     assert payload["abs_d_n_sq"] == pytest.approx(0.5, rel=1e-9)
+
+
+@pytest.mark.parametrize("occ", [[13], [1] * 7], ids=["13-bosons", "7-modes"])
+def test_multimode_past_the_desk_scale_exits_4(capsys, occ):
+    descriptor = {"modes": len(occ), "amps": [{"occ": occ, "c": [1, 0]}]}
+    assert main(["multimode", json.dumps(descriptor)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_permanent_command_rows_satisfy_bound(tmp_path):

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from csrank.errors import ResourceLimit
 from csrank.fock import (
     ALPHA_MERGE_TOL,
+    DEFAULT_MAX_TAIL,
     CoherentSuperposition,
     CoherentTerm,
     FockVector,
@@ -20,6 +22,7 @@ from csrank.fock import (
     superposition_to_fock,
     two_norm_distance,
 )
+from csrank.fock import _squeezed_even_log_mags
 from csrank.multimode import MultimodeSuperposition
 
 
@@ -103,6 +106,36 @@ def test_squeezed_norm_approaches_one():
             1.0, abs=1e-11
         )
         assert v.tail_weight <= 1e-12
+
+
+def _linear_descent_cutoff(params, max_tail=DEFAULT_MAX_TAIL):
+    """Automatic squeezed cutoff by doubling the pair count, then stepping
+    down one pair at a time while the shorter truncation meets the budget."""
+    n_pairs = 4
+    while True:
+        weights = np.exp(2 * _squeezed_even_log_mags(params, n_pairs))
+        if 1.0 - weights.sum() <= max_tail:
+            break
+        n_pairs *= 2
+    while n_pairs > 0 and 1.0 - weights[:n_pairs].sum() <= max_tail:
+        n_pairs -= 1
+    return 2 * n_pairs
+
+
+def test_squeezed_auto_cutoff_matches_linear_descent():
+    # The bisection must land where the one-pair-at-a-time descent did, also
+    # for large r, where each pair moves the tail by less than 1e-15.
+    for i in range(431):
+        params = SqueezedParams(i / 100)
+        assert squeezed_state(params).cutoff == _linear_descent_cutoff(params), params
+
+
+def test_auto_cutoffs_reach_up_to_the_cap():
+    # The pair doubling stops at MAX_CUTOFF // 2 rather than overshooting it.
+    assert squeezed_state(SqueezedParams(4.48)).cutoff == 99_016
+    assert coherent_state(300.0).cutoff == 92_118
+    with pytest.raises(ResourceLimit):
+        squeezed_state(SqueezedParams(4.6))
 
 
 def test_superposition_single_vacuum_term():

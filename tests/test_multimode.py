@@ -190,6 +190,27 @@ def test_reduce_agrees_with_bunched_amplitude():
         assert red.norm <= 1 + 1e-12
 
 
+def _random_core(rng, modes, max_bosons, terms):
+    occs = [occ for occ in product(range(max_bosons + 1), repeat=modes) if sum(occ) <= max_bosons]
+    picks = rng.choice(len(occs), size=min(terms, len(occs)), replace=False)
+    amps = {occs[i]: rng.standard_normal() + 1j * rng.standard_normal() for i in picks}
+    total = math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
+    return MultimodeFockState(modes, {k: v / total for k, v in amps.items()})
+
+
+def test_reduce_matches_vacuum_tail_of_the_evolved_state():
+    rng = np.random.default_rng(20)
+    for seed in range(40):
+        core = _random_core(rng, int(rng.integers(2, 5)), 6, int(rng.integers(1, 7)))
+        U = haar_unitary(core.modes, seed=seed)
+        expected = np.zeros(core.max_total + 1, dtype=complex)
+        for occ, amp in evolve_fock_state(core, U).amplitudes.items():
+            if not any(occ[1:]):
+                expected[occ[0]] = amp
+        red = reduce_to_single_mode(core, U)
+        assert np.max(np.abs(red.amplitudes - expected)) <= 1e-14
+
+
 def test_sector_preservation():
     core = tensor_fock([2, 1])  # pure 3-boson sector
     U = haar_unitary(2, seed=3)
