@@ -21,7 +21,6 @@ from .hankel import (
     hankel_matrix,
     numerical_rank,
     optimized_bound,
-    plain_bound,
 )
 
 STATEMENT = "any eps < epsilon_threshold implies kappa_eps(state) > r"
@@ -146,14 +145,6 @@ def recurrence_order(
         and tail[-1] < N_max + 1
     )
     return RecurrenceReport(tail[-1] if saturated else None, ranks, saturated)
-
-
-def plain_certificate(
-    psi: FockVector, r: int, N: int, state_descriptor: dict | None = None
-) -> BoundCertificate:
-    return BoundCertificate(
-        state_descriptor, r, plain_bound(psi, r, N), "plain", N, 1.0
-    )
 
 
 def analytic_fock_certificate(n: int, r: int | None = None) -> BoundCertificate:

@@ -20,7 +20,6 @@ from .certify import (
     analytic_fock_certificate,
     certify_rank,
     fock_analytic_threshold,
-    plain_certificate,
 )
 from .decomp import (
     best_single_coherent,
@@ -175,12 +174,9 @@ def cmd_bound(args) -> int:
             raise ValueError(f"--r {r} exceeds --n-max {n_max}")
         psi = _load_state(descriptor, 2 * n_max)
         if args.method == "plain":
-            best = None
-            for n in range(max(r, 1), n_max + 1):
-                value = plain_bound(psi, r, n)
-                if best is None or value > best[0]:
-                    best = (value, n)
-            cert = plain_certificate(psi, r, best[1], descriptor)
+            values = {n: plain_bound(psi, r, n) for n in range(max(r, 1), n_max + 1)}
+            n_star = max(values, key=values.get)  # the smallest N wins ties
+            cert = BoundCertificate(descriptor, r, values[n_star], "plain", n_star, 1.0)
         else:
             cfg = _search_config(args, n_max)
             res = optimized_bound(psi, r, cfg)

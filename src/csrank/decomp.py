@@ -34,6 +34,9 @@ from .multimode import MultimodeSuperposition
 
 SMALL_DELTA_WARNING = 1e-3
 
+# Most matrix entries one block of best_single_coherent's grid columns holds.
+_GRID_BLOCK_ENTRIES = 1 << 12
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -44,14 +47,19 @@ class FitResult:
     restarts_used: int
 
 
+def _superposition(coeffs, alphas) -> CoherentSuperposition:
+    return CoherentSuperposition([CoherentTerm(c, a) for c, a in zip(coeffs, alphas)])
+
+
 def _circle_solve(core: FockVector, delta: float):
-    """Solve for the circle-decomposition coefficients.
+    """Solve for the circle-decomposition superposition.
 
     The system matrix is e^{-delta^2/2} alpha_j^k / sqrt(k!) with
     alpha_j = delta omega^j.  Equilibrating row k by its common magnitude
     e^{-delta^2/2} delta^k / sqrt(k!) leaves a pure root-of-unity system, so
     the solve stays well conditioned; the equilibration ratio is reported as
-    the condition estimate of the raw system.
+    the condition estimate of the raw system.  Returns (superposition,
+    condition estimate, residual).
     """
     if delta <= 0 or not math.isfinite(delta):
         raise ValueError("delta must be positive and finite")
@@ -66,7 +74,7 @@ def _circle_solve(core: FockVector, delta: float):
         raise ValueError("core state must have a nonzero amplitude")
     if n == 0:
         # a weight-0 core state is itself coherent; no circle needed
-        return np.zeros(1, complex), core.amplitudes[:1].copy(), 1.0, 0.0
+        return _superposition(core.amplitudes[:1], np.zeros(1)), 1.0, 0.0
     k = np.arange(n + 1)
     omega = np.exp(2j * np.pi / (n + 1))
     alphas = delta * omega**k
@@ -82,22 +90,18 @@ def _circle_solve(core: FockVector, delta: float):
     # relative residual of the equilibrated system; the raw amplitude match
     # loses ~cond * eps to cancellation, which is the caller's tradeoff in delta
     residual = float(np.linalg.norm(W @ coeffs - rhs) / np.linalg.norm(rhs))
-    return alphas, coeffs, cond, residual
+    return _superposition(coeffs, alphas), cond, residual
 
 
 def circle_decomposition(core: FockVector, delta: float) -> CoherentSuperposition:
     """n+1 coherent states on the circle of radius delta reproducing the
     target's first n+1 Fock amplitudes exactly."""
-    alphas, coeffs, _, _ = _circle_solve(core, delta)
-    return CoherentSuperposition(
-        [CoherentTerm(c, a) for c, a in zip(coeffs, alphas)]
-    )
+    return _circle_solve(core, delta)[0]
 
 
 def circle_decomposition_report(core: FockVector, delta: float) -> dict:
     """circle_decomposition plus solve diagnostics and achieved fidelity."""
-    alphas, coeffs, cond, residual = _circle_solve(core, delta)
-    sup = CoherentSuperposition([CoherentTerm(c, a) for c, a in zip(coeffs, alphas)])
+    sup, cond, residual = _circle_solve(core, delta)
     approx = superposition_to_fock(sup, cutoff=max(core.cutoff, 2 * len(sup)))
     return {
         "superposition": sup,
@@ -149,10 +153,6 @@ def _projection_fit(alphas: np.ndarray, t: np.ndarray):
     return min(1.0, max(0.0, fid)), c
 
 
-def _circle_init(r: int, delta: float) -> np.ndarray:
-    return delta * np.exp(2j * np.pi * np.arange(r) / r)
-
-
 def fit_superposition(
     target: FockVector,
     r: int,
@@ -174,6 +174,10 @@ def fit_superposition(
         raise ValueError("r must be at least 1")
     if restarts < 1 and init_alphas is None:
         raise ValueError("need at least one restart or an explicit warm start")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    if not (tol >= 0 and math.isfinite(tol)):
+        raise ValueError("tol must be finite and non-negative")
     rng = np.random.default_rng(seed)
     radius = max(0.5, math.sqrt(target.mean_fock_number()))
 
@@ -186,7 +190,7 @@ def fit_superposition(
     base_deltas = np.geomspace(0.08, 1.2, num=max(restarts, 1)) * radius
     starts = []
     for i in range(restarts):
-        a0 = _circle_init(r, base_deltas[i])
+        a0 = base_deltas[i] * np.exp(2j * np.pi * np.arange(r) / r)
         if i > 0:
             a0 = a0 + 0.3 * radius * (rng.standard_normal(r) + 1j * rng.standard_normal(r))
         starts.append(a0)
@@ -207,17 +211,13 @@ def fit_superposition(
             options={"maxiter": max_iters, "fatol": tol, "xatol": 1e-10},
         )
         alphas = res.x[:r] + 1j * res.x[r:]
-        fid, _ = _projection_fit(alphas, t)
+        fid, coeffs = _projection_fit(alphas, t)
         key = sorted((a.real, a.imag) for a in alphas)
-        cand = (fid, key, alphas, res)
-        if best is None or cand[0] > best[0] or (cand[0] == best[0] and key < best[1]):
-            best = cand
+        if best is None or fid > best[0] or (fid == best[0] and key < best[1]):
+            best = (fid, key, alphas, coeffs, res)
 
-    fid, key, alphas, res = best
-    _, coeffs = _projection_fit(alphas, t)
-    sup = CoherentSuperposition(
-        [CoherentTerm(c, a) for c, a in zip(coeffs, alphas)]
-    )
+    _, _, alphas, coeffs, res = best
+    sup = _superposition(coeffs, alphas)
     approx = superposition_to_fock(sup, cutoff=work_cutoff)
     achieved = fidelity(target.padded(work_cutoff), approx)
     return FitResult(
@@ -239,36 +239,36 @@ def best_single_coherent(target: FockVector, real_axis: bool | None = None):
     """Globally maximize |<target|alpha>|^2; returns (alpha, infidelity).
 
     A dense grid over the disk of radius max(4, 2 sqrt(mean Fock number)) is
-    refined locally.  Real-amplitude targets restrict the search to the real
-    axis by symmetry unless ``real_axis=False``.
+    refined locally by Nelder-Mead.  Real-amplitude targets restrict the
+    search to the real axis by symmetry (2001 points, Re alpha refined)
+    unless ``real_axis=False``; otherwise the grid is 121 x 121 clipped to
+    the disk and both parts of alpha are refined.
     """
     t = _normalized_target(target)
     if real_axis is None:
         real_axis = bool(np.max(np.abs(t.imag)) < 1e-14)
     radius = max(4.0, 2.0 * math.sqrt(target.mean_fock_number()))
-
     if real_axis:
-        grid = np.linspace(-radius, radius, 2001)
-        vals = [_coherent_overlap_sq(t, a) for a in grid]
-        a0 = grid[int(np.argmax(vals))]
-        res = minimize(
-            lambda x: -_coherent_overlap_sq(t, complex(x[0])),
-            [a0],
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14},
-        )
-        alpha = complex(res.x[0])
+        points = np.linspace(-radius, radius, 2001).astype(complex)
     else:
         xs = np.linspace(-radius, radius, 121)
-        pts = [complex(x, y) for x in xs for y in xs if x * x + y * y <= radius**2]
-        vals = [_coherent_overlap_sq(t, a) for a in pts]
-        a0 = pts[int(np.argmax(vals))]
-        res = minimize(
-            lambda x: -_coherent_overlap_sq(t, complex(x[0], x[1])),
-            [a0.real, a0.imag],
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14},
-        )
-        alpha = complex(res.x[0], res.x[1])
-    infid = 1.0 - min(1.0, _coherent_overlap_sq(t, alpha))
-    return alpha, float(infid)
+        x, y = np.meshgrid(xs, xs, indexing="ij")  # x outer, y inner once flattened
+        points = (x + 1j * y)[x * x + y * y <= radius**2]
+    # The grid scores |t^H B|^2 with B's columns built in blocks.  Squaring
+    # hypot by pow rounds like the scalar abs(z) ** 2 of _coherent_overlap_sq
+    # (numpy's array abs and square do not), so near-ties, such as the ring
+    # of a Fock target on the complex grid, resolve to the same candidate.
+    step = max(1, _GRID_BLOCK_ENTRIES // len(t))
+    scores = np.empty(len(points))
+    for lo in range(0, len(points), step):
+        z = t.conj() @ coherent_columns(points[lo : lo + step], len(t) - 1)
+        scores[lo : lo + step] = np.float_power(np.hypot(z.real, z.imag), 2.0)
+    a0 = points[int(np.argmax(scores))]
+    res = minimize(
+        lambda x: -_coherent_overlap_sq(t, complex(*x)),
+        [a0.real] if real_axis else [a0.real, a0.imag],
+        method="Nelder-Mead",
+        options={"xatol": 1e-12, "fatol": 1e-14},
+    )
+    alpha = complex(*res.x)
+    return alpha, float(1.0 - min(1.0, _coherent_overlap_sq(t, alpha)))

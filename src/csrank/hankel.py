@@ -22,12 +22,16 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln
 
+from .errors import ResourceLimit
 from .fock import FockVector
 
 DEFAULT_RANK_TOL = 1e-10
 
 # Largest number of complex matrix entries (16 MB) one stacked SVD call holds.
 _BLOCK_ENTRIES = 1 << 20
+
+# Most b values a search grid may hold (8 MB of grid); larger grids exit 4.
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -56,13 +60,13 @@ class SearchConfig:
 
     ``b_grid`` is (b_min, b_max, points) spanned logarithmically; b = 1 is
     always inserted so the optimized bound dominates the plain one at every
-    searched N.  ``N_max=None`` resolves to min(20, cutoff // 2) per state.
+    searched N; more than MAX_GRID_POINTS points raise ResourceLimit.
+    ``N_max=None`` resolves to min(20, cutoff // 2) per state.
     """
 
     N_min: int = 1
     N_max: int | None = None
     b_grid: tuple = (1e-3, 10.0, 200)
-    refine_iters: int = 40
 
     def __post_init__(self):
         b_min, b_max, points = self.b_grid
@@ -70,6 +74,8 @@ class SearchConfig:
             raise SearchConfigError("b grid must satisfy 0 < b_min < b_max")
         if points < 2:
             raise SearchConfigError("b grid needs at least 2 points")
+        if points > MAX_GRID_POINTS:
+            raise ResourceLimit(f"b grid of {points} points exceeds {MAX_GRID_POINTS}")
         if self.N_max is not None and self.N_min > self.N_max:
             raise SearchConfigError("N_min must not exceed N_max")
 
@@ -177,6 +183,7 @@ def rescaled_bound(psi: FockVector, r: int, N: int, b: float) -> float:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_REFINE_ITERS = 40  # golden-section steps refining the best grid cell of each N
 
 
 def _golden_max(f, lo: float, hi: float, iters: int):
@@ -231,7 +238,7 @@ def optimized_bound(
         lo = log_grid[max(i - 1, 0)]
         hi = log_grid[min(i + 1, len(log_grid) - 1)]
         log_b_star, val = _golden_max(
-            lambda lb: rescaled_bound(psi, r, N, math.exp(lb)), lo, hi, cfg.refine_iters
+            lambda lb: rescaled_bound(psi, r, N, math.exp(lb)), lo, hi, _REFINE_ITERS
         )
         if vals[i] > val:
             log_b_star, val = log_grid[i], vals[i]

@@ -243,6 +243,8 @@ def bunching_unitary(
     always candidate 0, which is optimal for |1>^m) and keeps the one
     maximizing |P(u)|; earlier candidates win ties.
     """
+    if trials < 0:
+        raise ValueError("trials must be non-negative")
     poly = sector_polynomials(core)
     n, m = core.max_total, core.modes
     rng = np.random.default_rng(seed)

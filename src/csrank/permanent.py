@@ -166,6 +166,8 @@ def verify_permanent_bound(
     ``tail_weight``.  Raises NumericalFailure if any trial violates the
     bound beyond 1e-9 slack.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     n = sup.modes
     if n > NAIVE_LIMIT:
         raise ResourceLimit("verification needs the exact permanent; n <= 8")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from csrank.cli import _search_config, main
 from csrank.fock import MAX_CUTOFF, state_from_descriptor
-from csrank.hankel import SearchConfig
+from csrank.hankel import MAX_GRID_POINTS, SearchConfig, plain_bound
 
 
 def run_json(capsys, argv):
@@ -27,6 +27,18 @@ def test_bound_plain_fock1(capsys):
     assert payload["epsilon_threshold"] == pytest.approx(0.125, rel=1e-12)
     assert payload["parameters"]["N"] == 1
     assert payload["manifest"]["command"] == "bound"
+
+
+def test_plain_certificate_holds_the_best_n_of_the_loop(capsys):
+    descriptor = {"type": "core", "amps": [[0.3, 0.1], [0.5, -0.2], [0.0, 0.7]], "cutoff": 20}
+    code, payload = run_json(capsys, ["bound", json.dumps(descriptor), "--r", "1",
+                                      "--method", "plain", "--n-max", "6"])
+    assert code == 0
+    psi = state_from_descriptor(descriptor)
+    values = [plain_bound(psi, 1, n) for n in range(1, 7)]
+    best = max(values)
+    assert payload["epsilon_threshold"] == best
+    assert payload["parameters"] == {"N": 1 + values.index(best), "b": 1.0}
 
 
 def test_bound_analytic_fock12(capsys):
@@ -126,6 +138,44 @@ def test_malformed_descriptor_values_exit_2(capsys, tmp_path, argv):
 
 def test_resource_limit_exits_4(capsys):
     assert main(["permanent", "--n", "9", "--delta", "0.2", "--trials", "1"]) == 4
+
+
+@pytest.mark.parametrize("command", [["bound", "--r", "1"], ["certify", "--eps", "0.1"]],
+                         ids=["bound", "certify"])
+def test_oversized_b_grid_exits_4(capsys, command):
+    argv = command[:1] + ['{"type":"fock","n":1}'] + command[1:]
+    assert main(argv + ["--b-grid", "1e-3,10,1000000000000"]) == 4
+    err = capsys.readouterr().err
+    assert str(MAX_GRID_POINTS) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", '{"type":"fock","n":1}', "--r", "1", "--max-iters", "0"],
+        ["fit", '{"type":"fock","n":1}', "--r", "1", "--tol", "nan"],
+        ["permanent", "--n", "2", "--delta", "0.2", "--trials", "0"],
+        ["permanent", "--n", "2", "--delta", "0.2", "--trials", "-2"],
+        ["multimode", '{"modes":2,"amps":[{"occ":[1,1],"c":[1,0]}]}', "--trials", "-1"],
+    ],
+    ids=["fit-max-iters-0", "fit-tol-nan", "permanent-trials-0", "permanent-trials-negative",
+         "multimode-trials-negative"],
+)
+def test_malformed_counts_exit_2(capsys, tmp_path, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_multimode_with_no_sampled_trials_keeps_the_uniform_row(capsys):
+    code, payload = run_json(
+        capsys,
+        ["multimode", '{"modes":2,"amps":[{"occ":[1,1],"c":[1,0]}]}', "--trials", "0"],
+    )
+    assert code == 0
+    assert payload["lower_bound"] == 3
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+import csrank.decomp as decomp
 from csrank.decomp import (
     best_single_coherent,
     circle_decomposition,
@@ -11,6 +13,8 @@ from csrank.decomp import (
     fit_superposition,
 )
 from csrank.fock import (
+    FockVector,
+    coherent_amplitudes,
     coherent_state,
     core_state,
     fidelity,
@@ -143,6 +147,89 @@ def test_best_single_complex_search_flag():
     target = core_state([0.6, 0.8j], cutoff=10)
     alpha, infid = best_single_coherent(target, real_axis=False)
     assert 0 <= infid < 1
+
+
+def test_best_single_recovers_a_complex_coherent_target():
+    psi = coherent_state(0.7 + 0.9j, cutoff=30)
+    target = FockVector(psi.amplitudes / np.linalg.norm(psi.amplitudes), psi.cutoff)
+    alpha, infid = best_single_coherent(target)
+    assert abs(alpha - (0.7 + 0.9j)) < 1e-6
+    assert 0 <= infid < 1e-12
+
+
+def _per_point_best_single(target, real_axis=None):
+    """The search as it was before the grid was scored in blocks: each grid
+    point scored on its own, in one branch per search space."""
+
+    def overlap_sq(t, alpha):
+        return float(abs(np.vdot(t, coherent_amplitudes(alpha, len(t) - 1))) ** 2)
+
+    t = target.amplitudes / np.linalg.norm(target.amplitudes)
+    if real_axis is None:
+        real_axis = bool(np.max(np.abs(t.imag)) < 1e-14)
+    radius = max(4.0, 2.0 * math.sqrt(target.mean_fock_number()))
+    options = {"xatol": 1e-12, "fatol": 1e-14}
+    if real_axis:
+        grid = np.linspace(-radius, radius, 2001)
+        a0 = grid[int(np.argmax([overlap_sq(t, a) for a in grid]))]
+        res = minimize(lambda x: -overlap_sq(t, complex(x[0])), [a0],
+                       method="Nelder-Mead", options=options)
+        alpha = complex(res.x[0])
+    else:
+        xs = np.linspace(-radius, radius, 121)
+        pts = [complex(x, y) for x in xs for y in xs if x * x + y * y <= radius**2]
+        a0 = pts[int(np.argmax([overlap_sq(t, a) for a in pts]))]
+        res = minimize(lambda x: -overlap_sq(t, complex(x[0], x[1])), [a0.real, a0.imag],
+                       method="Nelder-Mead", options=options)
+        alpha = complex(res.x[0], res.x[1])
+    return alpha, float(1.0 - min(1.0, overlap_sq(t, alpha)))
+
+
+def _hex(alpha, infid):
+    return alpha.real.hex(), alpha.imag.hex(), infid.hex()
+
+
+def _figure_left_core(gamma):
+    amps = [math.sqrt(1.0 - gamma), math.sqrt(gamma)]
+    return core_state(amps, cutoff=16)
+
+
+_rng = np.random.default_rng(31)
+BIT_IDENTITY_TARGETS = (
+    [(f"fock{n}", fock_state(n, max(2 * n, 16))) for n in range(13)]
+    + [(f"figure-left{i}", _figure_left_core(np.linspace(0.0, 1.0, 64)[i]))
+       for i in (1, 20, 45, 63)]
+    + [(f"complex-core{i}", core_state(_rng.standard_normal(d) + 1j * _rng.standard_normal(d),
+                                       cutoff=16))
+       for i, d in enumerate(_rng.integers(2, 7, size=6))]
+)
+
+
+@pytest.mark.parametrize("real_axis", [None, False], ids=["auto", "complex"])
+@pytest.mark.parametrize("name,target", BIT_IDENTITY_TARGETS,
+                         ids=[name for name, _ in BIT_IDENTITY_TARGETS])
+def test_best_single_matches_the_per_point_search(name, target, real_axis):
+    got = best_single_coherent(target, real_axis=real_axis)
+    assert _hex(*got) == _hex(*_per_point_best_single(target, real_axis))
+
+
+def test_best_single_block_split_keeps_the_result(monkeypatch):
+    targets = [fock_state(3, 16), core_state([0.3, -0.5j, 0.8], cutoff=16)]
+    expected = [best_single_coherent(t, real_axis=False) for t in targets]
+    sizes = []
+    columns = decomp.coherent_columns
+
+    def recording_columns(alphas, cutoff):
+        block = columns(alphas, cutoff)
+        sizes.append(block.size)
+        return block
+
+    monkeypatch.setattr(decomp, "_GRID_BLOCK_ENTRIES", 60)
+    monkeypatch.setattr(decomp, "coherent_columns", recording_columns)
+    for target, want in zip(targets, expected):
+        assert _hex(*best_single_coherent(target, real_axis=False)) == _hex(*want)
+    assert len(sizes) > 2 * 11_000 // 3  # 3 columns of 17 entries per block
+    assert max(sizes) <= 60
 
 
 def test_delta_cat_product_structure():

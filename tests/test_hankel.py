@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from csrank import hankel
+from csrank.errors import ResourceLimit
 from csrank.fock import (
     CoherentSuperposition,
     CoherentTerm,
@@ -16,6 +17,7 @@ from csrank.fock import (
     superposition_to_fock,
 )
 from csrank.hankel import (
+    MAX_GRID_POINTS,
     SearchConfig,
     SearchConfigError,
     frobenius_norm_sq,
@@ -207,6 +209,12 @@ def test_rescaled_bound_matches_plain_at_b_one():
     psi = fock_state(2, 8)
     # at b=1 the rescaled denominator is smaller, so the bound can only grow
     assert rescaled_bound(psi, 2, 4, 1.0) >= plain_bound(psi, 2, 4)
+
+
+def test_grid_points_cap_is_inclusive():
+    assert SearchConfig(b_grid=(1e-3, 10.0, MAX_GRID_POINTS)).b_grid[2] == MAX_GRID_POINTS
+    with pytest.raises(ResourceLimit):
+        SearchConfig(b_grid=(1e-3, 10.0, MAX_GRID_POINTS + 1))
 
 
 def test_search_config_validation():
