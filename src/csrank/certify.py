@@ -20,7 +20,7 @@ from .hankel import (
     SearchConfig,
     hankel_matrix,
     numerical_rank,
-    optimized_bound,
+    optimized_bounds,
 )
 
 STATEMENT = "any eps < epsilon_threshold implies kappa_eps(state) > r"
@@ -89,8 +89,9 @@ def certify_rank(
 ) -> BoundCertificate:
     """Largest r whose optimized bound exceeds epsilon, i.e. kappa_eps >= r+1.
 
-    The bound is non-increasing in r (the singular-value tail shrinks), so
-    the upward search stops at the first failure.  Returns r = 0 with a zero
+    One search gives the bound for every r = 1..N_max.  The bound is
+    non-increasing in r (the singular-value tail shrinks), so the upward
+    selection stops at the first failure.  Returns r = 0 with a zero
     threshold when not even r = 1 is certified.
     """
     if not (0 < epsilon < 1):
@@ -98,17 +99,14 @@ def certify_rank(
     if cfg is None:
         cfg = SearchConfig()
     n_max = cfg.resolve_n_max(psi.cutoff)
+    bounds = optimized_bounds(psi, range(1, n_max + 1), cfg)
 
-    best = None
-    for r in range(1, n_max + 1):
-        res = optimized_bound(psi, r, cfg)
-        if res.value > epsilon:
-            best = (r, res)
-        else:
-            break
-    if best is None:
+    r = 0
+    while r < n_max and bounds[r + 1].value > epsilon:
+        r += 1
+    if r == 0:
         return BoundCertificate(state_descriptor, 0, 0.0, "optimized", None, None)
-    r, res = best
+    res = bounds[r]
     return BoundCertificate(state_descriptor, r, res.value, "optimized", res.N_star, res.b_star)
 
 

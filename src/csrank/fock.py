@@ -59,6 +59,15 @@ class FockVector:
             if abs(norm_sq - 1.0) > NORM_TOL:
                 raise ValueError(f"normalized flag set but |norm^2 - 1| = {abs(norm_sq - 1.0):.3e}")
 
+    @functools.cached_property
+    def phases(self) -> np.ndarray:
+        """psi_n / |psi_n| (0 where psi_n = 0), each pair scaled by one power of two
+        first: numpy multiplies by 1 / |psi_n|, which overflows if it is subnormal."""
+        mags = np.abs(self.amplitudes)
+        _, e = np.frexp(mags)
+        scaled = np.ldexp(self.amplitudes.view(float), np.repeat(-e, 2)).view(complex)
+        return np.divide(scaled, np.ldexp(mags, -e), out=np.zeros_like(scaled), where=mags > 0)
+
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -368,25 +377,15 @@ def superposition_to_fock(
     return FockVector(amps, cutoff, normalized=False, tail_weight=tail)
 
 
-def _pad_pair(a: FockVector, b: FockVector):
-    cutoff = max(a.cutoff, b.cutoff)
-    return a.padded(cutoff).amplitudes, b.padded(cutoff).amplitudes
-
-
 def fidelity(a: FockVector, b: FockVector) -> float:
     """|<a|b>|^2 of the two truncations, renormalized before the overlap."""
-    x, y = _pad_pair(a, b)
+    cutoff = max(a.cutoff, b.cutoff)
+    x, y = a.padded(cutoff).amplitudes, b.padded(cutoff).amplitudes
     nx = np.linalg.norm(x)
     ny = np.linalg.norm(y)
     if nx == 0 or ny == 0:
         raise ValueError("fidelity of a zero-norm vector is undefined")
     return min(1.0, float(abs(np.vdot(x, y)) ** 2 / (nx * ny) ** 2))
-
-
-def two_norm_distance(a: FockVector, b: FockVector) -> float:
-    """||a - b||_2 of the raw (not renormalized) amplitude vectors."""
-    x, y = _pad_pair(a, b)
-    return float(np.linalg.norm(x - y))
 
 
 def complex_from_pair(pair) -> complex:

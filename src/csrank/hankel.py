@@ -12,7 +12,7 @@ m_n = n+1 for n <= N and 2N-n+1 for N < n <= 2N counts the (i, j) pairs
 with i+j = n.  Factorials and b powers are handled in the log domain: the
 matrix is stored with a global scale factored out (scale_exponent) and the
 bound values are re-exponentiated only at the end.  Every matrix comes from
-``_spectra`` and every bound from ``_thresholds``, both over arrays of b.
+``_spectra`` and every bound, for any set of r, from ``_tails``.
 """
 
 import math
@@ -64,7 +64,6 @@ class SearchConfig:
     ``N_max=None`` resolves to min(20, cutoff // 2) per state.
     """
 
-    N_min: int = 1
     N_max: int | None = None
     b_grid: tuple = (1e-3, 10.0, 200)
 
@@ -76,8 +75,6 @@ class SearchConfig:
             raise SearchConfigError("b grid needs at least 2 points")
         if points > MAX_GRID_POINTS:
             raise ResourceLimit(f"b grid of {points} points exceeds {MAX_GRID_POINTS}")
-        if self.N_max is not None and self.N_min > self.N_max:
-            raise SearchConfigError("N_min must not exceed N_max")
 
     def resolve_n_max(self, cutoff: int) -> int:
         n_max = min(20, cutoff // 2) if self.N_max is None else self.N_max
@@ -106,19 +103,18 @@ def _log_b(b: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, b), float, len(b))
 
 
-def _spectra(psi: FockVector, N: int, b: np.ndarray):
+def _spectra(psi: FockVector, N: int, log_b: np.ndarray):
     """(B, N+1, N+1) scaled matrices H_{N,b}(psi), their singular values from one
-    stacked SVD call and the (B,) log scales, for the B values of ``b``."""
+    stacked SVD call and the (B,) log scales, for the B values of ``log_b``."""
     if not 0 <= 2 * N <= psi.cutoff:
         raise ValueError(f"need 0 <= 2N <= cutoff, got N={N}, cutoff {psi.cutoff}")
-    log_b = _log_b(b)
     amps = psi.amplitudes[: 2 * N + 1]
     n = np.flatnonzero(amps)  # zero amplitudes stay exact zeros
     mags = np.abs(amps[n])
     log_entry = n * log_b[:, None] + 0.5 * gammaln(n + 1) + np.log(mags)
-    scale = log_entry.max(axis=1) if len(n) else np.zeros(len(b))
-    vals = np.zeros((len(b), 2 * N + 1), dtype=complex)
-    vals[:, n] = np.exp(log_entry - scale[:, None]) * (amps[n] / mags)
+    scale = log_entry.max(axis=1) if len(n) else np.zeros(len(log_b))
+    vals = np.zeros((len(log_b), 2 * N + 1), dtype=complex)
+    vals[:, n] = np.exp(log_entry - scale[:, None]) * psi.phases[n]
 
     matrices = vals[:, np.add.outer(np.arange(N + 1), np.arange(N + 1))]
     return matrices, np.linalg.svd(matrices, compute_uv=False), scale
@@ -126,7 +122,7 @@ def _spectra(psi: FockVector, N: int, b: np.ndarray):
 
 def hankel_matrix(psi: FockVector, N: int, b: float = 1.0) -> HankelBundle:
     """Build H_{N,b}(psi) and its singular values (the one-b view of _spectra)."""
-    matrices, sigma, scale = _spectra(psi, N, np.array([b], dtype=float))
+    matrices, sigma, scale = _spectra(psi, N, _log_b([b]))
     return HankelBundle(matrices[0], N, float(b), sigma[0], float(scale[0]))
 
 
@@ -147,73 +143,75 @@ def _log_weight_max(N: int, log_b: np.ndarray) -> np.ndarray:
     return np.max(np.log(m) + 2 * n * log_b[:, None] + gammaln(n + 1), axis=1)
 
 
-def _thresholds(psi: FockVector, r: int, N: int, b: np.ndarray, log_den) -> np.ndarray:
-    """sum_{l>r} sigma_l(H_{N,b})^2 / e^{log_den} for each b (0 for an empty tail).
-
-    ``log_den=None`` takes each b's rescaled log 2 max_n m_n b^{2n} n!.  The
-    stack is built in blocks of at most _BLOCK_ENTRIES matrix entries.
-    """
-    if r < 0 or r > N:
-        raise ValueError(f"need 0 <= r <= N, got r={r}, N={N}")
-    out = np.zeros(len(b))
+def _tails(psi: FockVector, N: int, b: np.ndarray, rs, log_den) -> np.ndarray:
+    """(len(rs), len(b)) table of sum_{l>r} sigma_l(H_{N,b})^2 / e^{log_den}, 0 for
+    an empty tail; ``log_den=None`` takes each b's rescaled log 2 max_n m_n
+    b^{2n} n!.  The stack is built in blocks of at most _BLOCK_ENTRIES matrix
+    entries, whose singular values serve every r."""
+    if not 0 <= min(rs) <= max(rs) <= N:
+        raise ValueError(f"need 0 <= r <= N, got r in [{min(rs)}, {max(rs)}], N={N}")
+    out = np.zeros((len(rs), len(b)))
     step = max(1, _BLOCK_ENTRIES // (N + 1) ** 2)
     for lo in range(0, len(b), step):
-        block = b[lo : lo + step]
-        _, sigma, scale = _spectra(psi, N, block)
-        if log_den is None:
-            den = math.log(2.0) + _log_weight_max(N, _log_b(block))
-        else:
-            den = [log_den] * len(block)
-        tails = (sigma[:, r:] ** 2).sum(axis=1)
-        for i, tail in enumerate(tails):
-            if tail > 0.0:
-                out[lo + i] = math.exp(math.log(tail) + 2.0 * scale[i] - den[i])
+        log_b = _log_b(b[lo : lo + step])
+        _, sigma, scale = _spectra(psi, N, log_b)
+        den = ([log_den] * len(log_b) if log_den is not None
+               else (math.log(2.0) + _log_weight_max(N, log_b)).tolist())
+        scale = scale.tolist()
+        for k, r in enumerate(rs):
+            for i, tail in enumerate((sigma[:, r:] ** 2).sum(axis=1).tolist()):
+                if tail > 0.0:
+                    out[k, lo + i] = math.exp(math.log(tail) + 2.0 * scale[i] - den[i])
     return out
 
 
 def plain_bound(psi: FockVector, r: int, N: int) -> float:
     """Certified eps threshold sum_{l>r} sigma_l(H_N)^2 / (2 (N+1) (2N)!)."""
     log_den = math.log(2.0) + math.log(N + 1) + float(gammaln(2 * N + 1))
-    return float(_thresholds(psi, r, N, np.ones(1), log_den)[0])
+    return float(_tails(psi, N, np.ones(1), [r], log_den)[0, 0])
 
 
 def rescaled_bound(psi: FockVector, r: int, N: int, b: float) -> float:
     """The optimized-bound objective at one fixed (N, b)."""
-    return float(_thresholds(psi, r, N, np.array([b], dtype=float), None)[0])
+    return float(_tails(psi, N, np.array([b], dtype=float), [r], None)[0, 0])
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_ITERS = 40  # golden-section steps refining the best grid cell of each N
 
 
-def _golden_max(f, lo: float, hi: float, iters: int):
-    """Golden-section maximization of a unimodal-ish scalar function."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
+def _golden_max(f, lo: list, hi: list, iters: int) -> list:
+    """(x, f(x)) maximizing a unimodal-ish scalar function on each bracket
+    [lo[k], hi[k]] by golden-section in lockstep: each bracket takes exactly
+    the steps of a scalar search, and ``f`` maps one point per bracket to
+    their values, so a step is one call."""
+    a, b = list(lo), list(hi)
+    c = [y - _INVPHI * (y - x) for x, y in zip(a, b)]
+    d = [x + _INVPHI * (y - x) for x, y in zip(a, b)]
     fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+        left = [u >= v for u, v in zip(fc, fd)]
+        for k, go_left in enumerate(left):
+            if go_left:
+                b[k], d[k], fd[k] = d[k], c[k], fc[k]
+                c[k] = b[k] - _INVPHI * (b[k] - a[k])
+            else:
+                a[k], c[k], fc[k] = c[k], d[k], fd[k]
+                d[k] = a[k] + _INVPHI * (b[k] - a[k])
+        for k, value in enumerate(f([c[k] if go else d[k] for k, go in enumerate(left)])):
+            (fc if left[k] else fd)[k] = value
+    return [(x, u) if u >= v else (y, v) for x, y, u, v in zip(c, d, fc, fd)]
 
 
-def optimized_bound(
-    psi: FockVector, r: int, cfg: SearchConfig | None = None
-) -> OptimizedBound:
-    """Maximize the rescaled bound over the (b, N) search space.
+def optimized_bounds(psi: FockVector, rs, cfg: SearchConfig | None = None) -> dict:
+    """{r: OptimizedBound} maximizing the rescaled bound over (b, N), for r in ``rs``.
 
-    The N search is exhaustive on [max(r, N_min), N_max]; for each N the b
+    The N search is exhaustive on [max(r, 1), N_max]; for each N the b
     search walks the logarithmic grid and refines the best cell by
     golden-section (the objective is continuous but only piecewise smooth in
     b, so the refinement is derivative-free).  Ties are broken toward
-    smaller N, then smaller b.
+    smaller N, then smaller b.  One grid pass per N serves every r <= N, and
+    their refinements run in lockstep, so each step is one stacked call.
 
     The returned threshold keeps the global factor 1/2 inherited from the
     fidelity-to-distance relation.  Closed-form shortcuts for Fock states
@@ -222,35 +220,38 @@ def optimized_bound(
     """
     if cfg is None:
         cfg = SearchConfig()
-    if r < 0:
+    rs = sorted(set(rs))
+    if not rs:
+        return {}
+    if rs[0] < 0:
         raise ValueError("r must be non-negative")
     n_max = cfg.resolve_n_max(psi.cutoff)
-    n_lo = max(r, cfg.N_min)
-    if n_lo > n_max:
-        raise ValueError(f"r={r} exceeds the largest searchable N={n_max}")
+    if max(rs[-1], 1) > n_max:
+        raise ValueError(f"r={rs[-1]} exceeds the largest searchable N={n_max}")
 
     log_grid = np.log(cfg.b_values())
     b_grid = np.fromiter(map(math.exp, log_grid), float, len(log_grid))
-    best = OptimizedBound(0.0, 1.0, n_lo)
-    for N in range(n_lo, n_max + 1):
-        vals = _thresholds(psi, r, N, b_grid, None)
-        i = int(np.argmax(vals))
-        lo = log_grid[max(i - 1, 0)]
-        hi = log_grid[min(i + 1, len(log_grid) - 1)]
-        log_b_star, val = _golden_max(
-            lambda lb: rescaled_bound(psi, r, N, math.exp(lb)), lo, hi, _REFINE_ITERS
-        )
-        if vals[i] > val:
-            log_b_star, val = log_grid[i], vals[i]
-        b_star = math.exp(log_b_star)
-        if val > best.value or (
-            val == best.value and (N, b_star) < (best.N_star, best.b_star)
-        ):
-            best = OptimizedBound(float(val), float(b_star), N)
+    best = {r: OptimizedBound(0.0, 1.0, max(r, 1)) for r in rs}
+    for N in range(max(rs[0], 1), n_max + 1):
+        live = [r for r in rs if r <= N]
+        vals = _tails(psi, N, b_grid, live, None)
+        top = vals.argmax(axis=1)
+
+        def at_points(log_bs):  # point k refines r = live[k]: the table's diagonal
+            b = np.array([*map(math.exp, log_bs)])
+            return _tails(psi, N, b, live, None).diagonal().tolist()
+
+        lo, hi = log_grid[np.maximum(top - 1, 0)], log_grid[np.minimum(top + 1, len(log_grid) - 1)]
+        refined = _golden_max(at_points, lo.tolist(), hi.tolist(), _REFINE_ITERS)
+        for r, row, i, (log_b_star, val) in zip(live, vals, top, refined):
+            if row[i] > val:
+                log_b_star, val = log_grid[i], row[i]
+            b_star, old = math.exp(log_b_star), best[r]
+            if val > old.value or (val == old.value and (N, b_star) < (old.N_star, old.b_star)):
+                best[r] = OptimizedBound(float(val), float(b_star), N)
     return best
 
 
-def frobenius_norm_sq(psi: FockVector, N: int, b: float = 1.0) -> float:
-    """True ||H_{N,b}(psi)||_F^2 (safe only at desk scale; used by tests)."""
-    bundle = hankel_matrix(psi, N, b)
-    return float(np.sum(np.abs(bundle.matrix) ** 2) * math.exp(2 * bundle.scale_exponent))
+def optimized_bound(psi: FockVector, r: int, cfg: SearchConfig | None = None) -> OptimizedBound:
+    """The optimized bound at one r (the one-r view of optimized_bounds)."""
+    return optimized_bounds(psi, [r], cfg)[r]

@@ -17,11 +17,12 @@ from csrank.fock import (
     FockVector,
     SqueezedParams,
     coherent_state,
+    core_state,
     fock_state,
     squeezed_state,
     superposition_to_fock,
 )
-from csrank.hankel import SearchConfig, plain_bound
+from csrank.hankel import SearchConfig, optimized_bound, plain_bound
 
 
 def test_analytic_threshold_small_cases():
@@ -74,6 +75,39 @@ def test_certify_monotone_in_epsilon():
     rs = [certify_rank(psi, eps, SearchConfig(N_max=6)).r
           for eps in (1e-6, 1e-3, 1e-2, 0.2)]
     assert all(a >= b for a, b in zip(rs, rs[1:]))
+
+
+def per_r_certificate(per_r, epsilon):
+    """(r, threshold, N, b) from the searches of r = 1, 2, ... in turn,
+    stopping at the first r that fails: the reference certify_rank repeats."""
+    best = (0, 0.0, None, None)
+    for r, res in enumerate(per_r, start=1):
+        if res.value <= epsilon:
+            break
+        best = (r, res.value.hex(), res.N_star, res.b_star.hex())
+    return best
+
+
+def certify_states():
+    rng = np.random.default_rng(5)
+    core = core_state(rng.standard_normal(4) + 1j * rng.standard_normal(4), cutoff=16)
+    sup = CoherentSuperposition([CoherentTerm(1.0, 0.6), CoherentTerm(0.5j, -0.3 + 0.8j),
+                                 CoherentTerm(0.4, -1.0)])
+    return [fock_state(4, 16), squeezed_state(SqueezedParams(0.7, 0.3), 16), core,
+            superposition_to_fock(sup, 16)]
+
+
+@pytest.mark.parametrize("state", range(4), ids=["fock", "squeezed", "core", "superposition"])
+@pytest.mark.parametrize("n_max", [5, 8])
+def test_certify_equals_a_search_per_r(state, n_max):
+    psi = certify_states()[state]
+    cfg = SearchConfig(N_max=n_max)
+    per_r = [optimized_bound(psi, r, cfg) for r in range(1, n_max + 1)]
+    for eps in (1e-2, 1e-4, 1e-7, 1e-12):
+        cert = certify_rank(psi, eps, cfg)
+        got = (cert.r, cert.epsilon_threshold.hex() if cert.r else 0.0, cert.N,
+               None if cert.b is None else cert.b.hex())
+        assert got == per_r_certificate(per_r, eps)
 
 
 def test_recurrence_two_coherent_terms():

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -58,6 +59,17 @@ def test_bound_optimized_squeezed(capsys):
     )
     assert code == 0
     assert payload["epsilon_threshold"] > 0
+
+
+def test_subnormal_amplitude_gives_a_finite_threshold(capsys):
+    # the phase of a subnormal amplitude must not overflow to NaN
+    descriptor = '{"type":"core","amps":[[1,0],[5e-324,0]],"cutoff":4}'
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, payload = run_json(capsys, ["bound", descriptor, "--r", "1",
+                                          "--method", "plain", "--n-max", "2"])
+    assert code == 0
+    assert math.isfinite(payload["epsilon_threshold"])
 
 
 def test_bound_reports_whether_eps_certified(capsys):

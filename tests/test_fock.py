@@ -20,7 +20,6 @@ from csrank.fock import (
     squeezed_state,
     state_from_descriptor,
     superposition_to_fock,
-    two_norm_distance,
 )
 from csrank.fock import _squeezed_even_log_mags
 from csrank.multimode import MultimodeSuperposition
@@ -200,6 +199,12 @@ def test_fidelity_zero_norm_rejected():
     z = FockVector(np.zeros(3, dtype=complex), 2)
     with pytest.raises(ValueError):
         fidelity(z, fock_state(0, 2))
+
+
+def two_norm_distance(a: FockVector, b: FockVector) -> float:
+    """||a - b||_2 of the raw (not renormalized) amplitude vectors."""
+    cutoff = max(a.cutoff, b.cutoff)
+    return float(np.linalg.norm(a.padded(cutoff).amplitudes - b.padded(cutoff).amplitudes))
 
 
 def test_norm_distance_relations():

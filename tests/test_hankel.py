@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from csrank import hankel
+from csrank.certify import certify_rank
 from csrank.errors import ResourceLimit
 from csrank.fock import (
     CoherentSuperposition,
@@ -20,10 +21,10 @@ from csrank.hankel import (
     MAX_GRID_POINTS,
     SearchConfig,
     SearchConfigError,
-    frobenius_norm_sq,
     hankel_matrix,
     numerical_rank,
     optimized_bound,
+    optimized_bounds,
     plain_bound,
     rescaled_bound,
 )
@@ -169,6 +170,12 @@ def test_numerical_rank_cases():
         numerical_rank(hankel_matrix(zero, 4, 1.0), rel_tol=2.0)
 
 
+def frobenius_norm_sq(psi: FockVector, N: int, b: float = 1.0) -> float:
+    """True ||H_{N,b}(psi)||_F^2 (safe only at desk scale)."""
+    bundle = hankel_matrix(psi, N, b)
+    return float(np.sum(np.abs(bundle.matrix) ** 2) * math.exp(2 * bundle.scale_exponent))
+
+
 def test_frobenius_bridge_plain_and_rescaled():
     # ||H_N(psi) - H_N(phi)||_F^2 <= (N+1)(2N)! ||psi - phi||_2^2, and with
     # rescaling <= max_n m_n b^{2n} n! ||psi - phi||_2^2
@@ -222,8 +229,6 @@ def test_search_config_validation():
         SearchConfig(b_grid=(0.0, 1.0, 10))
     with pytest.raises(SearchConfigError):
         SearchConfig(b_grid=(0.1, 1.0, 1))
-    with pytest.raises(SearchConfigError):
-        SearchConfig(N_min=5, N_max=2)
     with pytest.raises(ValueError):
         optimized_bound(fock_state(1, 2), 5, SearchConfig(N_max=1))
 
@@ -240,7 +245,7 @@ def builder_states():
 def test_stacked_spectra_equal_one_b_builds(state, N):
     psi = builder_states()[state]
     grid = SearchConfig().b_values()
-    matrices, sigma, scale = hankel._spectra(psi, N, grid)
+    matrices, sigma, scale = hankel._spectra(psi, N, hankel._log_b(grid))
     assert matrices.shape == (len(grid), N + 1, N + 1)
     for k, b in enumerate(grid):
         bundle = hankel_matrix(psi, N, b)
@@ -250,16 +255,20 @@ def test_stacked_spectra_equal_one_b_builds(state, N):
 
 
 def record_blocks(monkeypatch):
-    """Wrap hankel._spectra to record the matrix entries of every call."""
-    entries = []
+    """Wrap hankel._spectra to record (N, number of b) of every call."""
+    calls = []
     spectra = hankel._spectra
 
     def wrapped(psi, N, b):
-        entries.append(len(b) * (N + 1) ** 2)
+        calls.append((N, len(b)))
         return spectra(psi, N, b)
 
     monkeypatch.setattr(hankel, "_spectra", wrapped)
-    return entries
+    return calls
+
+
+def entries(calls):
+    return [points * (N + 1) ** 2 for N, points in calls]
 
 
 @pytest.mark.parametrize("state", range(4), ids=["fock", "squeezed", "core", "superposition"])
@@ -267,27 +276,42 @@ def test_block_split_keeps_every_threshold(monkeypatch, state):
     psi = builder_states()[state]
     N, r = 6, 2
     grid = SearchConfig().b_values()
-    whole = hankel._thresholds(psi, r, N, grid, None)
-    plain = hankel._thresholds(psi, r, N, grid[:1], 1.5)
+    whole = hankel._tails(psi, N, grid, [r], None)[0]
+    plain = hankel._tails(psi, N, grid[:1], [r], 1.5)
     # blocks of four matrices leave a shorter last block (201 = 50 * 4 + 1)
     monkeypatch.setattr(hankel, "_BLOCK_ENTRIES", 4 * (N + 1) ** 2 + 1)
-    entries = record_blocks(monkeypatch)
-    split = hankel._thresholds(psi, r, N, grid, None)
-    assert len(entries) == math.ceil(len(grid) / 4)
-    assert max(entries) <= hankel._BLOCK_ENTRIES
+    calls = record_blocks(monkeypatch)
+    split = hankel._tails(psi, N, grid, [r], None)[0]
+    assert len(calls) == math.ceil(len(grid) / 4)
+    assert max(entries(calls)) <= hankel._BLOCK_ENTRIES
     assert np.array_equal(split, whole)
-    assert np.array_equal(hankel._thresholds(psi, r, N, grid[:1], 1.5), plain)
+    assert np.array_equal(hankel._tails(psi, N, grid[:1], [r], 1.5), plain)
     assert [rescaled_bound(psi, r, N, b) for b in grid] == list(whole)
 
 
 def test_stacked_svd_calls_stay_within_the_block_bound(monkeypatch):
     psi = builder_states()[1]
-    entries = record_blocks(monkeypatch)
-    cfg = SearchConfig(N_min=8, N_max=8, b_grid=(1e-3, 10.0, 30_000))
-    optimized_bound(psi, 1, cfg)
-    grid_calls = [e for e in entries if e > 81]  # the rest are golden-section points
-    assert max(entries) <= hankel._BLOCK_ENTRIES
+    calls = record_blocks(monkeypatch)
+    # r = 8 searches the single N = 8
+    cfg = SearchConfig(N_max=8, b_grid=(1e-3, 10.0, 30_000))
+    optimized_bound(psi, 8, cfg)
+    grid_calls = [e for e in entries(calls) if e > 81]  # the rest are golden-section points
+    assert max(entries(calls)) <= hankel._BLOCK_ENTRIES
     assert len(grid_calls) == math.ceil(30_001 / (hankel._BLOCK_ENTRIES // 81)) > 1
+
+
+def test_certify_makes_one_grid_pass_per_n(monkeypatch):
+    psi = builder_states()[1]
+    grid_points = len(SearchConfig().b_values())
+    calls = record_blocks(monkeypatch)
+    certify_rank(psi, 1e-6, SearchConfig(N_max=6))
+    for N in range(1, 7):
+        points = [p for n, p in calls if n == N]
+        assert points.count(grid_points) == 1
+        # the N brackets of r = 1..N refine together: 2 + 40 golden-section calls
+        refine = [p for p in points if p != grid_points]
+        assert len(refine) == 42 and set(refine) == {N}
+    assert len(calls) == 6 * 43
 
 
 @pytest.mark.parametrize("state", range(4), ids=["fock", "squeezed", "core", "superposition"])
@@ -297,3 +321,73 @@ def test_optimized_bound_is_the_rescaled_bound_at_its_optimum(state, r):
     psi = builder_states()[state]
     res = optimized_bound(psi, r, SearchConfig(N_max=8))
     assert res.value == rescaled_bound(psi, r, res.N_star, res.b_star)
+
+
+@pytest.mark.parametrize("state", range(4), ids=["fock", "squeezed", "core", "superposition"])
+def test_tails_of_several_r_equal_one_r_at_a_time(state):
+    psi = builder_states()[state]
+    N, rs = 6, [0, 2, 3, 6]
+    grid = SearchConfig().b_values()
+    table = hankel._tails(psi, N, grid, rs, None)
+    assert table.shape == (len(rs), len(grid))
+    for r, row in zip(rs, table):
+        assert np.array_equal(row, hankel._tails(psi, N, grid, [r], None)[0])
+    # a refinement step stacks one point per r and reads the diagonal
+    points = grid[[3, 50, 120, 200]]
+    diagonal = hankel._tails(psi, N, points, rs, None).diagonal()
+    assert list(diagonal) == [rescaled_bound(psi, r, N, b) for r, b in zip(rs, points)]
+
+
+@pytest.mark.parametrize("state", range(4), ids=["fock", "squeezed", "core", "superposition"])
+def test_one_search_equals_a_search_per_r(state):
+    psi = builder_states()[state]
+    cfg = SearchConfig(N_max=6)
+    together = optimized_bounds(psi, [3, 0, 1, 6, 3], cfg)
+    assert sorted(together) == [0, 1, 3, 6]
+    for r, res in together.items():
+        alone = optimized_bound(psi, r, cfg)
+        assert (res.value.hex(), res.b_star.hex(), res.N_star) == (
+            alone.value.hex(), alone.b_star.hex(), alone.N_star)
+
+
+def scalar_golden_max(f, lo, hi, iters):
+    """The one-bracket golden-section search the lockstep search must repeat."""
+    a, b = lo, hi
+    c = b - hankel._INVPHI * (b - a)
+    d = a + hankel._INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - hankel._INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + hankel._INVPHI * (b - a)
+            fd = f(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
+def test_lockstep_golden_max_repeats_every_scalar_run():
+    # peaked, flat (ties), monotone both ways and piecewise functions
+    fs = [
+        lambda x: -((x - 0.3) ** 2),
+        lambda x: 1.0,
+        lambda x: x,
+        lambda x: -x,
+        lambda x: min(math.sin(3 * x), 0.5),
+        lambda x: float(round(4 * x)),
+    ]
+    lo = [-1.0, 0.0, -2.0, 0.5, -0.7, -1.3]
+    hi = [1.0, 1.0, 3.0, 0.6, 2.1, 1.9]
+    steps = []
+
+    def batch(xs):
+        steps.append(len(xs))
+        return [f(x) for f, x in zip(fs, xs)]
+
+    together = hankel._golden_max(batch, lo, hi, 40)
+    assert steps == [len(fs)] * 42
+    for f, a, b, result in zip(fs, lo, hi, together):
+        assert hankel._golden_max(lambda xs: [f(xs[0])], [a], [b], 40) == [result]
+        assert scalar_golden_max(f, a, b, 40) == result
