@@ -8,6 +8,7 @@ certificates re-checked (``--check``).
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -319,6 +320,7 @@ def cmd_multimode(args) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csrank",

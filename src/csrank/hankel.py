@@ -12,7 +12,8 @@ m_n = n+1 for n <= N and 2N-n+1 for N < n <= 2N counts the (i, j) pairs
 with i+j = n.  Factorials and b powers are handled in the log domain: the
 matrix is stored with a global scale factored out (scale_exponent) and the
 bound values are re-exponentiated only at the end.  Every matrix comes from
-``_spectra`` and every bound, for any set of r, from ``_tails``.
+``_spectra`` out of the b-independent ``_Plan`` of its (state, N), built once
+per search and N, and every bound from ``_threshold``.
 """
 
 import math
@@ -96,33 +97,48 @@ class OptimizedBound(NamedTuple):
     N_star: int
 
 
-def _log_b(b: np.ndarray) -> np.ndarray:
+def _log_b(b) -> np.ndarray:
     """math.log of each rescaling b, all of which must be positive and finite."""
     if not all(0 < x < math.inf for x in b):
         raise ValueError("rescaling b must be positive and finite")
     return np.fromiter(map(math.log, b), float, len(b))
 
 
-def _spectra(psi: FockVector, N: int, log_b: np.ndarray):
+class _Plan:
+    """The b-independent parts of H_{N,b}(psi) and of its bound's denominator,
+    built once per (state, N) so that every b of a search reuses them."""
+
+    def __init__(self, psi: FockVector, N: int):
+        if not 0 <= 2 * N <= psi.cutoff:
+            raise ValueError(f"need 0 <= 2N <= cutoff, got N={N}, cutoff {psi.cutoff}")
+        amps = psi.amplitudes[: 2 * N + 1]
+        k = np.arange(2 * N + 1)
+        self.N = N
+        self.lgam = gammaln(k + 1)  # log k! for k = 0..2N
+        self.n = np.flatnonzero(amps)  # zero amplitudes stay exact zeros
+        self.half_lgam = 0.5 * self.lgam[self.n]
+        self.log_mags = np.log(np.abs(amps[self.n]))
+        self.phases = psi.phases[self.n]
+        self.index = np.add.outer(np.arange(N + 1), np.arange(N + 1))
+        self.log_m = np.log(np.where(k <= N, k + 1, 2 * N - k + 1))  # anti-diagonal sizes
+        self.two_k = 2 * k
+
+
+def _spectra(plan: _Plan, log_b: np.ndarray):
     """(B, N+1, N+1) scaled matrices H_{N,b}(psi), their singular values from one
     stacked SVD call and the (B,) log scales, for the B values of ``log_b``."""
-    if not 0 <= 2 * N <= psi.cutoff:
-        raise ValueError(f"need 0 <= 2N <= cutoff, got N={N}, cutoff {psi.cutoff}")
-    amps = psi.amplitudes[: 2 * N + 1]
-    n = np.flatnonzero(amps)  # zero amplitudes stay exact zeros
-    mags = np.abs(amps[n])
-    log_entry = n * log_b[:, None] + 0.5 * gammaln(n + 1) + np.log(mags)
-    scale = log_entry.max(axis=1) if len(n) else np.zeros(len(log_b))
-    vals = np.zeros((len(log_b), 2 * N + 1), dtype=complex)
-    vals[:, n] = np.exp(log_entry - scale[:, None]) * psi.phases[n]
+    log_entry = plan.n * log_b[:, None] + plan.half_lgam + plan.log_mags
+    scale = log_entry.max(axis=1) if len(plan.n) else np.zeros(len(log_b))
+    vals = np.zeros((len(log_b), 2 * plan.N + 1), dtype=complex)
+    vals[:, plan.n] = np.exp(log_entry - scale[:, None]) * plan.phases
 
-    matrices = vals[:, np.add.outer(np.arange(N + 1), np.arange(N + 1))]
+    matrices = vals[:, plan.index]
     return matrices, np.linalg.svd(matrices, compute_uv=False), scale
 
 
 def hankel_matrix(psi: FockVector, N: int, b: float = 1.0) -> HankelBundle:
     """Build H_{N,b}(psi) and its singular values (the one-b view of _spectra)."""
-    matrices, sigma, scale = _spectra(psi, N, _log_b([b]))
+    matrices, sigma, scale = _spectra(_Plan(psi, N), _log_b([b]))
     return HankelBundle(matrices[0], N, float(b), sigma[0], float(scale[0]))
 
 
@@ -136,44 +152,66 @@ def numerical_rank(bundle: HankelBundle, rel_tol: float = DEFAULT_RANK_TOL) -> i
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
-def _log_weight_max(N: int, log_b: np.ndarray) -> np.ndarray:
+def _log_weight_max(plan: _Plan, log_b: np.ndarray) -> np.ndarray:
     """log max_{n=0..2N} m_n b^{2n} n! for each log b, m_n the anti-diagonal multiplicity."""
-    n = np.arange(2 * N + 1)
-    m = np.where(n <= N, n + 1, 2 * N - n + 1)
-    return np.max(np.log(m) + 2 * n * log_b[:, None] + gammaln(n + 1), axis=1)
+    return (plan.log_m + plan.two_k * log_b[:, None] + plan.lgam).max(axis=1)
 
 
-def _tails(psi: FockVector, N: int, b: np.ndarray, rs, log_den) -> np.ndarray:
-    """(len(rs), len(b)) table of sum_{l>r} sigma_l(H_{N,b})^2 / e^{log_den}, 0 for
-    an empty tail; ``log_den=None`` takes each b's rescaled log 2 max_n m_n
-    b^{2n} n!.  The stack is built in blocks of at most _BLOCK_ENTRIES matrix
-    entries, whose singular values serve every r."""
-    if not 0 <= min(rs) <= max(rs) <= N:
-        raise ValueError(f"need 0 <= r <= N, got r in [{min(rs)}, {max(rs)}], N={N}")
-    out = np.zeros((len(rs), len(b)))
-    step = max(1, _BLOCK_ENTRIES // (N + 1) ** 2)
-    for lo in range(0, len(b), step):
-        log_b = _log_b(b[lo : lo + step])
-        _, sigma, scale = _spectra(psi, N, log_b)
-        den = ([log_den] * len(log_b) if log_den is not None
-               else (math.log(2.0) + _log_weight_max(N, log_b)).tolist())
-        scale = scale.tolist()
+def _blocks(plan: _Plan, log_b: np.ndarray, log_den):
+    """(first index, singular values, log scales, log denominators) of ``log_b``
+    in consecutive blocks of at most _BLOCK_ENTRIES matrix entries;
+    ``log_den=None`` takes each b's rescaled log 2 max_n m_n b^{2n} n!."""
+    step = max(1, _BLOCK_ENTRIES // (plan.N + 1) ** 2)
+    for lo in range(0, len(log_b), step):
+        part = log_b[lo : lo + step]
+        _, sigma, scale = _spectra(plan, part)
+        den = ([log_den] * len(part) if log_den is not None
+               else (math.log(2.0) + _log_weight_max(plan, part)).tolist())
+        yield lo, sigma, scale.tolist(), den
+
+
+def _threshold(tail: float, scale: float, log_den: float) -> float:
+    """tail / e^{log_den} for a squared tail of the matrix stored at e^{-scale}, 0 if empty."""
+    return math.exp(math.log(tail) + 2.0 * scale - log_den) if tail > 0.0 else 0.0
+
+
+def _grid_best(plan: _Plan, log_b: np.ndarray, rs) -> list:
+    """[(threshold, index)] of the largest sum_{l>r} sigma_l^2 / (2 max_n m_n
+    b^{2n} n!) over ``log_b`` for each r in ``rs``, the first index on ties.
+    Each block's singular values serve every r, and only a running best per
+    r outlives its block."""
+    best = [(-1.0, 0)] * len(rs)
+    for lo, sigma, scale, den in _blocks(plan, log_b, None):
         for k, r in enumerate(rs):
-            for i, tail in enumerate((sigma[:, r:] ** 2).sum(axis=1).tolist()):
-                if tail > 0.0:
-                    out[k, lo + i] = math.exp(math.log(tail) + 2.0 * scale[i] - den[i])
+            tails = (sigma[:, r:] ** 2).sum(axis=1).tolist()
+            row = [_threshold(t, s, d) for t, s, d in zip(tails, scale, den)]
+            i = int(np.argmax(row))
+            if row[i] > best[k][0]:
+                best[k] = (row[i], lo + i)
+    return best
+
+
+def _point_thresholds(plan: _Plan, log_b: np.ndarray, rs, log_den=None) -> list:
+    """The threshold of r = rs[k] at log_b[k] for each k: one stacked SVD for
+    all the points, and only the tail each point is asked for."""
+    if not 0 <= min(rs) <= max(rs) <= plan.N:
+        raise ValueError(f"need 0 <= r <= N, got r in [{min(rs)}, {max(rs)}], N={plan.N}")
+    out = []
+    for lo, sigma, scale, den in _blocks(plan, log_b, log_den):
+        for i, (s, d) in enumerate(zip(scale, den)):
+            out.append(_threshold(float((sigma[i, rs[lo + i] :] ** 2).sum()), s, d))
     return out
 
 
 def plain_bound(psi: FockVector, r: int, N: int) -> float:
     """Certified eps threshold sum_{l>r} sigma_l(H_N)^2 / (2 (N+1) (2N)!)."""
     log_den = math.log(2.0) + math.log(N + 1) + float(gammaln(2 * N + 1))
-    return float(_tails(psi, N, np.ones(1), [r], log_den)[0, 0])
+    return _point_thresholds(_Plan(psi, N), np.zeros(1), [r], log_den)[0]
 
 
 def rescaled_bound(psi: FockVector, r: int, N: int, b: float) -> float:
     """The optimized-bound objective at one fixed (N, b)."""
-    return float(_tails(psi, N, np.array([b], dtype=float), [r], None)[0, 0])
+    return _point_thresholds(_Plan(psi, N), _log_b([b]), [r])[0]
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -230,22 +268,22 @@ def optimized_bounds(psi: FockVector, rs, cfg: SearchConfig | None = None) -> di
         raise ValueError(f"r={rs[-1]} exceeds the largest searchable N={n_max}")
 
     log_grid = np.log(cfg.b_values())
-    b_grid = np.fromiter(map(math.exp, log_grid), float, len(log_grid))
+    log_b_grid = _log_b([*map(math.exp, log_grid)])  # the b the grid pass scores
     best = {r: OptimizedBound(0.0, 1.0, max(r, 1)) for r in rs}
     for N in range(max(rs[0], 1), n_max + 1):
+        plan = _Plan(psi, N)
         live = [r for r in rs if r <= N]
-        vals = _tails(psi, N, b_grid, live, None)
-        top = vals.argmax(axis=1)
+        on_grid = _grid_best(plan, log_b_grid, live)
+        top = np.array([i for _, i in on_grid])
 
-        def at_points(log_bs):  # point k refines r = live[k]: the table's diagonal
-            b = np.array([*map(math.exp, log_bs)])
-            return _tails(psi, N, b, live, None).diagonal().tolist()
+        def at_points(log_bs):  # point k refines r = live[k]
+            return _point_thresholds(plan, _log_b([*map(math.exp, log_bs)]), live)
 
         lo, hi = log_grid[np.maximum(top - 1, 0)], log_grid[np.minimum(top + 1, len(log_grid) - 1)]
         refined = _golden_max(at_points, lo.tolist(), hi.tolist(), _REFINE_ITERS)
-        for r, row, i, (log_b_star, val) in zip(live, vals, top, refined):
-            if row[i] > val:
-                log_b_star, val = log_grid[i], row[i]
+        for r, (grid_val, i), (log_b_star, val) in zip(live, on_grid, refined):
+            if grid_val > val:
+                log_b_star, val = log_grid[i], grid_val
             b_star, old = math.exp(log_b_star), best[r]
             if val > old.value or (val == old.value and (N, b_star) < (old.N_star, old.b_star)):
                 best[r] = OptimizedBound(float(val), float(b_star), N)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csrank.cli import _search_config, main
+from csrank.cli import _search_config, build_parser, main
 from csrank.fock import MAX_CUTOFF, state_from_descriptor
 from csrank.hankel import MAX_GRID_POINTS, SearchConfig, plain_bound
 
@@ -95,6 +95,24 @@ def test_search_config_takes_the_default_grid_unless_given():
     args.b_grid = "0.1,2"
     with pytest.raises(ValueError):
         _search_config(args, 7)
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(capsys):
+    build_parser.cache_clear()
+    fock1 = '{"type":"fock","n":1}'
+    assert run_json(capsys, ["bound", fock1, "--r", "1", "--method", "plain"])[0] == 0
+    assert run_json(capsys, ["certify", fock1, "--eps", "0.01"])[0] == 0
+    assert build_parser.cache_info().misses == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", fock1, "--r", "one"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    # the next call parses afresh: no flag of an earlier call leaks into it
+    code, payload = run_json(capsys, ["bound", fock1, "--r", "1", "--n-max", "1"])
+    assert code == 0 and payload["method"] == "optimized"
+    assert payload["manifest"]["flags"] == {"command": "bound", "method": "optimized",
+                                            "n_max": 1, "r": 1}
+    assert build_parser.cache_info().misses == 1
 
 
 def test_malformed_json_exits_2(capsys):

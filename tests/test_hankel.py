@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from csrank import hankel
 from csrank.certify import certify_rank
@@ -28,6 +29,7 @@ from csrank.hankel import (
     plain_bound,
     rescaled_bound,
 )
+from test_acceptance import corpus_states
 
 
 def k_term_state(alphas, coeffs, cutoff):
@@ -245,7 +247,7 @@ def builder_states():
 def test_stacked_spectra_equal_one_b_builds(state, N):
     psi = builder_states()[state]
     grid = SearchConfig().b_values()
-    matrices, sigma, scale = hankel._spectra(psi, N, hankel._log_b(grid))
+    matrices, sigma, scale = hankel._spectra(hankel._Plan(psi, N), hankel._log_b(grid))
     assert matrices.shape == (len(grid), N + 1, N + 1)
     for k, b in enumerate(grid):
         bundle = hankel_matrix(psi, N, b)
@@ -254,14 +256,82 @@ def test_stacked_spectra_equal_one_b_builds(state, N):
         assert np.array_equal(bundle.matrix, matrices[k])
 
 
+# Reference builders that recompute every b-independent part on each call;
+# the per-(state, N) plan must match them bit for bit.
+
+
+def reference_spectra(psi, N, log_b):
+    amps = psi.amplitudes[: 2 * N + 1]
+    n = np.flatnonzero(amps)
+    mags = np.abs(amps[n])
+    log_entry = n * log_b[:, None] + 0.5 * gammaln(n + 1) + np.log(mags)
+    scale = log_entry.max(axis=1) if len(n) else np.zeros(len(log_b))
+    vals = np.zeros((len(log_b), 2 * N + 1), dtype=complex)
+    vals[:, n] = np.exp(log_entry - scale[:, None]) * psi.phases[n]
+    matrices = vals[:, np.add.outer(np.arange(N + 1), np.arange(N + 1))]
+    return matrices, np.linalg.svd(matrices, compute_uv=False), scale
+
+
+def reference_log_weight_max(N, log_b):
+    n = np.arange(2 * N + 1)
+    m = np.where(n <= N, n + 1, 2 * N - n + 1)
+    return np.max(np.log(m) + 2 * n * log_b[:, None] + gammaln(n + 1), axis=1)
+
+
+def reference_tails(psi, N, b, rs, log_den=None):
+    """The whole (len(rs), len(b)) threshold table; a refinement step read its diagonal."""
+    log_b = hankel._log_b(b)
+    _, sigma, scale = reference_spectra(psi, N, log_b)
+    den = ([log_den] * len(log_b) if log_den is not None
+           else (math.log(2.0) + reference_log_weight_max(N, log_b)).tolist())
+    scale = scale.tolist()
+    out = np.zeros((len(rs), len(b)))
+    for k, r in enumerate(rs):
+        for i, tail in enumerate((sigma[:, r:] ** 2).sum(axis=1).tolist()):
+            if tail > 0.0:
+                out[k, i] = math.exp(math.log(tail) + 2.0 * scale[i] - den[i])
+    return out
+
+
+def hexes(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+@pytest.mark.parametrize("N", [1, 5, 8])
+def test_plan_matches_the_reference_builder_on_the_corpus(N):
+    grid = SearchConfig().b_values()
+    off_grid = np.array([2.0 ** -9.5, 0.0123, 0.77, 1.0 + 2.0 ** -40, 3.3, 9.99])
+    rs = list(range(N + 1))
+    for name, psi, _ in corpus_states():
+        plan = hankel._Plan(psi, N)
+        for b in (grid, off_grid):
+            log_b = hankel._log_b(b)
+            _, sigma, scale = hankel._spectra(plan, log_b)
+            _, ref_sigma, ref_scale = reference_spectra(psi, N, log_b)
+            assert hexes(sigma) == hexes(ref_sigma), name
+            assert hexes(scale) == hexes(ref_scale), name
+            assert hexes(hankel._log_weight_max(plan, log_b)) == hexes(
+                reference_log_weight_max(N, log_b)), name
+            table = reference_tails(psi, N, b, rs)
+            for r, row in zip(rs, table):
+                assert hankel._grid_best(plan, log_b, [r]) == [(row.max(), row.argmax())], name
+            # a refinement point asks for one r; cycle the r over the points
+            ks = [i % len(rs) for i in range(len(b))]
+            points = hankel._point_thresholds(plan, log_b, [rs[k] for k in ks])
+            assert hexes(points) == hexes(table[ks, range(len(b))]), name
+        log_den = math.log(2.0) + math.log(N + 1) + float(gammaln(2 * N + 1))
+        plain = [plain_bound(psi, r, N) for r in rs]
+        assert hexes(plain) == hexes(reference_tails(psi, N, [1.0], rs, log_den)), name
+
+
 def record_blocks(monkeypatch):
     """Wrap hankel._spectra to record (N, number of b) of every call."""
     calls = []
     spectra = hankel._spectra
 
-    def wrapped(psi, N, b):
-        calls.append((N, len(b)))
-        return spectra(psi, N, b)
+    def wrapped(plan, log_b):
+        calls.append((plan.N, len(log_b)))
+        return spectra(plan, log_b)
 
     monkeypatch.setattr(hankel, "_spectra", wrapped)
     return calls
@@ -274,19 +344,54 @@ def entries(calls):
 @pytest.mark.parametrize("state", range(4), ids=["fock", "squeezed", "core", "superposition"])
 def test_block_split_keeps_every_threshold(monkeypatch, state):
     psi = builder_states()[state]
-    N, r = 6, 2
+    N, rs = 6, [0, 2, 6]
     grid = SearchConfig().b_values()
-    whole = hankel._tails(psi, N, grid, [r], None)[0]
-    plain = hankel._tails(psi, N, grid[:1], [r], 1.5)
+    log_b = hankel._log_b(grid)
+    plan = hankel._Plan(psi, N)
+    whole = hankel._grid_best(plan, log_b, rs)
+    plain = hankel._point_thresholds(plan, log_b[:1], [2], 1.5)
     # blocks of four matrices leave a shorter last block (201 = 50 * 4 + 1)
     monkeypatch.setattr(hankel, "_BLOCK_ENTRIES", 4 * (N + 1) ** 2 + 1)
     calls = record_blocks(monkeypatch)
-    split = hankel._tails(psi, N, grid, [r], None)[0]
+    split = hankel._grid_best(plan, log_b, rs)
     assert len(calls) == math.ceil(len(grid) / 4)
     assert max(entries(calls)) <= hankel._BLOCK_ENTRIES
-    assert np.array_equal(split, whole)
-    assert np.array_equal(hankel._tails(psi, N, grid[:1], [r], 1.5), plain)
-    assert [rescaled_bound(psi, r, N, b) for b in grid] == list(whole)
+    table = reference_tails(psi, N, grid, rs)
+    assert split == whole == [(row.max(), row.argmax()) for row in table]
+    assert hankel._point_thresholds(plan, log_b[:1], [2], 1.5) == plain
+    assert [rescaled_bound(psi, 2, N, b) for b in grid] == list(table[1])
+    points = hankel._point_thresholds(plan, log_b, [2] * len(grid))
+    assert points == list(table[1])
+
+
+def test_running_best_keeps_the_first_of_tied_maxima(monkeypatch):
+    psi = builder_states()[2]
+    N, rs = 4, [1, 3]
+    b = np.tile([0.2, 0.9, 1.7, 0.5, 3.0], 5)  # every maximum recurs in later blocks
+    table = reference_tails(psi, N, b, rs)
+    monkeypatch.setattr(hankel, "_BLOCK_ENTRIES", 3 * (N + 1) ** 2)
+    best = hankel._grid_best(hankel._Plan(psi, N), hankel._log_b(b), rs)
+    assert best == [(row.max(), row.argmax()) for row in table]
+    assert [i for _, i in best] == [int(np.argmax(row[:5])) for row in table]
+
+
+def test_grid_pass_holds_one_block_not_the_table(monkeypatch):
+    import tracemalloc
+
+    psi = builder_states()[1]
+    N, rs = 3, [0, 1, 2, 3]
+    log_b = hankel._log_b(SearchConfig(b_grid=(1e-3, 10.0, 40_000)).b_values())
+    plan = hankel._Plan(psi, N)
+    table_bytes = len(rs) * len(log_b) * 8  # the (len(rs), len(b)) table of floats
+    monkeypatch.setattr(hankel, "_BLOCK_ENTRIES", 1 << 12)
+    tracemalloc.start()
+    try:
+        best = hankel._grid_best(plan, log_b, rs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes / 4
+    assert len(best) == len(rs) and all(0 <= i < len(log_b) for _, i in best)
 
 
 def test_stacked_svd_calls_stay_within_the_block_bound(monkeypatch):
@@ -314,6 +419,20 @@ def test_certify_makes_one_grid_pass_per_n(monkeypatch):
     assert len(calls) == 6 * 43
 
 
+def test_certify_builds_the_b_independent_parts_once_per_n(monkeypatch):
+    calls = []
+    lgamma = hankel.gammaln
+
+    def counted(x):
+        calls.append(len(x))
+        return lgamma(x)
+
+    monkeypatch.setattr(hankel, "gammaln", counted)
+    certify_rank(builder_states()[1], 1e-6, SearchConfig(N_max=6))
+    # one log k! table per plan, for k = 0..2N, not one per golden-section step
+    assert calls == [2 * N + 1 for N in range(1, 7)]
+
+
 @pytest.mark.parametrize("state", range(4), ids=["fock", "squeezed", "core", "superposition"])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_optimized_bound_is_the_rescaled_bound_at_its_optimum(state, r):
@@ -327,15 +446,15 @@ def test_optimized_bound_is_the_rescaled_bound_at_its_optimum(state, r):
 def test_tails_of_several_r_equal_one_r_at_a_time(state):
     psi = builder_states()[state]
     N, rs = 6, [0, 2, 3, 6]
-    grid = SearchConfig().b_values()
-    table = hankel._tails(psi, N, grid, rs, None)
-    assert table.shape == (len(rs), len(grid))
-    for r, row in zip(rs, table):
-        assert np.array_equal(row, hankel._tails(psi, N, grid, [r], None)[0])
-    # a refinement step stacks one point per r and reads the diagonal
-    points = grid[[3, 50, 120, 200]]
-    diagonal = hankel._tails(psi, N, points, rs, None).diagonal()
-    assert list(diagonal) == [rescaled_bound(psi, r, N, b) for r, b in zip(rs, points)]
+    log_b = hankel._log_b(SearchConfig().b_values())
+    plan = hankel._Plan(psi, N)
+    together = hankel._grid_best(plan, log_b, rs)
+    assert together == [hankel._grid_best(plan, log_b, [r])[0] for r in rs]
+    # a refinement step stacks one point per r and reads only that point's tail
+    points = SearchConfig().b_values()[[3, 50, 120, 200]]
+    values = hankel._point_thresholds(plan, hankel._log_b(points), rs)
+    assert values == [rescaled_bound(psi, r, N, b) for r, b in zip(rs, points)]
+    assert values == list(reference_tails(psi, N, points, rs).diagonal())
 
 
 @pytest.mark.parametrize("state", range(4), ids=["fock", "squeezed", "core", "superposition"])
