@@ -234,6 +234,10 @@ def cmd_fit(args) -> int:
         "iterations": result.iterations,
         "converged": result.converged,
         "restarts_used": result.restarts_used,
+        "restarts": [
+            {"nit": rep.nit, "converged": rep.converged, "fidelity": rep.fidelity}
+            for rep in result.restarts
+        ],
         "manifest": _manifest(args, "fit", start, seed=args.seed),
     }
     _emit_json(payload, args.out)

@@ -3,13 +3,18 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csrank
 from csrank.cli import _search_config, build_parser, main
 from csrank.fock import MAX_CUTOFF, state_from_descriptor
 from csrank.hankel import MAX_GRID_POINTS, SearchConfig, plain_bound
@@ -276,6 +281,29 @@ def test_fit_command(capsys):
                                       "--seed", "0", "--restarts", "6"])
     assert code == 0
     assert payload["fidelity_achieved"] == pytest.approx(math.exp(-1), abs=1e-8)
+    restarts = payload["restarts"]
+    assert len(restarts) == payload["restarts_used"] == 6
+    assert set(restarts[0]) == {"nit", "converged", "fidelity"}
+    best = max(restarts, key=lambda rep: rep["fidelity"])
+    assert best["fidelity"] == pytest.approx(payload["fidelity_achieved"], abs=1e-12)
+
+
+def test_only_fitting_imports_scipy_optimize():
+    code = (
+        "import sys, io, contextlib\n"
+        "from csrank.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['bound', '{\"type\":\"fock\",\"n\":2}', '--r', '1'])\n"
+        "    main(['certify', '{\"type\":\"fock\",\"n\":2}', '--eps', '1e-3', '--n-max', '3'])\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['fit', '{\"type\":\"fock\",\"n\":1}', '--r', '1', '--restarts', '1'])\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(csrank.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False", "True"]
 
 
 def test_decompose_command(capsys):

@@ -131,6 +131,62 @@ def test_fit_warm_start_never_hurts():
     assert res.fidelity_achieved >= base.fidelity_achieved - 1e-12
 
 
+@pytest.mark.parametrize("alphas", [
+    [0.0],
+    [0.9 - 0.4j, 0.0],
+    [1.1 + 0.3j, -0.7 + 0.8j, 0.0],
+], ids=["r1", "r2", "r3"])
+def test_fit_loss_gradient_matches_central_differences(alphas):
+    # a target with weight at the last kept level, where the shifted columns
+    # of the truncated gradient end
+    cutoff = 14
+    rng = np.random.default_rng(5)
+    t = rng.standard_normal(cutoff + 1) + 1j * rng.standard_normal(cutoff + 1)
+    t[-1] = 0.5
+    t /= np.linalg.norm(t)
+    sqrt_n = np.sqrt(np.arange(1, cutoff + 1))
+    alphas = np.asarray(alphas, dtype=complex)
+    x = np.concatenate([alphas.real, alphas.imag])
+    loss, grad = decomp._loss_and_gradient(x, t, sqrt_n)
+    fid, _ = decomp._projection_fit(alphas, t)
+    assert loss == pytest.approx(1.0 - fid, abs=1e-14)
+    h = 1e-5
+    central = np.array([
+        (decomp._loss_and_gradient(x + h * e, t, sqrt_n)[0]
+         - decomp._loss_and_gradient(x - h * e, t, sqrt_n)[0]) / (2 * h)
+        for e in np.eye(len(x))
+    ])
+    assert np.linalg.norm(grad - central) <= 1e-7 * np.linalg.norm(grad)
+
+
+# Fidelities of the Nelder-Mead-only fit that preceded the gradient phase.  A
+# gradient-only fit from restart 0's parity-symmetric start lands in a worse
+# basin on these targets, and a single explore-then-converge round did on |4>.
+@pytest.mark.parametrize("n,floor", [
+    (4, 0.39616763284694906),
+    (8, 0.2801619365140642),
+    (9, 0.2642412821124803),
+])
+def test_fit_keeps_the_better_basin(n, floor):
+    res = fit_superposition(fock_state(n, 16), 2, restarts=3, seed=7, max_iters=600)
+    assert res.fidelity_achieved >= floor - 1e-12
+
+
+def test_fit_reports_every_restart():
+    res = fit_superposition(fock_state(2, 12), 2, seed=3, restarts=4)
+    assert len(res.restarts) == res.restarts_used == 4
+    fids = [rep.fidelity for rep in res.restarts]
+    winner = res.restarts[int(np.argmax(fids))]
+    assert res.iterations == winner.nit and res.converged == winner.converged
+    assert res.fidelity_achieved == pytest.approx(max(fids), abs=1e-12)
+    assert all(1 <= rep.nit <= 4000 for rep in res.restarts)
+
+
+def test_fit_max_iters_bounds_both_phases():
+    res = fit_superposition(fock_state(3, 12), 2, seed=1, restarts=2, max_iters=5)
+    assert all(rep.nit <= 5 and not rep.converged for rep in res.restarts)
+
+
 def test_best_single_vacuum():
     alpha, infid = best_single_coherent(fock_state(0, 6))
     assert abs(alpha) == pytest.approx(0.0, abs=1e-6)
