@@ -14,42 +14,60 @@ from dataclasses import dataclass, field
 from scipy.special import gammaln
 
 from . import __version__
-from .fock import FockVector
+from .fock import FockVector, int_field, object_field, real_field
 from .hankel import (
     DEFAULT_RANK_TOL,
     SearchConfig,
+    check_hankel_size,
     hankel_matrix,
     numerical_rank,
     optimized_bounds,
+    plain_bound,
+    rescaled_bound,
 )
 
 STATEMENT = "any eps < epsilon_threshold implies kappa_eps(state) > r"
 
+METHODS = ("plain", "optimized", "analytic_fock")
+
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """Machine-checkable record of a certified rank lower bound."""
+    """Machine-checkable record of a certified rank lower bound.
+
+    ``to_dict`` writes the certificate format and ``from_dict`` reads it back;
+    construction validates it either way, and ``recompute`` re-derives the
+    threshold from the stored method and parameters alone.
+    """
 
     state_descriptor: dict | None
     r: int
     epsilon_threshold: float
-    method: str  # "plain" | "optimized" | "analytic_fock"
+    method: str  # one of METHODS
     N: int | None
     b: float | None
     statement: str = STATEMENT
     version: str = field(default=__version__)
 
     def __post_init__(self):
-        if self.epsilon_threshold < 0:
-            raise ValueError("epsilon_threshold must be non-negative")
+        if not 0 <= self.epsilon_threshold < math.inf:
+            raise ValueError("epsilon_threshold must be finite and non-negative")
         if self.r < 0:
             raise ValueError("r must be non-negative")
-        if self.method not in ("plain", "optimized", "analytic_fock"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.r > 0 and self.N is None:
+            raise ValueError("a certificate with r > 0 needs N")
+        if self.method == "optimized" and self.N is not None and self.b is None:
+            raise ValueError("an optimized certificate needs b")
         if self.method == "analytic_fock":
             d = self.state_descriptor
             if not (isinstance(d, dict) and d.get("type") == "fock"):
                 raise ValueError("analytic_fock applies to Fock-state descriptors only")
+            if int_field(d.get("n"), "n") != self.r:
+                raise ValueError("the analytic Fock threshold is stated at r = n")
+            # the analytic certificate names its state by type and n alone
+            object.__setattr__(self, "state_descriptor", {"type": "fock", "n": self.r})
 
     def to_dict(self) -> dict:
         return {
@@ -61,6 +79,34 @@ class BoundCertificate:
             "statement": self.statement,
             "version": self.version,
         }
+
+    @classmethod
+    def from_dict(cls, stored) -> "BoundCertificate":
+        """Read a ``to_dict`` certificate; keys it does not write are ignored."""
+        stored = object_field(stored, "certificate")
+        params = object_field(stored.get("parameters") or {}, "parameters")
+        n, b = params.get("N"), params.get("b")
+        return cls(
+            object_field(stored["state_descriptor"], "state_descriptor"),
+            int_field(stored["r"], "r"),
+            real_field(stored["epsilon_threshold"], "epsilon_threshold"),
+            stored["method"],
+            None if n is None else int_field(n, "N"),
+            None if b is None else real_field(b, "b"),
+            **{key: stored[key] for key in ("statement", "version") if key in stored},
+        )
+
+    def recompute(self, load_state) -> float:
+        """The threshold re-derived from the method and parameters alone;
+        ``load_state(descriptor, N)`` builds the state that H_N needs."""
+        if self.N is None:  # r = 0: nothing certified
+            return 0.0
+        if self.method == "analytic_fock":
+            return fock_analytic_threshold(self.r)
+        psi = load_state(self.state_descriptor, self.N)
+        if self.method == "plain":
+            return plain_bound(psi, self.r, self.N)
+        return rescaled_bound(psi, self.r, self.N, self.b)
 
 
 @dataclass(frozen=True)
@@ -132,6 +178,7 @@ def recurrence_order(
         raise ValueError("N_max must be at least 1")
     if psi.cutoff < 2 * N_max:
         raise ValueError(f"cutoff {psi.cutoff} < 2 N_max = {2 * N_max}")
+    check_hankel_size(N_max)
     ranks = tuple(
         (N, numerical_rank(hankel_matrix(psi, N, 1.0), rel_tol))
         for N in range(1, N_max + 1)
@@ -146,11 +193,8 @@ def recurrence_order(
 
 
 def analytic_fock_certificate(n: int, r: int | None = None) -> BoundCertificate:
-    """Analytic certificate for |n>: kappa_eps = n+1 below the threshold."""
-    if r is None:
-        r = n
-    if r != n:
-        raise ValueError("the analytic Fock threshold is stated at r = n")
+    """Analytic certificate for |n>: kappa_eps = n+1 below the threshold (r = n)."""
     return BoundCertificate(
-        {"type": "fock", "n": n}, n, fock_analytic_threshold(n), "analytic_fock", n, 1.0
+        {"type": "fock", "n": n}, n if r is None else r, fock_analytic_threshold(n),
+        "analytic_fock", n, 1.0,
     )

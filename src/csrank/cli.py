@@ -4,7 +4,9 @@ Commands: bound, certify, fit, decompose, figure, permanent, multimode.
 Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 resource limit.
 JSON and CSV outputs carry full-precision floats (17 significant digits);
 every JSON payload embeds a run manifest so results can be reproduced and
-certificates re-checked (``--check``).
+certificates re-checked (``--check``).  Each ``cmd_*`` only computes its
+payload or CSV rows; ``_run`` parses the descriptor, builds the manifest and
+writes the output.
 """
 
 import argparse
@@ -16,12 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .certify import (
-    BoundCertificate,
-    analytic_fock_certificate,
-    certify_rank,
-    fock_analytic_threshold,
-)
+from .certify import BoundCertificate, certify_rank, fock_analytic_threshold
 from .decomp import (
     best_single_coherent,
     circle_decomposition_report,
@@ -29,8 +26,8 @@ from .decomp import (
     fit_superposition,
 )
 from .errors import NumericalFailure, ResourceLimit
-from .fock import fock_state, int_field, object_field, real_field, state_from_descriptor
-from .hankel import SearchConfig, optimized_bound, plain_bound, rescaled_bound
+from .fock import fock_state, state_from_descriptor
+from .hankel import SearchConfig, check_hankel_size, optimized_bound, plain_bound
 from .multimode import multimode_from_descriptor, multimode_lower_bound
 from .permanent import verify_permanent_bound
 
@@ -43,25 +40,6 @@ def _fmt(x: float) -> str:
 
 def _c2j(z: complex):
     return [float(np.real(z)), float(np.imag(z))]
-
-
-def _manifest(args, command: str, start: float, seed=None) -> dict:
-    flags = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("func", "state", "check")
-        and not k.startswith("_")
-        and v is not None
-    }
-    return {
-        "command": command,
-        "flags": flags,
-        "descriptor": getattr(args, "_descriptor", None),
-        "out": args.out,
-        "seed": seed,
-        "version": __version__,
-        "wall_clock_s": time.perf_counter() - start,
-    }
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -102,15 +80,13 @@ def _parse_descriptor(raw: str) -> dict:
     return descriptor
 
 
-def _load_state(descriptor: dict, required_cutoff: int):
-    """Build the state, extending auto-chosen cutoffs to cover the search."""
-    if descriptor.get("cutoff") is not None:
-        return state_from_descriptor(descriptor)
+def _load_state(descriptor: dict, n_max: int):
+    """The state for Hankel matrices up to N = n_max: an auto-chosen cutoff is
+    extended to 2 n_max, and an n_max past hankel.MAX_HANKEL_N exits 4."""
     psi = state_from_descriptor(descriptor)
-    if psi.cutoff < required_cutoff:
-        extended = dict(descriptor)
-        extended["cutoff"] = required_cutoff
-        psi = state_from_descriptor(extended)
+    if descriptor.get("cutoff") is None and psi.cutoff < 2 * n_max:
+        psi = state_from_descriptor(dict(descriptor, cutoff=2 * n_max))
+    check_hankel_size(n_max)
     return psi
 
 
@@ -123,31 +99,13 @@ def _search_config(args, n_max: int) -> SearchConfig:
     return SearchConfig(N_max=n_max, b_grid=(float(parts[0]), float(parts[1]), int(parts[2])))
 
 
-def _check_certificate(args) -> int:
-    with open(args.check) as fh:
-        stored = object_field(json.load(fh), "certificate")
-    descriptor = object_field(stored["state_descriptor"], "state_descriptor")
-    r = int_field(stored["r"], "r")
-    method = stored["method"]
-    params = object_field(stored.get("parameters") or {}, "parameters")
-    n_param, b_param = params.get("N"), params.get("b")
-    if r == 0 and n_param is None:
-        recomputed = 0.0
-    elif method == "analytic_fock":
-        recomputed = fock_analytic_threshold(int_field(descriptor["n"], "n"))
-    else:
-        n_param = int_field(n_param, "N")
-        psi = _load_state(descriptor, 2 * n_param)
-        if method == "plain":
-            recomputed = plain_bound(psi, r, n_param)
-        else:
-            recomputed = rescaled_bound(psi, r, n_param, real_field(b_param, "b"))
-    stored_value = real_field(stored["epsilon_threshold"], "epsilon_threshold")
-    ok = abs(recomputed - stored_value) <= CHECK_REL_TOL * max(
-        abs(stored_value), abs(recomputed), 1e-300
-    )
+def _check_certificate(path: str) -> int:
+    with open(path) as fh:
+        cert = BoundCertificate.from_dict(json.load(fh))
+    stored, recomputed = cert.epsilon_threshold, cert.recompute(_load_state)
+    ok = abs(recomputed - stored) <= CHECK_REL_TOL * max(stored, recomputed, 1e-300)
     print(
-        f"certificate {'OK' if ok else 'MISMATCH'}: stored {_fmt(stored_value)}, "
+        f"certificate {'OK' if ok else 'MISMATCH'}: stored {_fmt(stored)}, "
         f"recomputed {_fmt(recomputed)}"
     )
     if not ok:
@@ -155,76 +113,51 @@ def _check_certificate(args) -> int:
     return 0
 
 
-def cmd_bound(args) -> int:
-    start = time.perf_counter()
-    if args.check:
-        return _check_certificate(args)
-    descriptor = _parse_descriptor(args.state)
-    args._descriptor = descriptor
+def cmd_bound(args, descriptor):
     if args.r is None:
         raise ValueError("--r is required")
     r = args.r
-
     if args.method == "analytic":
-        if descriptor.get("type") != "fock":
-            raise ValueError("--method analytic applies to Fock descriptors only")
-        cert = analytic_fock_certificate(int_field(descriptor["n"], "n"), r)
+        cert = BoundCertificate(
+            descriptor, r, fock_analytic_threshold(r), "analytic_fock", r, 1.0
+        )
     else:
         n_max = args.n_max if args.n_max is not None else max(r, 10)
         if r > n_max:
             raise ValueError(f"--r {r} exceeds --n-max {n_max}")
-        psi = _load_state(descriptor, 2 * n_max)
+        psi = _load_state(descriptor, n_max)
         if args.method == "plain":
             values = {n: plain_bound(psi, r, n) for n in range(max(r, 1), n_max + 1)}
             n_star = max(values, key=values.get)  # the smallest N wins ties
             cert = BoundCertificate(descriptor, r, values[n_star], "plain", n_star, 1.0)
         else:
-            cfg = _search_config(args, n_max)
-            res = optimized_bound(psi, r, cfg)
+            res = optimized_bound(psi, r, _search_config(args, n_max))
             cert = BoundCertificate(descriptor, r, res.value, "optimized", res.N_star, res.b_star)
-
     payload = cert.to_dict()
     if args.eps is not None:
         payload["certifies"] = bool(args.eps < cert.epsilon_threshold)
-    payload["manifest"] = _manifest(args, "bound", start)
-    _emit_json(payload, args.out)
-    return 0
+    return payload
 
 
-def cmd_certify(args) -> int:
-    start = time.perf_counter()
-    if args.check:
-        return _check_certificate(args)
+def cmd_certify(args, descriptor):
     if args.eps is None:
         raise ValueError("--eps is required")
-    descriptor = _parse_descriptor(args.state)
-    args._descriptor = descriptor
     n_max = args.n_max if args.n_max is not None else 10
-    psi = _load_state(descriptor, 2 * n_max)
-    cfg = _search_config(args, n_max)
-    cert = certify_rank(psi, args.eps, cfg, state_descriptor=descriptor)
-    payload = cert.to_dict()
-    payload["epsilon"] = args.eps
-    payload["kappa_eps_at_least"] = cert.r + 1
-    payload["manifest"] = _manifest(args, "certify", start)
-    _emit_json(payload, args.out)
-    return 0
+    psi = _load_state(descriptor, n_max)
+    cert = certify_rank(psi, args.eps, _search_config(args, n_max), state_descriptor=descriptor)
+    return dict(cert.to_dict(), epsilon=args.eps, kappa_eps_at_least=cert.r + 1)
 
 
-def cmd_fit(args) -> int:
-    start = time.perf_counter()
-    descriptor = _parse_descriptor(args.state)
-    args._descriptor = descriptor
-    psi = _load_state(descriptor, 0)
+def cmd_fit(args, descriptor):
     result = fit_superposition(
-        psi,
+        state_from_descriptor(descriptor),
         args.r,
         restarts=args.restarts,
         seed=args.seed,
         max_iters=args.max_iters,
         tol=args.tol,
     )
-    payload = {
+    return {
         "terms": [
             {"c": _c2j(t.c), "alpha": _c2j(t.alpha)}
             for t in result.superposition.terms
@@ -238,89 +171,94 @@ def cmd_fit(args) -> int:
             {"nit": rep.nit, "converged": rep.converged, "fidelity": rep.fidelity}
             for rep in result.restarts
         ],
-        "manifest": _manifest(args, "fit", start, seed=args.seed),
     }
-    _emit_json(payload, args.out)
-    return 0
 
 
-def cmd_decompose(args) -> int:
-    start = time.perf_counter()
-    descriptor = _parse_descriptor(args.state)
-    args._descriptor = descriptor
-    psi = _load_state(descriptor, 0)
-    report = circle_decomposition_report(psi, args.delta)
-    sup = report["superposition"]
-    payload = {
-        "terms": [{"c": _c2j(t.c), "alpha": _c2j(t.alpha)} for t in sup.terms],
+def cmd_decompose(args, descriptor):
+    report = circle_decomposition_report(state_from_descriptor(descriptor), args.delta)
+    terms = report["superposition"].terms
+    return {
+        "terms": [{"c": _c2j(t.c), "alpha": _c2j(t.alpha)} for t in terms],
         "fidelity": report["fidelity"],
         "infidelity": 1.0 - report["fidelity"],
         "condition_estimate": report["condition_estimate"],
         "residual": report["residual"],
-        "manifest": _manifest(args, "decompose", start),
     }
-    _emit_json(payload, args.out)
-    return 0
 
 
-def cmd_figure(args) -> int:
-    start = time.perf_counter()
+def cmd_figure(args, descriptor):
+    rows = []
     if args.panel == "left":
-        rows = []
         for gamma in np.linspace(0.0, 1.0, 64):
             amps = [np.sqrt(1.0 - gamma), np.sqrt(gamma)]
-            descriptor = {"type": "core", "amps": [[a, 0.0] for a in amps], "cutoff": 16}
-            psi = state_from_descriptor(descriptor)
+            psi = state_from_descriptor(
+                {"type": "core", "amps": [[a, 0.0] for a in amps], "cutoff": 16}
+            )
             _, exact = best_single_coherent(psi)
             plain = max(plain_bound(psi, 1, n) for n in range(1, 9))
             opt = optimized_bound(psi, 1, SearchConfig(N_max=8)).value
             rows.append((float(gamma), exact, plain, opt))
-        header = ["gamma", "exact_infidelity", "plain_bound", "optimized_bound"]
-    else:
-        rows = []
-        for n in range(1, 13):
-            psi = fock_state(n, 2 * n)
-            plain = plain_bound(psi, n, n)
-            opt = optimized_bound(psi, n, SearchConfig(N_max=n)).value
-            rows.append((n, plain, opt))
-        header = ["n", "plain_bound", "optimized_bound"]
-    manifest = _manifest(args, "figure", start)
-    _emit_csv(header, rows, args.out, manifest)
-    return 0
+        return ["gamma", "exact_infidelity", "plain_bound", "optimized_bound"], rows, {}
+    for n in range(1, 13):
+        psi = fock_state(n, 2 * n)
+        plain = plain_bound(psi, n, n)
+        opt = optimized_bound(psi, n, SearchConfig(N_max=n)).value
+        rows.append((n, plain, opt))
+    return ["n", "plain_bound", "optimized_bound"], rows, {}
 
 
-def cmd_permanent(args) -> int:
-    start = time.perf_counter()
-    sup = delta_cat_product(args.n, args.delta)
-    report = verify_permanent_bound(sup, trials=args.trials, seed=args.seed)
+def cmd_permanent(args, descriptor):
+    report = verify_permanent_bound(
+        delta_cat_product(args.n, args.delta), trials=args.trials, seed=args.seed
+    )
     rows = [
         (trial, trial_seed, per, val, err, report.bound)
         for trial, trial_seed, per, val, err in report.trials
     ]
     header = ["trial", "seed", "abs_permanent", "abs_formula", "error", "bound"]
-    manifest = _manifest(args, "permanent", start, seed=args.seed)
-    manifest["delta_inf"] = report.delta_inf
-    manifest["max_error"] = report.max_error
-    _emit_csv(header, rows, args.out, manifest)
-    return 0
+    return header, rows, {"delta_inf": report.delta_inf, "max_error": report.max_error}
 
 
-def cmd_multimode(args) -> int:
-    start = time.perf_counter()
-    descriptor = _parse_descriptor(args.state)
-    args._descriptor = descriptor
-    core = multimode_from_descriptor(descriptor)
-    report = multimode_lower_bound(core, trials=args.trials, seed=args.seed)
-    payload = {
+def cmd_multimode(args, descriptor):
+    report = multimode_lower_bound(
+        multimode_from_descriptor(descriptor), trials=args.trials, seed=args.seed
+    )
+    return {
         "lower_bound": report.bound,
         "d_n": _c2j(report.d_n),
         "abs_d_n_sq": report.abs_d_n_sq,
         "hankel_threshold": report.hankel_threshold,
         "unitary": [[_c2j(z) for z in row] for row in report.unitary],
         "reduction_amplitudes": [_c2j(z) for z in report.reduction.amplitudes],
-        "manifest": _manifest(args, "multimode", start, seed=args.seed),
     }
-    _emit_json(payload, args.out)
+
+
+def _run(args) -> int:
+    """Run one command: a JSON payload (manifest embedded) or CSV rows (manifest
+    plus the command's extras in ``<out>.manifest.json``)."""
+    start = time.perf_counter()
+    if getattr(args, "check", None):
+        return _check_certificate(args.check)
+    descriptor = _parse_descriptor(args.state) if "state" in vars(args) else None
+    result = args.func(args, descriptor)
+    manifest = {
+        "command": args.command,
+        "flags": {
+            k: v
+            for k, v in sorted(vars(args).items())
+            if k not in ("func", "state", "check") and v is not None
+        },
+        "descriptor": descriptor,
+        "out": args.out,
+        "seed": getattr(args, "seed", None),
+        "version": __version__,
+        "wall_clock_s": time.perf_counter() - start,
+    }
+    if isinstance(result, dict):
+        _emit_json(dict(result, manifest=manifest), args.out)
+    else:
+        header, rows, extras = result
+        _emit_csv(header, rows, args.out, dict(manifest, **extras))
     return 0
 
 
@@ -404,7 +342,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

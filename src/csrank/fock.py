@@ -24,7 +24,7 @@ MAX_CUTOFF = 100_000
 # Displacements closer than this are treated as the same coherent state.
 ALPHA_MERGE_TOL = 1e-12
 
-# Default cap on the truncation weight of infinite-support states.
+# Cap on the truncation weight of an infinite-support state with an auto-chosen cutoff.
 DEFAULT_MAX_TAIL = 1e-12
 
 
@@ -268,20 +268,16 @@ def _auto_coherent_cutoff(alpha: complex, max_tail: float) -> int:
     return _smallest_passing(lambda n: coherent_tail_weight(alpha, n) <= max_tail, c)
 
 
-def coherent_state(
-    alpha: complex,
-    cutoff: int | None = None,
-    max_tail: float = DEFAULT_MAX_TAIL,
-) -> FockVector:
+def coherent_state(alpha: complex, cutoff: int | None = None) -> FockVector:
     """Truncated coherent state |alpha>.
 
     With ``cutoff=None`` the smallest cutoff whose truncation weight does not
-    exceed ``max_tail`` is chosen (ResourceLimit if that is above MAX_CUTOFF).
+    exceed DEFAULT_MAX_TAIL is chosen (ResourceLimit if that is above MAX_CUTOFF).
     The attained tail weight is stored on the returned vector as a
     diagnostic; the vector is not renormalized.
     """
     if cutoff is None:
-        cutoff = _auto_coherent_cutoff(alpha, max_tail)
+        cutoff = _auto_coherent_cutoff(alpha, DEFAULT_MAX_TAIL)
     tail = coherent_tail_weight(alpha, cutoff)
     return FockVector(
         coherent_amplitudes(alpha, cutoff), cutoff, normalized=False, tail_weight=tail
@@ -309,15 +305,11 @@ def _squeezed_even_log_mags(params: SqueezedParams, n_pairs: int) -> np.ndarray:
     )
 
 
-def squeezed_state(
-    params: SqueezedParams,
-    cutoff: int | None = None,
-    max_tail: float = DEFAULT_MAX_TAIL,
-) -> FockVector:
+def squeezed_state(params: SqueezedParams, cutoff: int | None = None) -> FockVector:
     """Truncated squeezed vacuum a_{2n} = lam^n sqrt((2n)!) / (2^n n! sqrt(cosh r)).
 
     Odd amplitudes are exactly zero; with ``cutoff=None`` the smallest cutoff
-    whose truncation weight does not exceed ``max_tail`` is chosen
+    whose truncation weight does not exceed DEFAULT_MAX_TAIL is chosen
     (ResourceLimit if that is above MAX_CUTOFF).
     """
     if cutoff is None:
@@ -325,17 +317,17 @@ def squeezed_state(
         n_pairs = 4
         while True:
             weights = np.exp(2 * _squeezed_even_log_mags(params, n_pairs))
-            if 1.0 - weights.sum() <= max_tail:
+            if 1.0 - weights.sum() <= DEFAULT_MAX_TAIL:
                 break
             if n_pairs == max_pairs:
                 raise ResourceLimit(
                     f"squeezing r = {params.r:.6g} needs a cutoff above {MAX_CUTOFF} "
-                    f"for tail weight <= {max_tail:.3g}"
+                    f"for tail weight <= {DEFAULT_MAX_TAIL:.3g}"
                 )
             n_pairs = min(2 * n_pairs, max_pairs)
         # cutoff 2n keeps weights[:n + 1]
         cutoff = 2 * _smallest_passing(
-            lambda n: 1.0 - weights[: n + 1].sum() <= max_tail, n_pairs
+            lambda n: 1.0 - weights[: n + 1].sum() <= DEFAULT_MAX_TAIL, n_pairs
         )
     n_pairs = cutoff // 2
     log_mags = _squeezed_even_log_mags(params, n_pairs)
@@ -362,16 +354,12 @@ def superposition_norm_sq(sup) -> float:
     return float(np.real(np.conj(c) @ gram @ c))
 
 
-def superposition_to_fock(
-    sup: CoherentSuperposition,
-    cutoff: int | None = None,
-    max_tail: float = DEFAULT_MAX_TAIL,
-) -> FockVector:
+def superposition_to_fock(sup: CoherentSuperposition, cutoff: int | None = None) -> FockVector:
     """Fock expansion a_n = sum_k c_k e^{-|alpha_k|^2/2} alpha_k^n / sqrt(n!)."""
     if len(sup) == 0:
         raise ValueError("empty superposition")
     if cutoff is None:
-        cutoff = max(_auto_coherent_cutoff(t.alpha, max_tail) for t in sup.terms)
+        cutoff = max(_auto_coherent_cutoff(t.alpha, DEFAULT_MAX_TAIL) for t in sup.terms)
     amps = coherent_columns(sup.displacements(), cutoff) @ sup.coefficients()
     tail = max(0.0, superposition_norm_sq(sup) - float(np.vdot(amps, amps).real))
     return FockVector(amps, cutoff, normalized=False, tail_weight=tail)

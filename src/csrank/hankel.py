@@ -34,6 +34,17 @@ _BLOCK_ENTRIES = 1 << 20
 # Most b values a search grid may hold (8 MB of grid); larger grids exit 4.
 MAX_GRID_POINTS = 10**6
 
+# Largest N whose (N+1)x(N+1) matrix fits in one SVD block; larger N exit 4.
+MAX_HANKEL_N = math.isqrt(_BLOCK_ENTRIES) - 1
+
+
+def check_hankel_size(N: int) -> None:
+    """ResourceLimit for an N past MAX_HANKEL_N, before anything is allocated."""
+    if N > MAX_HANKEL_N:
+        raise ResourceLimit(
+            f"N={N} exceeds {MAX_HANKEL_N}, the largest Hankel matrix one SVD block holds"
+        )
+
 
 @dataclass(frozen=True)
 class HankelBundle:
@@ -81,6 +92,7 @@ class SearchConfig:
         n_max = min(20, cutoff // 2) if self.N_max is None else self.N_max
         if 2 * n_max > cutoff:
             raise ValueError(f"cutoff {cutoff} too small for N_max {n_max}")
+        check_hankel_size(n_max)
         return n_max
 
     def b_values(self) -> np.ndarray:
@@ -111,6 +123,7 @@ class _Plan:
     def __init__(self, psi: FockVector, N: int):
         if not 0 <= 2 * N <= psi.cutoff:
             raise ValueError(f"need 0 <= 2N <= cutoff, got N={N}, cutoff {psi.cutoff}")
+        check_hankel_size(N)
         amps = psi.amplitudes[: 2 * N + 1]
         k = np.arange(2 * N + 1)
         self.N = N

@@ -22,7 +22,7 @@ from csrank.fock import (
     squeezed_state,
     superposition_to_fock,
 )
-from csrank.hankel import SearchConfig, optimized_bound, plain_bound
+from csrank.hankel import SearchConfig, optimized_bound, plain_bound, rescaled_bound
 
 
 def test_analytic_threshold_small_cases():
@@ -167,3 +167,60 @@ def test_certificate_serialization_and_validation():
         BoundCertificate(None, 1, -0.5, "plain", 1, 1.0)
     with pytest.raises(ValueError):
         analytic_fock_certificate(3, r=2)
+
+
+def test_certificate_reads_back_what_it_writes():
+    psi = fock_state(2, 12)
+    certificates = [
+        analytic_fock_certificate(3),
+        BoundCertificate({"type": "fock", "n": 2}, 2, plain_bound(psi, 2, 3), "plain", 3, 1.0),
+        certify_rank(psi, 1e-4, SearchConfig(N_max=6), {"type": "fock", "n": 2}),
+        certify_rank(psi, 0.9, SearchConfig(N_max=2), {"type": "fock", "n": 2}),  # r = 0
+    ]
+    assert certificates[-1].r == 0 and certificates[-1].N is None
+    extra = {"rank_tol": 1e-10, "manifest": {}, "certifies": True, "epsilon": 1e-4,
+             "kappa_eps_at_least": 3}
+    for cert in certificates:
+        stored = json.loads(json.dumps(cert.to_dict() | extra))
+        assert BoundCertificate.from_dict(stored) == cert
+
+
+def test_recompute_maps_each_method_to_its_formula():
+    psi = fock_state(2, 8)
+    calls = []
+
+    def load(descriptor, N):
+        calls.append((descriptor, N))
+        return psi
+
+    fock2 = {"type": "fock", "n": 2}
+    plain = BoundCertificate(fock2, 2, 0.1, "plain", 3, 1.0)
+    optimized = BoundCertificate(fock2, 2, 0.1, "optimized", 3, 0.7)
+    assert plain.recompute(load) == plain_bound(psi, 2, 3)
+    assert optimized.recompute(load) == rescaled_bound(psi, 2, 3, 0.7)
+    assert calls == [(fock2, 3), (fock2, 3)]
+    # neither the analytic nor the empty certificate needs the state
+    assert analytic_fock_certificate(2).recompute(None) == fock_analytic_threshold(2)
+    assert BoundCertificate(fock2, 0, 0.0, "optimized", None, None).recompute(None) == 0.0
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        ({"type": "fock"}, 3, 1e-3, "analytic_fock", 3, 1.0),
+        ({"type": "fock", "n": 1}, 1, 0.25, "optimized", 1, None),
+        ({"type": "fock", "n": 1}, 1, math.nan, "plain", 1, 1.0),
+    ],
+    ids=["analytic-without-n", "optimized-without-b", "nan-threshold"],
+)
+def test_certificate_rejects_fields_no_method_writes(fields):
+    # the CLI --check tests cover the other rules, through from_dict
+    with pytest.raises(ValueError):
+        BoundCertificate(*fields)
+
+
+def test_analytic_certificate_names_its_state_by_type_and_n():
+    cert = BoundCertificate({"type": "fock", "n": 3.0, "cutoff": 8}, 3,
+                            fock_analytic_threshold(3), "analytic_fock", 3, 1.0)
+    assert cert.to_dict()["state_descriptor"] == {"type": "fock", "n": 3}
+    assert cert == analytic_fock_certificate(3)

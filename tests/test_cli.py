@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -15,9 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csrank
+from csrank.certify import fock_analytic_threshold
 from csrank.cli import _search_config, build_parser, main
-from csrank.fock import MAX_CUTOFF, state_from_descriptor
-from csrank.hankel import MAX_GRID_POINTS, SearchConfig, plain_bound
+from csrank.fock import MAX_CUTOFF, fock_state, state_from_descriptor
+from csrank.hankel import (
+    MAX_GRID_POINTS,
+    MAX_HANKEL_N,
+    SearchConfig,
+    plain_bound,
+    rescaled_bound,
+)
 
 
 def run_json(capsys, argv):
@@ -130,6 +139,11 @@ def test_malformed_json_exits_2(capsys):
 FOCK1 = {"type": "fock", "n": 1}
 CERT = {"state_descriptor": FOCK1, "r": 1, "epsilon_threshold": 0.125,
         "method": "plain", "parameters": {"N": 1, "b": 1.0}}
+OPT_CERT = dict(CERT, method="optimized",
+                epsilon_threshold=rescaled_bound(fock_state(1, 2), 1, 1, 1.0))
+ANALYTIC_CERT = {"state_descriptor": {"type": "fock", "n": 3}, "r": 3,
+                 "epsilon_threshold": fock_analytic_threshold(3), "method": "analytic_fock",
+                 "parameters": {"N": 3, "b": 1.0}}
 
 
 @pytest.mark.parametrize(
@@ -151,12 +165,20 @@ CERT = {"state_descriptor": FOCK1, "r": 1, "epsilon_threshold": 0.125,
         ["bound", "--check", [CERT]],
         ["bound", "--check", dict(CERT, parameters=[1, 1.0])],
         ["bound", "--check", dict(CERT, parameters={"b": 1.0})],
+        ["bound", "--check", dict(ANALYTIC_CERT, r=5)],
+        ["bound", "--check", dict(ANALYTIC_CERT,
+                                  state_descriptor={"type": "squeezed", "r": 0.5, "n": 3})],
+        ["bound", "--check", dict(OPT_CERT, method="weighted")],
+        ["bound", "--check", dict(OPT_CERT, method=["x"])],
+        ["bound", "--check", dict(CERT, epsilon_threshold=math.inf)],
     ],
     ids=["core-scalar-amps", "superposition-scalar-c", "multimode-scalar-c", "squeezed-huge-r",
          "fock-list-n", "core-scalar-amps-field", "squeezed-list-r", "fock-string-cutoff",
          "fock-fractional-n", "superposition-scalar-term", "squeezed-negative-cutoff",
          "multimode-scalar-occ",
-         "check-list-r", "check-top-level-list", "check-list-parameters", "check-missing-N"],
+         "check-list-r", "check-top-level-list", "check-list-parameters", "check-missing-N",
+         "check-analytic-r-above-n", "check-analytic-squeezed", "check-method-weighted",
+         "check-method-list", "check-infinite-threshold"],
 )
 def test_malformed_descriptor_values_exit_2(capsys, tmp_path, argv):
     # A non-string argument is a certificate, written to a file for --check.
@@ -276,6 +298,30 @@ def test_cli_never_leaks_a_traceback(descriptor):
     assert "Traceback" not in err.getvalue()
 
 
+_COUNT = st.integers(-3, 40) | _SMALL_JSON
+_CERTIFICATES = st.fixed_dictionaries({
+    "state_descriptor": _DESCRIPTORS | _SMALL_JSON,
+    "r": _COUNT,
+    "epsilon_threshold": _NUMBER | _SMALL_JSON,
+    "method": st.sampled_from(["plain", "optimized", "analytic_fock", "weighted"]) | _SMALL_JSON,
+    "parameters": st.fixed_dictionaries({"N": _COUNT, "b": _NUMBER | _SMALL_JSON}) | _SMALL_JSON,
+}) | _SMALL_JSON
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CERTIFICATES)
+def test_check_never_leaks_a_traceback(certificate):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cert.json")
+        with open(path, "w") as fh:
+            json.dump(certificate, fh)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["bound", "--check", path])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+
+
 def test_fit_command(capsys):
     code, payload = run_json(capsys, ["fit", '{"type":"fock","n":1}', "--r", "1",
                                       "--seed", "0", "--restarts", "6"])
@@ -371,16 +417,61 @@ def test_outputs_deterministic(tmp_path):
     assert ma == mb
 
 
-def test_certificate_check_roundtrip(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", '{"type":"fock","n":2}', "--r", "2", "--method", "plain"],
+        ["bound", '{"type":"fock","n":2}', "--r", "2"],
+        ["bound", '{"type":"fock","n":2}', "--r", "2", "--method", "analytic"],
+        ["certify", '{"type":"superposition","terms":[{"c":[1,0],"alpha":[0.5,0]}]}',
+         "--eps", "0.5"],
+    ],
+    ids=["plain", "optimized", "analytic", "certify-r0"],
+)
+def test_certificate_check_roundtrip(tmp_path, capsys, argv):
     cert_path = tmp_path / "cert.json"
-    assert main(["bound", '{"type":"fock","n":2}', "--r", "2",
-                 "--out", str(cert_path)]) == 0
+    assert main(argv + ["--out", str(cert_path)]) == 0
     assert main(["bound", "--check", str(cert_path)]) == 0
+    assert capsys.readouterr().out.startswith("certificate OK")
 
     tampered = json.loads(cert_path.read_text())
+    if tampered["r"] == 0:  # nothing certified: the threshold is 0 and has no N
+        assert tampered["epsilon_threshold"] == 0.0
+        assert tampered["parameters"] == {"N": None, "b": None}
+        return
     tampered["epsilon_threshold"] *= 1.5
     cert_path.write_text(json.dumps(tampered))
     assert main(["bound", "--check", str(cert_path)]) == 3
+
+
+def test_analytic_bound_on_a_non_fock_state_names_the_rule(capsys):
+    assert main(["bound", '{"type":"squeezed","r":0.5}', "--r", "2", "--method", "analytic"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Fock-state descriptors only" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", '{"type":"fock","n":1}', "--r", "1", "--method", "plain", "--n-max", "1024"],
+        ["bound", '{"type":"fock","n":1}', "--r", "1", "--n-max", "1024"],
+        ["certify", '{"type":"squeezed","r":0.5}', "--eps", "0.1", "--n-max", "1024"],
+        ["bound", "--check", dict(CERT, parameters={"N": 1024, "b": 1.0})],
+    ],
+    ids=["bound-plain", "bound-optimized", "certify", "check"],
+)
+def test_hankel_past_one_svd_block_exits_4(capsys, tmp_path, argv):
+    assert MAX_HANKEL_N == 1023
+    path = tmp_path / "cert.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            path.write_text(json.dumps(arg))
+    argv = [str(path) if isinstance(arg, dict) else arg for arg in argv]
+    start = time.perf_counter()
+    assert main(argv) == 4
+    assert time.perf_counter() - start < 5.0  # refused before any matrix is built
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(MAX_HANKEL_N) in err
 
 
 def test_certify_certificate_checks_too(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gammaln
 
 from csrank import hankel
-from csrank.certify import certify_rank
+from csrank.certify import certify_rank, recurrence_order
 from csrank.errors import ResourceLimit
 from csrank.fock import (
     CoherentSuperposition,
@@ -20,6 +20,7 @@ from csrank.fock import (
 )
 from csrank.hankel import (
     MAX_GRID_POINTS,
+    MAX_HANKEL_N,
     SearchConfig,
     SearchConfigError,
     hankel_matrix,
@@ -510,3 +511,22 @@ def test_lockstep_golden_max_repeats_every_scalar_run():
     for f, a, b, result in zip(fs, lo, hi, together):
         assert hankel._golden_max(lambda xs: [f(xs[0])], [a], [b], 40) == [result]
         assert scalar_golden_max(f, a, b, 40) == result
+
+
+def test_hankel_size_cap_refuses_before_building():
+    assert (MAX_HANKEL_N + 1) ** 2 == hankel._BLOCK_ENTRIES
+    psi = fock_state(1, 2 * (MAX_HANKEL_N + 1))
+    hankel._Plan(psi, MAX_HANKEL_N)  # the largest N that one SVD block holds
+    N = MAX_HANKEL_N + 1
+    refused = [
+        lambda: hankel._Plan(psi, N),
+        lambda: plain_bound(psi, 1, N),
+        lambda: rescaled_bound(psi, 1, N, 0.5),
+        lambda: hankel_matrix(psi, N),
+        lambda: optimized_bound(psi, 1, SearchConfig(N_max=N)),
+        lambda: certify_rank(psi, 0.1, SearchConfig(N_max=N)),
+        lambda: recurrence_order(psi, N),
+    ]
+    for call in refused:
+        with pytest.raises(ResourceLimit, match=str(MAX_HANKEL_N)):
+            call()
