@@ -192,9 +192,8 @@ def recurrence_order(
     return RecurrenceReport(tail[-1] if saturated else None, ranks, saturated)
 
 
-def analytic_fock_certificate(n: int, r: int | None = None) -> BoundCertificate:
+def analytic_fock_certificate(n: int) -> BoundCertificate:
     """Analytic certificate for |n>: kappa_eps = n+1 below the threshold (r = n)."""
     return BoundCertificate(
-        {"type": "fock", "n": n}, n if r is None else r, fock_analytic_threshold(n),
-        "analytic_fock", n, 1.0,
+        {"type": "fock", "n": n}, n, fock_analytic_threshold(n), "analytic_fock", n, 1.0
     )

@@ -166,7 +166,8 @@ def test_certificate_serialization_and_validation():
     with pytest.raises(ValueError):
         BoundCertificate(None, 1, -0.5, "plain", 1, 1.0)
     with pytest.raises(ValueError):
-        analytic_fock_certificate(3, r=2)
+        BoundCertificate({"type": "fock", "n": 3}, 2, fock_analytic_threshold(3),
+                         "analytic_fock", 3, 1.0)
 
 
 def test_certificate_reads_back_what_it_writes():

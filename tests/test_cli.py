@@ -166,6 +166,7 @@ ANALYTIC_CERT = {"state_descriptor": {"type": "fock", "n": 3}, "r": 3,
         ["bound", "--check", dict(CERT, parameters=[1, 1.0])],
         ["bound", "--check", dict(CERT, parameters={"b": 1.0})],
         ["bound", "--check", dict(ANALYTIC_CERT, r=5)],
+        ["bound", "--check", dict(ANALYTIC_CERT, parameters={})],
         ["bound", "--check", dict(ANALYTIC_CERT,
                                   state_descriptor={"type": "squeezed", "r": 0.5, "n": 3})],
         ["bound", "--check", dict(OPT_CERT, method="weighted")],
@@ -177,7 +178,7 @@ ANALYTIC_CERT = {"state_descriptor": {"type": "fock", "n": 3}, "r": 3,
          "fock-fractional-n", "superposition-scalar-term", "squeezed-negative-cutoff",
          "multimode-scalar-occ",
          "check-list-r", "check-top-level-list", "check-list-parameters", "check-missing-N",
-         "check-analytic-r-above-n", "check-analytic-squeezed", "check-method-weighted",
+         "check-analytic-r-above-n", "check-analytic-no-N", "check-analytic-squeezed", "check-method-weighted",
          "check-method-list", "check-infinite-threshold"],
 )
 def test_malformed_descriptor_values_exit_2(capsys, tmp_path, argv):
