@@ -22,7 +22,6 @@ from .certify import BoundCertificate, certify_rank, fock_analytic_threshold
 from .decomp import (
     best_single_coherent,
     circle_decomposition_report,
-    delta_cat_product,
     fit_superposition,
 )
 from .errors import NumericalFailure, ResourceLimit
@@ -208,15 +207,15 @@ def cmd_figure(args, descriptor):
 
 
 def cmd_permanent(args, descriptor):
-    report = verify_permanent_bound(
-        delta_cat_product(args.n, args.delta), trials=args.trials, seed=args.seed
-    )
+    report = verify_permanent_bound(args.n, args.delta, trials=args.trials, seed=args.seed)
     rows = [
         (trial, trial_seed, per, val, err, report.bound)
         for trial, trial_seed, per, val, err in report.trials
     ]
     header = ["trial", "seed", "abs_permanent", "abs_formula", "error", "bound"]
-    return header, rows, {"delta_inf": report.delta_inf, "max_error": report.max_error}
+    extras = {"delta_inf": report.delta_inf, "max_error": report.max_error,
+              "tail_weight": report.tail_weight}
+    return header, rows, extras
 
 
 def cmd_multimode(args, descriptor):

@@ -218,8 +218,9 @@ def _point_thresholds(plan: _Plan, log_b: np.ndarray, rs, log_den=None) -> list:
 
 def plain_bound(psi: FockVector, r: int, N: int) -> float:
     """Certified eps threshold sum_{l>r} sigma_l(H_N)^2 / (2 (N+1) (2N)!)."""
+    plan = _Plan(psi, N)  # checks N before the log below reads it
     log_den = math.log(2.0) + math.log(N + 1) + float(gammaln(2 * N + 1))
-    return _point_thresholds(_Plan(psi, N), np.zeros(1), [r], log_den)[0]
+    return _point_thresholds(plan, np.zeros(1), [r], log_den)[0]
 
 
 def rescaled_bound(psi: FockVector, r: int, N: int, b: float) -> float:

@@ -10,6 +10,12 @@ which equals <1|^n U |phi> when evaluated at a unitary X = U.  Since
 <1|^n U |1>^n = Per(U), a decomposition with infidelity delta against
 |1>^n approximates the permanent uniformly: |Per(U) - e^{-i theta} F(U)|
 <= sqrt(2 delta) once the global phase theta of <1^n|phi> is aligned.
+
+verify_permanent_bound checks this for the n-th tensor power of the
+two-term odd cat circle_decomposition(|1>, delta).  Its norm, infidelity,
+tail weight and phase are n-th powers of one mode's numbers, and its 2^n
+formula rows are an index product of that mode's two terms, so n runs to 16
+without a 2^n x 2^n Gram matrix.
 """
 
 import math
@@ -19,12 +25,20 @@ from itertools import permutations
 import numpy as np
 
 from ._kernels import glynn as _glynn, ryser as _ryser
+from .decomp import circle_decomposition
 from .errors import NumericalFailure, ResourceLimit
-from .fock import coherent_columns, superposition_norm_sq
+from .fock import coherent_columns, fock_state
 from .multimode import MultimodeSuperposition
 
 NAIVE_LIMIT = 8
 KERNEL_LIMIT = 24
+
+# Most rows the bridge's formula may have: 2^n rows at n modes, so n <= 16.
+MAX_FORMULA_ROWS = 1 << 16
+
+# Fock cutoff of the bridge's single-mode factor.  Wherever delta_inf <= 0.5
+# (delta < 1.49), the factor's weight past it is at most 1.05e-36 of its norm.
+FACTOR_CUTOFF = 40
 
 
 def _square(m) -> np.ndarray:
@@ -102,14 +116,11 @@ class MultilinearFormula:
         return len(self.gammas) * self.n**2
 
 
-def _formula(coeffs: np.ndarray, alphas: np.ndarray) -> MultilinearFormula:
-    gammas = coeffs * np.exp(-0.5 * np.sum(np.abs(alphas) ** 2, axis=1))
-    return MultilinearFormula(alphas.shape[1], gammas, alphas)
-
-
 def formula_from_decomposition(sup: MultimodeSuperposition) -> MultilinearFormula:
     """gamma_j = c_j e^{-||alpha_j||^2/2}; row j of alphas is alpha_j."""
-    return _formula(sup.coefficients(), sup.displacements())
+    alphas = sup.displacements()
+    gammas = sup.coefficients() * np.exp(-0.5 * np.sum(np.abs(alphas) ** 2, axis=1))
+    return MultilinearFormula(alphas.shape[1], gammas, alphas)
 
 
 def evaluate_formula(formula: MultilinearFormula, x) -> complex:
@@ -121,25 +132,32 @@ def evaluate_formula(formula: MultilinearFormula, x) -> complex:
     return complex(formula.gammas @ np.prod(inner, axis=0))
 
 
-def _box_amplitudes(coeffs: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """Fock amplitudes of sum_j c_j |alpha_j> with every occupation <= 2.
+def _odd_cat_power(modes: int, delta: float):
+    """(formula, delta_inf, tail_weight, phase) of the normalized tensor power
+    of the odd cat circle_decomposition(|1>, delta) over ``modes`` modes.
 
-    Returns the (3,) * modes array indexed by occupation tuples.  Row j of
-    L (R) is the Kronecker product of term j's cutoff-2 coherent columns
-    over the first (last) half of the modes, so the box is L^T diag(c) R.
+    Every number is a power of one factor's Fock weights w_m = |<m|phi_1>|^2,
+    m <= FACTOR_CUTOFF, each a sum of non-negative terms: 1 - delta_inf is
+    (w_1 / W)^n and 1 - tail_weight is ((w_0 + w_1 + w_2) / W)^n.  The rows
+    of the formula are the index product of the factor's two terms, first
+    mode slowest, as in decomp.delta_cat_product.
     """
-    k, n = alphas.shape
-    cols = coherent_columns(alphas.reshape(-1), 2).T.reshape(k, n, 3)
+    factor = circle_decomposition(fock_state(1), delta)
+    coeffs, alphas = factor.coefficients(), factor.displacements()
+    amps = coherent_columns(alphas, FACTOR_CUTOFF) @ coeffs
+    w = np.abs(amps) ** 2
+    total = float(w.sum())
+    if total == 0:  # the two terms merged into one of zero coefficient
+        raise ValueError("superposition has zero norm")
+    off_one = float(w[0] + w[2:].sum())
+    delta_inf = -math.expm1(modes * math.log1p(-off_one / total))
+    tail = -math.expm1(modes * math.log1p(-float(w[3:].sum()) / total))
+    phase = (amps[1] / abs(amps[1])) ** modes
 
-    def kron_rows(modes):
-        rows = np.ones((k, 1), dtype=complex)
-        for i in modes:
-            rows = (rows[:, :, None] * cols[:, i, None, :]).reshape(k, -1)
-        return rows
-
-    half = n // 2
-    box = (kron_rows(range(half)).T * coeffs) @ kron_rows(range(half, n))
-    return box.reshape((3,) * n)
+    gamma = coeffs * np.exp(-0.5 * np.abs(alphas) ** 2) / math.sqrt(total)
+    rows = np.indices((len(alphas),) * modes).reshape(modes, -1).T
+    formula = MultilinearFormula(modes, np.prod(gamma[rows], axis=1), alphas[rows])
+    return formula, delta_inf, tail, phase
 
 
 @dataclass(frozen=True)
@@ -156,47 +174,37 @@ class PermanentBoundReport:
 
 
 def verify_permanent_bound(
-    sup: MultimodeSuperposition, trials: int = 100, seed: int = 0
+    modes: int, delta: float, trials: int = 100, seed: int = 0
 ) -> PermanentBoundReport:
     """Check |Per(U) - e^{-i theta} F(U)| <= sqrt(2 delta_inf) on Haar samples.
 
-    delta_inf is the infidelity of the (normalized) superposition against
-    |1>^n.  The norm comes from the exact coherent Gram matrix; the weight
-    the cutoff-2-per-mode Fock expansion misses is reported as
-    ``tail_weight``.  Raises NumericalFailure if any trial violates the
-    bound beyond 1e-9 slack.
+    The decomposition is the tensor power of circle_decomposition(|1>, delta)
+    over ``modes`` modes (see _odd_cat_power); delta_inf is its infidelity
+    against |1>^n and ``tail_weight`` its weight outside occupations <= 2 per
+    mode.  Raises ResourceLimit past MAX_FORMULA_ROWS formula rows and
+    NumericalFailure if any trial violates the bound beyond 1e-9 slack.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    n = sup.modes
-    if n > NAIVE_LIMIT:
-        raise ResourceLimit("verification needs the exact permanent; n <= 8")
-    norm = math.sqrt(superposition_norm_sq(sup))
-    if norm == 0:
-        raise ValueError("superposition has zero norm")
-    coeffs, alphas = sup.coefficients() / norm, sup.displacements()
-
-    box = _box_amplitudes(coeffs, alphas)
-    tail = max(0.0, 1.0 - float(np.vdot(box, box).real))
-    overlap = complex(box[(1,) * n])
-    fid = min(1.0, abs(overlap) ** 2)
-    delta_inf = 1.0 - fid
+    if modes < 1:
+        raise ValueError("need at least one mode")
+    if modes > math.log2(MAX_FORMULA_ROWS):
+        raise ResourceLimit(f"the formula has 2^{modes} rows, over {MAX_FORMULA_ROWS}")
+    formula, delta_inf, tail, phase = _odd_cat_power(modes, delta)
     if delta_inf > 0.5:
         raise ValueError(
-            f"superposition is too far from |1>^{n} (delta_inf = {delta_inf:.3f})"
+            f"superposition is too far from |1>^{modes} (delta_inf = {delta_inf:.3f})"
         )
     bound = math.sqrt(2.0 * delta_inf)
-    phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
 
-    formula = _formula(coeffs, alphas)
     rows = []
     for i in range(trials):
         trial_seed = seed + i
-        u = haar_unitary(n, trial_seed)
+        u = haar_unitary(modes, trial_seed)
         per = permanent_glynn(u)
         val = np.conj(phase) * evaluate_formula(formula, u)
         rows.append((i, trial_seed, abs(per), abs(val), abs(per - val)))
-    max_error = max((row[4] for row in rows), default=0.0)
+    max_error = max(row[4] for row in rows)
     report = PermanentBoundReport(delta_inf, bound, max_error, tail, tuple(rows))
     if not report.passed:
         raise NumericalFailure(

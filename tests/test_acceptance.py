@@ -14,7 +14,7 @@ import pytest
 
 from csrank.certify import fock_analytic_threshold, recurrence_order
 from csrank.cli import main as cli_main
-from csrank.decomp import delta_cat_product, fit_superposition
+from csrank.decomp import fit_superposition
 from csrank.fock import (
     CoherentSuperposition,
     CoherentTerm,
@@ -191,7 +191,7 @@ def test_criterion_6_permanent_bridge():
         ok &= abs(amp - permanent_glynn(u)) <= 1e-10
     reports = {}
     for delta in (0.5, 0.2):
-        rep = verify_permanent_bound(delta_cat_product(4, delta), trials=100, seed=0)
+        rep = verify_permanent_bound(4, delta, trials=100, seed=0)
         ok &= rep.passed
         reports[delta] = rep
     ok &= reports[0.2].delta_inf < reports[0.5].delta_inf

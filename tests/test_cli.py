@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csrank
@@ -146,6 +146,10 @@ ANALYTIC_CERT = {"state_descriptor": {"type": "fock", "n": 3}, "r": 3,
                  "parameters": {"N": 3, "b": 1.0}}
 
 
+# The rule a malformed case's message must name, by case id, where one is pinned.
+_MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -172,6 +176,7 @@ ANALYTIC_CERT = {"state_descriptor": {"type": "fock", "n": 3}, "r": 3,
         ["bound", "--check", dict(OPT_CERT, method="weighted")],
         ["bound", "--check", dict(OPT_CERT, method=["x"])],
         ["bound", "--check", dict(CERT, epsilon_threshold=math.inf)],
+        ["bound", "--check", dict(CERT, parameters={"N": -2, "b": 1.0})],
     ],
     ids=["core-scalar-amps", "superposition-scalar-c", "multimode-scalar-c", "squeezed-huge-r",
          "fock-list-n", "core-scalar-amps-field", "squeezed-list-r", "fock-string-cutoff",
@@ -179,9 +184,9 @@ ANALYTIC_CERT = {"state_descriptor": {"type": "fock", "n": 3}, "r": 3,
          "multimode-scalar-occ",
          "check-list-r", "check-top-level-list", "check-list-parameters", "check-missing-N",
          "check-analytic-r-above-n", "check-analytic-no-N", "check-analytic-squeezed", "check-method-weighted",
-         "check-method-list", "check-infinite-threshold"],
+         "check-method-list", "check-infinite-threshold", "check-negative-N"],
 )
-def test_malformed_descriptor_values_exit_2(capsys, tmp_path, argv):
+def test_malformed_descriptor_values_exit_2(capsys, tmp_path, request, argv):
     # A non-string argument is a certificate, written to a file for --check.
     path = tmp_path / "cert.json"
     for i, arg in enumerate(argv):
@@ -192,10 +197,11 @@ def test_malformed_descriptor_values_exit_2(capsys, tmp_path, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert _MALFORMED_MESSAGES.get(request.node.callspec.id, "") in err
 
 
 def test_resource_limit_exits_4(capsys):
-    assert main(["permanent", "--n", "9", "--delta", "0.2", "--trials", "1"]) == 4
+    assert main(["permanent", "--n", "17", "--delta", "0.2", "--trials", "1"]) == 4
 
 
 @pytest.mark.parametrize("command", [["bound", "--r", "1"], ["certify", "--eps", "0.1"]],
@@ -390,6 +396,49 @@ def test_permanent_command_rows_satisfy_bound(tmp_path):
         assert float(row["error"]) <= float(row["bound"]) + 1e-9
     manifest = json.loads((tmp_path / "per.csv.manifest.json").read_text())
     assert manifest["command"] == "permanent"
+    # the odd cat has no even-occupation weight, so all its infidelity is tail
+    assert manifest["tail_weight"] == pytest.approx(manifest["delta_inf"], rel=1e-12)
+    assert manifest["max_error"] == max(float(row["error"]) for row in rows)
+
+
+@pytest.mark.parametrize("n, trials", [(7, 100), (8, 100), (12, 2)])
+def test_permanent_past_the_gram_limit_satisfies_the_bound(capsys, n, trials):
+    assert main(["permanent", "--n", str(n), "--delta", "0.1", "--trials", str(trials)]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == trials
+    for row in rows:
+        assert float(row["error"]) <= float(row["bound"])
+
+
+_DELTA_ARGS = st.sampled_from(["x", "", "0", "-0.2", "-1e-3", "nan", "inf", "-inf",
+                               "1e-300", "1e-20"]) | st.floats(1e-3, 1.5).map(repr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2, 18), _DELTA_ARGS, st.integers(1, 3))
+@example(16, "1e-20", 1)  # the two terms merge: zero norm
+@example(16, "1.3", 1)  # delta_inf > 0.5
+@example(8, "0.1", 1)
+def test_permanent_flags_never_leak_a_traceback(n, delta, trials):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["permanent", "--n", str(n), "--delta", delta, "--trials", str(trials)]
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the ill-conditioning warning
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a junk number
+            code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+        assert len(rows) == trials
+        for row in rows:
+            values = [float(v) for v in row.values()]
+            assert all(math.isfinite(v) for v in values)
+            assert float(row["error"]) <= float(row["bound"]) + 1e-9
+    else:
+        assert err.getvalue().startswith(("error: ", "usage: "))
 
 
 def test_figure_right_endpoints(tmp_path):

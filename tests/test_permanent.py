@@ -7,11 +7,10 @@ import pytest
 
 from csrank.decomp import delta_cat_product
 from csrank.errors import ResourceLimit
-from csrank.fock import coherent_gram, superposition_norm_sq
 from csrank.multimode import MultimodeSuperposition
 from csrank.permanent import (
     MultilinearFormula,
-    _box_amplitudes,
+    _odd_cat_power,
     evaluate_formula,
     formula_from_decomposition,
     haar_unitary,
@@ -123,32 +122,32 @@ def test_formula_dimension_mismatch():
 
 
 def test_verify_bound_scalar_case():
-    report = verify_permanent_bound(delta_cat_product(1, 0.2), trials=25, seed=1)
+    report = verify_permanent_bound(1, 0.2, trials=25, seed=1)
     assert report.max_error <= report.bound + 1e-9
     assert report.delta_inf < 1e-3
 
 
 def test_verify_bound_n4():
-    report = verify_permanent_bound(delta_cat_product(4, 0.2), trials=25, seed=0)
+    report = verify_permanent_bound(4, 0.2, trials=25, seed=0)
     assert report.passed
     assert len(report.trials) == 25
 
 
 def test_verify_bound_errors_shrink_with_delta():
-    big = verify_permanent_bound(delta_cat_product(4, 0.5), trials=25, seed=0)
-    small = verify_permanent_bound(delta_cat_product(4, 0.2), trials=25, seed=0)
+    big = verify_permanent_bound(4, 0.5, trials=25, seed=0)
+    small = verify_permanent_bound(4, 0.2, trials=25, seed=0)
     assert small.delta_inf < big.delta_inf
     assert small.max_error < big.max_error
 
 
 def test_verify_bound_rejects_poor_approximations():
     with pytest.raises(ValueError):
-        verify_permanent_bound(delta_cat_product(1, 1.5), trials=5, seed=0)
+        verify_permanent_bound(1, 1.5, trials=5, seed=0)
 
 
 def test_verify_bound_resource_limit():
     with pytest.raises(ResourceLimit):
-        verify_permanent_bound(delta_cat_product(9, 0.2), trials=1, seed=0)
+        verify_permanent_bound(17, 0.2, trials=1, seed=0)
 
 
 def _brute_force_box(coeffs, alphas):
@@ -166,43 +165,40 @@ def _brute_force_box(coeffs, alphas):
     return box
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_box_amplitudes_match_brute_force(n):
-    rng = np.random.default_rng(40 + n)
-    for k in (1, 3, 5):
-        coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        alphas = 0.6 * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
-        sup = MultimodeSuperposition(zip(coeffs, alphas))
-        coeffs = sup.coefficients() / math.sqrt(superposition_norm_sq(sup))
-        box = _box_amplitudes(coeffs, alphas)
-        oracle = _brute_force_box(coeffs, alphas)
-        assert box.shape == (3,) * n
-        for occ, amp in oracle.items():  # the overlap <1^n|phi> is occ = (1,) * n
-            assert abs(box[occ] - amp) <= 1e-14
-        tail = 1.0 - float(np.vdot(box, box).real)
-        oracle_tail = 1.0 - sum(abs(v) ** 2 for v in oracle.values())
-        assert abs(tail - oracle_tail) <= 1e-14
+def _cat_norm(n, delta):
+    """Norm of delta_cat_product(n, delta).  The odd cat's |1> amplitude is 1,
+    so its squared norm is sinh(d^2) / d^2 exactly; the 2^n x 2^n coherent Gram
+    sum of superposition_norm_sq cancels, and already at n = 3, d = 0.3 moves
+    delta_inf by 2.4e-14."""
+    return (math.sinh(delta**2) / delta**2) ** (n / 2)
 
 
 def test_verify_bound_overlap_and_tail_match_brute_force():
-    sup = delta_cat_product(3, 0.3)
-    report = verify_permanent_bound(sup, trials=2, seed=0)
-    norm = math.sqrt(superposition_norm_sq(sup))
-    oracle = _brute_force_box(sup.coefficients() / norm, sup.displacements())
-    assert report.delta_inf == pytest.approx(1.0 - abs(oracle[(1, 1, 1)]) ** 2, abs=1e-14)
-    oracle_tail = 1.0 - sum(abs(v) ** 2 for v in oracle.values())
-    assert report.tail_weight == pytest.approx(oracle_tail, abs=1e-14)
+    for n in (1, 2, 3):
+        sup = delta_cat_product(n, 0.3)
+        report = verify_permanent_bound(n, 0.3, trials=2, seed=0)
+        oracle = _brute_force_box(sup.coefficients() / _cat_norm(n, 0.3), sup.displacements())
+        assert report.delta_inf == pytest.approx(1.0 - abs(oracle[(1,) * n]) ** 2, abs=1e-14)
+        oracle_tail = 1.0 - sum(abs(v) ** 2 for v in oracle.values())
+        assert report.tail_weight == pytest.approx(oracle_tail, abs=1e-14)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the coherent Gram norm of the 256-term cat product cancels in double "
-    "precision; the bridge's delta_inf inherits the error",
-)
-def test_cat_product_gram_norm_matches_closed_form():
-    modes, delta = 8, 0.1
-    sup = delta_cat_product(modes, delta)
-    c = sup.coefficients()
-    norm_sq = float(np.real(np.conj(c) @ coherent_gram(sup.displacements()) @ c))
-    exact = (math.sinh(delta**2) / delta**2) ** modes
-    assert norm_sq == pytest.approx(exact, rel=1e-9)
+@pytest.mark.parametrize("delta", [1e-3, 1e-2, 0.1, 0.2, 0.5])
+def test_delta_inf_matches_closed_form(delta):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        x = mpmath.mpf(delta) ** 2
+        for n in range(1, 17):
+            exact = float(1 - (x / mpmath.sinh(x)) ** n)
+            _, delta_inf, _, _ = _odd_cat_power(n, delta)
+            assert delta_inf == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("delta", [0.1, 0.4])
+def test_bridge_formula_is_the_normalized_cat_product_formula(n, delta):
+    reference = formula_from_decomposition(delta_cat_product(n, delta))
+    formula = _odd_cat_power(n, delta)[0]
+    np.testing.assert_array_equal(formula.alphas, reference.alphas)
+    np.testing.assert_allclose(formula.gammas * _cat_norm(n, delta), reference.gammas,
+                               rtol=1e-12, atol=0)
