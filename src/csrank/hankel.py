@@ -14,9 +14,15 @@ matrix is stored with a global scale factored out (scale_exponent) and the
 bound values are re-exponentiated only at the end.  Every matrix comes from
 ``_spectra`` out of the b-independent ``_Plan`` of its (state, N), built once
 per search and N, and every bound from ``_threshold``.
+
+The optimized bound is searched on a log-b grid per N, then refined where
+its optimum usually sits: on a kink of the piecewise-monomial denominator
+max_n m_n b^{2n} n! (``_kinks``), all kinks of an N scored in one stacked
+call; a bracket that no kink settles falls back to golden-section.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -178,14 +184,39 @@ def _blocks(plan: _Plan, log_b: np.ndarray, log_den):
     for lo in range(0, len(log_b), step):
         part = log_b[lo : lo + step]
         _, sigma, scale = _spectra(plan, part)
-        den = ([log_den] * len(part) if log_den is not None
-               else (math.log(2.0) + _log_weight_max(plan, part)).tolist())
-        yield lo, sigma, scale.tolist(), den
+        den = (np.full(len(part), log_den) if log_den is not None
+               else math.log(2.0) + _log_weight_max(plan, part))
+        yield lo, sigma, scale, den
 
 
 def _threshold(tail: float, scale: float, log_den: float) -> float:
     """tail / e^{log_den} for a squared tail of the matrix stored at e^{-scale}, 0 if empty."""
     return math.exp(math.log(tail) + 2.0 * scale - log_den) if tail > 0.0 else 0.0
+
+
+def _block_best(tails: np.ndarray, scale: np.ndarray, den: np.ndarray) -> tuple:
+    """(threshold, index) of the largest ``_threshold`` over one block, the first
+    index on ties.  The points are ranked by their log threshold in numpy,
+    whose log may differ from math.log by an ulp, so only the points within
+    that rounding of the top are scored by ``_threshold`` itself."""
+    with np.errstate(divide="ignore"):
+        log_tail = np.log(tails)
+    if log_tail.max() == -math.inf:  # every tail is empty: every threshold is 0
+        return 0.0, 0
+    rank = log_tail + 2.0 * scale - den
+    # three roundings at the largest magnitude involved, with room to spare
+    size = np.where(tails > 0.0, np.abs(log_tail), 0.0) + 2.0 * np.abs(scale) + np.abs(den)
+    slack = 1e-12 + 1e-14 * float(size.max())
+
+    def scored(points):  # the first of the points' largest thresholds
+        values = [_threshold(float(tails[i]), float(scale[i]), float(den[i])) for i in points]
+        best = max(values)
+        return best, int(points[values.index(best)])
+
+    best, i = scored(np.flatnonzero(rank >= rank.max() - slack))
+    if best < sys.float_info.min:  # subnormal or 0: exp ties span more than the slack
+        best, i = scored(range(len(tails)))
+    return best, i
 
 
 def _grid_best(plan: _Plan, log_b: np.ndarray, rs) -> list:
@@ -196,11 +227,9 @@ def _grid_best(plan: _Plan, log_b: np.ndarray, rs) -> list:
     best = [(-1.0, 0)] * len(rs)
     for lo, sigma, scale, den in _blocks(plan, log_b, None):
         for k, r in enumerate(rs):
-            tails = (sigma[:, r:] ** 2).sum(axis=1).tolist()
-            row = [_threshold(t, s, d) for t, s, d in zip(tails, scale, den)]
-            i = int(np.argmax(row))
-            if row[i] > best[k][0]:
-                best[k] = (row[i], lo + i)
+            value, i = _block_best((sigma[:, r:] ** 2).sum(axis=1), scale, den)
+            if value > best[k][0]:
+                best[k] = (value, lo + i)
     return best
 
 
@@ -211,7 +240,7 @@ def _point_thresholds(plan: _Plan, log_b: np.ndarray, rs, log_den=None) -> list:
         raise ValueError(f"need 0 <= r <= N, got r in [{min(rs)}, {max(rs)}], N={plan.N}")
     out = []
     for lo, sigma, scale, den in _blocks(plan, log_b, log_den):
-        for i, (s, d) in enumerate(zip(scale, den)):
+        for i, (s, d) in enumerate(zip(scale.tolist(), den.tolist())):
             out.append(_threshold(float((sigma[i, rs[lo + i] :] ** 2).sum()), s, d))
     return out
 
@@ -229,7 +258,26 @@ def rescaled_bound(psi: FockVector, r: int, N: int, b: float) -> float:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_REFINE_ITERS = 40  # golden-section steps refining the best grid cell of each N
+_REFINE_ITERS = 40  # golden-section steps refining a bracket no kink settles
+_PROBE = 1e-6  # a kink's probes sit this fraction of its bracket's width away
+
+
+def _kinks(plan: _Plan) -> list:
+    """The log b at which the largest term of max_k m_k b^{2k} k! changes, in
+    increasing order: the breakpoints of the upper envelope of the lines
+    log m_k + log k! + 2k x, x = log b."""
+    c = (plan.log_m + plan.lgam).tolist()
+
+    def meet(i, j):  # where lines i < j cross
+        return (c[i] - c[j]) / (2 * (j - i))
+
+    hull = []  # the envelope's lines by increasing slope
+    for k in range(len(c)):
+        # hull[-1] is never on top once line k overtakes hull[-2] before it does
+        while len(hull) >= 2 and meet(hull[-2], k) <= meet(hull[-2], hull[-1]):
+            hull.pop()
+        hull.append(k)
+    return [meet(i, j) for i, j in zip(hull, hull[1:])]
 
 
 def _golden_max(f, lo: list, hi: list, iters: int) -> list:
@@ -255,15 +303,55 @@ def _golden_max(f, lo: list, hi: list, iters: int) -> list:
     return [(x, u) if u >= v else (y, v) for x, y, u, v in zip(c, d, fc, fd)]
 
 
+def _refine(plan: _Plan, rs: list, lo: list, hi: list) -> list:
+    """(log b, threshold) of a local maximum of r = rs[k] on each bracket
+    [lo[k], hi[k]]: the bracket's best kink of the denominator if it is at
+    least its two probes, else golden-section.  Every kink and probe of every
+    bracket is scored in one stacked call; the brackets no kink settles then
+    run golden-section in lockstep."""
+
+    def score(xs, brackets):  # point j at b = exp(xs[j]) for r = rs[brackets[j]]
+        return _point_thresholds(plan, _log_b([*map(math.exp, xs)]), [rs[k] for k in brackets])
+
+    kinks = _kinks(plan)
+    points, owner = [], []  # each kink of a bracket, then its two probes
+    for k, (a, b) in enumerate(zip(lo, hi)):
+        h = _PROBE * (b - a)
+        for x in kinks:
+            if a <= x <= b:
+                points += [x, x - h, x + h]
+                owner += [k] * 3
+    values = score(points, owner) if points else []
+    top = {}  # the first of each bracket's best kinks
+    for j in range(0, len(points), 3):
+        if owner[j] not in top or values[j] > values[top[owner[j]]]:
+            top[owner[j]] = j
+    out = {k: (points[j], values[j]) for k, j in top.items()
+           if values[j] >= max(values[j + 1], values[j + 2])}
+    rest = [k for k in range(len(rs)) if k not in out]
+    if rest:
+        golden = _golden_max(lambda xs: score(xs, rest), [lo[k] for k in rest],
+                             [hi[k] for k in rest], _REFINE_ITERS)
+        out.update(zip(rest, golden))
+    return [out[k] for k in range(len(rs))]
+
+
 def optimized_bounds(psi: FockVector, rs, cfg: SearchConfig | None = None) -> dict:
     """{r: OptimizedBound} maximizing the rescaled bound over (b, N), for r in ``rs``.
 
     The N search is exhaustive on [max(r, 1), N_max]; for each N the b
-    search walks the logarithmic grid and refines the best cell by
+    search walks the logarithmic grid and refines the two cells around the
+    best grid point.  The denominator max_n m_n b^{2n} n! is piecewise
+    monomial in b, and the optimum usually sits on one of its kinks, so the
+    refinement takes the best kink inside that bracket if it is at least its
+    two probes beside it; a bracket with no such kink is refined by
     golden-section (the objective is continuous but only piecewise smooth in
-    b, so the refinement is derivative-free).  Ties are broken toward
-    smaller N, then smaller b.  One grid pass per N serves every r <= N, and
-    their refinements run in lockstep, so each step is one stacked call.
+    b, so that search is derivative-free).  A bracket whose grid best is
+    exactly 0 is not refined: H_{N,b} = B H_{N,1} B with B = diag(b^i)
+    invertible, so its tail is 0 at every b.  Ties are broken toward smaller
+    N, then smaller b.  One grid pass per N serves every r <= N, one stacked
+    call scores every kink, and the golden-section refinements run in
+    lockstep, one stacked call a step.
 
     The returned threshold keeps the global factor 1/2 inherited from the
     fidelity-to-distance relation.  Closed-form shortcuts for Fock states
@@ -288,14 +376,13 @@ def optimized_bounds(psi: FockVector, rs, cfg: SearchConfig | None = None) -> di
         plan = _Plan(psi, N)
         live = [r for r in rs if r <= N]
         on_grid = _grid_best(plan, log_b_grid, live)
-        top = np.array([i for _, i in on_grid])
-
-        def at_points(log_bs):  # point k refines r = live[k]
-            return _point_thresholds(plan, _log_b([*map(math.exp, log_bs)]), live)
-
-        lo, hi = log_grid[np.maximum(top - 1, 0)], log_grid[np.minimum(top + 1, len(log_grid) - 1)]
-        refined = _golden_max(at_points, lo.tolist(), hi.tolist(), _REFINE_ITERS)
-        for r, (grid_val, i), (log_b_star, val) in zip(live, on_grid, refined):
+        todo = [k for k, (val, _) in enumerate(on_grid) if val > 0.0]
+        top = np.array([on_grid[k][1] for k in todo], dtype=int)
+        lo = log_grid[np.maximum(top - 1, 0)].tolist()
+        hi = log_grid[np.minimum(top + 1, len(log_grid) - 1)].tolist()
+        refined = dict(zip(todo, _refine(plan, [live[k] for k in todo], lo, hi)))
+        for k, (r, (grid_val, i)) in enumerate(zip(live, on_grid)):
+            log_b_star, val = refined.get(k, (log_grid[i], grid_val))
             if grid_val > val:
                 log_b_star, val = log_grid[i], grid_val
             b_star, old = math.exp(log_b_star), best[r]

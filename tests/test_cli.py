@@ -556,4 +556,8 @@ def test_new_certificates_omit_rank_tol(capsys):
                                       "--r", "2", "--n-max", "4"])
     assert code == 0
     assert "rank_tol" not in payload
-    assert payload["epsilon_threshold"] == OLD_CERTIFICATE["epsilon_threshold"]
+    # the kink of max(1, 6! b^12) gives 12 b^6 / 2 = sqrt(5)/10; the stored
+    # certificate's threshold is the golden-section point 2.1e-10 below it
+    exact = math.sqrt(5.0) / 10.0
+    assert abs(payload["epsilon_threshold"] - exact) <= 1e-15 * exact
+    assert payload["epsilon_threshold"] > OLD_CERTIFICATE["epsilon_threshold"]

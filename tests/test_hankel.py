@@ -325,6 +325,28 @@ def test_plan_matches_the_reference_builder_on_the_corpus(N):
         assert hexes(plain) == hexes(reference_tails(psi, N, [1.0], rs, log_den)), name
 
 
+def test_grid_best_survives_a_numpy_log_an_ulp_off(monkeypatch):
+    # the grid pass ranks points with np.log, which may differ from math.log
+    # by an ulp; on the flat top of |1> at N = 1 (threshold 1/4 for b^2 in
+    # [1/2, 1]) that must not move the first of the tied maxima
+    psi, N = fock_state(1, 2), 1
+    b = np.geomspace(0.71, 0.99, 500)
+    table = reference_tails(psi, N, b, [0, 1])
+    plan, log_b = hankel._Plan(psi, N), hankel._log_b(b)
+    real_log = np.log
+
+    def off_by_two_ulps(x):
+        out = real_log(x)
+        for part, direction in ((out[0::2], np.inf), (out[1::2], -np.inf)):
+            part[:] = np.nextafter(np.nextafter(part, direction), direction)
+        return out
+
+    monkeypatch.setattr(np, "log", off_by_two_ulps)
+    best = hankel._grid_best(plan, log_b, [0, 1])
+    monkeypatch.undo()
+    assert best == [(row.max(), row.argmax()) for row in table]
+
+
 def record_blocks(monkeypatch):
     """Wrap hankel._spectra to record (N, number of b) of every call."""
     calls = []
@@ -401,23 +423,52 @@ def test_stacked_svd_calls_stay_within_the_block_bound(monkeypatch):
     # r = 8 searches the single N = 8
     cfg = SearchConfig(N_max=8, b_grid=(1e-3, 10.0, 30_000))
     optimized_bound(psi, 8, cfg)
-    grid_calls = [e for e in entries(calls) if e > 81]  # the rest are golden-section points
+    points, step = len(cfg.b_values()), hankel._BLOCK_ENTRIES // 81
+    # whole blocks, then the rest; the calls after them score kinks or golden-section points
+    blocks = [step] * (points // step) + [points % step]
     assert max(entries(calls)) <= hankel._BLOCK_ENTRIES
-    assert len(grid_calls) == math.ceil(30_001 / (hankel._BLOCK_ENTRIES // 81)) > 1
+    assert [p for _, p in calls[: len(blocks)]] == blocks and len(blocks) > 1
+    assert all(p < points % step for _, p in calls[len(blocks) :])
+
+
+def record_golden(monkeypatch, calls):
+    """Wrap hankel._golden_max to record (brackets, indices of the _spectra calls it made)."""
+    runs = []
+    golden = hankel._golden_max
+
+    def wrapped(f, lo, hi, iters):
+        start = len(calls)
+        out = golden(f, lo, hi, iters)
+        runs.append((len(lo), range(start, len(calls))))
+        return out
+
+    monkeypatch.setattr(hankel, "_golden_max", wrapped)
+    return runs
 
 
 def test_certify_makes_one_grid_pass_per_n(monkeypatch):
-    psi = builder_states()[1]
     grid_points = len(SearchConfig().b_values())
-    calls = record_blocks(monkeypatch)
-    certify_rank(psi, 1e-6, SearchConfig(N_max=6))
-    for N in range(1, 7):
-        points = [p for n, p in calls if n == N]
-        assert points.count(grid_points) == 1
-        # the N brackets of r = 1..N refine together: 2 + 40 golden-section calls
-        refine = [p for p in points if p != grid_points]
-        assert len(refine) == 42 and set(refine) == {N}
-    assert len(calls) == 6 * 43
+    for state, psi in enumerate(builder_states()):
+        calls = record_blocks(monkeypatch)
+        runs = record_golden(monkeypatch, calls)
+        certify_rank(psi, 1e-6, SearchConfig(N_max=6))
+        # golden-section refines only the brackets no kink settles: 2 + 40
+        # calls of one point per such bracket, in lockstep
+        for brackets, steps in runs:
+            assert len(steps) == 42 and {calls[i][1] for i in steps} == {brackets}
+        golden = {i for _, steps in runs for i in steps}
+        rest = [call for i, call in enumerate(calls) if i not in golden]
+        for N in range(1, 7):
+            points = [p for n, p in rest if n == N]
+            # one grid pass, then at most one call scoring every kink with its two probes
+            assert points[0] == grid_points and len(points) <= 2
+            assert all(p % 3 == 0 and p != grid_points for p in points[1:])
+        if state == 0:  # |3>: the brackets of exactly zero tails are not refined
+            assert [p for n, p in calls if n == 1] == [grid_points] and runs == []
+        if state == 1:  # squeezed 0.6: every r <= N settles on one kink, nothing falls back
+            assert calls == [c for N in range(1, 7) for c in [(N, grid_points), (N, 3 * N)]]
+            assert runs == []
+        monkeypatch.undo()
 
 
 def test_certify_builds_the_b_independent_parts_once_per_n(monkeypatch):
@@ -511,6 +562,80 @@ def test_lockstep_golden_max_repeats_every_scalar_run():
     for f, a, b, result in zip(fs, lo, hi, together):
         assert hankel._golden_max(lambda xs: [f(xs[0])], [a], [b], 40) == [result]
         assert scalar_golden_max(f, a, b, 40) == result
+
+
+@pytest.mark.parametrize("N", range(1, 21))
+def test_kinks_are_the_upper_envelope_of_the_denominator(N):
+    plan = hankel._Plan(fock_state(1, 2 * N), N)
+    k = np.arange(2 * N + 1)
+    c = np.log(np.where(k <= N, k + 1, 2 * N - k + 1)) + gammaln(k + 1)
+    # brute force: every crossing of two lines that no third line passes above
+    brute = []
+    for i in range(2 * N + 1):
+        for j in range(i + 1, 2 * N + 1):
+            x = (c[i] - c[j]) / (2 * (j - i))
+            if c[i] + 2 * i * x >= np.max(c + 2 * k * x) - 1e-9:
+                brute.append(x)
+    brute = sorted(brute)
+    distinct = [x for x, y in zip(brute, [-math.inf] + brute) if x - y > 1e-9]
+    kinks = hankel._kinks(plan)
+    assert kinks == sorted(kinks)
+    assert np.allclose(kinks, distinct, rtol=0, atol=1e-12)
+
+
+def test_kink_refinement_reaches_golden_section_on_the_corpus():
+    log_grid = np.log(SearchConfig().b_values())
+    log_b = hankel._log_b([*map(math.exp, log_grid)])
+    for name, psi, _ in corpus_states():
+        for N in (1, 2, 3, 5, 8):
+            plan = hankel._Plan(psi, N)
+            rs = list(range(N + 1))
+            on_grid = hankel._grid_best(plan, log_b, rs)
+            rs = [r for r, (value, _) in zip(rs, on_grid) if value > 0.0]
+            if not rs:
+                continue
+            top = np.array([i for value, i in on_grid if value > 0.0], dtype=int)
+            lo = log_grid[np.maximum(top - 1, 0)].tolist()
+            hi = log_grid[np.minimum(top + 1, len(log_grid) - 1)].tolist()
+
+            def at_points(xs):
+                return hankel._point_thresholds(plan, hankel._log_b([*map(math.exp, xs)]), rs)
+
+            refined = hankel._refine(plan, rs, lo, hi)
+            golden = hankel._golden_max(at_points, lo, hi, hankel._REFINE_ITERS)
+            for r, (_, value), (_, reference) in zip(rs, refined, golden):
+                if max(value, reference) > 1e-20:
+                    assert value >= reference * (1 - 1e-14), (name, N, r)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_fock_optimized_bound_is_the_exact_kink_maximum(n):
+    # the `figure --panel right` rows: |n> at r = N = n, whose tail is b^{2n} n!
+    mpmath = pytest.importorskip("mpmath")
+    value = optimized_bound(fock_state(n, 2 * n), n, SearchConfig(N_max=n)).value
+    with mpmath.workdps(50):
+        ks = range(2 * n + 1)
+        c = [mpmath.log(min(k + 1, 2 * n - k + 1)) + mpmath.loggamma(k + 1) for k in ks]
+
+        def bound(x):
+            return mpmath.exp(2 * n * x + mpmath.loggamma(n + 1)
+                              - max(ck + 2 * k * x for k, ck in zip(ks, c))) / 2
+
+        # the bound is concave piecewise linear in log b, so it peaks at a kink
+        exact = max(bound((c[i] - c[j]) / (2 * (j - i))) for i in ks for j in ks if i < j)
+        assert abs(value - float(exact)) <= 1e-13 * float(exact)
+
+
+def test_grid_best_is_bit_identical_through_underflow():
+    # |3> at N = 3, r = 0 has threshold 12 b^6 / 2 for tiny b: these grids run
+    # from normal thresholds through subnormal ones (ties) to exact zeros
+    psi = fock_state(3, 16)
+    plan = hankel._Plan(psi, 3)
+    for b in (np.geomspace(1e-52, 1e-56, 300), np.geomspace(1e-56, 1e-53, 300),
+              np.geomspace(1e-60, 1e-57, 50), np.geomspace(1e-53, 1e-51, 300)):
+        table = reference_tails(psi, 3, b, [0, 1])
+        assert hankel._grid_best(plan, hankel._log_b(b), [0, 1]) == [
+            (row.max(), row.argmax()) for row in table]
 
 
 def test_hankel_size_cap_refuses_before_building():
