@@ -310,18 +310,19 @@ def _coherent_overlap_sq(t: np.ndarray, alpha: complex) -> float:
     return float(abs(np.vdot(t, amps)) ** 2)
 
 
-def best_single_coherent(target: FockVector, real_axis: bool | None = None):
+def best_single_coherent(target: FockVector):
     """Globally maximize |<target|alpha>|^2; returns (alpha, infidelity).
 
     A dense grid over the disk of radius max(4, 2 sqrt(mean Fock number)) is
-    refined locally by Nelder-Mead.  Real-amplitude targets restrict the
-    search to the real axis by symmetry (2001 points, Re alpha refined)
-    unless ``real_axis=False``; otherwise the grid is 121 x 121 clipped to
-    the disk and both parts of alpha are refined.
+    refined locally by Nelder-Mead.  A target with real, non-negative
+    amplitudes t_k is searched on the real axis only (2001 points, Re alpha
+    refined): |sum_k t_k alpha^k / sqrt(k!)| is at most the same sum at
+    |alpha|, so the maximum lies on alpha >= 0.  Any other target, a real
+    one with mixed signs included, is searched on a 121 x 121 grid clipped
+    to the disk, with both parts of alpha refined.
     """
     t = _normalized_target(target)
-    if real_axis is None:
-        real_axis = bool(np.max(np.abs(t.imag)) < 1e-14)
+    real_axis = bool(np.max(np.abs(t.imag)) < 1e-14 and np.min(t.real) >= 0)
     radius = max(4.0, 2.0 * math.sqrt(target.mean_fock_number()))
     if real_axis:
         points = np.linspace(-radius, radius, 2001).astype(complex)

@@ -1,15 +1,15 @@
-"""Multimode core states, passive linear unitaries, and vacuum projection.
+"""Multimode core states, passive linear unitaries, and the one-row reduction.
 
 A passive linear unitary with matrix U maps creation operators as
 a_j^dag -> sum_i U[i, j] b_i^dag and coherent products as |alpha> -> |U alpha>.
-Evolving a core state therefore amounts to substituting that linear form
-into the homogeneous polynomial of each boson-number sector.  Projecting all
-modes but the first onto vacuum turns an m-mode problem into a single-mode
-one: the amplitude of |k, 0, ..., 0> is sqrt(k!) P_k(U[0, 0], ..., U[0, m-1])
-with P_k the sector-k polynomial, so the reduction never forms the evolved
-state.  A unitary whose first row keeps the top-sector |P_n| away from zero
-makes the bunched amplitude d_n nonzero and certifies the rank lower bound
-n + 1 through the single-mode Hankel machinery.  The full evolution
+Projecting all modes but the first onto vacuum keeps only the b_1^dag part
+of each substituted operator, so the amplitude of |k, 0, ..., 0> is
+sqrt(k!) P_k(u), with P_k the sector-k polynomial of the core and u the
+first row of U: the reduction reads u alone and never forms the evolved
+state.  ``reduction_amplitudes`` evaluates it for many rows at once from one
+monomial table per core.  A row that keeps the top-sector |P_n| away from
+zero makes the bunched amplitude d_n nonzero and certifies the rank lower
+bound n + 1 through the single-mode Hankel machinery.  The full evolution
 (``evolve_fock_state``, a sparse multi-index expansion) is kept as a
 reference at desk scale.
 """
@@ -17,6 +17,7 @@ reference at desk scale.
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -39,6 +40,11 @@ UNITARY_TOL = 1e-10
 # Desk-scale limits of the exact evolution; multimode_lower_bound keeps them too.
 MAX_TOTAL_BOSONS = 12
 MAX_MODES = 6
+
+# Most (row, monomial) pairs one block of bunching_row's candidates holds, and
+# the relative distance to the best |d_n| within which candidates tie.
+_BLOCK_ENTRIES = 1 << 18
+_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,14 @@ class MultimodeFockState:
             raise ValueError("total weight exceeds 1")
         object.__setattr__(self, "amplitudes", cleaned)
         object.__setattr__(self, "max_total", max_total)
+
+    @cached_property
+    def _monomials(self):
+        """(occupations, weights): the (monomials, modes) occupation matrix and
+        c_occ / sqrt(prod_j occ_j!), in the state's order."""
+        occ = np.array(list(self.amplitudes), dtype=np.int64)
+        amps = np.array(list(self.amplitudes.values()), dtype=complex)
+        return occ, amps * np.exp(-0.5 * gammaln(occ + 1).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -161,59 +175,32 @@ def project_vacuum_tail(sup: MultimodeSuperposition) -> CoherentSuperposition:
     return CoherentSuperposition(terms)
 
 
-def _normalized_monomials(core: MultimodeFockState) -> dict:
-    """occ -> c_occ / sqrt(prod occ_j!) over the state's occupations."""
-    out = {}
-    for occ, amp in core.amplitudes.items():
-        log_norm = 0.5 * sum(float(gammaln(k + 1)) for k in occ)
-        out[occ] = amp * math.exp(-log_norm)
-    return out
+def reduction_amplitudes(core: MultimodeFockState, rows) -> np.ndarray:
+    """(rows, n + 1) array of sqrt(k!) P_k(u) for each row u and sector k <= n,
+    P_k(u) = sum over k-boson occupations of c_occ prod_j u_j^occ_j / sqrt(occ_j!)."""
+    occ, weights = core._monomials
+    rows = np.asarray(rows, dtype=complex)
+    n = core.max_total
+    powers = rows[..., None] ** np.arange(n + 1)  # (rows, modes, n + 1): u_j^k
+    terms = np.broadcast_to(weights, (len(rows), len(weights)))
+    for j in range(core.modes):
+        terms = terms * powers[:, j, occ[:, j]]
+    sectors = np.eye(n + 1)[occ.sum(axis=1)]
+    return (terms @ sectors) * np.exp(0.5 * gammaln(np.arange(n + 1) + 1))
 
 
-def sector_polynomials(core: MultimodeFockState):
-    """Evaluator (u, k) -> P_k(u) for the boson-number sectors of a core state.
-
-    P_k(u) = sum over occupations with k bosons of c_occ prod_j u_j^{occ_j} /
-    sqrt(occ_j!), evaluated monomial by monomial in the state's order; a
-    sector without amplitudes gives 0.
-    """
-    sectors = defaultdict(list)
-    for occ, coeff in _normalized_monomials(core).items():
-        sectors[sum(occ)].append((occ, coeff))
-
-    def poly(u: np.ndarray, k: int) -> complex:
-        total = 0j
-        for occ, coeff in sectors.get(k, ()):
-            term = coeff
-            for uj, kj in zip(u, occ):
-                term *= uj**kj
-            total += term
-        return total
-
-    return poly
-
-
-def reduce_to_single_mode(core: MultimodeFockState, U: np.ndarray) -> FockVector:
-    """Vacuum-projected first mode of the evolved state (sub-normalized).
-
-    The amplitude of |k, 0, ..., 0> after U is sqrt(k!) P_k(U[0, :]): only
-    the b_1^dag part of each substituted creation operator survives the
-    projection, so no other output occupation is ever formed.
-    """
-    U = check_unitary(U)
-    if U.shape[0] != core.modes:
-        raise ValueError("unitary dimension does not match the state")
-    poly = sector_polynomials(core)
-    amps = [
-        math.exp(0.5 * float(gammaln(k + 1))) * poly(U[0, :], k)
-        for k in range(core.max_total + 1)
-    ]
-    return FockVector(np.array(amps, dtype=complex), core.max_total, normalized=False)
-
-
-def bunched_amplitude(core: MultimodeFockState, U: np.ndarray) -> complex:
-    """d_n = sqrt(n!) P_n(first row of U) at n = max_total."""
-    return complex(reduce_to_single_mode(core, U).amplitudes[-1])
+def reduce_to_single_mode(core: MultimodeFockState, u) -> FockVector:
+    """Vacuum-projected first mode after a passive map with first row u
+    (sub-normalized): only b_1^dag survives the projection, so the amplitude
+    of |k, 0, ..., 0> is sqrt(k!) P_k(u).  Soundness needs only ||u||_2 <= 1
+    (a lossy passive map), so no unitary around u is checked."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (core.modes,) or not np.all(np.isfinite(u)):
+        raise ValueError(f"row must be {core.modes} finite entries")
+    if np.linalg.norm(u) > 1 + UNITARY_TOL:
+        raise ValueError(f"row norm {np.linalg.norm(u)!r} exceeds 1")
+    amps = reduction_amplitudes(core, u[None, :])[0]
+    return FockVector(amps, core.max_total, normalized=False)
 
 
 def _complete_to_unitary(u: np.ndarray) -> np.ndarray:
@@ -234,35 +221,37 @@ def _complete_to_unitary(u: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-def bunching_unitary(
+def bunching_row(
     core: MultimodeFockState, trials: int = 64, seed: int | None = None
 ) -> np.ndarray:
-    """A unitary whose first row makes the top-sector polynomial nonzero.
-
-    Samples Gaussian-normalized candidate rows (the uniform direction is
-    always candidate 0, which is optimal for |1>^m) and keeps the one
-    maximizing |P(u)|; earlier candidates win ties.
-    """
+    """First row u of a bunching unitary.  The candidates, the uniform row
+    (optimal for |1>^m) and then ``trials`` seeded Gaussian rows, are scored
+    by |d_n(u)| in blocks of at most ``_BLOCK_ENTRIES`` (row, monomial) pairs;
+    the earliest within ``_TIE_RTOL`` relative of the best wins."""
     if trials < 0:
         raise ValueError("trials must be non-negative")
-    poly = sector_polynomials(core)
     n, m = core.max_total, core.modes
     rng = np.random.default_rng(seed)
-    candidates = [np.full(m, 1.0 / math.sqrt(m), dtype=complex)]
-    for _ in range(trials):
-        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        candidates.append(v / np.linalg.norm(v))
-    best_u, best_val = None, -1.0
-    for u in candidates:
-        val = abs(poly(u, n))
-        if val > best_val:
-            best_u, best_val = u, val
-    if best_val < 1e-14:
-        raise NumericalFailure(
-            "no sampled direction kept the top-sector polynomial away from zero; "
-            "retry with a different seed"
-        )
-    return _complete_to_unitary(best_u)
+    size = max(1, _BLOCK_ENTRIES // len(core.amplitudes))
+    head = np.full((1, m), 1.0 / math.sqrt(m), dtype=complex)
+    # Only a candidate above every earlier one can be the earliest in the
+    # band of the final best; those stay while they are in the running band.
+    best, leaders = -1.0, []
+    for lo in range(0, trials + 1, size):
+        draw = rng.standard_normal((min(size, trials + 1 - lo) - len(head), 2, m))
+        v = draw[:, 0] + 1j * draw[:, 1]
+        rows = np.concatenate([head, v / np.linalg.norm(v, axis=1, keepdims=True)])
+        head = head[:0]
+        scores = np.abs(reduction_amplitudes(core, rows)[:, n])
+        earlier = np.maximum.accumulate(np.concatenate([[best], scores[:-1]]))
+        leaders += [(scores[i], rows[i]) for i in np.flatnonzero(scores > earlier)]
+        best = max(best, float(scores.max()))
+        leaders = [(s, u) for s, u in leaders if s >= (1 - _TIE_RTOL) * best]
+    score, u = leaders[0]
+    if score < 1e-14 * math.exp(0.5 * math.lgamma(n + 1)):  # |P_n(u)| < 1e-14
+        raise NumericalFailure("no sampled direction kept the top-sector polynomial "
+                               "away from zero; retry with a different seed")
+    return u
 
 
 def _check_desk_scale(core: MultimodeFockState):
@@ -284,31 +273,20 @@ def evolve_fock_state(core: MultimodeFockState, U: np.ndarray) -> MultimodeFockS
     _check_desk_scale(core)
     if U.shape[0] != core.modes:
         raise ValueError("unitary dimension does not match the state")
-    m = core.modes
-    zero = tuple([0] * m)
     out = defaultdict(complex)
-    monos = _normalized_monomials(core)
-    for occ, coeff in monos.items():
-        poly = {zero: coeff}
-        for j, nj in enumerate(occ):
-            col = U[:, j]
-            for _ in range(nj):
-                nxt = defaultdict(complex)
-                for expo, w in poly.items():
-                    for i in range(m):
-                        if col[i] == 0:
-                            continue
-                        key = list(expo)
-                        key[i] += 1
-                        nxt[tuple(key)] += w * col[i]
-                poly = nxt
+    for occ, coeff in zip(*core._monomials):
+        poly = {(0,) * core.modes: coeff}
+        for j in np.repeat(np.arange(core.modes), occ):  # one factor per input boson
+            nxt = defaultdict(complex)
+            for expo, w in poly.items():
+                for i in np.flatnonzero(U[:, j]):
+                    nxt[expo[:i] + (expo[i] + 1,) + expo[i + 1 :]] += w * U[i, j]
+            poly = nxt
         for expo, w in poly.items():
             out[expo] += w
-    fock_amps = {}
-    for expo, w in out.items():
-        log_norm = 0.5 * sum(float(gammaln(k + 1)) for k in expo)
-        fock_amps[expo] = w * math.exp(log_norm)
-    return MultimodeFockState(m, fock_amps)
+    return MultimodeFockState(core.modes, {
+        expo: w * math.exp(0.5 * sum(float(gammaln(k + 1)) for k in expo))
+        for expo, w in out.items()})
 
 
 @dataclass(frozen=True)
@@ -328,14 +306,15 @@ def multimode_lower_bound(
 ) -> MultimodeBoundReport:
     """Rank lower bound max_total + 1 for a multimode core state.
 
-    The report carries the bunching unitary, the bunched amplitude d_n, and
-    the plain Hankel threshold of the single-mode reduction at r = max_total
+    The report carries a unitary completing the bunching row (its first row
+    U[0] is the row the reduction reads), the bunched amplitude d_n, and the
+    plain Hankel threshold of the single-mode reduction at r = max_total
     (strictly positive exactly because d_n is nonzero).
     """
     _check_desk_scale(core)
     n = core.max_total
-    U = bunching_unitary(core, trials=trials, seed=seed)
-    reduction = reduce_to_single_mode(core, U)
+    U = _complete_to_unitary(bunching_row(core, trials=trials, seed=seed))
+    reduction = reduce_to_single_mode(core, U[0])
     d_n = complex(reduction.amplitudes[n])
     threshold = plain_bound(reduction.padded(2 * n), n, n)
     return MultimodeBoundReport(n + 1, U, d_n, abs(d_n) ** 2, threshold, reduction)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -27,6 +28,7 @@ from csrank.hankel import (
     plain_bound,
     rescaled_bound,
 )
+from csrank.multimode import multimode_from_descriptor, reduction_amplitudes
 
 
 def run_json(capsys, argv):
@@ -327,6 +329,67 @@ def test_check_never_leaks_a_traceback(certificate):
             code = main(["bound", "--check", path])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+
+
+def _multimode_core(m):
+    """A descriptor of m modes whose occupations fit; it may still be refused
+    for its weight, a zero state or the desk limit."""
+    entry = st.fixed_dictionaries({
+        "occ": st.lists(st.integers(0, 4), min_size=m, max_size=m),
+        "c": st.lists(st.floats(-0.5, 0.5), min_size=2, max_size=2),
+    })
+    return st.fixed_dictionaries({"modes": st.just(m), "amps": st.lists(entry, min_size=1, max_size=3)})
+
+
+_MULTIMODE = st.integers(1, 4).flatmap(_multimode_core) | st.fixed_dictionaries({
+    "modes": st.integers(-1, 4) | _SMALL_JSON,
+    "amps": st.lists(st.fixed_dictionaries({
+        "occ": st.lists(st.integers(-1, 4), max_size=4) | _SMALL_JSON, "c": _PAIR,
+    }), max_size=3) | _SMALL_JSON,
+}) | _SMALL_JSON
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MULTIMODE, st.integers(-2, 3))
+@example({"modes": 2, "amps": [{"occ": [1, 1], "c": [0.5, 0.0]}]}, 0)
+@example({"modes": 1, "amps": [{"occ": [0], "c": [0.6, 0]}, {"occ": [2], "c": [0, 0.8]}]}, 3)
+@example({"modes": 3, "amps": [{"occ": [0, 0, 0], "c": [1, 0]}]}, 1)
+def test_multimode_never_leaks_a_traceback(descriptor, trials):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(["multimode", json.dumps(descriptor), "--trials", str(trials)])
+        except SystemExit as exc:  # argparse reads a negative number as an option
+            code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert err.getvalue().startswith(("error: ", "usage: "))
+        return
+    payload = json.loads(out.getvalue())
+    amps = [complex(*z) for z in payload["reduction_amplitudes"]]
+    d_n = complex(*payload["d_n"])
+    assert amps[payload["lower_bound"] - 1] == d_n
+    assert payload["abs_d_n_sq"] == abs(d_n) ** 2
+    # unitary[0] is the row the reduction read
+    row = [complex(*z) for z in payload["unitary"][0]]
+    core = multimode_from_descriptor(descriptor)
+    assert reduction_amplitudes(core, [row])[0].tolist() == amps
+
+
+def _readme_cli_lines():
+    """Every `csrank ...` line of the README's CLI block, as an argv."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("csrank ")]
+
+
+def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert len(lines) >= 10
+    for argv in lines:  # in order: `bound --check cert.json` reads what the line before wrote
+        assert main(argv) == 0, argv
 
 
 def test_fit_command(capsys):

@@ -201,7 +201,7 @@ def test_best_single_fock1():
 
 def test_best_single_complex_search_flag():
     target = core_state([0.6, 0.8j], cutoff=10)
-    alpha, infid = best_single_coherent(target, real_axis=False)
+    alpha, infid = best_single_coherent(target)
     assert 0 <= infid < 1
 
 
@@ -213,7 +213,7 @@ def test_best_single_recovers_a_complex_coherent_target():
     assert 0 <= infid < 1e-12
 
 
-def _per_point_best_single(target, real_axis=None):
+def _per_point_best_single(target):
     """The search as it was before the grid was scored in blocks: each grid
     point scored on its own, in one branch per search space."""
 
@@ -221,8 +221,7 @@ def _per_point_best_single(target, real_axis=None):
         return float(abs(np.vdot(t, coherent_amplitudes(alpha, len(t) - 1))) ** 2)
 
     t = target.amplitudes / np.linalg.norm(target.amplitudes)
-    if real_axis is None:
-        real_axis = bool(np.max(np.abs(t.imag)) < 1e-14)
+    real_axis = bool(np.max(np.abs(t.imag)) < 1e-14 and np.min(t.real) >= 0)
     radius = max(4.0, 2.0 * math.sqrt(target.mean_fock_number()))
     options = {"xatol": 1e-12, "fatol": 1e-14}
     if real_axis:
@@ -245,6 +244,11 @@ def _hex(alpha, infid):
     return alpha.real.hex(), alpha.imag.hex(), infid.hex()
 
 
+def _rotated(target, phase):
+    """phase * target: the same overlaps, on the complex grid unless phase is 1."""
+    return target if phase == 1 else FockVector(phase * target.amplitudes, target.cutoff)
+
+
 def _figure_left_core(gamma):
     amps = [math.sqrt(1.0 - gamma), math.sqrt(gamma)]
     return core_state(amps, cutoff=16)
@@ -258,20 +262,34 @@ BIT_IDENTITY_TARGETS = (
     + [(f"complex-core{i}", core_state(_rng.standard_normal(d) + 1j * _rng.standard_normal(d),
                                        cutoff=16))
        for i, d in enumerate(_rng.integers(2, 7, size=6))]
+    + [("mixed-sign0", core_state([1, 0, -1], cutoff=16)),
+       ("mixed-sign1", core_state([0, 1, 0, -1], cutoff=16))]
 )
 
 
-@pytest.mark.parametrize("real_axis", [None, False], ids=["auto", "complex"])
+@pytest.mark.parametrize("phase", [1, 1j], ids=["auto", "complex"])
 @pytest.mark.parametrize("name,target", BIT_IDENTITY_TARGETS,
                          ids=[name for name, _ in BIT_IDENTITY_TARGETS])
-def test_best_single_matches_the_per_point_search(name, target, real_axis):
-    got = best_single_coherent(target, real_axis=real_axis)
-    assert _hex(*got) == _hex(*_per_point_best_single(target, real_axis))
+def test_best_single_matches_the_per_point_search(name, target, phase):
+    target = _rotated(target, phase)
+    assert _hex(*best_single_coherent(target)) == _hex(*_per_point_best_single(target))
+
+
+@pytest.mark.parametrize(
+    "amps, infidelity, imag",
+    [([1, 0, -1], 0.44333209496, 0.76536687125), ([0, 1, 0, -1], 0.55187693458, 1.36541577743)],
+    ids=["0-minus-2", "1-minus-3"],
+)
+def test_best_single_leaves_the_real_axis_for_mixed_signs(amps, infidelity, imag):
+    # On the real axis these targets reach only 0.5 and 0.90394600700.
+    alpha, infid = best_single_coherent(core_state(amps, cutoff=16))
+    assert infid == pytest.approx(infidelity, abs=1e-10)
+    assert abs(alpha.real) < 1e-6 and abs(alpha.imag) == pytest.approx(imag, abs=1e-6)
 
 
 def test_best_single_block_split_keeps_the_result(monkeypatch):
-    targets = [fock_state(3, 16), core_state([0.3, -0.5j, 0.8], cutoff=16)]
-    expected = [best_single_coherent(t, real_axis=False) for t in targets]
+    targets = [_rotated(fock_state(3, 16), 1j), core_state([0.3, -0.5j, 0.8], cutoff=16)]
+    expected = [best_single_coherent(t) for t in targets]
     sizes = []
     columns = decomp.coherent_columns
 
@@ -283,7 +301,7 @@ def test_best_single_block_split_keeps_the_result(monkeypatch):
     monkeypatch.setattr(decomp, "_GRID_BLOCK_ENTRIES", 60)
     monkeypatch.setattr(decomp, "coherent_columns", recording_columns)
     for target, want in zip(targets, expected):
-        assert _hex(*best_single_coherent(target, real_axis=False)) == _hex(*want)
+        assert _hex(*best_single_coherent(target)) == _hex(*want)
     assert len(sizes) > 2 * 11_000 // 3  # 3 columns of 17 entries per block
     assert max(sizes) <= 60
 

@@ -4,14 +4,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from csrank.errors import ResourceLimit
-from csrank.fock import CoherentTerm, fidelity, superposition_to_fock
+from csrank import multimode
+from csrank.errors import NumericalFailure, ResourceLimit
+from csrank.fock import superposition_to_fock
 from csrank.multimode import (
     MultimodeFockState,
     MultimodeSuperposition,
     apply_unitary_to_superposition,
-    bunched_amplitude,
-    bunching_unitary,
+    bunching_row,
     check_unitary,
     evolve_fock_state,
     fourier_matrix,
@@ -19,6 +19,7 @@ from csrank.multimode import (
     multimode_lower_bound,
     project_vacuum_tail,
     reduce_to_single_mode,
+    reduction_amplitudes,
     tensor_fock,
 )
 from csrank.permanent import haar_unitary, permanent_naive
@@ -93,14 +94,30 @@ def test_project_vacuum_tail_examples():
     assert out.terms[0].c == pytest.approx(0.7) and out.terms[0].alpha == 0.4
 
 
+def _bunched(core, U):
+    """d_n read from the reduction at the first row of U."""
+    return reduce_to_single_mode(core, U[0]).amplitudes[core.max_total]
+
+
+def _sector_reference(core, u):
+    """sqrt(k!) P_k(u) monomial by monomial, in plain Python arithmetic."""
+    amps = [0j] * (core.max_total + 1)
+    for occ, c in core.amplitudes.items():
+        term = c
+        for uj, kj in zip(u, occ):
+            term *= uj**kj / math.sqrt(math.factorial(kj))
+        amps[sum(occ)] += term
+    return np.array([a * math.sqrt(math.factorial(k)) for k, a in enumerate(amps)])
+
+
 def test_bunching_unitary_hom():
-    U = bunching_unitary(tensor_fock([1, 1]), seed=0)
+    U = multimode_lower_bound(tensor_fock([1, 1]), seed=0).unitary
     assert np.allclose(np.abs(U[0]), [1 / math.sqrt(2)] * 2, atol=1e-12)
     assert np.max(np.abs(U.conj().T @ U - np.eye(2))) < 1e-12
 
 
 def test_bunching_unitary_single_mode():
-    U = bunching_unitary(tensor_fock([2]), seed=0)
+    U = multimode_lower_bound(tensor_fock([2]), seed=0).unitary
     assert np.allclose(np.abs(U), [[1.0]])
 
 
@@ -113,18 +130,17 @@ def test_bunching_unitary_random_cores_never_vanish():
         }
         total = math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
         core = MultimodeFockState(3, {k: v / total for k, v in amps.items()})
-        U = bunching_unitary(core, seed=seed)
-        d = bunched_amplitude(core, U)
-        assert abs(d) > 1e-14
+        rep = multimode_lower_bound(core, seed=seed)
+        assert abs(rep.d_n) > 1e-14
         # brute-force check through the full evolution
-        evolved = evolve_fock_state(core, U)
+        evolved = evolve_fock_state(core, rep.unitary)
         bunched = tuple([core.max_total] + [0] * 2)
-        assert evolved.amplitudes[bunched] == pytest.approx(d, abs=1e-12)
+        assert evolved.amplitudes[bunched] == pytest.approx(rep.d_n, abs=1e-12)
 
 
 def test_bunched_amplitude_hom():
     core = tensor_fock([1, 1])
-    d2 = bunched_amplitude(core, fourier_matrix(2))
+    d2 = _bunched(core, fourier_matrix(2))
     assert abs(d2) ** 2 == pytest.approx(0.5, rel=1e-12)
     oracle = fock_transition_oracle(fourier_matrix(2), (2, 0), (1, 1))
     assert d2 == pytest.approx(oracle, abs=1e-12)
@@ -133,13 +149,13 @@ def test_bunched_amplitude_hom():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_bunched_amplitude_uniform_fock(n):
     core = tensor_fock([1] * n)
-    d = bunched_amplitude(core, fourier_matrix(n))
+    d = _bunched(core, fourier_matrix(n))
     assert abs(d) ** 2 == pytest.approx(math.factorial(n) / n**n, abs=1e-12)
 
 
 def test_bunched_amplitude_trivial():
     core = tensor_fock([3, 0, 0])
-    assert bunched_amplitude(core, np.eye(3)) == pytest.approx(1.0)
+    assert _bunched(core, np.eye(3)) == pytest.approx(1.0)
 
 
 def test_evolution_matches_permanent_oracle():
@@ -156,7 +172,7 @@ def test_evolution_matches_permanent_oracle():
 
 
 def test_reduce_hom_state():
-    red = reduce_to_single_mode(tensor_fock([1, 1]), fourier_matrix(2))
+    red = reduce_to_single_mode(tensor_fock([1, 1]), fourier_matrix(2)[0])
     assert red.amplitudes[1] == pytest.approx(0.0, abs=1e-14)
     assert red.amplitudes[2] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
 
@@ -165,7 +181,7 @@ def test_reduce_identity_gives_marginal():
     core = MultimodeFockState(
         2, {(0, 0): 0.5, (2, 0): 0.5, (1, 1): math.sqrt(0.5)}
     )
-    red = reduce_to_single_mode(core, np.eye(2))
+    red = reduce_to_single_mode(core, np.eye(2)[0])
     assert red.amplitudes[0] == pytest.approx(0.5)
     assert red.amplitudes[2] == pytest.approx(0.5)
     assert red.amplitudes[1] == pytest.approx(0.0)
@@ -183,11 +199,38 @@ def test_reduce_agrees_with_bunched_amplitude():
         total = math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
         core = MultimodeFockState(m, {k: v / total for k, v in amps.items()})
         U = haar_unitary(m, seed=seed)
-        red = reduce_to_single_mode(core, U)
-        assert red.amplitudes[core.max_total] == pytest.approx(
-            bunched_amplitude(core, U), abs=1e-12
-        )
+        red = reduce_to_single_mode(core, U[0])
+        assert np.max(np.abs(red.amplitudes - _sector_reference(core, U[0]))) <= 1e-14
         assert red.norm <= 1 + 1e-12
+
+
+def test_reduction_amplitudes_scores_every_row_as_alone():
+    rng = np.random.default_rng(8)
+    core = _random_core(rng, 4, 6, 6)
+    rows = haar_unitary(4, seed=2)[:3] * np.array([[1.0], [0.5], [0.0]])  # lossy rows too
+    batch = reduction_amplitudes(core, rows)
+    assert batch.shape == (3, core.max_total + 1)
+    for row, amps in zip(rows, batch):
+        assert np.max(np.abs(amps - _sector_reference(core, row))) <= 1e-14
+        assert np.array_equal(amps, reduce_to_single_mode(core, row).amplitudes)
+
+
+@pytest.mark.parametrize(
+    "row", [[0.6, 0.8, 0.0], [[0.6, 0.8]], [np.nan, 0.0], [0.6, 0.8 + 1e-9]],
+    ids=["three-entries", "matrix", "nan", "norm-above-1"],
+)
+def test_reduce_refuses_a_row_that_is_no_contraction(row):
+    with pytest.raises(ValueError):
+        reduce_to_single_mode(tensor_fock([1, 1]), row)
+
+
+def test_reduce_needs_no_unitary_around_the_row():
+    # d_2 = sqrt(2) u_1 u_2 for |1, 1>; a row shorter than 1 is loss.
+    core = tensor_fock([1, 1])
+    assert reduce_to_single_mode(core, [0.6, 0.8]).amplitudes[2] == pytest.approx(
+        0.48 * math.sqrt(2), rel=1e-15)
+    assert reduce_to_single_mode(core, [0.3, 0.4j]).amplitudes[2] == pytest.approx(
+        0.12j * math.sqrt(2), rel=1e-15)
 
 
 def _random_core(rng, modes, max_bosons, terms):
@@ -207,16 +250,95 @@ def test_reduce_matches_vacuum_tail_of_the_evolved_state():
         for occ, amp in evolve_fock_state(core, U).amplitudes.items():
             if not any(occ[1:]):
                 expected[occ[0]] = amp
-        red = reduce_to_single_mode(core, U)
+        red = reduce_to_single_mode(core, U[0])
         assert np.max(np.abs(red.amplitudes - expected)) <= 1e-14
 
 
 def test_sector_preservation():
     core = tensor_fock([2, 1])  # pure 3-boson sector
     U = haar_unitary(2, seed=3)
-    red = reduce_to_single_mode(core, U)
+    red = reduce_to_single_mode(core, U[0])
     assert np.allclose(red.amplitudes[:3], 0.0, atol=1e-14)
-    assert red.amplitudes[3] == pytest.approx(bunched_amplitude(core, U), abs=1e-12)
+    assert red.amplitudes[3] == pytest.approx(_sector_reference(core, U[0])[3], abs=1e-12)
+
+
+def test_block_split_scoring_picks_the_same_row(monkeypatch):
+    rng = np.random.default_rng(41)
+    cores = [_random_core(rng, int(rng.integers(2, 6)), 5, int(rng.integers(1, 7)))
+             for _ in range(20)]
+    expected = [bunching_row(core, trials=40, seed=i) for i, core in enumerate(cores)]
+    calls = []
+    evaluate = multimode.reduction_amplitudes
+
+    def recording(core, rows):
+        calls.append((len(rows), len(core.amplitudes)))
+        return evaluate(core, rows)
+
+    monkeypatch.setattr(multimode, "reduction_amplitudes", recording)
+    monkeypatch.setattr(multimode, "_BLOCK_ENTRIES", 12)
+    for i, (core, want) in enumerate(zip(cores, expected)):
+        assert np.array_equal(bunching_row(core, trials=40, seed=i), want)
+    assert len(calls) > 4 * len(cores)
+    assert all(rows <= max(1, 12 // monomials) for rows, monomials in calls)
+
+
+def _scripted_scores(monkeypatch, scores):
+    """Make the evaluator score candidate i as scores[i], in candidate order."""
+    seen = []
+
+    def scripted(core, rows):
+        out = np.zeros((len(rows), core.max_total + 1))
+        out[:, core.max_total] = scores[len(seen): len(seen) + len(rows)]
+        seen.extend(rows)
+        return out
+
+    monkeypatch.setattr(multimode, "reduction_amplitudes", scripted)
+    return seen
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 100])
+def test_earliest_row_in_the_tie_band_of_the_best_wins(monkeypatch, block):
+    # Candidate 1 is within 1e-12 of the final best (candidate 3); candidate 0
+    # only of candidate 1, so the band is read from the final best.
+    scores = [1.0, 1 + 0.6e-12, 0.5, 1 + 1.2e-12, 1 + 1.2e-12]
+    core = tensor_fock([1, 1])
+    monkeypatch.setattr(multimode, "_BLOCK_ENTRIES", block)
+    seen = _scripted_scores(monkeypatch, scores)
+    u = bunching_row(core, trials=len(scores) - 1, seed=0)
+    assert len(seen) == len(scores)
+    assert np.array_equal(u, seen[1])
+
+
+def test_a_vanishing_top_sector_exits_as_a_numerical_failure(monkeypatch):
+    _scripted_scores(monkeypatch, [0.0, 1e-15, 0.0])
+    with pytest.raises(NumericalFailure):
+        bunching_row(tensor_fock([1, 1]), trials=2, seed=0)
+
+
+def test_single_mode_core_takes_the_uniform_row():
+    core = MultimodeFockState(1, {(0,): 0.6, (3,): 0.8j})
+    reports = [multimode_lower_bound(core, seed=seed) for seed in range(5)]
+    for rep in reports:
+        assert rep.unitary.tolist() == [[1.0]]
+        assert rep.d_n == reports[0].d_n == pytest.approx(0.8j)
+
+
+def test_multimode_lower_bound_evaluates_once_per_block_and_once_to_reduce(monkeypatch):
+    calls = []
+    evaluate = multimode.reduction_amplitudes
+
+    def recording(core, rows):
+        calls.append(len(rows))
+        return evaluate(core, rows)
+
+    monkeypatch.setattr(multimode, "reduction_amplitudes", recording)
+    core = MultimodeFockState(3, {(1, 0, 0): 0.5, (2, 1, 1): 0.5, (0, 3, 1): 0.5j})
+    multimode_lower_bound(core, trials=64, seed=1)
+    assert calls == [65, 1]
+    calls.clear()
+    monkeypatch.setattr(multimode, "_BLOCK_ENTRIES", 3 * 20)  # 20 rows of 3 monomials
+    multimode_lower_bound(core, trials=64, seed=1)
+    assert calls == [20, 20, 20, 5, 1]
 
 
 def test_rank_preservation_under_projection():
@@ -273,7 +395,7 @@ def test_superposition_state_duality():
             if abs(total) > 1e-16:
                 fock_amps[occ] = total
         core = MultimodeFockState(2, fock_amps)
-        route_b = reduce_to_single_mode(core, U)
+        route_b = reduce_to_single_mode(core, U[0])
 
         n = min(per_mode_cutoff, route_b.cutoff)
         assert np.allclose(
