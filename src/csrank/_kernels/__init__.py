@@ -4,10 +4,14 @@ Glynn:  Per(A) = 2^{1-n} sum_{d in {+-1}^n, d_1 = +1} (prod_i d_i)
                  prod_j (sum_i d_i A[i, j])
 Ryser:  Per(A) = (-1)^n sum_{S nonempty} (-1)^{|S|} prod_i (sum_{j in S} A[i, j])
 
-Both enumerate their 2^{n-1} (resp. 2^n - 1) terms in blocks of at most
-2^16 sign rows, so memory stays bounded; each block is one matrix product,
-for O(2^n n^2) work in all.
+Both sum parity(x) prod_i (c_i + (M x)_i) over 2^k bit patterns x, split into
+low and high halves: each half's partial sums M x are one matrix product with
+its cached patterns, and the products build in place, factor lo[i, l] + hi[i, h]
+by factor, in blocks of at most 2^16 (h, l) pairs: O(2^n n) work, O(2^{n/2} n
++ 2^16) memory.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,49 +21,45 @@ BACKEND = "python"
 _BLOCK_BITS = 16
 
 
-def _sign_blocks(n_bits: int):
-    """Yield the bits of k = 0 .. 2^n_bits - 1 as 0/1 integer rows, in blocks."""
-    total = 1 << n_bits
-    block = 1 << min(_BLOCK_BITS, n_bits)
-    shifts = np.arange(n_bits, dtype=np.uint64)
-    for start in range(0, total, block):
-        k = np.arange(start, min(start + block, total), dtype=np.uint64)
-        bits = (k[:, None] >> shifts[None, :]) & 1
-        yield bits.astype(np.int64)
+@lru_cache(maxsize=None)
+def _patterns(bits: int, signed: bool):
+    """(bits, 2^bits) pattern rows (1 - 2 x if signed, else x) and the parity
+    (-1)^{|x|} of each pattern x, both read-only complex."""
+    x = (np.arange(1 << bits) >> np.arange(bits)[:, None]) & 1
+    parity = (1 - 2 * (x.sum(axis=0) & 1)).astype(complex)
+    rows = (1 - 2 * x if signed else x).astype(complex)
+    rows.flags.writeable = parity.flags.writeable = False
+    return rows, parity
+
+
+def _pattern_sum(m: np.ndarray, offset, signed: bool) -> complex:
+    """sum_x parity(x) prod_i (offset + m x)_i over the 2^k bit patterns x."""
+    n, k = m.shape
+    low = (k + 1) // 2
+    rows_lo, parity_lo = _patterns(low, signed)
+    rows_hi, parity_hi = _patterns(k - low, signed)
+    lo = m[:, :low] @ rows_lo + offset
+    hi = m[:, low:] @ rows_hi
+    step = 1 << max(0, _BLOCK_BITS - low)
+    total = 0j
+    for start in range(0, hi.shape[1], step):
+        h = hi[:, start : start + step, None]
+        p = lo[0] + h[0]
+        for i in range(1, n):
+            p *= lo[i] + h[i]
+        total += parity_hi[start : start + step] @ (p @ parity_lo)
+    return complex(total)
 
 
 def glynn(a: np.ndarray) -> complex:
     a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    if n == 0:
-        return 1.0 + 0j
-    if n == 1:
-        return complex(a[0, 0])
-    total = 0j
-    for bits in _sign_blocks(n - 1):
-        # delta = (+1, 1 - 2 bits); row sums delta @ a for the whole block
-        deltas = 1 - 2 * bits
-        sums = a[0, :][None, :] + deltas @ a[1:, :]
-        parity = 1 - 2 * (bits.sum(axis=1) & 1)
-        total += np.sum(parity * np.prod(sums, axis=1))
-    return complex(total / (1 << (n - 1)))
+    if len(a) <= 1:
+        return complex(a[0, 0]) if len(a) else 1.0 + 0j
+    return _pattern_sum(a[1:].T, a[0][:, None], signed=True) / (1 << (len(a) - 1))
 
 
 def ryser(a: np.ndarray) -> complex:
     a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    if n == 0:
-        return 1.0 + 0j
-    if n == 1:
-        return complex(a[0, 0])
-    total = 0j
-    first = True
-    for bits in _sign_blocks(n):
-        if first:
-            bits = bits[1:]  # skip the empty subset
-            first = False
-        cols = bits.sum(axis=1)
-        sums = bits @ a.T  # row i sums over the selected columns
-        parity = 1 - 2 * (cols & 1)
-        total += np.sum(parity * np.prod(sums, axis=1))
-    return complex((-1) ** n * total)
+    if len(a) <= 1:
+        return complex(a[0, 0]) if len(a) else 1.0 + 0j
+    return (-1) ** len(a) * _pattern_sum(a, 0, signed=False)

@@ -131,6 +131,8 @@ def multimode_from_descriptor(descriptor: dict) -> MultimodeFockState:
     for entry in list_field(descriptor["amps"], "amps"):
         entry = object_field(entry, "amps entry")
         occ = tuple(int_field(k, "occ entry") for k in list_field(entry["occ"], "occ"))
+        if occ in amps:
+            raise ValueError(f"occupation {list(occ)} appears more than once in amps")
         amps[occ] = complex_from_pair(entry["c"])
     return MultimodeFockState(modes, amps)
 
@@ -248,7 +250,12 @@ def bunching_row(
         best = max(best, float(scores.max()))
         leaders = [(s, u) for s, u in leaders if s >= (1 - _TIE_RTOL) * best]
     score, u = leaders[0]
-    if score < 1e-14 * math.exp(0.5 * math.lgamma(n + 1)):  # |P_n(u)| < 1e-14
+    floor = 1e-14 * math.exp(0.5 * math.lgamma(n + 1))  # |P_n(u)| < 1e-14
+    if score < floor and m == 1:  # |d_n| is the top amplitude on every row
+        raise NumericalFailure(f"the top-sector amplitude {score:.3e} of a one-mode core "
+                               f"is below the floor {floor:.3e}; every row gives the same "
+                               "|d_n|, so no seed can help")
+    if score < floor:
         raise NumericalFailure("no sampled direction kept the top-sector polynomial "
                                "away from zero; retry with a different seed")
     return u

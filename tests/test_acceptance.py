@@ -202,6 +202,24 @@ def test_criterion_6_permanent_bridge():
         for d, r in reports.items()
     )
     report("criterion 6: permanent bridge", ok and elapsed < 60, elapsed, detail)
+    print("    kernel time per n (informational):", _kernel_timings(range(14, 19)))
+
+
+def _kernel_timings(sizes):
+    """Best-of-3 Glynn and Ryser time per Haar unitary of each size, as text."""
+    parts = []
+    for n in sizes:
+        u = haar_unitary(n, seed=n)
+        times = []
+        for kernel in (permanent_glynn, permanent_ryser):
+            runs = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                kernel(u)
+                runs.append(time.perf_counter() - t0)
+            times.append(min(runs) * 1e3)
+        parts.append(f"n={n} glynn {times[0]:.2f} ms, ryser {times[1]:.2f} ms")
+    return "; ".join(parts)
 
 
 def test_criterion_7_figure_reproduction(tmp_path):

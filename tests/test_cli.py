@@ -149,7 +149,8 @@ ANALYTIC_CERT = {"state_descriptor": {"type": "fock", "n": 3}, "r": 3,
 
 
 # The rule a malformed case's message must name, by case id, where one is pinned.
-_MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff"}
+_MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
+                       "multimode-repeated-occ": "occupation [1] appears more than once"}
 
 
 @pytest.mark.parametrize(
@@ -167,6 +168,7 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff"}
         ["bound", '{"type":"superposition","terms":[5]}', "--r", "1"],
         ["bound", '{"type":"squeezed","r":0,"cutoff":-2}', "--r", "1"],
         ["multimode", '{"modes":2,"amps":[{"occ":1,"c":[1,0]}]}'],
+        ["multimode", '{"modes":1,"amps":[{"occ":[1],"c":[0.6,0]},{"occ":[1],"c":[0,0.8]}]}'],
         ["bound", "--check", dict(CERT, r=[1])],
         ["bound", "--check", [CERT]],
         ["bound", "--check", dict(CERT, parameters=[1, 1.0])],
@@ -183,7 +185,7 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff"}
     ids=["core-scalar-amps", "superposition-scalar-c", "multimode-scalar-c", "squeezed-huge-r",
          "fock-list-n", "core-scalar-amps-field", "squeezed-list-r", "fock-string-cutoff",
          "fock-fractional-n", "superposition-scalar-term", "squeezed-negative-cutoff",
-         "multimode-scalar-occ",
+         "multimode-scalar-occ", "multimode-repeated-occ",
          "check-list-r", "check-top-level-list", "check-list-parameters", "check-missing-N",
          "check-analytic-r-above-n", "check-analytic-no-N", "check-analytic-squeezed", "check-method-weighted",
          "check-method-list", "check-infinite-threshold", "check-negative-N"],
@@ -446,6 +448,15 @@ def test_multimode_past_the_desk_scale_exits_4(capsys, occ):
     assert main(["multimode", json.dumps(descriptor)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_multimode_one_mode_core_below_the_floor_exits_3(capsys):
+    # Every row gives a one-mode core the same |d_n|, so another seed cannot help.
+    descriptor = '{"modes":1,"amps":[{"occ":[0],"c":[0.9,0]},{"occ":[2],"c":[1e-15,0]}]}'
+    assert main(["multimode", descriptor, "--seed", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: the top-sector amplitude 1.000e-15 of a one-mode core")
+    assert "no seed can help" in err and "retry" not in err
 
 
 def test_permanent_command_rows_satisfy_bound(tmp_path):

@@ -1,20 +1,80 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from csrank import _kernels
-from csrank.permanent import permanent_naive
+from csrank.permanent import haar_unitary, permanent_naive
+
+KERNELS = (_kernels.glynn, _kernels.ryser)
+
+
+def _reference(m):
+    """permanent_naive, with one Laplace expansion along the first row past its limit."""
+    n = len(m)
+    if n <= 8:
+        return permanent_naive(m)
+    return sum(m[0, j] * permanent_naive(np.delete(m[1:], j, axis=1)) for j in range(n))
+
+
+def _within_perfbench_tolerance(a, b, n):
+    """The permanent check of perfbench: max(1e-9 |Per|, n 2^-52) absolute."""
+    return abs(a - b) <= max(1e-9 * abs(b), n * 2.0**-52)
 
 
 def test_backend_reported():
     assert _kernels.BACKEND == "python"
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 6])
+@pytest.mark.parametrize("n", range(10))
 def test_python_kernels_tiny_sizes(n):
+    # Odd and even splits of the 2^k patterns; Glynn at n = 2 has a zero-bit high half.
     rng = np.random.default_rng(n)
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    expected = permanent_naive(m)
-    for kernel in (_kernels.glynn, _kernels.ryser):
+    expected = _reference(m)
+    for kernel in KERNELS:
         value = kernel(m)
         assert isinstance(value, complex)
         assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(10, 19))
+def test_glynn_and_ryser_agree_on_haar_unitaries(n):
+    # n = 17 and 18 span more than one block of 2^16 products.
+    u = haar_unitary(n, seed=100 + n)
+    assert _within_perfbench_tolerance(_kernels.glynn(u), _kernels.ryser(u), n)
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=["glynn", "ryser"])
+def test_repeated_calls_are_bit_identical(kernel):
+    u = haar_unitary(11, seed=7)
+    first = kernel(u)
+    assert kernel(u) == first and kernel(u.copy()) == first
+    for bits in (5, 6):
+        for pattern in _kernels._patterns(bits, kernel is _kernels.glynn):
+            assert not pattern.flags.writeable
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=["glynn", "ryser"])
+def test_small_blocks_give_the_same_sum(monkeypatch, kernel):
+    # A block narrower than the low half holds one high pattern at a time.
+    u = haar_unitary(12, seed=3)
+    expected = kernel(u)
+    for bits in (3, 7, 9):
+        monkeypatch.setattr(_kernels, "_BLOCK_BITS", bits)
+        assert _within_perfbench_tolerance(kernel(u), expected, 12)
+
+
+@pytest.mark.parametrize("n", [18, 20])
+@pytest.mark.parametrize("kernel", KERNELS, ids=["glynn", "ryser"])
+def test_kernel_memory_stays_within_a_few_blocks(kernel, n):
+    # One block of 2^16 complex products is 1 MiB; the half-tables are far smaller.
+    u = haar_unitary(n, seed=n)
+    kernel(u)  # the pattern cache is filled outside the measurement
+    tracemalloc.start()
+    try:
+        kernel(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (1 << _kernels._BLOCK_BITS) * 16

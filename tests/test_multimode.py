@@ -311,7 +311,7 @@ def test_earliest_row_in_the_tie_band_of_the_best_wins(monkeypatch, block):
 
 def test_a_vanishing_top_sector_exits_as_a_numerical_failure(monkeypatch):
     _scripted_scores(monkeypatch, [0.0, 1e-15, 0.0])
-    with pytest.raises(NumericalFailure):
+    with pytest.raises(NumericalFailure, match="retry with a different seed"):
         bunching_row(tensor_fock([1, 1]), trials=2, seed=0)
 
 
