@@ -8,7 +8,10 @@ Both sum parity(x) prod_i (c_i + (M x)_i) over 2^k bit patterns x, split into
 low and high halves: each half's partial sums M x are one matrix product with
 its cached patterns, and the products build in place, factor lo[i, l] + hi[i, h]
 by factor, in blocks of at most 2^16 (h, l) pairs: O(2^n n) work, O(2^{n/2} n
-+ 2^16) memory.
++ 2^16) memory.  Each kernel takes one n x n matrix, giving a complex, or a
+(T, n, n) stack, giving a (T,) array from one pass over the stack's
+half-tables (O(T 2^{n/2} n + 2^16) memory); a block then spans several
+matrices wherever one matrix has fewer than 2^16 pairs.
 """
 
 from functools import lru_cache
@@ -32,34 +35,47 @@ def _patterns(bits: int, signed: bool):
     return rows, parity
 
 
-def _pattern_sum(m: np.ndarray, offset, signed: bool) -> complex:
-    """sum_x parity(x) prod_i (offset + m x)_i over the 2^k bit patterns x."""
-    n, k = m.shape
+def _pattern_sum(m: np.ndarray, offset, signed: bool) -> np.ndarray:
+    """sum_x parity(x) prod_i (offset + m x)_i over the 2^k bit patterns x,
+    for each (n, k) matrix of the (T, n, k) stack m; offset is 0 or (T, n, 1)."""
+    count, n, k = m.shape
     low = (k + 1) // 2
     rows_lo, parity_lo = _patterns(low, signed)
     rows_hi, parity_hi = _patterns(k - low, signed)
-    lo = m[:, :low] @ rows_lo + offset
-    hi = m[:, low:] @ rows_hi
-    step = 1 << max(0, _BLOCK_BITS - low)
-    total = 0j
-    for start in range(0, hi.shape[1], step):
-        h = hi[:, start : start + step, None]
-        p = lo[0] + h[0]
-        for i in range(1, n):
-            p *= lo[i] + h[i]
-        total += parity_hi[start : start + step] @ (p @ parity_lo)
-    return complex(total)
+    # Factor i leads, so the product loop below takes plain views lo[i], hi[i].
+    lo = (m[:, :, :low] @ rows_lo + offset).transpose(1, 0, 2)[:, :, None, :]
+    hi = (m[:, :, low:] @ rows_hi).transpose(1, 0, 2)[..., None]
+    step = min(hi.shape[2], 1 << max(0, _BLOCK_BITS - low))  # high patterns per block
+    per_block = max(1, (1 << _BLOCK_BITS) // (step << low))  # matrices per block
+    sums = np.empty((count, hi.shape[2]), dtype=complex)  # [t, h] = sum over l
+    for t in range(0, count, per_block):
+        lo_t = lo[:, t : t + per_block]
+        for start in range(0, hi.shape[2], step):
+            h = hi[:, t : t + per_block, start : start + step]
+            p = lo_t[0] + h[0]
+            for i in range(1, n):
+                p *= lo_t[i] + h[i]
+            np.matmul(p, parity_lo, out=sums[t : t + per_block, start : start + step])
+    return sums @ parity_hi
 
 
-def glynn(a: np.ndarray) -> complex:
+def _permanents(a, pattern_sum):
+    """Per of one n x n matrix (a complex) or of each matrix of a (T, n, n)
+    stack (a (T,) array); pattern_sum(stack, n) scores the stack for n >= 2."""
     a = np.asarray(a, dtype=complex)
-    if len(a) <= 1:
-        return complex(a[0, 0]) if len(a) else 1.0 + 0j
-    return _pattern_sum(a[1:].T, a[0][:, None], signed=True) / (1 << (len(a) - 1))
+    stack = a[None] if a.ndim == 2 else a
+    n = stack.shape[-1]
+    if n > 1:
+        per = pattern_sum(stack, n)
+    else:
+        per = stack[:, 0, 0].copy() if n else np.ones(len(stack), dtype=complex)
+    return complex(per[0]) if a.ndim == 2 else per
 
 
-def ryser(a: np.ndarray) -> complex:
-    a = np.asarray(a, dtype=complex)
-    if len(a) <= 1:
-        return complex(a[0, 0]) if len(a) else 1.0 + 0j
-    return (-1) ** len(a) * _pattern_sum(a, 0, signed=False)
+def glynn(a: np.ndarray):
+    return _permanents(a, lambda s, n: _pattern_sum(
+        s[:, 1:].transpose(0, 2, 1), s[:, 0, :, None], signed=True) / (1 << (n - 1)))
+
+
+def ryser(a: np.ndarray):
+    return _permanents(a, lambda s, n: (-1) ** n * _pattern_sum(s, 0, signed=False))

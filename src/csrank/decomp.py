@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .fock import (
+    ALPHA_MERGE_TOL,
     CoherentSuperposition,
     CoherentTerm,
     FockVector,
@@ -75,6 +76,12 @@ def _superposition(coeffs, alphas) -> CoherentSuperposition:
     return CoherentSuperposition([CoherentTerm(c, a) for c, a in zip(coeffs, alphas)])
 
 
+def _round_up(x: float) -> float:
+    """x rounded up to three significant digits."""
+    scale = 10.0 ** (math.floor(math.log10(x)) - 2)
+    return math.ceil(x / scale) * scale
+
+
 def _circle_solve(core: FockVector, delta: float):
     """Solve for the circle-decomposition superposition.
 
@@ -87,21 +94,30 @@ def _circle_solve(core: FockVector, delta: float):
     """
     if delta <= 0 or not math.isfinite(delta):
         raise ValueError("delta must be positive and finite")
+    n = core.highest_occupied()
+    if n < 0:
+        raise ValueError("core state must have a nonzero amplitude")
+    k = np.arange(n + 1)
+    omega = np.exp(2j * np.pi / (n + 1))
+    alphas = delta * omega**k
+    # Neighbouring nodes sit 2 delta sin(pi / (n + 1)) apart; within
+    # ALPHA_MERGE_TOL the superposition would merge them into fewer terms.
+    if n > 0 and np.abs(alphas - np.roll(alphas, 1)).min() <= ALPHA_MERGE_TOL:
+        # a hair above the bound, so rounding the nodes cannot merge them
+        usable = _round_up(ALPHA_MERGE_TOL / (2 * math.sin(math.pi / (n + 1))) * (1 + 1e-9))
+        raise ValueError(
+            f"delta={delta:g} puts the {n + 1} circle nodes within {ALPHA_MERGE_TOL:g} "
+            f"of each other, where they merge; the smallest usable delta is {usable:.3g}"
+        )
     if delta < SMALL_DELTA_WARNING:
         warnings.warn(
             f"circle decomposition at delta={delta:g} is severely ill conditioned",
             RuntimeWarning,
             stacklevel=3,
         )
-    n = core.highest_occupied()
-    if n < 0:
-        raise ValueError("core state must have a nonzero amplitude")
     if n == 0:
         # a weight-0 core state is itself coherent; no circle needed
         return _superposition(core.amplitudes[:1], np.zeros(1)), 1.0, 0.0
-    k = np.arange(n + 1)
-    omega = np.exp(2j * np.pi / (n + 1))
-    alphas = delta * omega**k
     row_scale = coherent_amplitudes(delta, n).real  # |delta>'s amplitudes are real
     # W[k, j] = omega^(j k); the raw matrix is diag(row_scale) @ W.
     W = omega ** np.outer(k, k)

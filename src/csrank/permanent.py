@@ -15,7 +15,8 @@ verify_permanent_bound checks this for the n-th tensor power of the
 two-term odd cat circle_decomposition(|1>, delta).  Its norm, infidelity,
 tail weight and phase are n-th powers of one mode's numbers, and its 2^n
 formula rows are an index product of that mode's two terms, so n runs to 16
-without a 2^n x 2^n Gram matrix.
+without a 2^n x 2^n Gram matrix.  Trials are scored in blocks: one stacked QR
+draws a block's Haar unitaries, one Glynn pass and one formula pass score them.
 """
 
 import math
@@ -28,7 +29,6 @@ from ._kernels import glynn as _glynn, ryser as _ryser
 from .decomp import circle_decomposition
 from .errors import NumericalFailure, ResourceLimit
 from .fock import coherent_columns, fock_state
-from .multimode import MultimodeSuperposition
 
 NAIVE_LIMIT = 8
 KERNEL_LIMIT = 24
@@ -86,11 +86,19 @@ def haar_unitary(n: int, seed=None) -> np.ndarray:
     """Haar sample via QR of a Ginibre matrix with phase-fixed R diagonal."""
     if n < 1:
         raise ValueError("need n >= 1")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+    return _haar_stack(n, [seed])[0]
+
+
+def _haar_stack(n: int, seeds) -> np.ndarray:
+    """(len(seeds), n, n) stack of haar_unitary(n, seed), one default_rng(seed)
+    stream per matrix, through one stacked QR and one phase fix."""
+    draws = np.empty((len(seeds), 2, n, n))
+    for out, seed in zip(draws, seeds):
+        np.random.default_rng(seed).standard_normal(out=out)
+    z = (draws[:, 0] + 1j * draws[:, 1]) / math.sqrt(2)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    q *= (d / np.abs(d))[:, None, :]
     return q
 
 
@@ -116,20 +124,24 @@ class MultilinearFormula:
         return len(self.gammas) * self.n**2
 
 
-def formula_from_decomposition(sup: MultimodeSuperposition) -> MultilinearFormula:
-    """gamma_j = c_j e^{-||alpha_j||^2/2}; row j of alphas is alpha_j."""
-    alphas = sup.displacements()
-    gammas = sup.coefficients() * np.exp(-0.5 * np.sum(np.abs(alphas) ** 2, axis=1))
-    return MultilinearFormula(alphas.shape[1], gammas, alphas)
-
-
 def evaluate_formula(formula: MultilinearFormula, x) -> complex:
     """F(X) = sum_j gamma_j prod_i (sum_k alpha_jk X[i, k]); cost O(r n^2)."""
     x = np.asarray(x, dtype=complex)
     if x.shape != (formula.n, formula.n):
         raise ValueError(f"matrix must be {formula.n} x {formula.n}")
-    inner = x @ formula.alphas.T  # [i, j] = sum_k alpha_jk x_ik
-    return complex(formula.gammas @ np.prod(inner, axis=0))
+    return complex(_formula_stack(formula, x[None])[0])
+
+
+def _formula_stack(formula: MultilinearFormula, x: np.ndarray) -> np.ndarray:
+    """F of each matrix of the (T, n, n) stack x, as a (T,) array.  One matrix
+    product gives inner[i, t, j] = sum_k alpha_jk x_tik, and the product over
+    rows i builds in place in inner[0], so the stack costs one (n, T, r) array."""
+    count, n = len(x), formula.n
+    inner = (x.transpose(1, 0, 2).reshape(-1, n) @ formula.alphas.T).reshape(n, count, -1)
+    prod = inner[0]
+    for row in inner[1:]:
+        prod *= row
+    return prod @ formula.gammas
 
 
 def _odd_cat_power(modes: int, delta: float):
@@ -147,7 +159,7 @@ def _odd_cat_power(modes: int, delta: float):
     amps = coherent_columns(alphas, FACTOR_CUTOFF) @ coeffs
     w = np.abs(amps) ** 2
     total = float(w.sum())
-    if total == 0:  # the two terms merged into one of zero coefficient
+    if total == 0:
         raise ValueError("superposition has zero norm")
     off_one = float(w[0] + w[2:].sum())
     delta_inf = -math.expm1(modes * math.log1p(-off_one / total))
@@ -197,13 +209,19 @@ def verify_permanent_bound(
         )
     bound = math.sqrt(2.0 * delta_inf)
 
+    # Trials go in blocks of MAX_FORMULA_ROWS / 2^n, so the formula's (n, T, 2^n)
+    # inner array holds at most n 2^16 entries, as one trial's does at n = 16.
+    block = MAX_FORMULA_ROWS >> modes
     rows = []
-    for i in range(trials):
-        trial_seed = seed + i
-        u = haar_unitary(modes, trial_seed)
-        per = permanent_glynn(u)
-        val = np.conj(phase) * evaluate_formula(formula, u)
-        rows.append((i, trial_seed, abs(per), abs(val), abs(per - val)))
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
+        seeds = range(seed + start, seed + stop)
+        u = _haar_stack(modes, seeds)
+        per = _glynn(u)
+        val = np.conj(phase) * _formula_stack(formula, u)
+        # np.hypot rounds |z| as Python's abs(complex) does; np.abs may not.
+        rows += zip(range(start, stop), seeds,
+                    *(np.hypot(z.real, z.imag).tolist() for z in (per, val, per - val)))
     max_error = max(row[4] for row in rows)
     report = PermanentBoundReport(delta_inf, bound, max_error, tail, tuple(rows))
     if not report.passed:

@@ -203,6 +203,7 @@ def test_criterion_6_permanent_bridge():
     )
     report("criterion 6: permanent bridge", ok and elapsed < 60, elapsed, detail)
     print("    kernel time per n (informational):", _kernel_timings(range(14, 19)))
+    print("    bridge time per n, 100 trials (informational):", _bridge_timings(range(4, 9)))
 
 
 def _kernel_timings(sizes):
@@ -219,6 +220,19 @@ def _kernel_timings(sizes):
                 runs.append(time.perf_counter() - t0)
             times.append(min(runs) * 1e3)
         parts.append(f"n={n} glynn {times[0]:.2f} ms, ryser {times[1]:.2f} ms")
+    return "; ".join(parts)
+
+
+def _bridge_timings(sizes):
+    """Best-of-3 verify_permanent_bound time at delta 0.2 and 100 trials, as text."""
+    parts = []
+    for n in sizes:
+        runs = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            verify_permanent_bound(n, 0.2, trials=100, seed=0)
+            runs.append(time.perf_counter() - t0)
+        parts.append(f"n={n} {min(runs) * 1e3:.2f} ms")
     return "; ".join(parts)
 
 

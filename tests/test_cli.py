@@ -432,6 +432,29 @@ def test_decompose_command(capsys):
     assert payload["infidelity"] < 1e-4
 
 
+@pytest.mark.parametrize("argv, usable", [
+    (["permanent", "--n", "3", "--delta", "1e-13"], "5.01e-13"),
+    (["decompose", '{"type":"fock","n":1}', "--delta", "4e-13"], "5.01e-13"),
+    (["decompose", '{"type":"fock","n":3}', "--delta", "7.07e-13"], "7.08e-13"),
+])
+def test_merging_circle_nodes_name_the_smallest_usable_delta(capsys, argv, usable):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: delta={argv[-1]} puts the ")
+    assert err.endswith(f"of each other, where they merge; the smallest usable delta is {usable}\n")
+
+
+def test_delta_just_above_the_merge_limit_keeps_every_node(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the ill-conditioning warning
+        code, payload = run_json(capsys, ["decompose", '{"type":"fock","n":3}',
+                                          "--delta", "7.08e-13"])
+    assert code == 0
+    assert len(payload["terms"]) == 4
+
+
 def test_multimode_command(capsys):
     code, payload = run_json(
         capsys,
@@ -490,7 +513,7 @@ _DELTA_ARGS = st.sampled_from(["x", "", "0", "-0.2", "-1e-3", "nan", "inf", "-in
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(-2, 18), _DELTA_ARGS, st.integers(1, 3))
-@example(16, "1e-20", 1)  # the two terms merge: zero norm
+@example(16, "1e-20", 1)  # the two terms would merge: refused
 @example(16, "1.3", 1)  # delta_inf > 0.5
 @example(8, "0.1", 1)
 def test_permanent_flags_never_leak_a_traceback(n, delta, trials):

@@ -1,24 +1,33 @@
 import cmath
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
+from csrank import _kernels, permanent
 from csrank.decomp import delta_cat_product
 from csrank.errors import ResourceLimit
 from csrank.multimode import MultimodeSuperposition
 from csrank.permanent import (
     MultilinearFormula,
+    _haar_stack,
     _odd_cat_power,
     evaluate_formula,
-    formula_from_decomposition,
     haar_unitary,
     permanent_glynn,
     permanent_naive,
     permanent_ryser,
     verify_permanent_bound,
 )
+
+
+def formula_from_decomposition(sup: MultimodeSuperposition) -> MultilinearFormula:
+    """gamma_j = c_j e^{-||alpha_j||^2/2}; row j of alphas is alpha_j."""
+    alphas = sup.displacements()
+    gammas = sup.coefficients() * np.exp(-0.5 * np.sum(np.abs(alphas) ** 2, axis=1))
+    return MultilinearFormula(alphas.shape[1], gammas, alphas)
 
 
 def test_naive_identity_and_definition():
@@ -202,3 +211,76 @@ def test_bridge_formula_is_the_normalized_cat_product_formula(n, delta):
     np.testing.assert_array_equal(formula.alphas, reference.alphas)
     np.testing.assert_allclose(formula.gammas * _cat_norm(n, delta), reference.gammas,
                                rtol=1e-12, atol=0)
+
+
+def _one_haar(n, seed):
+    """One Haar unitary by the per-matrix QR method, drawn as the bridge draws it."""
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_stacked_haar_draws_are_bit_identical_to_single_draws(n):
+    seeds = range(40 * n, 40 * n + 7)
+    expected = np.array([_one_haar(n, s) for s in seeds])
+    np.testing.assert_array_equal(_haar_stack(n, seeds), expected)
+    np.testing.assert_array_equal(np.array([haar_unitary(n, s) for s in seeds]), expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 9])
+@pytest.mark.parametrize("kernel", [_kernels.glynn, _kernels.ryser], ids=["glynn", "ryser"])
+def test_stacked_kernels_match_per_matrix_calls(monkeypatch, kernel, n):
+    # Small blocks split the stack between matrices and within one matrix.
+    stack = _haar_stack(n, range(9))
+    expected = np.array([kernel(u) for u in stack])
+    for bits in (2, 4, 6, 16):
+        monkeypatch.setattr(_kernels, "_BLOCK_BITS", bits)
+        values = kernel(stack)
+        assert values.shape == (9,)
+        assert np.max(np.abs(values - expected)) <= n * 2.0**-52
+
+
+def _reference_rows(modes, delta, trials, seed):
+    """verify_permanent_bound's rows, scored one trial at a time."""
+    formula, _, _, phase = _odd_cat_power(modes, delta)
+    rows = []
+    for i in range(trials):
+        u = _one_haar(modes, seed + i)
+        per = permanent_glynn(u)
+        val = np.conj(phase) * evaluate_formula(formula, u)
+        rows.append((i, seed + i, abs(per), abs(val), abs(per - val)))
+    return rows
+
+
+@pytest.mark.parametrize("modes, max_rows", [(1, 1 << 10), (4, 1 << 10), (8, 1 << 10),
+                                             (8, permanent.MAX_FORMULA_ROWS)])
+def test_blocked_trials_match_the_per_trial_loop(monkeypatch, modes, max_rows):
+    monkeypatch.setattr(permanent, "MAX_FORMULA_ROWS", max_rows)
+    block = max_rows >> modes
+    for trials in sorted({1, block, block + 1, 100}):
+        report = verify_permanent_bound(modes, 0.2, trials=trials, seed=3)
+        expected = _reference_rows(modes, 0.2, trials, seed=3)
+        assert [row[:2] for row in report.trials] == [row[:2] for row in expected]
+        values = np.array([row[2:] for row in report.trials])
+        # A stacked matrix product may round an ulp apart from a single one.
+        np.testing.assert_allclose(values, np.array([row[2:] for row in expected]),
+                                   rtol=0, atol=2.0**-51)
+        assert report.max_error == max(row[4] for row in report.trials)
+
+
+def test_blocked_trials_keep_the_memory_of_one_trial_at_16_modes():
+    # A per-trial loop peaks at 35,658,232 bytes here (numpy 2.4): the formula
+    # (17 MiB), one trial's 16 x 2^16 inner array (16 MiB) and its 1 MiB row
+    # product.  Blocked trials build the product inside the inner array and
+    # peak at 34,609,576.
+    verify_permanent_bound(16, 0.2, trials=1)  # caches fill outside the measurement
+    tracemalloc.start()
+    try:
+        verify_permanent_bound(16, 0.2, trials=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 35_658_232
