@@ -11,10 +11,8 @@ for every N.
 import math
 from dataclasses import dataclass, field
 
-from scipy.special import gammaln
-
 from . import __version__
-from .fock import FockVector, int_field, object_field, real_field
+from .fock import FockVector, int_field, log_factorial, object_field, real_field
 from .hankel import (
     DEFAULT_RANK_TOL,
     SearchConfig,
@@ -123,7 +121,7 @@ def fock_analytic_threshold(n: int) -> float:
     if n < 0:
         raise ValueError("Fock number must be non-negative")
     return math.exp(
-        float(gammaln(n + 1)) - math.log(2.0) - math.log(n + 1) - float(gammaln(2 * n + 1))
+        log_factorial(n) - math.log(2.0) - math.log(n + 1) - log_factorial(2 * n)
     )
 
 

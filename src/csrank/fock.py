@@ -4,7 +4,10 @@ States are stored as finite complex amplitude vectors (index n = Fock
 number).  Coherent states follow a_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!),
 squeezed states a_{2n} = (1/cosh r) lambda^n sqrt((2n)!) / (2^n n!) with
 lambda = -e^{i phi} tanh(r).  All factorial-bearing amplitudes are assembled
-in the log domain so large Fock numbers stay inside double range.
+in the log domain so large Fock numbers stay inside double range, from one
+table of log k! (``log_factorials``).  Loading this module imports no scipy:
+the Poisson tail of a coherent state imports ``scipy.special.gammainc`` on
+first use.
 """
 
 import functools
@@ -12,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln, xlogy
 
 from .errors import ResourceLimit
 
@@ -26,6 +28,55 @@ ALPHA_MERGE_TOL = 1e-12
 
 # Cap on the truncation weight of an infinite-support state with an auto-chosen cutoff.
 DEFAULT_MAX_TAIL = 1e-12
+
+# cephes lgam: log sqrt(2 pi), and its Stirling-series coefficients for 13 <= x < 1000.
+_LS2PI = 0.91893853320467274178
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+             -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+
+
+def _lgamma_of_integers(x: np.ndarray) -> np.ndarray:
+    """log Gamma(x) for integer-valued floats x >= 1, bit for bit as cephes lgam
+    (so scipy.special.gammaln) computes it: the log of the exact product (x-1)!
+    below 13, the Stirling series over math.log (libm log; numpy's log differs in
+    the last bit) above, with its correction term dropped past 1e8."""
+    out = np.empty_like(x)
+    small = x < 13
+    out[small] = [math.log(math.factorial(int(v) - 1)) for v in x[small].tolist()]
+    x = x[~small]
+    with np.errstate(over="ignore"):  # past x ~ 1e154 the terms saturate, as in C
+        q = (x - 0.5) * np.fromiter(map(math.log, x.tolist()), float, len(x)) - x + _LS2PI
+        p = 1.0 / (x * x)
+    series = _STIRLING[0]
+    for a in _STIRLING[1:]:
+        series = series * p + a
+    asymptotic = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                  + 0.0833333333333333333333)
+    correction = np.where(x >= 1000.0, asymptotic, series) / x
+    out[~small] = np.where(x > 1e8, q, q + correction)
+    return out
+
+
+_log_factorial_table = np.zeros(0)
+
+
+def log_factorials(k_max: int) -> np.ndarray:
+    """log k! for k = 0..k_max: a read-only view of the one table this process
+    keeps, rebuilt at (at least) twice its size when a larger k_max is asked for."""
+    global _log_factorial_table
+    if k_max >= len(_log_factorial_table):
+        size = max(k_max + 1, 2 * len(_log_factorial_table), 1024)
+        table = _lgamma_of_integers(np.arange(1.0, size + 1))
+        table.flags.writeable = False
+        _log_factorial_table = table
+    return _log_factorial_table[: k_max + 1]
+
+
+def log_factorial(k: int) -> float:
+    """log k!: the table's entry up to k = 2 MAX_CUTOFF, the same formula past it."""
+    if k <= 2 * MAX_CUTOFF:
+        return float(log_factorials(k)[k])
+    return float(_lgamma_of_integers(np.array([float(k + 1)]))[0])
 
 
 @dataclass(frozen=True)
@@ -208,7 +259,7 @@ def core_state(amplitudes, cutoff: int | None = None) -> FockVector:
 def _fock_index_column(cutoff: int) -> tuple:
     """(n, log sqrt(n!)) as read-only (cutoff+1) x 1 columns."""
     n = np.arange(cutoff + 1)[:, None]
-    half_log_fact = 0.5 * gammaln(n + 1)
+    half_log_fact = 0.5 * log_factorials(cutoff)[:, None]
     n.flags.writeable = half_log_fact.flags.writeable = False
     return n, half_log_fact
 
@@ -219,9 +270,17 @@ def coherent_columns(alphas, cutoff: int) -> np.ndarray:
     alphas = np.asarray(alphas, dtype=complex).reshape(-1)
     mags = np.abs(alphas)
     n, half_log_fact = _fock_index_column(cutoff)
-    # xlogy(0, 0) = 0 makes the alpha = 0 column exactly the vacuum
-    log_mag = -0.5 * mags**2 + xlogy(n, mags) - half_log_fact
-    return np.exp(log_mag) * np.exp(1j * n * np.angle(alphas))
+    # n log|alpha_k| with libm's log per magnitude (numpy's log differs in the last
+    # bit); an alpha = 0 column has -inf past row 0 and so is exactly the vacuum
+    values = mags.tolist()
+    if 0.0 in values:
+        n_log_mag = np.zeros((cutoff + 1, len(values)))
+        logs = [math.log(m) if m else -math.inf for m in values]
+        np.multiply(n[1:], logs, out=n_log_mag[1:])
+    else:
+        n_log_mag = n * np.fromiter(map(math.log, values), float, len(values))
+    log_mag = -0.5 * mags**2 + n_log_mag - half_log_fact
+    return np.exp(log_mag) * np.exp(1j * n * np.arctan2(alphas.imag, alphas.real))
 
 
 def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
@@ -234,7 +293,10 @@ def coherent_tail_weight(alpha: complex, cutoff: int) -> float:
     lam = abs(complex(alpha)) ** 2
     if lam == 0:
         return 0.0
-    # P(N > cutoff) for N ~ Poisson(lam), via the regularized incomplete gamma.
+    # P(N > cutoff) for N ~ Poisson(lam), via the regularized incomplete gamma;
+    # scipy.special takes about 0.3 s to import, so it loads on the first tail.
+    from scipy.special import gammainc
+
     return float(gammainc(cutoff + 1, lam))
 
 
@@ -296,12 +358,13 @@ def _squeezed_even_log_mags(params: SqueezedParams, n_pairs: int) -> np.ndarray:
         out = np.full(n_pairs + 1, -np.inf)
         out[0] = 0.0
         return out
+    log_fact = log_factorials(2 * n_pairs)
     return (
         -0.5 * math.log(math.cosh(params.r))
         + n * math.log(abs(lam))
-        + 0.5 * gammaln(2 * n + 1)
+        + 0.5 * log_fact[::2]
         - n * math.log(2.0)
-        - gammaln(n + 1)
+        - log_fact[: n_pairs + 1]
     )
 
 

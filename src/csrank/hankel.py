@@ -27,10 +27,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ResourceLimit
-from .fock import FockVector
+from .fock import FockVector, log_factorials
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -133,7 +132,7 @@ class _Plan:
         amps = psi.amplitudes[: 2 * N + 1]
         k = np.arange(2 * N + 1)
         self.N = N
-        self.lgam = gammaln(k + 1)  # log k! for k = 0..2N
+        self.lgam = log_factorials(2 * N)
         self.n = np.flatnonzero(amps)  # zero amplitudes stay exact zeros
         self.half_lgam = 0.5 * self.lgam[self.n]
         self.log_mags = np.log(np.abs(amps[self.n]))
@@ -248,7 +247,7 @@ def _point_thresholds(plan: _Plan, log_b: np.ndarray, rs, log_den=None) -> list:
 def plain_bound(psi: FockVector, r: int, N: int) -> float:
     """Certified eps threshold sum_{l>r} sigma_l(H_N)^2 / (2 (N+1) (2N)!)."""
     plan = _Plan(psi, N)  # checks N before the log below reads it
-    log_den = math.log(2.0) + math.log(N + 1) + float(gammaln(2 * N + 1))
+    log_den = math.log(2.0) + math.log(N + 1) + float(plan.lgam[2 * N])
     return _point_thresholds(plan, np.zeros(1), [r], log_den)[0]
 
 

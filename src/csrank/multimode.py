@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericalFailure, ResourceLimit
 from .fock import (
@@ -30,6 +29,8 @@ from .fock import (
     complex_from_pair,
     int_field,
     list_field,
+    log_factorial,
+    log_factorials,
     merge_coincident,
     object_field,
 )
@@ -87,7 +88,7 @@ class MultimodeFockState:
         c_occ / sqrt(prod_j occ_j!), in the state's order."""
         occ = np.array(list(self.amplitudes), dtype=np.int64)
         amps = np.array(list(self.amplitudes.values()), dtype=complex)
-        return occ, amps * np.exp(-0.5 * gammaln(occ + 1).sum(axis=1))
+        return occ, amps * np.exp(-0.5 * log_factorials(self.max_total)[occ].sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,7 @@ def reduction_amplitudes(core: MultimodeFockState, rows) -> np.ndarray:
     for j in range(core.modes):
         terms = terms * powers[:, j, occ[:, j]]
     sectors = np.eye(n + 1)[occ.sum(axis=1)]
-    return (terms @ sectors) * np.exp(0.5 * gammaln(np.arange(n + 1) + 1))
+    return (terms @ sectors) * np.exp(0.5 * log_factorials(n))
 
 
 def reduce_to_single_mode(core: MultimodeFockState, u) -> FockVector:
@@ -292,7 +293,7 @@ def evolve_fock_state(core: MultimodeFockState, U: np.ndarray) -> MultimodeFockS
         for expo, w in poly.items():
             out[expo] += w
     return MultimodeFockState(core.modes, {
-        expo: w * math.exp(0.5 * sum(float(gammaln(k + 1)) for k in expo))
+        expo: w * math.exp(0.5 * sum(log_factorial(k) for k in expo))
         for expo, w in out.items()})
 
 

@@ -144,6 +144,11 @@ def _formula_stack(formula: MultilinearFormula, x: np.ndarray) -> np.ndarray:
     return prod @ formula.gammas
 
 
+def _power_complement(share: float, modes: int) -> float:
+    """1 - (1 - share)^modes, exactly 1 once the share rounds to 1."""
+    return 1.0 if share >= 1 else -math.expm1(modes * math.log1p(-share))
+
+
 def _odd_cat_power(modes: int, delta: float):
     """(formula, delta_inf, tail_weight, phase) of the normalized tensor power
     of the odd cat circle_decomposition(|1>, delta) over ``modes`` modes.
@@ -161,9 +166,8 @@ def _odd_cat_power(modes: int, delta: float):
     total = float(w.sum())
     if total == 0:
         raise ValueError("superposition has zero norm")
-    off_one = float(w[0] + w[2:].sum())
-    delta_inf = -math.expm1(modes * math.log1p(-off_one / total))
-    tail = -math.expm1(modes * math.log1p(-float(w[3:].sum()) / total))
+    delta_inf = _power_complement(float(w[0] + w[2:].sum()) / total, modes)
+    tail = _power_complement(float(w[3:].sum()) / total, modes)
     phase = (amps[1] / abs(amps[1])) ** modes
 
     gamma = coeffs * np.exp(-0.5 * np.abs(alphas) ** 2) / math.sqrt(total)

@@ -424,6 +424,59 @@ def test_only_fitting_imports_scipy_optimize():
     assert out.split() == ["False", "True"]
 
 
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, sys
+from csrank.cli import main
+
+tmp = sys.argv[1]
+sq = '{"type":"squeezed","r":0.5}'
+cat = '{"type":"superposition","terms":[{"c":[1,0],"alpha":[1,0]},{"c":[1,0],"alpha":[-1,0]}]}'
+runs = [
+    ["bound", sq, "--r", "2", "--method", "plain", "--out", tmp + "/plain.json"],
+    ["bound", "--check", tmp + "/plain.json"],
+    ["bound", sq, "--r", "2", "--out", tmp + "/optimized.json"],
+    ["bound", "--check", tmp + "/optimized.json"],
+    ["certify", sq, "--eps", "1e-6", "--n-max", "6"],
+    ["figure", "--panel", "right", "--out", tmp + "/right.csv"],
+    ["decompose", '{"type":"fock","n":2}', "--delta", "0.1"],
+    ["multimode", '{"modes":2,"amps":[{"occ":[1,1],"c":[1,0]}]}'],
+    ["permanent", "--n", "3", "--delta", "0.1", "--trials", "5"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        main(["--version"])
+    except SystemExit:
+        pass
+    codes = [main(argv) for argv in runs]
+print(codes, sorted(m for m in sys.modules if m.startswith("scipy")))
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["bound", cat, "--r", "1"])  # no cutoff: the Poisson tail picks one
+print("scipy.special" in sys.modules, "scipy.optimize" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["fit", '{"type":"fock","n":1}', "--r", "1", "--restarts", "1"])
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_commands_without_fits_or_poisson_tails_import_no_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(csrank.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0] []", "True False", "True"]
+
+
+@pytest.mark.parametrize("delta", ["10", "20", "30"])
+def test_permanent_far_from_one_photon_names_delta_inf(capsys, delta):
+    # (1 - w_1 / W) rounds to 1 here: delta_inf is exactly 1, not log1p(-1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # delta 30 overflows a norm
+        code = main(["permanent", "--n", "2", "--delta", delta])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: superposition is too far from |1>^2 (delta_inf = 1.000)"
+    )
+
+
 def test_decompose_command(capsys):
     code, payload = run_json(capsys, ["decompose", '{"type":"fock","n":1}',
                                       "--delta", "0.1"])

@@ -8,6 +8,7 @@ from csrank.errors import ResourceLimit
 from csrank.fock import (
     ALPHA_MERGE_TOL,
     DEFAULT_MAX_TAIL,
+    MAX_CUTOFF,
     CoherentSuperposition,
     CoherentTerm,
     FockVector,
@@ -17,6 +18,8 @@ from csrank.fock import (
     coherent_state,
     fidelity,
     fock_state,
+    log_factorial,
+    log_factorials,
     squeezed_state,
     state_from_descriptor,
     superposition_to_fock,
@@ -275,6 +278,52 @@ def test_coherent_columns_match_scalar_oracle(alphas, cutoff):
         expected = np.array([_coherent_oracle(alpha, n) for n in range(cutoff + 1)])
         assert np.allclose(cols[:, k], expected, rtol=1e-13, atol=1e-300)
         assert np.array_equal(coherent_amplitudes(alpha, cutoff), cols[:, k])
+
+
+def _bits(x) -> np.ndarray:
+    """The IEEE bit patterns of x (real or complex entries)."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.filterwarnings("error")
+def test_log_factorial_table_is_scipy_gammaln_bit_for_bit():
+    from scipy.special import gammaln
+
+    k = np.arange(20_001)
+    table = log_factorials(20_000)
+    assert not table.flags.writeable
+    assert np.array_equal(_bits(table), _bits(gammaln(k + 1)))
+    top = 2 * MAX_CUTOFF
+    assert _bits(log_factorials(top)[top]) == _bits(gammaln(top + 1))
+    # past the table the same formula runs on one value, its correction dropped past 1e8
+    for k in (top, top + 1, 10**8 - 1, 10**8, 10**12, 10**20):
+        assert _bits(log_factorial(k)) == _bits(gammaln(float(k + 1))), k
+
+
+def _xlogy_columns(alphas, cutoff: int) -> np.ndarray:
+    """coherent_columns as formed through scipy's gammaln and xlogy."""
+    from scipy.special import gammaln, xlogy
+
+    n = np.arange(cutoff + 1)[:, None]
+    mags = np.abs(alphas)
+    log_mag = -0.5 * mags**2 + xlogy(n, mags) - 0.5 * gammaln(n + 1)
+    return np.exp(log_mag) * np.exp(1j * n * np.angle(alphas))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cutoff", [0, 1, 16, 109, 600])
+def test_coherent_columns_equal_the_xlogy_formula_bit_for_bit(cutoff):
+    rng = np.random.default_rng(cutoff)
+    scale = 10.0 ** rng.uniform(-6, 1.5, 1000)
+    random = scale * np.exp(2j * np.pi * rng.uniform(0, 1, 1000))
+    # plus up to 20 magnitudes whose numpy log differs from libm's on this build, if any
+    pool = rng.uniform(0.01, 3.0, 100_000)
+    differ = pool[np.log(pool) != np.fromiter(map(math.log, pool.tolist()), float, len(pool))]
+    alphas = np.concatenate([[0.0, 1e-310, 1e-5, 0.7j, 30.0], random, differ[:20] * 1j])
+    # a block holding alpha = 0 takes one path; one without it, or a single alpha, the other
+    for block in [alphas, alphas[1:]] + [alphas[k : k + 1] for k in range(5)]:
+        expected = _xlogy_columns(block, cutoff)
+        assert np.array_equal(_bits(coherent_columns(block, cutoff)), _bits(expected))
 
 
 def test_merge_is_shared_by_single_and_multimode_superpositions():

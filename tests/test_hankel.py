@@ -473,13 +473,14 @@ def test_certify_makes_one_grid_pass_per_n(monkeypatch):
 
 def test_certify_builds_the_b_independent_parts_once_per_n(monkeypatch):
     calls = []
-    lgamma = hankel.gammaln
+    log_factorials = hankel.log_factorials
 
-    def counted(x):
-        calls.append(len(x))
-        return lgamma(x)
+    def counted(k_max):
+        table = log_factorials(k_max)
+        calls.append(len(table))
+        return table
 
-    monkeypatch.setattr(hankel, "gammaln", counted)
+    monkeypatch.setattr(hankel, "log_factorials", counted)
     certify_rank(builder_states()[1], 1e-6, SearchConfig(N_max=6))
     # one log k! table per plan, for k = 0..2N, not one per golden-section step
     assert calls == [2 * N + 1 for N in range(1, 7)]
