@@ -120,6 +120,8 @@ def fock_analytic_threshold(n: int) -> float:
     """n! / (2 (n+1) (2n)!), evaluated in the log domain."""
     if n < 0:
         raise ValueError("Fock number must be non-negative")
+    if n >= 200:  # n! / (2n)! < (n + 1)^-n < 1e-460, below the smallest positive double
+        return 0.0
     return math.exp(
         log_factorial(n) - math.log(2.0) - math.log(n + 1) - log_factorial(2 * n)
     )

@@ -14,7 +14,6 @@ variable-projection gradient (Golub & Pereyra 1973; Kaufman 1975).
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .errors import NumericalFailure
 from .fock import (
     ALPHA_MERGE_TOL,
     CoherentSuperposition,
-    CoherentTerm,
     FockVector,
     _auto_coherent_cutoff,
     coherent_amplitudes,
@@ -72,10 +70,6 @@ def minimize(fun, x0, **options):
     return scipy_minimize(fun, x0, **options)
 
 
-def _superposition(coeffs, alphas) -> CoherentSuperposition:
-    return CoherentSuperposition([CoherentTerm(c, a) for c, a in zip(coeffs, alphas)])
-
-
 def _round_up(x: float) -> float:
     """x rounded up to three significant digits."""
     scale = 10.0 ** (math.floor(math.log10(x)) - 2)
@@ -117,11 +111,16 @@ def _circle_solve(core: FockVector, delta: float):
         )
     if n == 0:
         # a weight-0 core state is itself coherent; no circle needed
-        return _superposition(core.amplitudes[:1], np.zeros(1)), 1.0, 0.0
+        return CoherentSuperposition([(core.amplitudes[0], 0.0)]), 1.0, 0.0
     row_scale = coherent_amplitudes(delta, n).real  # |delta>'s amplitudes are real
     # W[k, j] = omega^(j k); the raw matrix is diag(row_scale) @ W.
     W = omega ** np.outer(k, k)
-    rhs = core.amplitudes[: n + 1] / row_scale
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rhs = core.amplitudes[: n + 1] / row_scale
+        rhs_norm = np.linalg.norm(rhs)
+    if not np.isfinite(rhs_norm):  # the coefficients are as large as rhs
+        raise ValueError(f"delta={delta:g} puts the circle coefficients past the double "
+                         "range: they scale as sqrt(k!) e^(delta^2/2) / delta^k")
     try:
         coeffs = np.linalg.solve(W, rhs)
     except np.linalg.LinAlgError as exc:  # unreachable for distinct nodes, but guarded
@@ -129,8 +128,8 @@ def _circle_solve(core: FockVector, delta: float):
     cond = float(row_scale.max() / row_scale.min())
     # relative residual of the equilibrated system; the raw amplitude match
     # loses ~cond * eps to cancellation, which is the caller's tradeoff in delta
-    residual = float(np.linalg.norm(W @ coeffs - rhs) / np.linalg.norm(rhs))
-    return _superposition(coeffs, alphas), cond, residual
+    residual = float(np.linalg.norm(W @ coeffs - rhs) / rhs_norm)
+    return CoherentSuperposition(zip(coeffs, alphas)), cond, residual
 
 
 def circle_decomposition(core: FockVector, delta: float) -> CoherentSuperposition:
@@ -159,14 +158,10 @@ def delta_cat_product(modes: int, delta: float) -> MultimodeSuperposition:
     """
     if modes < 1:
         raise ValueError("need at least one mode")
-    single = circle_decomposition(fock_state(1), delta).terms
-    terms = []
-    for combo in product(single, repeat=modes):
-        c = 1.0 + 0j
-        for t in combo:
-            c *= t.c
-        terms.append((c, np.array([t.alpha for t in combo])))
-    return MultimodeSuperposition(terms)
+    single = circle_decomposition(fock_state(1), delta)
+    coeffs, alphas = single.coefficients(), single.displacements()
+    rows = np.indices((len(single),) * modes).reshape(modes, -1).T  # first mode slowest
+    return MultimodeSuperposition(zip(np.prod(coeffs[rows], axis=1), alphas[rows]))
 
 
 def _normalized_target(target: FockVector) -> np.ndarray:
@@ -307,9 +302,10 @@ def fit_superposition(
             best = (fid, key, alphas, coeffs, reports[-1])
 
     _, _, alphas, coeffs, winner = best
-    sup = _superposition(coeffs, alphas)
+    sup = CoherentSuperposition(zip(coeffs, alphas))
     approx = superposition_to_fock(sup, cutoff=work_cutoff)
-    achieved = fidelity(target.padded(work_cutoff), approx)
+    # all-zero coefficients (a start orthogonal to the target) fit nothing
+    achieved = fidelity(target.padded(work_cutoff), approx) if approx.norm else 0.0
     return FitResult(
         superposition=sup,
         fidelity_achieved=achieved,

@@ -5,14 +5,16 @@ number).  Coherent states follow a_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!),
 squeezed states a_{2n} = (1/cosh r) lambda^n sqrt((2n)!) / (2^n n!) with
 lambda = -e^{i phi} tanh(r).  All factorial-bearing amplitudes are assembled
 in the log domain so large Fock numbers stay inside double range, from one
-table of log k! (``log_factorials``).  Loading this module imports no scipy:
-the Poisson tail of a coherent state imports ``scipy.special.gammainc`` on
-first use.
+table of log k! (``log_factorials``).  ``CoherentSuperposition`` is the one
+superposition type, for one mode and for coherent products.  Loading this
+module imports no scipy: the Poisson tail of a coherent state imports
+``scipy.special.gammainc`` on first use.
 """
 
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,31 +146,22 @@ class FockVector:
         return FockVector(amps, cutoff, self.normalized, self.tail_weight)
 
 
-@dataclass(frozen=True)
-class CoherentTerm:
-    """One branch c |alpha> of a coherent superposition."""
+class CoherentTerm(NamedTuple):
+    """One branch c |alpha>; alpha is a number, or a row for a coherent product."""
 
     c: complex
-    alpha: complex
-
-    def __post_init__(self):
-        for name in ("c", "alpha"):
-            z = complex(getattr(self, name))
-            object.__setattr__(self, name, z)
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise ValueError(f"{name} must be finite")
+    alpha: complex | np.ndarray
 
 
 def merge_coincident(coeffs, alphas):
     """Merge terms whose displacements coincide within ALPHA_MERGE_TOL.
 
-    ``alphas`` is (k, modes), one displacement row per term; rows are
+    ``coeffs`` is a complex (k,) array and ``alphas`` a complex (k, modes)
+    array, one displacement row per term; rows are
     compared by their max-abs distance over the modes.  Scanning in order,
     each term joins the first kept row it matches, whose displacement stays,
     or becomes a kept row itself.  Returns the kept coefficients and rows.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    alphas = np.asarray(alphas, dtype=complex)
     sums = np.empty_like(coeffs)
     rows = np.empty_like(alphas)
     kept = 0
@@ -183,29 +176,51 @@ def merge_coincident(coeffs, alphas):
     return sums[:kept], rows[:kept]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherentSuperposition:
-    """Finite superposition sum_k c_k |alpha_k> with pairwise distinct alpha.
-
-    Terms whose displacements coincide within ALPHA_MERGE_TOL are merged at
-    construction by summing their coefficients (see ``merge_coincident``).
+    """Finite superposition sum_k c_k |alpha_k> with pairwise distinct alpha, built
+    from (c, alpha) pairs: read-only coefficients (k,) and displacements (k,) for
+    one mode or (k, modes) for coherent products, every entry finite.  Terms whose
+    displacements coincide within ALPHA_MERGE_TOL are merged (``merge_coincident``).
     """
 
-    terms: tuple
+    _coefficients: np.ndarray
+    _displacements: np.ndarray
 
     def __init__(self, terms):
-        terms = [t if isinstance(t, CoherentTerm) else CoherentTerm(*t) for t in terms]
-        coeffs, alphas = merge_coincident([t.c for t in terms], [[t.alpha] for t in terms])
-        object.__setattr__(self, "terms", tuple(map(CoherentTerm, coeffs, alphas.reshape(-1))))
+        terms = list(terms)
+        coeffs = np.array([t[0] for t in terms], dtype=complex)
+        try:
+            alphas = np.array([t[1] for t in terms], dtype=complex)
+        except ValueError:  # rows of unequal length, or numbers mixed with rows
+            alphas = None
+        if alphas is None or alphas.ndim > 2:
+            raise ValueError("terms must share the mode count")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("c must be finite")
+        if not np.isfinite(alphas).all():
+            raise ValueError("alpha must be finite")
+        coeffs, rows = merge_coincident(coeffs, alphas if alphas.ndim == 2 else alphas[:, None])
+        alphas = rows if alphas.ndim == 2 else rows[:, 0]
+        coeffs.flags.writeable = alphas.flags.writeable = False
+        object.__setattr__(self, "_coefficients", coeffs)
+        object.__setattr__(self, "_displacements", alphas)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._coefficients)
+
+    @functools.cached_property
+    def terms(self) -> tuple:
+        alphas = self._displacements
+        return tuple(map(CoherentTerm, self._coefficients.tolist(),
+                         alphas.tolist() if alphas.ndim == 1 else alphas))
 
     def coefficients(self) -> np.ndarray:
-        return np.array([t.c for t in self.terms], dtype=complex)
+        return self._coefficients
 
     def displacements(self) -> np.ndarray:
-        return np.array([t.alpha for t in self.terms], dtype=complex)
+        """(terms,) for one mode, (terms, modes) for coherent products."""
+        return self._displacements
 
 
 @dataclass(frozen=True)
@@ -246,6 +261,8 @@ def fock_state(n: int, cutoff: int | None = None) -> FockVector:
 def core_state(amplitudes, cutoff: int | None = None) -> FockVector:
     """A normalized finite superposition of Fock states."""
     amps = np.asarray(amplitudes, dtype=complex)
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite")
     norm = np.linalg.norm(amps)
     if norm == 0:
         raise ValueError("core state must have a nonzero amplitude")
@@ -421,9 +438,11 @@ def superposition_to_fock(sup: CoherentSuperposition, cutoff: int | None = None)
     """Fock expansion a_n = sum_k c_k e^{-|alpha_k|^2/2} alpha_k^n / sqrt(n!)."""
     if len(sup) == 0:
         raise ValueError("empty superposition")
+    alphas = sup.displacements()
     if cutoff is None:
-        cutoff = max(_auto_coherent_cutoff(t.alpha, DEFAULT_MAX_TAIL) for t in sup.terms)
-    amps = coherent_columns(sup.displacements(), cutoff) @ sup.coefficients()
+        # the Poisson tail grows with |alpha|, so the largest |alpha| sets the cutoff
+        cutoff = _auto_coherent_cutoff(np.hypot(alphas.real, alphas.imag).max(), DEFAULT_MAX_TAIL)
+    amps = coherent_columns(alphas, cutoff) @ sup.coefficients()
     tail = max(0.0, superposition_norm_sq(sup) - float(np.vdot(amps, amps).real))
     return FockVector(amps, cutoff, normalized=False, tail_weight=tail)
 
@@ -520,9 +539,8 @@ def state_from_descriptor(descriptor: dict) -> FockVector:
         params = SqueezedParams(r, real_field(descriptor.get("phi", 0.0), "phi"))
         return squeezed_state(params, cutoff)
     if kind == "superposition":
-        terms = []
-        for t in list_field(descriptor["terms"], "terms"):
-            t = object_field(t, "term")
-            terms.append(CoherentTerm(complex_from_pair(t["c"]), complex_from_pair(t["alpha"])))
-        return superposition_to_fock(CoherentSuperposition(terms), cutoff)
+        terms = (object_field(t, "term") for t in list_field(descriptor["terms"], "terms"))
+        sup = CoherentSuperposition(
+            (complex_from_pair(t["c"]), complex_from_pair(t["alpha"])) for t in terms)
+        return superposition_to_fock(sup, cutoff)
     raise ValueError(f"unknown state type {kind!r}")

@@ -157,8 +157,12 @@ def _odd_cat_power(modes: int, delta: float):
     m <= FACTOR_CUTOFF, each a sum of non-negative terms: 1 - delta_inf is
     (w_1 / W)^n and 1 - tail_weight is ((w_0 + w_1 + w_2) / W)^n.  The rows
     of the formula are the index product of the factor's two terms, first
-    mode slowest, as in decomp.delta_cat_product.
+    mode slowest, as in decomp.delta_cat_product.  Past delta = 10 it returns
+    delta_inf = tail_weight = 1, exact there, and no formula or phase: past
+    delta = 26.8 the factor's coefficients e^(delta^2/2) / (2 delta) overflow.
     """
+    if 10 < delta < math.inf:  # |1>'s share delta^2 / sinh(delta^2) < 1e-41: delta_inf is 1
+        return None, 1.0, 1.0, None
     factor = circle_decomposition(fock_state(1), delta)
     coeffs, alphas = factor.coefficients(), factor.displacements()
     amps = coherent_columns(alphas, FACTOR_CUTOFF) @ coeffs

@@ -67,6 +67,14 @@ def test_bound_analytic_fock12(capsys):
     assert payload["method"] == "analytic_fock"
 
 
+@pytest.mark.parametrize("n", [2**63, 2**1000, 10**400], ids=["2^63", "2^1000", "10^400"])
+def test_analytic_bound_past_the_double_range_is_zero(capsys, n):
+    code, payload = run_json(capsys, ["bound", json.dumps({"type": "fock", "n": n}),
+                                      "--r", str(n), "--method", "analytic"])
+    assert code == 0
+    assert payload["epsilon_threshold"] == 0.0
+
+
 def test_bound_optimized_squeezed(capsys):
     code, payload = run_json(
         capsys,
@@ -272,7 +280,8 @@ def test_cutoff_cap_is_inclusive():
     assert state_from_descriptor({"type": "fock", "n": 1, "cutoff": MAX_CUTOFF}).cutoff == MAX_CUTOFF
 
 
-_NUMBER = st.integers(-3, 40) | st.floats(-50, 50)
+_NUMBER = (st.integers(-3, 40) | st.floats(-50, 50)
+           | st.sampled_from([math.nan, math.inf, -math.inf]))  # json writes NaN, Infinity
 _SMALL_JSON = st.recursive(
     st.none() | st.booleans() | _NUMBER | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3)
@@ -465,16 +474,34 @@ def test_commands_without_fits_or_poisson_tails_import_no_scipy(tmp_path):
     assert out.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0] []", "True False", "True"]
 
 
-@pytest.mark.parametrize("delta", ["10", "20", "30"])
+@pytest.mark.parametrize("delta", ["10", "20", "30", "100"])
 def test_permanent_far_from_one_photon_names_delta_inf(capsys, delta):
     # (1 - w_1 / W) rounds to 1 here: delta_inf is exactly 1, not log1p(-1)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # delta 30 overflows a norm
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(["permanent", "--n", "2", "--delta", delta])
     assert code == 2
     assert capsys.readouterr().err.splitlines()[-1] == (
         "error: superposition is too far from |1>^2 (delta_inf = 1.000)"
     )
+
+
+@pytest.mark.parametrize("delta", ["30", "100"])
+def test_decompose_past_the_double_range_names_delta(capsys, delta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["decompose", '{"type":"fock","n":1}', "--delta", delta])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: delta={delta} puts the circle coefficients past the double range: "
+        "they scale as sqrt(k!) e^(delta^2/2) / delta^k\n"
+    )
+
+
+def test_non_finite_superposition_coefficient_exits_2(capsys):
+    descriptor = '{"type":"superposition","terms":[{"c":[NaN,0],"alpha":[0.1,0]}]}'
+    assert main(["bound", descriptor, "--r", "1"]) == 2
+    assert capsys.readouterr().err == "error: c must be finite\n"
 
 
 def test_decompose_command(capsys):
@@ -561,7 +588,7 @@ def test_permanent_past_the_gram_limit_satisfies_the_bound(capsys, n, trials):
 
 
 _DELTA_ARGS = st.sampled_from(["x", "", "0", "-0.2", "-1e-3", "nan", "inf", "-inf",
-                               "1e-300", "1e-20"]) | st.floats(1e-3, 1.5).map(repr)
+                               "1e-300", "1e-20", "30", "100"]) | st.floats(1e-3, 1.5).map(repr)
 
 
 @settings(max_examples=200, deadline=None)
@@ -573,7 +600,9 @@ def test_permanent_flags_never_leak_a_traceback(n, delta, trials):
     out, err = io.StringIO(), io.StringIO()
     argv = ["permanent", "--n", str(n), "--delta", delta, "--trials", str(trials)]
     with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the ill-conditioning warning
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.filterwarnings("ignore", "circle decomposition at delta=.* is severely "
+                                "ill conditioned", RuntimeWarning)
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse refuses a junk number

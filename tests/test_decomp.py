@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -98,6 +99,14 @@ def test_fit_fock2_three_terms():
     assert 1 - res.fidelity_achieved <= 1e-4
     assert res.converged
     assert res.restarts_used == 16
+
+
+def test_fit_from_a_start_orthogonal_to_the_target_reports_fidelity_zero():
+    # |0> is orthogonal to |3>: the least-squares coefficient is 0 and the
+    # gradient vanishes, so the restart stays there with nothing fitted
+    res = fit_superposition(fock_state(3), 1, restarts=0, init_alphas=[0])
+    assert res.fidelity_achieved == 0.0
+    assert [rep.fidelity for rep in res.restarts] == [0.0]
 
 
 def test_fit_rejects_r_zero():
@@ -314,3 +323,13 @@ def test_delta_cat_product_structure():
     # single-mode case reduces to the odd cat
     sup1 = delta_cat_product(1, 0.15)
     assert len(sup1) == 2
+
+
+def test_delta_cat_product_matches_the_term_by_term_product():
+    single = circle_decomposition(fock_state(1), 0.3).terms
+    sup = delta_cat_product(3, 0.3)
+    combos = list(itertools.product(single, repeat=3))  # first mode slowest
+    assert len(sup) == len(combos)
+    for (c, alpha), combo in zip(sup.terms, combos):
+        assert c == pytest.approx(math.prod(t.c for t in combo), rel=1e-15)
+        assert np.array_equal(alpha, [t.alpha for t in combo])

@@ -187,6 +187,35 @@ def test_duplicate_displacements_merge():
     assert sup.terms[0].c == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+@pytest.mark.parametrize("field", ["c", "alpha"])
+@pytest.mark.parametrize("modes", [None, 1, 3], ids=["one-mode", "1-row", "3-rows"])
+def test_superposition_refuses_non_finite_entries(bad, field, modes):
+    def alpha(x):
+        return x if modes is None else [0.2] * (modes - 1) + [x]
+
+    terms = [(1.0, alpha(0.5)), (bad, alpha(0.1)) if field == "c" else (0.5, alpha(bad))]
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        CoherentSuperposition(terms)
+
+
+@pytest.mark.parametrize("alphas", [[0.1, [0.2, 0.3]], [[0.1], [0.2, 0.3]], [[0.1, 0.2], 0.3]])
+def test_superposition_refuses_a_mixed_mode_count(alphas):
+    with pytest.raises(ValueError, match="^terms must share the mode count$"):
+        CoherentSuperposition([(1.0, a) for a in alphas])
+
+
+@pytest.mark.parametrize("alphas", [[0.1, -0.4j], [[0.1, 0.2], [0.3, -0.4j]]])
+def test_superposition_arrays_are_read_only(alphas):
+    sup = CoherentSuperposition([(1.0, alphas[0]), (0.5j, alphas[1])])
+    assert np.array_equal(sup.coefficients(), [1.0, 0.5j])
+    assert np.array_equal(sup.displacements(), alphas)
+    for array in (sup.coefficients(), sup.displacements()):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 7.0
+
+
 def test_fidelity_self_and_orthogonal():
     v = coherent_state(0.8, 20)
     assert fidelity(v, v) == pytest.approx(1.0, abs=1e-14)
