@@ -22,8 +22,8 @@ from .fock import (
     ALPHA_MERGE_TOL,
     CoherentSuperposition,
     FockVector,
-    _auto_coherent_cutoff,
     coherent_amplitudes,
+    coherent_cutoff,
     coherent_columns,
     fidelity,
     fock_state,
@@ -247,7 +247,7 @@ def fit_superposition(
     # represented to machine precision; otherwise chopped columns fake
     # fidelity after renormalization.
     search_reach = 2.0 * radius + 2.0
-    work_cutoff = max(target.cutoff, _auto_coherent_cutoff(search_reach, 1e-14))
+    work_cutoff = max(target.cutoff, coherent_cutoff(search_reach, 1e-14))
     t = _normalized_target(target.padded(work_cutoff))
     sqrt_n = np.sqrt(np.arange(1, work_cutoff + 1))
     base_deltas = np.geomspace(0.08, 1.2, num=max(restarts, 1)) * radius

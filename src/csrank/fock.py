@@ -6,9 +6,9 @@ squeezed states a_{2n} = (1/cosh r) lambda^n sqrt((2n)!) / (2^n n!) with
 lambda = -e^{i phi} tanh(r).  All factorial-bearing amplitudes are assembled
 in the log domain so large Fock numbers stay inside double range, from one
 table of log k! (``log_factorials``).  ``CoherentSuperposition`` is the one
-superposition type, for one mode and for coherent products.  Loading this
-module imports no scipy: the Poisson tail of a coherent state imports
-``scipy.special.gammainc`` on first use.
+superposition type, for one mode and for coherent products.  An automatic
+cutoff is the smallest whose truncated weight is within a budget, read off
+tails summed from the same table (``_tails``).
 """
 
 import functools
@@ -39,7 +39,7 @@ _STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.9365034045
 
 def _lgamma_of_integers(x: np.ndarray) -> np.ndarray:
     """log Gamma(x) for integer-valued floats x >= 1, bit for bit as cephes lgam
-    (so scipy.special.gammaln) computes it: the log of the exact product (x-1)!
+    (which scipy's gammaln runs) computes it: the log of the exact product (x-1)!
     below 13, the Stirling series over math.log (libm log; numpy's log differs in
     the last bit) above, with its correction term dropped past 1e8."""
     out = np.empty_like(x)
@@ -196,11 +196,12 @@ class CoherentSuperposition:
             alphas = None
         if alphas is None or alphas.ndim > 2:
             raise ValueError("terms must share the mode count")
-        if not np.isfinite(coeffs).all():
-            raise ValueError("c must be finite")
         if not np.isfinite(alphas).all():
             raise ValueError("alpha must be finite")
-        coeffs, rows = merge_coincident(coeffs, alphas if alphas.ndim == 2 else alphas[:, None])
+        with np.errstate(over="ignore", invalid="ignore"):  # a merged c may overflow
+            coeffs, rows = merge_coincident(coeffs, alphas if alphas.ndim == 2 else alphas[:, None])
+        if not np.isfinite(coeffs).all():
+            raise ValueError("c must be finite")
         alphas = rows if alphas.ndim == 2 else rows[:, 0]
         coeffs.flags.writeable = alphas.flags.writeable = False
         object.__setattr__(self, "_coefficients", coeffs)
@@ -263,7 +264,13 @@ def core_state(amplitudes, cutoff: int | None = None) -> FockVector:
     amps = np.asarray(amplitudes, dtype=complex)
     if not np.isfinite(amps).all():
         raise ValueError("amplitudes must be finite")
-    norm = np.linalg.norm(amps)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(amps)
+    if amps.any() and not math.sqrt(np.finfo(float).tiny) <= norm < math.inf:
+        # the squares leave the double range: divide each part by the largest one
+        largest = np.abs(np.concatenate([amps.real, amps.imag])).max()
+        amps = amps.real / largest + 1j * (amps.imag / largest)
+        norm = np.linalg.norm(amps)
     if norm == 0:
         raise ValueError("core state must have a nonzero amplitude")
     amps = amps / norm
@@ -305,46 +312,41 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     return coherent_columns(alpha, cutoff)[:, 0]
 
 
-def coherent_tail_weight(alpha: complex, cutoff: int) -> float:
-    """Probability weight of the truncated Poisson tail beyond ``cutoff``."""
-    lam = abs(complex(alpha)) ** 2
+def _tails(weights: np.ndarray) -> np.ndarray:
+    """past[c] = sum_{n > c} weights[n] for every c, in one reversed cumulative
+    sum that adds the smallest terms first, so nothing cancels."""
+    past = np.zeros_like(weights)
+    past[-2::-1] = np.cumsum(weights[:0:-1])
+    return past
+
+
+def _auto_cutoff(past: np.ndarray, max_tail: float, what: str) -> int:
+    """The smallest c with past[c] <= max_tail (ResourceLimit above MAX_CUTOFF)."""
+    cutoff = int(np.argmax(past <= max_tail))
+    if cutoff > MAX_CUTOFF:
+        raise ResourceLimit(f"{what} needs a cutoff above {MAX_CUTOFF} "
+                            f"for tail weight <= {max_tail:.3g}")
+    return cutoff
+
+
+def _coherent_tails(mag: float) -> np.ndarray:
+    """Poisson tails P(N > c), N ~ Poisson(lam = mag^2), for c = 0..K with
+    K = lam + 40 sqrt(lam + 1) + 60: every term past K is below e^-400 of the
+    largest, so the tails are complete to well below any budget."""
+    lam = mag**2
     if lam == 0:
-        return 0.0
-    # P(N > cutoff) for N ~ Poisson(lam), via the regularized incomplete gamma;
-    # scipy.special takes about 0.3 s to import, so it loads on the first tail.
-    from scipy.special import gammainc
-
-    return float(gammainc(cutoff + 1, lam))
+        return np.zeros(1)
+    k = int(lam + 40 * math.sqrt(lam + 1) + 60)
+    return _tails(np.exp(np.arange(k + 1) * math.log(lam) - lam - log_factorials(k)))
 
 
-def _smallest_passing(passes, hi: int) -> int:
-    """Smallest n in [0, hi] with passes(n), for a predicate that holds at hi
-    and, once it holds, holds for every larger n (bisection)."""
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _auto_coherent_cutoff(alpha: complex, max_tail: float) -> int:
+def coherent_cutoff(alpha: complex, max_tail: float) -> int:
+    """The smallest cutoff whose truncated Poisson weight is at most ``max_tail``."""
     mag = abs(complex(alpha))
     # A mean photon number |alpha|^2 above MAX_CUTOFF already needs a larger cutoff.
     if mag > math.sqrt(MAX_CUTOFF):
         raise ResourceLimit(f"|alpha| = {mag:.6g} needs a cutoff above {MAX_CUTOFF}")
-    lam = mag**2
-    c = min(max(8, int(lam + 10 * math.sqrt(lam + 1))), MAX_CUTOFF)
-    while coherent_tail_weight(alpha, c) > max_tail:
-        if c == MAX_CUTOFF:
-            raise ResourceLimit(
-                f"|alpha| = {mag:.6g} needs a cutoff above {MAX_CUTOFF} "
-                f"for tail weight <= {max_tail:.3g}"
-            )
-        c = min(int(1.5 * c) + 8, MAX_CUTOFF)
-    return _smallest_passing(lambda n: coherent_tail_weight(alpha, n) <= max_tail, c)
+    return _auto_cutoff(_coherent_tails(mag), max_tail, f"|alpha| = {mag:.6g}")
 
 
 def coherent_state(alpha: complex, cutoff: int | None = None) -> FockVector:
@@ -356,11 +358,10 @@ def coherent_state(alpha: complex, cutoff: int | None = None) -> FockVector:
     diagnostic; the vector is not renormalized.
     """
     if cutoff is None:
-        cutoff = _auto_coherent_cutoff(alpha, DEFAULT_MAX_TAIL)
-    tail = coherent_tail_weight(alpha, cutoff)
-    return FockVector(
-        coherent_amplitudes(alpha, cutoff), cutoff, normalized=False, tail_weight=tail
-    )
+        cutoff = coherent_cutoff(alpha, DEFAULT_MAX_TAIL)
+    past = _coherent_tails(abs(complex(alpha)))
+    tail = float(past[cutoff]) if cutoff < len(past) else 0.0
+    return FockVector(coherent_amplitudes(alpha, cutoff), cutoff, tail_weight=tail)
 
 
 def _squeezed_even_log_mags(params: SqueezedParams, n_pairs: int) -> np.ndarray:
@@ -385,6 +386,19 @@ def _squeezed_even_log_mags(params: SqueezedParams, n_pairs: int) -> np.ndarray:
     )
 
 
+def _squeezed_pairs(params: SqueezedParams) -> int:
+    """The pair count K past which the pairs weigh below the last bit of
+    DEFAULT_MAX_TAIL: each pair weighs w_n <= t^n / cosh r with t = tanh^2 r,
+    so those past K weigh at most t^(K+1) cosh r.  K is capped at MAX_CUTOFF
+    pairs, where that bound is below 1e-20 for every r whose cutoff fits under
+    MAX_CUTOFF."""
+    log_t = 2 * math.log(math.tanh(params.r)) if params.r else -math.inf
+    if log_t == 0:  # tanh r rounds to 1 from r = 19.1 on
+        return MAX_CUTOFF
+    negligible = math.log(2**-53 * DEFAULT_MAX_TAIL)
+    return min(MAX_CUTOFF, int((math.log(math.cosh(params.r)) - negligible) / -log_t))
+
+
 def squeezed_state(params: SqueezedParams, cutoff: int | None = None) -> FockVector:
     """Truncated squeezed vacuum a_{2n} = lam^n sqrt((2n)!) / (2^n n! sqrt(cosh r)).
 
@@ -392,32 +406,17 @@ def squeezed_state(params: SqueezedParams, cutoff: int | None = None) -> FockVec
     whose truncation weight does not exceed DEFAULT_MAX_TAIL is chosen
     (ResourceLimit if that is above MAX_CUTOFF).
     """
+    log_mags = _squeezed_even_log_mags(params, max(_squeezed_pairs(params), (cutoff or 0) // 2))
+    # the weight past cutoff c is that of the pairs past c // 2
+    past = np.repeat(_tails(np.exp(2 * log_mags)), 2)
     if cutoff is None:
-        max_pairs = MAX_CUTOFF // 2
-        n_pairs = 4
-        while True:
-            weights = np.exp(2 * _squeezed_even_log_mags(params, n_pairs))
-            if 1.0 - weights.sum() <= DEFAULT_MAX_TAIL:
-                break
-            if n_pairs == max_pairs:
-                raise ResourceLimit(
-                    f"squeezing r = {params.r:.6g} needs a cutoff above {MAX_CUTOFF} "
-                    f"for tail weight <= {DEFAULT_MAX_TAIL:.3g}"
-                )
-            n_pairs = min(2 * n_pairs, max_pairs)
-        # cutoff 2n keeps weights[:n + 1]
-        cutoff = 2 * _smallest_passing(
-            lambda n: 1.0 - weights[: n + 1].sum() <= DEFAULT_MAX_TAIL, n_pairs
-        )
+        cutoff = _auto_cutoff(past, DEFAULT_MAX_TAIL, f"squeezing r = {params.r:.6g}")
     n_pairs = cutoff // 2
-    log_mags = _squeezed_even_log_mags(params, n_pairs)
     lam = params.lam
     phases = np.exp(1j * np.arange(n_pairs + 1) * np.angle(lam)) if lam != 0 else 1.0
     amps = np.zeros(cutoff + 1, dtype=complex)
-    with np.errstate(over="ignore"):
-        amps[0 : 2 * n_pairs + 1 : 2] = np.exp(log_mags) * phases
-    tail = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
-    return FockVector(amps, cutoff, normalized=False, tail_weight=tail)
+    amps[0 : 2 * n_pairs + 1 : 2] = np.exp(log_mags[: n_pairs + 1]) * phases
+    return FockVector(amps, cutoff, tail_weight=float(past[cutoff]))
 
 
 def coherent_gram(alphas) -> np.ndarray:
@@ -427,13 +426,6 @@ def coherent_gram(alphas) -> np.ndarray:
     return np.exp(-0.5 * sq[:, None] - 0.5 * sq[None, :] + np.conj(alphas) @ alphas.T)
 
 
-def superposition_norm_sq(sup) -> float:
-    """Exact squared norm of a single- or multimode coherent superposition."""
-    c = sup.coefficients()
-    gram = coherent_gram(sup.displacements().reshape(len(c), -1))
-    return float(np.real(np.conj(c) @ gram @ c))
-
-
 def superposition_to_fock(sup: CoherentSuperposition, cutoff: int | None = None) -> FockVector:
     """Fock expansion a_n = sum_k c_k e^{-|alpha_k|^2/2} alpha_k^n / sqrt(n!)."""
     if len(sup) == 0:
@@ -441,10 +433,15 @@ def superposition_to_fock(sup: CoherentSuperposition, cutoff: int | None = None)
     alphas = sup.displacements()
     if cutoff is None:
         # the Poisson tail grows with |alpha|, so the largest |alpha| sets the cutoff
-        cutoff = _auto_coherent_cutoff(np.hypot(alphas.real, alphas.imag).max(), DEFAULT_MAX_TAIL)
-    amps = coherent_columns(alphas, cutoff) @ sup.coefficients()
-    tail = max(0.0, superposition_norm_sq(sup) - float(np.vdot(amps, amps).real))
-    return FockVector(amps, cutoff, normalized=False, tail_weight=tail)
+        cutoff = coherent_cutoff(np.hypot(alphas.real, alphas.imag).max(), DEFAULT_MAX_TAIL)
+    c = sup.coefficients()
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_sq = float(np.real(np.conj(c) @ coherent_gram(alphas.reshape(len(c), -1)) @ c))
+    if not math.isfinite(norm_sq):
+        raise ValueError("the superposition's squared norm is past the double range")
+    amps = coherent_columns(alphas, cutoff) @ c
+    tail = max(0.0, norm_sq - float(np.vdot(amps, amps).real))
+    return FockVector(amps, cutoff, tail_weight=tail)
 
 
 def fidelity(a: FockVector, b: FockVector) -> float:

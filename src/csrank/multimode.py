@@ -16,6 +16,7 @@ with (k, modes) displacements; ``MultimodeSuperposition`` only names them.
 """
 
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,7 +63,8 @@ class MultimodeFockState:
         total_weight = 0.0
         max_total = 0
         for occ, amp in self.amplitudes.items():
-            occ = tuple(int(k) for k in occ)
+            # integers only: int() would read 1.5 or "1" as some other occupation
+            occ = tuple(map(operator.index, occ))
             amp = complex(amp)
             if len(occ) != self.modes:
                 raise ValueError(f"occupation {occ} does not have {self.modes} entries")
@@ -71,7 +73,7 @@ class MultimodeFockState:
             if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
                 raise ValueError("amplitudes must be finite")
             if amp != 0:
-                cleaned[occ] = cleaned.get(occ, 0) + amp
+                cleaned[occ] = amp
                 max_total = max(max_total, sum(occ))
                 total_weight += abs(amp) ** 2
         if not cleaned:

@@ -158,7 +158,10 @@ ANALYTIC_CERT = {"state_descriptor": {"type": "fock", "n": 3}, "r": 3,
 
 # The rule a malformed case's message must name, by case id, where one is pinned.
 _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
-                       "multimode-repeated-occ": "occupation [1] appears more than once"}
+                       "multimode-repeated-occ": "occupation [1] appears more than once",
+                       "superposition-huge-c": "squared norm is past the double range",
+                       "superposition-huge-norm": "squared norm is past the double range",
+                       "superposition-merged-overflow": "c must be finite"}
 
 
 @pytest.mark.parametrize(
@@ -189,6 +192,12 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
         ["bound", "--check", dict(OPT_CERT, method=["x"])],
         ["bound", "--check", dict(CERT, epsilon_threshold=math.inf)],
         ["bound", "--check", dict(CERT, parameters={"N": -2, "b": 1.0})],
+        ["bound", '{"type":"superposition","terms":[{"c":[1e300,0],"alpha":[0.1,0]}]}',
+         "--r", "1"],
+        ["bound", '{"type":"superposition","terms":[{"c":[1e200,0],"alpha":[0.1,0]},'
+                  '{"c":[1e200,0],"alpha":[0.5,0]}]}', "--r", "1"],
+        ["bound", '{"type":"superposition","terms":[{"c":[1e308,0],"alpha":[0.1,0]},'
+                  '{"c":[1e308,0],"alpha":[0.1,0]}]}', "--r", "1"],
     ],
     ids=["core-scalar-amps", "superposition-scalar-c", "multimode-scalar-c", "squeezed-huge-r",
          "fock-list-n", "core-scalar-amps-field", "squeezed-list-r", "fock-string-cutoff",
@@ -196,7 +205,8 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
          "multimode-scalar-occ", "multimode-repeated-occ",
          "check-list-r", "check-top-level-list", "check-list-parameters", "check-missing-N",
          "check-analytic-r-above-n", "check-analytic-no-N", "check-analytic-squeezed", "check-method-weighted",
-         "check-method-list", "check-infinite-threshold", "check-negative-N"],
+         "check-method-list", "check-infinite-threshold", "check-negative-N",
+         "superposition-huge-c", "superposition-huge-norm", "superposition-merged-overflow"],
 )
 def test_malformed_descriptor_values_exit_2(capsys, tmp_path, request, argv):
     # A non-string argument is a certificate, written to a file for --check.
@@ -205,7 +215,9 @@ def test_malformed_descriptor_values_exit_2(capsys, tmp_path, request, argv):
         if not isinstance(arg, str):
             path.write_text(json.dumps(arg))
             argv[i] = str(path)
-    assert main(argv) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
@@ -459,7 +471,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in runs]
 print(codes, sorted(m for m in sys.modules if m.startswith("scipy")))
 with contextlib.redirect_stdout(io.StringIO()):
-    main(["bound", cat, "--r", "1"])  # no cutoff: the Poisson tail picks one
+    main(["bound", cat, "--r", "1"])  # no cutoff: the summed Poisson tail picks one
 print("scipy.special" in sys.modules, "scipy.optimize" in sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     main(["fit", '{"type":"fock","n":1}', "--r", "1", "--restarts", "1"])
@@ -471,7 +483,7 @@ def test_commands_without_fits_or_poisson_tails_import_no_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(csrank.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0] []", "True False", "True"]
+    assert out.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0] []", "False False", "True"]
 
 
 @pytest.mark.parametrize("delta", ["10", "20", "30", "100"])

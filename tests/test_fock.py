@@ -15,7 +15,9 @@ from csrank.fock import (
     SqueezedParams,
     coherent_amplitudes,
     coherent_columns,
+    coherent_cutoff,
     coherent_state,
+    core_state,
     fidelity,
     fock_state,
     log_factorial,
@@ -24,7 +26,6 @@ from csrank.fock import (
     state_from_descriptor,
     superposition_to_fock,
 )
-from csrank.fock import _squeezed_even_log_mags
 from csrank.multimode import MultimodeSuperposition
 
 
@@ -110,31 +111,53 @@ def test_squeezed_norm_approaches_one():
         assert v.tail_weight <= 1e-12
 
 
-def _linear_descent_cutoff(params, max_tail=DEFAULT_MAX_TAIL):
-    """Automatic squeezed cutoff by doubling the pair count, then stepping
-    down one pair at a time while the shorter truncation meets the budget."""
-    n_pairs = 4
-    while True:
-        weights = np.exp(2 * _squeezed_even_log_mags(params, n_pairs))
-        if 1.0 - weights.sum() <= max_tail:
-            break
-        n_pairs *= 2
-    while n_pairs > 0 and 1.0 - weights[:n_pairs].sum() <= max_tail:
-        n_pairs -= 1
-    return 2 * n_pairs
+def _squeezed_pair_weights(r: float, n_pairs: int) -> np.ndarray:
+    """|a_{2n}|^2 for n = 0..n_pairs by the ratio w_{n+1} / w_n = t (2n+1) / (2n+2),
+    t = tanh^2 r, from w_0 = 1 / cosh r: no log-factorials."""
+    n = np.arange(n_pairs)
+    ratios = math.tanh(r) ** 2 * (2 * n + 1) / (2 * n + 2)
+    return np.cumprod(np.concatenate([[1 / math.cosh(r)], ratios]))
 
 
-def test_squeezed_auto_cutoff_matches_linear_descent():
-    # The bisection must land where the one-pair-at-a-time descent did, also
-    # for large r, where each pair moves the tail by less than 1e-15.
+def test_squeezed_auto_cutoff_is_exact():
+    # The automatic cutoff is the smallest whose exactly summed tail is within
+    # the budget; the nearest of these tails lies 4e-7 (relative) from 1e-12.
     for i in range(431):
-        params = SqueezedParams(i / 100)
-        assert squeezed_state(params).cutoff == _linear_descent_cutoff(params), params
+        r = i / 100
+        pairs = squeezed_state(SqueezedParams(r)).cutoff // 2
+        extra = 20 + int(80 / (1 - math.tanh(r) ** 2))  # leaves past it below e^-80
+        w = _squeezed_pair_weights(r, pairs + extra).tolist()
+        assert math.fsum(w[pairs + 1:]) <= DEFAULT_MAX_TAIL, r
+        assert pairs == 0 or math.fsum(w[pairs:]) > DEFAULT_MAX_TAIL, r
+
+
+def _gammainc_cutoff(mag: float, max_tail: float) -> int:
+    """Smallest c with P(N > c) = gammainc(c + 1, |alpha|^2) <= max_tail."""
+    from scipy.special import gammainc
+
+    lam = mag**2
+    c = np.arange(int(lam + 20 * math.sqrt(lam + 1) + 40))
+    return int(np.argmax(gammainc(c + 1, lam) <= max_tail))
+
+
+@pytest.mark.parametrize("max_tail", [DEFAULT_MAX_TAIL, 1e-14])
+def test_coherent_auto_cutoff_matches_the_gammainc_oracle(max_tail):
+    from scipy.special import gammainc
+
+    rng = np.random.default_rng(17)
+    mags = np.concatenate([np.arange(1, 1201) / 100, rng.uniform(0, 300, 20)])
+    for mag in mags.tolist():
+        cutoff = coherent_cutoff(mag, max_tail)
+        assert cutoff == _gammainc_cutoff(mag, max_tail), mag
+        if max_tail == DEFAULT_MAX_TAIL and mag <= 12:
+            tail = coherent_state(mag).tail_weight
+            assert tail == pytest.approx(gammainc(cutoff + 1, mag**2), rel=1e-9, abs=1e-300)
 
 
 def test_auto_cutoffs_reach_up_to_the_cap():
-    # The pair doubling stops at MAX_CUTOFF // 2 rather than overshooting it.
-    assert squeezed_state(SqueezedParams(4.48)).cutoff == 99_016
+    # At r = 4.48 the pairs past cutoff 98,958 weigh 1.00011e-12 and those
+    # past 98,960 weigh 9.99588e-13 (40-digit sums).
+    assert squeezed_state(SqueezedParams(4.48)).cutoff == 98_960
     assert coherent_state(300.0).cutoff == 92_118
     with pytest.raises(ResourceLimit):
         squeezed_state(SqueezedParams(4.6))
@@ -266,6 +289,22 @@ def test_invariant_checks():
         FockVector(np.array([1.0, 1.0], dtype=complex), 1, normalized=True)
     with pytest.raises(ValueError):
         FockVector(np.ones(3, dtype=complex), 5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("part", [1e300, 1e200, 1e-200, 5e-324, 1.7e308 + 1.7e308j])
+def test_core_state_normalizes_amplitudes_past_the_double_range(part):
+    # the squares of these leave the double range; the state is |0> + |1> all the same
+    v = core_state([part, part])
+    assert v.normalized
+    unit = cmath.exp(1j * cmath.phase(part)) / math.sqrt(2)
+    assert np.allclose(v.amplitudes, [unit, unit], rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("amps", [[3, 4j], [1e-150, 2e-150], [0.1, 0.2 - 0.3j, 1e150]])
+def test_core_state_in_range_divides_by_the_plain_norm(amps):
+    amps = np.array(amps, dtype=complex)
+    assert np.array_equal(core_state(amps).amplitudes, amps / np.linalg.norm(amps))
 
 
 def test_descriptor_roundtrip():

@@ -423,6 +423,20 @@ def test_desk_scale_guard():
         evolve_fock_state(tensor_fock([1] * 7), np.eye(7))
 
 
+@pytest.mark.parametrize("amps", [{(1.5, 0): 1.0}, {("1", "1"): 1.0},
+                                  {(1, 1): 0.6, (1.9, 1): 0.8}])
+def test_occupations_must_be_integers(amps):
+    # int() would read each of these as another state (the last as |1, 1> with weight 1.96)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        MultimodeFockState(2, amps)
+
+
+def test_numpy_integer_occupations_are_accepted():
+    core = MultimodeFockState(2, {(np.int64(1), np.int64(0)): 1.0})
+    assert core.amplitudes == {(1, 0): 1.0}
+    assert all(type(k) is int for k in next(iter(core.amplitudes)))
+
+
 def test_state_invariants():
     with pytest.raises(ValueError):
         MultimodeFockState(2, {(1,): 1.0})

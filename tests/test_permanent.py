@@ -177,7 +177,7 @@ def _brute_force_box(coeffs, alphas):
 def _cat_norm(n, delta):
     """Norm of delta_cat_product(n, delta).  The odd cat's |1> amplitude is 1,
     so its squared norm is sinh(d^2) / d^2 exactly; the 2^n x 2^n coherent Gram
-    sum of superposition_norm_sq cancels, and already at n = 3, d = 0.3 moves
+    sum c^dag G c cancels, and already at n = 3, d = 0.3 moves
     delta_inf by 2.4e-14."""
     return (math.sinh(delta**2) / delta**2) ** (n / 2)
 
