@@ -261,6 +261,14 @@ def _run(args) -> int:
     return 0
 
 
+_B_GRID_HELP = (
+    "MIN,MAX,POINTS: the log-spaced b grid of the optimized search (default 1e-3,10,200, "
+    "plus b = 1 when inside). POINTS matters only at N = 1 and 2; from N = 3 on the "
+    "bound rises up to the one kink of its denominator and falls after it, so the search "
+    "scores that kink clamped into [MIN, MAX] and b = 1 when inside"
+)
+
+
 @functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -282,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int)
     p.add_argument("--eps", type=float)
     p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--b-grid", dest="b_grid", help="MIN,MAX,POINTS")
+    p.add_argument("--b-grid", dest="b_grid", help=_B_GRID_HELP)
     p.add_argument("--method", choices=["plain", "optimized", "analytic"],
                    default="optimized")
     p.add_argument("--check", help="re-validate a stored certificate JSON")
@@ -293,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_state(p, optional=True)
     p.add_argument("--eps", type=float, required=False)
     p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--b-grid", dest="b_grid", help="MIN,MAX,POINTS")
+    p.add_argument("--b-grid", dest="b_grid", help=_B_GRID_HELP)
     p.add_argument("--check", help="re-validate a stored certificate JSON")
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)

@@ -329,15 +329,44 @@ def _auto_cutoff(past: np.ndarray, max_tail: float, what: str) -> int:
     return cutoff
 
 
+def _explicit_tail(head: np.ndarray, tails) -> float:
+    """The weight past an explicit cutoff, of a state of norm 1 whose weights up
+    to the cutoff are ``head``: 1 - sum(head) when they hold at most half the
+    norm, where nothing cancels, else ``tails()``, the tail summed from the
+    whole table."""
+    kept = float(head.sum())
+    return 1.0 - kept if kept <= 0.5 else tails()
+
+
+def _poisson_length(lam: float) -> int:
+    """K = lam + 40 sqrt(lam + 1) + 60: every Poisson(lam) term past K is below
+    e^-400 of the largest, so the tails up to K are complete to well below any
+    budget."""
+    return int(lam + 40 * math.sqrt(lam + 1) + 60)
+
+
+def _poisson_weights(lam: float, k: int) -> np.ndarray:
+    """P(N = n), N ~ Poisson(lam > 0), for n = 0..k."""
+    return np.exp(np.arange(k + 1) * math.log(lam) - lam - log_factorials(k))
+
+
 def _coherent_tails(mag: float) -> np.ndarray:
-    """Poisson tails P(N > c), N ~ Poisson(lam = mag^2), for c = 0..K with
-    K = lam + 40 sqrt(lam + 1) + 60: every term past K is below e^-400 of the
-    largest, so the tails are complete to well below any budget."""
+    """Poisson tails P(N > c), N ~ Poisson(lam = mag^2), for c = 0..K."""
     lam = mag**2
     if lam == 0:
         return np.zeros(1)
-    k = int(lam + 40 * math.sqrt(lam + 1) + 60)
-    return _tails(np.exp(np.arange(k + 1) * math.log(lam) - lam - log_factorials(k)))
+    return _tails(_poisson_weights(lam, _poisson_length(lam)))
+
+
+def _coherent_tail(mag: float, cutoff: int) -> float:
+    """P(N > cutoff), N ~ Poisson(mag^2): 0 past K, else from the weights up
+    to the cutoff alone where they hold at most half the norm."""
+    lam = mag**2
+    k = _poisson_length(lam) if lam else 0
+    if cutoff >= k:
+        return 0.0
+    return _explicit_tail(_poisson_weights(lam, cutoff),
+                          lambda: float(_coherent_tails(mag)[cutoff]))
 
 
 def coherent_cutoff(alpha: complex, max_tail: float) -> int:
@@ -355,12 +384,12 @@ def coherent_state(alpha: complex, cutoff: int | None = None) -> FockVector:
     With ``cutoff=None`` the smallest cutoff whose truncation weight does not
     exceed DEFAULT_MAX_TAIL is chosen (ResourceLimit if that is above MAX_CUTOFF).
     The attained tail weight is stored on the returned vector as a
-    diagnostic; the vector is not renormalized.
+    diagnostic; the vector is not renormalized.  The Poisson weights are
+    built up to the cutoff alone when they hold at most half the norm.
     """
     if cutoff is None:
         cutoff = coherent_cutoff(alpha, DEFAULT_MAX_TAIL)
-    past = _coherent_tails(abs(complex(alpha)))
-    tail = float(past[cutoff]) if cutoff < len(past) else 0.0
+    tail = _coherent_tail(abs(complex(alpha)), cutoff)
     return FockVector(coherent_amplitudes(alpha, cutoff), cutoff, tail_weight=tail)
 
 
@@ -399,24 +428,36 @@ def _squeezed_pairs(params: SqueezedParams) -> int:
     return min(MAX_CUTOFF, int((math.log(math.cosh(params.r)) - negligible) / -log_t))
 
 
+def _squeezed_table(params: SqueezedParams, n_pairs: int) -> tuple:
+    """(log |a_{2n}| for n = 0..K, the weight past each cutoff c = 0..2K+1), with
+    K the larger of n_pairs and ``_squeezed_pairs``: the weight past c is that
+    of the pairs past c // 2."""
+    log_mags = _squeezed_even_log_mags(params, max(_squeezed_pairs(params), n_pairs))
+    return log_mags, np.repeat(_tails(np.exp(2 * log_mags)), 2)
+
+
 def squeezed_state(params: SqueezedParams, cutoff: int | None = None) -> FockVector:
     """Truncated squeezed vacuum a_{2n} = lam^n sqrt((2n)!) / (2^n n! sqrt(cosh r)).
 
     Odd amplitudes are exactly zero; with ``cutoff=None`` the smallest cutoff
     whose truncation weight does not exceed DEFAULT_MAX_TAIL is chosen
-    (ResourceLimit if that is above MAX_CUTOFF).
+    (ResourceLimit if that is above MAX_CUTOFF).  An explicit cutoff builds
+    the pairs up to it alone when they hold at most half the norm.
     """
-    log_mags = _squeezed_even_log_mags(params, max(_squeezed_pairs(params), (cutoff or 0) // 2))
-    # the weight past cutoff c is that of the pairs past c // 2
-    past = np.repeat(_tails(np.exp(2 * log_mags)), 2)
     if cutoff is None:
+        log_mags, past = _squeezed_table(params, 0)
         cutoff = _auto_cutoff(past, DEFAULT_MAX_TAIL, f"squeezing r = {params.r:.6g}")
+        tail = float(past[cutoff])
+    else:
+        log_mags = _squeezed_even_log_mags(params, cutoff // 2)
+        tail = _explicit_tail(np.exp(2 * log_mags),
+                              lambda: float(_squeezed_table(params, cutoff // 2)[1][cutoff]))
     n_pairs = cutoff // 2
     lam = params.lam
     phases = np.exp(1j * np.arange(n_pairs + 1) * np.angle(lam)) if lam != 0 else 1.0
     amps = np.zeros(cutoff + 1, dtype=complex)
     amps[0 : 2 * n_pairs + 1 : 2] = np.exp(log_mags[: n_pairs + 1]) * phases
-    return FockVector(amps, cutoff, tail_weight=float(past[cutoff]))
+    return FockVector(amps, cutoff, tail_weight=tail)
 
 
 def coherent_gram(alphas) -> np.ndarray:

@@ -15,10 +15,16 @@ bound values are re-exponentiated only at the end.  Every matrix comes from
 ``_spectra`` out of the b-independent ``_Plan`` of its (state, N), built once
 per search and N, and every bound from ``_threshold``.
 
-The optimized bound is searched on a log-b grid per N, then refined where
-its optimum usually sits: on a kink of the piecewise-monomial denominator
-max_n m_n b^{2n} n! (``_kinks``), all kinks of an N scored in one stacked
-call; a bracket that no kink settles falls back to golden-section.
+Each sigma_l(H_{N,b}) is non-decreasing in b and sigma_l(H_{N,b}) / b^{2N}
+is non-increasing: for b' <= b, H_{N,b'} = D H_{N,b} D with D = diag((b'/b)^i)
+and ||D||_2 = 1, and for b' >= b the same holds with ||D||_2 = (b'/b)^N.  So
+the optimized objective rises up to the first kink of the piecewise-monomial
+denominator max_n m_n b^{2n} n! (``_kinks``) and falls after the last.  From
+N = 3 on there is one kink, and the search scores just that kink, clamped
+into the b range, and b = 1, in one stacked call.  N = 1 and 2 (two kinks)
+are searched on a log-b grid and refined at the kinks inside the bracket of
+the grid best, all kinks of an N scored in one stacked call; a bracket that
+no kink settles falls back to golden-section.
 """
 
 import math
@@ -76,8 +82,11 @@ class SearchConfig:
     """Search space for the optimized bound.
 
     ``b_grid`` is (b_min, b_max, points) spanned logarithmically; b = 1 is
-    always inserted so the optimized bound dominates the plain one at every
-    searched N; more than MAX_GRID_POINTS points raise ResourceLimit.
+    inserted when it lies in [b_min, b_max], so the optimized bound dominates
+    the plain one at every searched N; more than MAX_GRID_POINTS points raise
+    ResourceLimit.  Only N = 1 and 2 walk the grid: from N = 3 on the search
+    scores the one kink of the denominator, clamped into [b_min, b_max], and
+    b = 1, so there the range matters and ``points`` does not.
     ``N_max=None`` resolves to min(20, cutoff // 2) per state.
     """
 
@@ -232,16 +241,21 @@ def _grid_best(plan: _Plan, log_b: np.ndarray, rs) -> list:
     return best
 
 
-def _point_thresholds(plan: _Plan, log_b: np.ndarray, rs, log_den=None) -> list:
-    """The threshold of r = rs[k] at log_b[k] for each k: one stacked SVD for
-    all the points, and only the tail each point is asked for."""
-    if not 0 <= min(rs) <= max(rs) <= plan.N:
-        raise ValueError(f"need 0 <= r <= N, got r in [{min(rs)}, {max(rs)}], N={plan.N}")
+def _thresholds_at(plan: _Plan, log_b: np.ndarray, rs, log_den=None) -> list:
+    """[threshold of r at log_b[k] for r in rs[k]] for each k: one stacked SVD
+    for all the points, and only the tails each point is asked for."""
     out = []
     for lo, sigma, scale, den in _blocks(plan, log_b, log_den):
         for i, (s, d) in enumerate(zip(scale.tolist(), den.tolist())):
-            out.append(_threshold(float((sigma[i, rs[lo + i] :] ** 2).sum()), s, d))
+            out.append([_threshold(float((sigma[i, r:] ** 2).sum()), s, d) for r in rs[lo + i]])
     return out
+
+
+def _point_thresholds(plan: _Plan, log_b: np.ndarray, rs, log_den=None) -> list:
+    """The threshold of r = rs[k] at log_b[k] for each k (one r per point)."""
+    if not 0 <= min(rs) <= max(rs) <= plan.N:
+        raise ValueError(f"need 0 <= r <= N, got r in [{min(rs)}, {max(rs)}], N={plan.N}")
+    return [value for [value] in _thresholds_at(plan, log_b, [[r] for r in rs], log_den)]
 
 
 def plain_bound(psi: FockVector, r: int, N: int) -> float:
@@ -335,22 +349,67 @@ def _refine(plan: _Plan, rs: list, lo: list, hi: list) -> list:
     return [out[k] for k in range(len(rs))]
 
 
+def _on_the_kink(plan: _Plan, rs: list, kink: float, lo: float, hi: float) -> list:
+    """(log b, threshold) of the maximum over [lo, hi] for each r in ``rs`` at an
+    N whose denominator has one kink: the kink clamped into the range, unless
+    b = 1 (log b = 0, scored when in the range) is strictly higher.  Both
+    points are scored in one stacked call."""
+    xs = [min(max(kink, lo), hi)] + ([0.0] if lo <= 0.0 <= hi else [])
+    table = _thresholds_at(plan, _log_b([*map(math.exp, xs)]), [rs] * len(xs))
+    # max keeps the first of equal values, so the kink wins a tie
+    return [max(zip(xs, values), key=lambda point: point[1]) for values in zip(*table)]
+
+
+def _grid_and_refine(plan: _Plan, rs: list, log_grid: np.ndarray) -> list:
+    """(log b, threshold) of the best point for each r in ``rs``: the grid pass,
+    then the refinement of the two cells around each nonzero grid best."""
+    log_b_grid = _log_b([*map(math.exp, log_grid)])  # the b the grid pass scores
+    on_grid = _grid_best(plan, log_b_grid, rs)
+    todo = [k for k, (val, _) in enumerate(on_grid) if val > 0.0]
+    top = np.array([on_grid[k][1] for k in todo], dtype=int)
+    lo = log_grid[np.maximum(top - 1, 0)].tolist()
+    hi = log_grid[np.minimum(top + 1, len(log_grid) - 1)].tolist()
+    refined = dict(zip(todo, _refine(plan, [rs[k] for k in todo], lo, hi)))
+    found = []
+    for k, (grid_val, i) in enumerate(on_grid):
+        log_b_star, val = refined.get(k, (log_grid[i], grid_val))
+        found.append((log_grid[i], grid_val) if grid_val > val else (log_b_star, val))
+    return found
+
+
 def optimized_bounds(psi: FockVector, rs, cfg: SearchConfig | None = None) -> dict:
     """{r: OptimizedBound} maximizing the rescaled bound over (b, N), for r in ``rs``.
 
-    The N search is exhaustive on [max(r, 1), N_max]; for each N the b
-    search walks the logarithmic grid and refines the two cells around the
-    best grid point.  The denominator max_n m_n b^{2n} n! is piecewise
-    monomial in b, and the optimum usually sits on one of its kinks, so the
-    refinement takes the best kink inside that bracket if it is at least its
-    two probes beside it; a bracket with no such kink is refined by
-    golden-section (the objective is continuous but only piecewise smooth in
-    b, so that search is derivative-free).  A bracket whose grid best is
-    exactly 0 is not refined: H_{N,b} = B H_{N,1} B with B = diag(b^i)
-    invertible, so its tail is 0 at every b.  Ties are broken toward smaller
-    N, then smaller b.  One grid pass per N serves every r <= N, one stacked
+    The N search is exhaustive on [max(r, 1), N_max].  For b' <= b,
+    H_{N,b'} = D H_{N,b} D with D = diag((b'/b)^i) and ||D||_2 = 1, so each
+    sigma_l(H_{N,b}) is non-decreasing in b (Horn & Johnson, Topics in Matrix
+    Analysis, 3.3: sigma_l(AXB) <= ||A||_2 sigma_l(X) ||B||_2); the same
+    argument for b' >= b, where ||D||_2 = (b'/b)^N, shows that
+    sigma_l(H_{N,b}) / b^{2N} is non-increasing.
+    The denominator max_n m_n b^{2n} n! is the n = 0 term 1 left of its first
+    kink and the n = 2N term (2N)! b^{4N} right of its last, so the objective
+    rises up to the first kink and falls after the last.  From N = 3 on the
+    denominator has one kink (``_kinks``), and the maximum over the grid's
+    range is at that kink clamped into the range: those N score just the
+    clamped kink and b = 1 (when the range holds it, so the optimized bound
+    dominates the plain one even on noise-level tails) in one stacked call,
+    and the grid's point count plays no part.
+
+    N = 1 and 2 have two kinks.  There the b search walks the logarithmic
+    grid and refines the two cells around the best grid point: it takes the
+    best kink inside that bracket if it is at least its two probes beside
+    it; a bracket with no such kink is refined by golden-section (the
+    objective is continuous but only piecewise smooth in b, so that search
+    is derivative-free).  A bracket whose grid best is exactly 0 is not
+    refined: H_{N,b} = B H_{N,1} B with B = diag(b^i) invertible, so its tail
+    is 0 at every b.  One grid pass per N serves every r <= N, one stacked
     call scores every kink, and the golden-section refinements run in
     lockstep, one stacked call a step.
+
+    Ties are broken toward smaller N, then smaller b; at one N the kink wins
+    a tie with b = 1 or with the grid.  Every value is scored at
+    b = exp(log b), as ``rescaled_bound`` scores it, so ``bound --check``
+    re-derives it bit for bit.
 
     The returned threshold keeps the global factor 1/2 inherited from the
     fidelity-to-distance relation.  Closed-form shortcuts for Fock states
@@ -369,21 +428,16 @@ def optimized_bounds(psi: FockVector, rs, cfg: SearchConfig | None = None) -> di
         raise ValueError(f"r={rs[-1]} exceeds the largest searchable N={n_max}")
 
     log_grid = np.log(cfg.b_values())
-    log_b_grid = _log_b([*map(math.exp, log_grid)])  # the b the grid pass scores
     best = {r: OptimizedBound(0.0, 1.0, max(r, 1)) for r in rs}
     for N in range(max(rs[0], 1), n_max + 1):
         plan = _Plan(psi, N)
         live = [r for r in rs if r <= N]
-        on_grid = _grid_best(plan, log_b_grid, live)
-        todo = [k for k, (val, _) in enumerate(on_grid) if val > 0.0]
-        top = np.array([on_grid[k][1] for k in todo], dtype=int)
-        lo = log_grid[np.maximum(top - 1, 0)].tolist()
-        hi = log_grid[np.minimum(top + 1, len(log_grid) - 1)].tolist()
-        refined = dict(zip(todo, _refine(plan, [live[k] for k in todo], lo, hi)))
-        for k, (r, (grid_val, i)) in enumerate(zip(live, on_grid)):
-            log_b_star, val = refined.get(k, (log_grid[i], grid_val))
-            if grid_val > val:
-                log_b_star, val = log_grid[i], grid_val
+        kinks = _kinks(plan)
+        if len(kinks) == 1:
+            found = _on_the_kink(plan, live, kinks[0], float(log_grid[0]), float(log_grid[-1]))
+        else:
+            found = _grid_and_refine(plan, live, log_grid)
+        for r, (log_b_star, val) in zip(live, found):
             b_star, old = math.exp(log_b_star), best[r]
             if val > old.value or (val == old.value and (N, b_star) < (old.N_star, old.b_star)):
                 best[r] = OptimizedBound(float(val), float(b_star), N)

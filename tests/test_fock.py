@@ -163,6 +163,30 @@ def test_auto_cutoffs_reach_up_to_the_cap():
         squeezed_state(SqueezedParams(4.6))
 
 
+def test_explicit_cutoff_tails_come_from_the_kept_weights(monkeypatch):
+    # where the weights up to an explicit cutoff hold at most half the norm, the
+    # tail is 1 - head: no table past the cutoff, and nothing cancels
+    mpmath = pytest.importorskip("mpmath")
+    from csrank import fock
+
+    monkeypatch.setattr(fock, "_log_factorial_table", np.zeros(0))
+    assert coherent_state(1000, cutoff=10).tail_weight == 1.0
+    assert len(fock._log_factorial_table) <= 1024  # the table's smallest size
+
+    with mpmath.workdps(50):
+        for alpha, cutoff in [(1000, 10), (3, 5), (2, 1), (1, 0), (10, 80), (30, 800)]:
+            lam = mpmath.mpf(alpha) ** 2
+            head = mpmath.fsum(mpmath.exp(n * mpmath.log(lam) - lam - mpmath.loggamma(n + 1))
+                               for n in range(cutoff + 1))
+            assert abs(coherent_state(alpha, cutoff).tail_weight - (1 - head)) <= 1e-15 * (1 - head)
+        for r, cutoff in [(10, 16), (3, 4), (5, 30), (20, 100)]:
+            t, cosh = mpmath.tanh(r) ** 2, mpmath.cosh(r)
+            head = mpmath.fsum(t**n * mpmath.binomial(2 * n, n) / 4**n
+                               for n in range(cutoff // 2 + 1)) / cosh
+            tail = squeezed_state(SqueezedParams(r), cutoff).tail_weight
+            assert abs(tail - (1 - head)) <= 1e-15 * (1 - head)
+
+
 def test_superposition_single_vacuum_term():
     sup = CoherentSuperposition([CoherentTerm(1.0, 0.0)])
     v = superposition_to_fock(sup, 6)

@@ -420,10 +420,10 @@ def test_grid_pass_holds_one_block_not_the_table(monkeypatch):
 def test_stacked_svd_calls_stay_within_the_block_bound(monkeypatch):
     psi = builder_states()[1]
     calls = record_blocks(monkeypatch)
-    # r = 8 searches the single N = 8
-    cfg = SearchConfig(N_max=8, b_grid=(1e-3, 10.0, 30_000))
-    optimized_bound(psi, 8, cfg)
-    points, step = len(cfg.b_values()), hankel._BLOCK_ENTRIES // 81
+    # r = 2 searches the single N = 2, which has two kinks and so walks the grid
+    cfg = SearchConfig(N_max=2, b_grid=(1e-3, 10.0, 300_000))
+    optimized_bound(psi, 2, cfg)
+    points, step = len(cfg.b_values()), hankel._BLOCK_ENTRIES // 9
     # whole blocks, then the rest; the calls after them score kinks or golden-section points
     blocks = [step] * (points // step) + [points % step]
     assert max(entries(calls)) <= hankel._BLOCK_ENTRIES
@@ -453,20 +453,24 @@ def test_certify_makes_one_grid_pass_per_n(monkeypatch):
         runs = record_golden(monkeypatch, calls)
         certify_rank(psi, 1e-6, SearchConfig(N_max=6))
         # golden-section refines only the brackets no kink settles: 2 + 40
-        # calls of one point per such bracket, in lockstep
+        # calls of one point per such bracket, in lockstep, at N = 1 and 2
         for brackets, steps in runs:
             assert len(steps) == 42 and {calls[i][1] for i in steps} == {brackets}
+            assert {calls[i][0] for i in steps} <= {1, 2}
         golden = {i for _, steps in runs for i in steps}
         rest = [call for i, call in enumerate(calls) if i not in golden]
-        for N in range(1, 7):
+        for N in (1, 2):
             points = [p for n, p in rest if n == N]
             # one grid pass, then at most one call scoring every kink with its two probes
             assert points[0] == grid_points and len(points) <= 2
             assert all(p % 3 == 0 and p != grid_points for p in points[1:])
+        # from N = 3 on, one call scores the one kink and b = 1 for every r
+        assert [call for call in calls if call[0] >= 3] == [(N, 2) for N in range(3, 7)]
         if state == 0:  # |3>: the brackets of exactly zero tails are not refined
             assert [p for n, p in calls if n == 1] == [grid_points] and runs == []
-        if state == 1:  # squeezed 0.6: every r <= N settles on one kink, nothing falls back
-            assert calls == [c for N in range(1, 7) for c in [(N, grid_points), (N, 3 * N)]]
+        if state == 1:  # squeezed 0.6: every r <= 2 settles on one kink, nothing falls back
+            assert calls == [(1, grid_points), (1, 3), (2, grid_points), (2, 6)] + [
+                (N, 2) for N in range(3, 7)]
             assert runs == []
         monkeypatch.undo()
 
@@ -607,6 +611,71 @@ def test_kink_refinement_reaches_golden_section_on_the_corpus():
             for r, (_, value), (_, reference) in zip(rs, refined, golden):
                 if max(value, reference) > 1e-20:
                     assert value >= reference * (1 - 1e-14), (name, N, r)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 8])
+def test_singular_values_rise_with_b_and_fall_after_dividing_by_b_to_the_2n(N):
+    # H_{N,b'} = D H_{N,b} D with D = diag((b'/b)^i): for b <= b', ||D||_2 = 1 when
+    # scaling down and (b'/b)^N when scaling up, and sigma_l(A X B) <= ||A|| sigma_l(X) ||B||
+    grid = SearchConfig().b_values()
+    allowance = 10 * (N + 1) * 2.0**-52
+    for name, psi, _ in corpus_states():
+        _, sigma, scale = hankel._spectra(hankel._Plan(psi, N), hankel._log_b(grid))
+        s = sigma * np.exp(scale)[:, None]
+        t = s / grid[:, None] ** (2 * N)
+        for low, high in ((s[:-1], s[1:]), (t[1:], t[:-1])):
+            slack = allowance * np.maximum(low[:, :1], high[:, :1])
+            assert np.all(low <= high + slack), (name, N)
+
+
+def oracle_optimized_bounds(psi, rs, cfg):
+    """The search as every N ran it before the kink shortcut: the grid pass and
+    the refinement of the two cells around each nonzero grid best."""
+    rs = sorted(set(rs))
+    n_max = cfg.resolve_n_max(psi.cutoff)
+    log_grid = np.log(cfg.b_values())
+    log_b_grid = hankel._log_b([*map(math.exp, log_grid)])
+    best = {r: hankel.OptimizedBound(0.0, 1.0, max(r, 1)) for r in rs}
+    for N in range(max(rs[0], 1), n_max + 1):
+        plan = hankel._Plan(psi, N)
+        live = [r for r in rs if r <= N]
+        on_grid = hankel._grid_best(plan, log_b_grid, live)
+        todo = [k for k, (val, _) in enumerate(on_grid) if val > 0.0]
+        top = np.array([on_grid[k][1] for k in todo], dtype=int)
+        lo = log_grid[np.maximum(top - 1, 0)].tolist()
+        hi = log_grid[np.minimum(top + 1, len(log_grid) - 1)].tolist()
+        refined = dict(zip(todo, hankel._refine(plan, [live[k] for k in todo], lo, hi)))
+        for k, (r, (grid_val, i)) in enumerate(zip(live, on_grid)):
+            log_b_star, val = refined.get(k, (log_grid[i], grid_val))
+            if grid_val > val:
+                log_b_star, val = log_grid[i], grid_val
+            b_star, old = math.exp(log_b_star), best[r]
+            if val > old.value or (val == old.value and (N, b_star) < (old.N_star, old.b_star)):
+                best[r] = hankel.OptimizedBound(float(val), float(b_star), N)
+    return best
+
+
+@pytest.mark.parametrize("b_grid", [(1e-3, 10.0, 200), (1.0, 10.0, 50), (1e-3, 0.1, 50),
+                                    (0.5, 0.55, 7)])
+def test_kink_search_matches_the_grid_search_on_the_corpus(b_grid):
+    n_max = 6
+    cfg = SearchConfig(N_max=n_max, b_grid=b_grid)
+    holds_one = b_grid[0] <= 1.0 <= b_grid[1]
+    for name, psi, _ in corpus_states():
+        found = optimized_bounds(psi, range(n_max + 1), cfg)
+        oracle = oracle_optimized_bounds(psi, range(n_max + 1), cfg)
+        for r, res in found.items():
+            old = oracle[r]
+            if r == 0:
+                # the r = 0 tail of |n> is the n-th line of the denominator, a
+                # plateau of exact ties right of the kink that rounding splits
+                assert abs(res.value - old.value) <= 1e-14 * old.value, name
+            elif max(res.value, old.value) > 1e-18:
+                assert (res.value.hex(), res.b_star.hex(), res.N_star) == (
+                    old.value.hex(), old.b_star.hex(), old.N_star), (name, r)
+            elif holds_one:  # noise-level tails: b = 1 keeps the plain bound beaten
+                for N in range(max(r, 1), n_max + 1):
+                    assert res.value >= plain_bound(psi, r, N) * (1 - 1e-12), (name, r, N)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
