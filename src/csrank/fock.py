@@ -329,13 +329,10 @@ def _auto_cutoff(past: np.ndarray, max_tail: float, what: str) -> int:
     return cutoff
 
 
-def _explicit_tail(head: np.ndarray, tails) -> float:
-    """The weight past an explicit cutoff, of a state of norm 1 whose weights up
-    to the cutoff are ``head``: 1 - sum(head) when they hold at most half the
-    norm, where nothing cancels, else ``tails()``, the tail summed from the
-    whole table."""
-    kept = float(head.sum())
-    return 1.0 - kept if kept <= 0.5 else tails()
+def _summed_smallest_first(weights: np.ndarray) -> float:
+    """sum(weights), added from the last entry to the first as ``_tails`` adds
+    them, so the sum of the weights past c equals ``_tails(...)[c]`` bit for bit."""
+    return float(np.cumsum(weights[::-1])[-1])
 
 
 def _poisson_length(lam: float) -> int:
@@ -345,9 +342,10 @@ def _poisson_length(lam: float) -> int:
     return int(lam + 40 * math.sqrt(lam + 1) + 60)
 
 
-def _poisson_weights(lam: float, k: int) -> np.ndarray:
-    """P(N = n), N ~ Poisson(lam > 0), for n = 0..k."""
-    return np.exp(np.arange(k + 1) * math.log(lam) - lam - log_factorials(k))
+def _poisson_weights(lam: float, start: int, stop: int) -> np.ndarray:
+    """P(N = n), N ~ Poisson(lam > 0), for n = start..stop."""
+    n = np.arange(start, stop + 1)
+    return np.exp(n * math.log(lam) - lam - log_factorials(stop)[start:])
 
 
 def _coherent_tails(mag: float) -> np.ndarray:
@@ -355,18 +353,21 @@ def _coherent_tails(mag: float) -> np.ndarray:
     lam = mag**2
     if lam == 0:
         return np.zeros(1)
-    return _tails(_poisson_weights(lam, _poisson_length(lam)))
+    return _tails(_poisson_weights(lam, 0, _poisson_length(lam)))
 
 
 def _coherent_tail(mag: float, cutoff: int) -> float:
-    """P(N > cutoff), N ~ Poisson(mag^2): 0 past K, else from the weights up
-    to the cutoff alone where they hold at most half the norm."""
+    """P(N > cutoff), N ~ Poisson(mag^2): 0 past K; 1 - head where the weights
+    up to the cutoff hold at most half the norm, so nothing cancels; else the
+    weights past the cutoff, summed as ``_coherent_tails`` sums them."""
     lam = mag**2
     k = _poisson_length(lam) if lam else 0
     if cutoff >= k:
         return 0.0
-    return _explicit_tail(_poisson_weights(lam, cutoff),
-                          lambda: float(_coherent_tails(mag)[cutoff]))
+    kept = float(_poisson_weights(lam, 0, cutoff).sum())
+    if kept <= 0.5:
+        return 1.0 - kept
+    return _summed_smallest_first(_poisson_weights(lam, cutoff + 1, k))
 
 
 def coherent_cutoff(alpha: complex, max_tail: float) -> int:
@@ -393,25 +394,23 @@ def coherent_state(alpha: complex, cutoff: int | None = None) -> FockVector:
     return FockVector(coherent_amplitudes(alpha, cutoff), cutoff, tail_weight=tail)
 
 
-def _squeezed_even_log_mags(params: SqueezedParams, n_pairs: int) -> np.ndarray:
-    """log |a_{2n}| for n = 0..n_pairs, -inf entries for lambda = 0.
+def _squeezed_even_log_mags(params: SqueezedParams, n_pairs: int, start: int = 0) -> np.ndarray:
+    """log |a_{2n}| for n = start..n_pairs, -inf entries for lambda = 0.
 
     The prefactor is 1/sqrt(cosh r), which makes sum_n |a_{2n}|^2 -> 1
     (sum_n |lam|^{2n} binom(2n, n) / 4^n equals cosh r for |lam| = tanh r).
     """
     lam = params.lam
-    n = np.arange(n_pairs + 1)
+    n = np.arange(start, n_pairs + 1)
     if lam == 0:
-        out = np.full(n_pairs + 1, -np.inf)
-        out[0] = 0.0
-        return out
+        return np.where(n == 0, 0.0, -np.inf)
     log_fact = log_factorials(2 * n_pairs)
     return (
         -0.5 * math.log(math.cosh(params.r))
         + n * math.log(abs(lam))
-        + 0.5 * log_fact[::2]
+        + 0.5 * log_fact[2 * start :: 2]
         - n * math.log(2.0)
-        - log_fact[: n_pairs + 1]
+        - log_fact[start : n_pairs + 1]
     )
 
 
@@ -428,12 +427,18 @@ def _squeezed_pairs(params: SqueezedParams) -> int:
     return min(MAX_CUTOFF, int((math.log(math.cosh(params.r)) - negligible) / -log_t))
 
 
-def _squeezed_table(params: SqueezedParams, n_pairs: int) -> tuple:
-    """(log |a_{2n}| for n = 0..K, the weight past each cutoff c = 0..2K+1), with
-    K the larger of n_pairs and ``_squeezed_pairs``: the weight past c is that
-    of the pairs past c // 2."""
-    log_mags = _squeezed_even_log_mags(params, max(_squeezed_pairs(params), n_pairs))
-    return log_mags, np.repeat(_tails(np.exp(2 * log_mags)), 2)
+def _squeezed_tail(params: SqueezedParams, head: np.ndarray) -> float:
+    """The weight past the pairs 0..len(head) - 1, whose weights are ``head``:
+    1 - head where they hold at most half the norm, so nothing cancels; else 0
+    past ``_squeezed_pairs``, or the pair weights past them, summed as the
+    automatic table sums them."""
+    kept = float(head.sum())
+    if kept <= 0.5:
+        return 1.0 - kept
+    k, n_pairs = _squeezed_pairs(params), len(head) - 1
+    if n_pairs >= k:
+        return 0.0
+    return _summed_smallest_first(np.exp(2 * _squeezed_even_log_mags(params, k, n_pairs + 1)))
 
 
 def squeezed_state(params: SqueezedParams, cutoff: int | None = None) -> FockVector:
@@ -445,13 +450,14 @@ def squeezed_state(params: SqueezedParams, cutoff: int | None = None) -> FockVec
     the pairs up to it alone when they hold at most half the norm.
     """
     if cutoff is None:
-        log_mags, past = _squeezed_table(params, 0)
+        log_mags = _squeezed_even_log_mags(params, _squeezed_pairs(params))
+        # the weight past cutoff c is that of the pairs past c // 2
+        past = np.repeat(_tails(np.exp(2 * log_mags)), 2)
         cutoff = _auto_cutoff(past, DEFAULT_MAX_TAIL, f"squeezing r = {params.r:.6g}")
         tail = float(past[cutoff])
     else:
         log_mags = _squeezed_even_log_mags(params, cutoff // 2)
-        tail = _explicit_tail(np.exp(2 * log_mags),
-                              lambda: float(_squeezed_table(params, cutoff // 2)[1][cutoff]))
+        tail = _squeezed_tail(params, np.exp(2 * log_mags))
     n_pairs = cutoff // 2
     lam = params.lam
     phases = np.exp(1j * np.arange(n_pairs + 1) * np.angle(lam)) if lam != 0 else 1.0

@@ -187,6 +187,25 @@ def test_explicit_cutoff_tails_come_from_the_kept_weights(monkeypatch):
             assert abs(tail - (1 - head)) <= 1e-15 * (1 - head)
 
 
+def test_explicit_cutoff_tails_past_half_the_norm_equal_the_automatic_table():
+    # where the head holds more than half the norm, the weights past the cutoff
+    # are summed in the table's order, so the tail is the table's entry bit for bit
+    from csrank import fock
+
+    for mag in (0.3, 1.0, 2.5, 7.0, 30.0):
+        past = fock._coherent_tails(mag)
+        for cutoff in range(len(past) - 1):
+            if past[cutoff] < 0.5:
+                assert coherent_state(mag, cutoff).tail_weight == past[cutoff], (mag, cutoff)
+    for r in (0.1, 0.5, 1.5, 3.0):
+        params = SqueezedParams(r)
+        log_mags = fock._squeezed_even_log_mags(params, fock._squeezed_pairs(params))
+        past = np.repeat(fock._tails(np.exp(2 * log_mags)), 2)
+        for cutoff in {*range(0, len(past), len(past) // 50 + 1), *range(1, len(past), len(past) // 50 + 1)}:
+            if past[cutoff] < 0.5:
+                assert squeezed_state(params, cutoff).tail_weight == past[cutoff], (r, cutoff)
+
+
 def test_superposition_single_vacuum_term():
     sup = CoherentSuperposition([CoherentTerm(1.0, 0.0)])
     v = superposition_to_fock(sup, 6)

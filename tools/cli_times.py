@@ -2,16 +2,16 @@
 
 Each command runs in a fresh interpreter (``python -m csrank.cli ...``, with
 PYTHONPATH set to the checkout's ``src``), so its time includes the import of
-``csrank.cli``; the time recorded is the best of ``--repeat`` runs (default
-3).  The record also holds the line count of every file under ``src/csrank``,
-the exit code of each command, and the interpreter, numpy and host it ran on.
+``csrank.cli``; the time recorded is the best of REPEAT = 3 runs.  The record
+also holds the line count of every file under ``src/csrank``, the exit code of
+each command, and the interpreter, numpy and host it ran on.
 
     python3 tools/cli_times.py --label change --out BENCH_<n>.json
     python3 tools/cli_times.py --repo ../parent --label parent --out BENCH_<n>.json
 
 Runs with different labels (say, a parent commit and a change) share one
-file: each run replaces only its own label.  ``--suite`` also times one run
-of the tier-1 test suite.  Standard library only.
+file: each run replaces only its own label.  Each run also times one run of
+the tier-1 test suite (SUITE).  Standard library only.
 """
 
 import argparse
@@ -24,6 +24,8 @@ import tempfile
 import time
 from pathlib import Path
 
+REPEAT = 3  # runs per command; the fastest is kept
+SUITE = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
 COMMANDS = {
     "version": ["--version"],
     "bound_fock12": ["bound", '{"type":"fock","n":12}', "--r", "12", "--out", "cert.json"],
@@ -57,13 +59,13 @@ def src_lines(repo: Path) -> dict:
     return counts
 
 
-def record(repo: Path, repeat: int, suite: bool) -> dict:
+def record(repo: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(repo / "src"))
     commands = {}
     with tempfile.TemporaryDirectory() as work:
         for name, args in COMMANDS.items():  # in order: bound_check reads cert.json
             runs = [timed([sys.executable, "-m", "csrank.cli", *args], env, work)
-                    for _ in range(repeat)]
+                    for _ in range(REPEAT)]
             commands[name] = {"argv": args, "best_s": round(min(t for t, _ in runs), 4),
                               "runs_s": [round(t, 4) for t, _ in runs],
                               "exit_codes": sorted({code for _, code in runs})}
@@ -72,11 +74,9 @@ def record(repo: Path, repeat: int, suite: bool) -> dict:
     out = {"commands": commands, "src_lines": src_lines(repo),
            "python": platform.python_version(), "numpy": numpy,
            "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
-           "repeat": repeat}
-    if suite:
-        seconds, code = timed([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
-                              env, repo)
-        out["tier1_suite"] = {"wall_s": round(seconds, 2), "exit_code": code}
+           "repeat": REPEAT}
+    seconds, code = timed([sys.executable, *SUITE], env, repo)
+    out["tier1_suite"] = {"wall_s": round(seconds, 2), "exit_code": code}
     return out
 
 
@@ -86,13 +86,9 @@ def main(argv=None) -> int:
                         help="checkout whose src/ is timed (default: this one)")
     parser.add_argument("--label", required=True, help="key of this run in the output file")
     parser.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to update")
-    parser.add_argument("--repeat", type=int, default=3, help="runs per command (best kept)")
-    parser.add_argument("--suite", action="store_true", help="also time the tier-1 suite once")
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data[args.label] = record(args.repo.resolve(), args.repeat, args.suite)
+    data[args.label] = record(args.repo.resolve())
     args.out.write_text(json.dumps(data, indent=2) + "\n")
     return 0
 
