@@ -90,12 +90,12 @@ def _load_state(descriptor: dict, n_max: int):
 
 
 def _search_config(args, n_max: int) -> SearchConfig:
-    if not getattr(args, "b_grid", None):
+    if not getattr(args, "b_range", None):
         return SearchConfig(N_max=n_max)
-    parts = args.b_grid.split(",")
-    if len(parts) != 3:
-        raise ValueError("--b-grid expects MIN,MAX,POINTS")
-    return SearchConfig(N_max=n_max, b_grid=(float(parts[0]), float(parts[1]), int(parts[2])))
+    parts = args.b_range.split(",")
+    if len(parts) != 2:
+        raise ValueError("--b-range expects MIN,MAX")
+    return SearchConfig(N_max=n_max, b_range=(float(parts[0]), float(parts[1])))
 
 
 def _check_certificate(path: str) -> int:
@@ -261,11 +261,10 @@ def _run(args) -> int:
     return 0
 
 
-_B_GRID_HELP = (
-    "MIN,MAX,POINTS: the log-spaced b grid of the optimized search (default 1e-3,10,200, "
-    "plus b = 1 when inside). POINTS matters only at N = 1 and 2; from N = 3 on the "
-    "bound rises up to the one kink of its denominator and falls after it, so the search "
-    "scores that kink clamped into [MIN, MAX] and b = 1 when inside"
+_B_RANGE_HELP = (
+    "MIN,MAX: the b range of the optimized search (default 1e-3,10). At each N the bound "
+    "rises up to the first kink of its denominator and falls after the last, so the search "
+    "scores the segment between them clamped into [MIN, MAX], and b = 1 when inside"
 )
 
 
@@ -290,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int)
     p.add_argument("--eps", type=float)
     p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--b-grid", dest="b_grid", help=_B_GRID_HELP)
+    p.add_argument("--b-range", dest="b_range", help=_B_RANGE_HELP)
     p.add_argument("--method", choices=["plain", "optimized", "analytic"],
                    default="optimized")
     p.add_argument("--check", help="re-validate a stored certificate JSON")
@@ -301,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_state(p, optional=True)
     p.add_argument("--eps", type=float, required=False)
     p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--b-grid", dest="b_grid", help=_B_GRID_HELP)
+    p.add_argument("--b-range", dest="b_range", help=_B_RANGE_HELP)
     p.add_argument("--check", help="re-validate a stored certificate JSON")
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)

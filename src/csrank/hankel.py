@@ -19,16 +19,15 @@ Each sigma_l(H_{N,b}) is non-decreasing in b and sigma_l(H_{N,b}) / b^{2N}
 is non-increasing: for b' <= b, H_{N,b'} = D H_{N,b} D with D = diag((b'/b)^i)
 and ||D||_2 = 1, and for b' >= b the same holds with ||D||_2 = (b'/b)^N.  So
 the optimized objective rises up to the first kink of the piecewise-monomial
-denominator max_n m_n b^{2n} n! (``_kinks``) and falls after the last.  From
-N = 3 on there is one kink, and the search scores just that kink, clamped
-into the b range, and b = 1, in one stacked call.  N = 1 and 2 (two kinks)
-are searched on a log-b grid and refined at the kinks inside the bracket of
-the grid best, all kinks of an N scored in one stacked call; a bracket that
-no kink settles falls back to golden-section.
+denominator max_n m_n b^{2n} n! (``_kinks``) and falls after the last, and
+the search at each N (``_search``) looks only at the segment between those
+kinks, clamped into the b range: one stacked call scores its ends, a probe
+inside each end and b = 1, and golden-section runs only on a segment that
+neither end settles.  From N = 3 on there is one kink, so the segment is a
+single point.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,9 +40,6 @@ DEFAULT_RANK_TOL = 1e-10
 
 # Largest number of complex matrix entries (16 MB) one stacked SVD call holds.
 _BLOCK_ENTRIES = 1 << 20
-
-# Most b values a search grid may hold (8 MB of grid); larger grids exit 4.
-MAX_GRID_POINTS = 10**6
 
 # Largest N whose (N+1)x(N+1) matrix fits in one SVD block; larger N exit 4.
 MAX_HANKEL_N = math.isqrt(_BLOCK_ENTRIES) - 1
@@ -81,26 +77,23 @@ class SearchConfigError(ValueError):
 class SearchConfig:
     """Search space for the optimized bound.
 
-    ``b_grid`` is (b_min, b_max, points) spanned logarithmically; b = 1 is
-    inserted when it lies in [b_min, b_max], so the optimized bound dominates
-    the plain one at every searched N; more than MAX_GRID_POINTS points raise
-    ResourceLimit.  Only N = 1 and 2 walk the grid: from N = 3 on the search
-    scores the one kink of the denominator, clamped into [b_min, b_max], and
-    b = 1, so there the range matters and ``points`` does not.
-    ``N_max=None`` resolves to min(20, cutoff // 2) per state.
+    ``b_range`` is (b_min, b_max) with 0 < b_min < b_max < inf.  At each N
+    the search scores the segment between the first and last kink of the
+    denominator, clamped into the range, and b = 1 when the range holds it,
+    so the optimized bound dominates the plain one at every searched N.
+    ``N_max`` must be non-negative; ``None`` resolves to min(20, cutoff // 2)
+    per state.
     """
 
     N_max: int | None = None
-    b_grid: tuple = (1e-3, 10.0, 200)
+    b_range: tuple = (1e-3, 10.0)
 
     def __post_init__(self):
-        b_min, b_max, points = self.b_grid
-        if not (0 < b_min < b_max):
-            raise SearchConfigError("b grid must satisfy 0 < b_min < b_max")
-        if points < 2:
-            raise SearchConfigError("b grid needs at least 2 points")
-        if points > MAX_GRID_POINTS:
-            raise ResourceLimit(f"b grid of {points} points exceeds {MAX_GRID_POINTS}")
+        if self.N_max is not None and self.N_max < 0:
+            raise SearchConfigError(f"N_max must be non-negative, got {self.N_max}")
+        b_min, b_max = self.b_range
+        if not (0 < b_min < b_max < math.inf):
+            raise SearchConfigError("b range must satisfy 0 < b_min < b_max < inf")
 
     def resolve_n_max(self, cutoff: int) -> int:
         n_max = min(20, cutoff // 2) if self.N_max is None else self.N_max
@@ -108,13 +101,6 @@ class SearchConfig:
             raise ValueError(f"cutoff {cutoff} too small for N_max {n_max}")
         check_hankel_size(n_max)
         return n_max
-
-    def b_values(self) -> np.ndarray:
-        b_min, b_max, points = self.b_grid
-        grid = np.geomspace(b_min, b_max, int(points))
-        if b_min <= 1.0 <= b_max:
-            grid = np.unique(np.concatenate([grid, [1.0]]))
-        return grid
 
 
 class OptimizedBound(NamedTuple):
@@ -184,68 +170,23 @@ def _log_weight_max(plan: _Plan, log_b: np.ndarray) -> np.ndarray:
     return (plan.log_m + plan.two_k * log_b[:, None] + plan.lgam).max(axis=1)
 
 
-def _blocks(plan: _Plan, log_b: np.ndarray, log_den):
-    """(first index, singular values, log scales, log denominators) of ``log_b``
-    in consecutive blocks of at most _BLOCK_ENTRIES matrix entries;
-    ``log_den=None`` takes each b's rescaled log 2 max_n m_n b^{2n} n!."""
+def _threshold(tail: float, scale: float, log_den: float) -> float:
+    """tail / e^{log_den} for a squared tail of the matrix stored at e^{-scale}, 0 if empty."""
+    return math.exp(math.log(tail) + 2.0 * scale - log_den) if tail > 0.0 else 0.0
+
+
+def _thresholds_at(plan: _Plan, log_b: np.ndarray, rs, log_den=None) -> list:
+    """[threshold of r at log_b[k] for r in rs[k]] for each k: the points in
+    consecutive stacked SVD calls of at most _BLOCK_ENTRIES matrix entries,
+    and only the tails each point is asked for.  ``log_den=None`` takes each
+    b's rescaled log 2 max_n m_n b^{2n} n!."""
+    out = []
     step = max(1, _BLOCK_ENTRIES // (plan.N + 1) ** 2)
     for lo in range(0, len(log_b), step):
         part = log_b[lo : lo + step]
         _, sigma, scale = _spectra(plan, part)
         den = (np.full(len(part), log_den) if log_den is not None
                else math.log(2.0) + _log_weight_max(plan, part))
-        yield lo, sigma, scale, den
-
-
-def _threshold(tail: float, scale: float, log_den: float) -> float:
-    """tail / e^{log_den} for a squared tail of the matrix stored at e^{-scale}, 0 if empty."""
-    return math.exp(math.log(tail) + 2.0 * scale - log_den) if tail > 0.0 else 0.0
-
-
-def _block_best(tails: np.ndarray, scale: np.ndarray, den: np.ndarray) -> tuple:
-    """(threshold, index) of the largest ``_threshold`` over one block, the first
-    index on ties.  The points are ranked by their log threshold in numpy,
-    whose log may differ from math.log by an ulp, so only the points within
-    that rounding of the top are scored by ``_threshold`` itself."""
-    with np.errstate(divide="ignore"):
-        log_tail = np.log(tails)
-    if log_tail.max() == -math.inf:  # every tail is empty: every threshold is 0
-        return 0.0, 0
-    rank = log_tail + 2.0 * scale - den
-    # three roundings at the largest magnitude involved, with room to spare
-    size = np.where(tails > 0.0, np.abs(log_tail), 0.0) + 2.0 * np.abs(scale) + np.abs(den)
-    slack = 1e-12 + 1e-14 * float(size.max())
-
-    def scored(points):  # the first of the points' largest thresholds
-        values = [_threshold(float(tails[i]), float(scale[i]), float(den[i])) for i in points]
-        best = max(values)
-        return best, int(points[values.index(best)])
-
-    best, i = scored(np.flatnonzero(rank >= rank.max() - slack))
-    if best < sys.float_info.min:  # subnormal or 0: exp ties span more than the slack
-        best, i = scored(range(len(tails)))
-    return best, i
-
-
-def _grid_best(plan: _Plan, log_b: np.ndarray, rs) -> list:
-    """[(threshold, index)] of the largest sum_{l>r} sigma_l^2 / (2 max_n m_n
-    b^{2n} n!) over ``log_b`` for each r in ``rs``, the first index on ties.
-    Each block's singular values serve every r, and only a running best per
-    r outlives its block."""
-    best = [(-1.0, 0)] * len(rs)
-    for lo, sigma, scale, den in _blocks(plan, log_b, None):
-        for k, r in enumerate(rs):
-            value, i = _block_best((sigma[:, r:] ** 2).sum(axis=1), scale, den)
-            if value > best[k][0]:
-                best[k] = (value, lo + i)
-    return best
-
-
-def _thresholds_at(plan: _Plan, log_b: np.ndarray, rs, log_den=None) -> list:
-    """[threshold of r at log_b[k] for r in rs[k]] for each k: one stacked SVD
-    for all the points, and only the tails each point is asked for."""
-    out = []
-    for lo, sigma, scale, den in _blocks(plan, log_b, log_den):
         for i, (s, d) in enumerate(zip(scale.tolist(), den.tolist())):
             out.append([_threshold(float((sigma[i, r:] ** 2).sum()), s, d) for r in rs[lo + i]])
     return out
@@ -271,8 +212,8 @@ def rescaled_bound(psi: FockVector, r: int, N: int, b: float) -> float:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_REFINE_ITERS = 40  # golden-section steps refining a bracket no kink settles
-_PROBE = 1e-6  # a kink's probes sit this fraction of its bracket's width away
+_REFINE_ITERS = 43  # golden-section steps on a segment neither end settles
+_PROBE = 1e-6  # an end's probe sits this fraction of the segment's width inside it
 
 
 def _kinks(plan: _Plan) -> list:
@@ -316,65 +257,38 @@ def _golden_max(f, lo: list, hi: list, iters: int) -> list:
     return [(x, u) if u >= v else (y, v) for x, y, u, v in zip(c, d, fc, fd)]
 
 
-def _refine(plan: _Plan, rs: list, lo: list, hi: list) -> list:
-    """(log b, threshold) of a local maximum of r = rs[k] on each bracket
-    [lo[k], hi[k]]: the bracket's best kink of the denominator if it is at
-    least its two probes, else golden-section.  Every kink and probe of every
-    bracket is scored in one stacked call; the brackets no kink settles then
-    run golden-section in lockstep."""
-
-    def score(xs, brackets):  # point j at b = exp(xs[j]) for r = rs[brackets[j]]
-        return _point_thresholds(plan, _log_b([*map(math.exp, xs)]), [rs[k] for k in brackets])
+def _search(plan: _Plan, rs: list, lo: float, hi: float) -> list:
+    """(log b, threshold) of the maximum over log b in [lo, hi] for each r in
+    ``rs``, which lies on the segment [x0, x1] between the first and last
+    kink, clamped into [lo, hi].  One stacked call scores x0, x1, a probe
+    _PROBE of the width inside each end (none for a one-point segment), and
+    b = 1 when [lo, hi] holds it.  An end wins if it is at least its probe and
+    the other end, x0 first, so a segment whose values are all exactly 0 is
+    not refined; the segments neither end settles run golden-section in
+    lockstep, one stacked call a step.  b = 1 replaces the segment's point
+    only when strictly higher."""
 
     kinks = _kinks(plan)
-    points, owner = [], []  # each kink of a bracket, then its two probes
-    for k, (a, b) in enumerate(zip(lo, hi)):
-        h = _PROBE * (b - a)
-        for x in kinks:
-            if a <= x <= b:
-                points += [x, x - h, x + h]
-                owner += [k] * 3
-    values = score(points, owner) if points else []
-    top = {}  # the first of each bracket's best kinks
-    for j in range(0, len(points), 3):
-        if owner[j] not in top or values[j] > values[top[owner[j]]]:
-            top[owner[j]] = j
-    out = {k: (points[j], values[j]) for k, j in top.items()
-           if values[j] >= max(values[j + 1], values[j + 2])}
-    rest = [k for k in range(len(rs)) if k not in out]
-    if rest:
-        golden = _golden_max(lambda xs: score(xs, rest), [lo[k] for k in rest],
-                             [hi[k] for k in rest], _REFINE_ITERS)
-        out.update(zip(rest, golden))
-    return [out[k] for k in range(len(rs))]
-
-
-def _on_the_kink(plan: _Plan, rs: list, kink: float, lo: float, hi: float) -> list:
-    """(log b, threshold) of the maximum over [lo, hi] for each r in ``rs`` at an
-    N whose denominator has one kink: the kink clamped into the range, unless
-    b = 1 (log b = 0, scored when in the range) is strictly higher.  Both
-    points are scored in one stacked call."""
-    xs = [min(max(kink, lo), hi)] + ([0.0] if lo <= 0.0 <= hi else [])
-    table = _thresholds_at(plan, _log_b([*map(math.exp, xs)]), [rs] * len(xs))
-    # max keeps the first of equal values, so the kink wins a tie
-    return [max(zip(xs, values), key=lambda point: point[1]) for values in zip(*table)]
-
-
-def _grid_and_refine(plan: _Plan, rs: list, log_grid: np.ndarray) -> list:
-    """(log b, threshold) of the best point for each r in ``rs``: the grid pass,
-    then the refinement of the two cells around each nonzero grid best."""
-    log_b_grid = _log_b([*map(math.exp, log_grid)])  # the b the grid pass scores
-    on_grid = _grid_best(plan, log_b_grid, rs)
-    todo = [k for k, (val, _) in enumerate(on_grid) if val > 0.0]
-    top = np.array([on_grid[k][1] for k in todo], dtype=int)
-    lo = log_grid[np.maximum(top - 1, 0)].tolist()
-    hi = log_grid[np.minimum(top + 1, len(log_grid) - 1)].tolist()
-    refined = dict(zip(todo, _refine(plan, [rs[k] for k in todo], lo, hi)))
-    found = []
-    for k, (grid_val, i) in enumerate(on_grid):
-        log_b_star, val = refined.get(k, (log_grid[i], grid_val))
-        found.append((log_grid[i], grid_val) if grid_val > val else (log_b_star, val))
-    return found
+    x0, x1 = (min(max(x, lo), hi) for x in (kinks[0], kinks[-1]))
+    h = _PROBE * (x1 - x0)
+    ends = [x0, x1, x0 + h, x1 - h] if x1 > x0 else [x0]
+    at_one = lo <= 0.0 <= hi
+    xs = ends + [0.0] * at_one
+    columns = list(zip(*_thresholds_at(plan, _log_b([*map(math.exp, xs)]), [rs] * len(xs))))
+    found = {}
+    for k, v in enumerate(columns):
+        if len(ends) == 1 or v[0] >= max(v[1], v[2]):
+            found[k] = (x0, v[0])
+        elif v[1] >= max(v[0], v[3]):
+            found[k] = (x1, v[1])
+    todo = [k for k in range(len(rs)) if k not in found]
+    if todo:
+        golden = _golden_max(  # one point per segment, at b = exp(log b)
+            lambda xs: _point_thresholds(plan, _log_b([*map(math.exp, xs)]), [rs[k] for k in todo]),
+            [x0] * len(todo), [x1] * len(todo), _REFINE_ITERS)
+        found.update(zip(todo, golden))
+    return [(0.0, v[-1]) if at_one and v[-1] > found[k][1] else found[k]
+            for k, v in enumerate(columns)]
 
 
 def optimized_bounds(psi: FockVector, rs, cfg: SearchConfig | None = None) -> dict:
@@ -388,28 +302,23 @@ def optimized_bounds(psi: FockVector, rs, cfg: SearchConfig | None = None) -> di
     sigma_l(H_{N,b}) / b^{2N} is non-increasing.
     The denominator max_n m_n b^{2n} n! is the n = 0 term 1 left of its first
     kink and the n = 2N term (2N)! b^{4N} right of its last, so the objective
-    rises up to the first kink and falls after the last.  From N = 3 on the
-    denominator has one kink (``_kinks``), and the maximum over the grid's
-    range is at that kink clamped into the range: those N score just the
-    clamped kink and b = 1 (when the range holds it, so the optimized bound
-    dominates the plain one even on noise-level tails) in one stacked call,
-    and the grid's point count plays no part.
+    rises up to the first kink and falls after the last: the maximum over
+    [b_min, b_max] lies on the segment between the two kinks, clamped into
+    the range (``_search``).  From N = 3 on there is one kink (``_kinks``) and
+    the segment is one point.  At N = 1 and 2 one local search of the
+    segment is enough: there the denominator is one monomial proportional to
+    b^{2N}; at r = 0 the objective is a sum of exponentials in log b, so
+    convex, and an end wins; at N = 1, r = 1 the determinant of H_{N,b} / b
+    is constant, so the objective is quasi-concave; at N = 2, r >= 1,
+    unimodality is measured on the corpus, not proven.  A zero tail stays
+    zero at every b (H_{N,b} = B H_{N,1} B with B = diag(b^i) invertible).
+    b = 1 is scored too when the range holds it, so the optimized bound
+    dominates the plain one even on noise-level tails.  Each N takes one
+    stacked call of at most five points for every r <= N.
 
-    N = 1 and 2 have two kinks.  There the b search walks the logarithmic
-    grid and refines the two cells around the best grid point: it takes the
-    best kink inside that bracket if it is at least its two probes beside
-    it; a bracket with no such kink is refined by golden-section (the
-    objective is continuous but only piecewise smooth in b, so that search
-    is derivative-free).  A bracket whose grid best is exactly 0 is not
-    refined: H_{N,b} = B H_{N,1} B with B = diag(b^i) invertible, so its tail
-    is 0 at every b.  One grid pass per N serves every r <= N, one stacked
-    call scores every kink, and the golden-section refinements run in
-    lockstep, one stacked call a step.
-
-    Ties are broken toward smaller N, then smaller b; at one N the kink wins
-    a tie with b = 1 or with the grid.  Every value is scored at
-    b = exp(log b), as ``rescaled_bound`` scores it, so ``bound --check``
-    re-derives it bit for bit.
+    Ties go to the segment over b = 1, then to smaller N, then smaller b.
+    Every value is scored at b = exp(log b), as ``rescaled_bound`` scores it,
+    so ``bound --check`` re-derives it bit for bit.
 
     The returned threshold keeps the global factor 1/2 inherited from the
     fidelity-to-distance relation.  Closed-form shortcuts for Fock states
@@ -427,17 +336,11 @@ def optimized_bounds(psi: FockVector, rs, cfg: SearchConfig | None = None) -> di
     if max(rs[-1], 1) > n_max:
         raise ValueError(f"r={rs[-1]} exceeds the largest searchable N={n_max}")
 
-    log_grid = np.log(cfg.b_values())
+    lo, hi = map(math.log, cfg.b_range)
     best = {r: OptimizedBound(0.0, 1.0, max(r, 1)) for r in rs}
     for N in range(max(rs[0], 1), n_max + 1):
-        plan = _Plan(psi, N)
         live = [r for r in rs if r <= N]
-        kinks = _kinks(plan)
-        if len(kinks) == 1:
-            found = _on_the_kink(plan, live, kinks[0], float(log_grid[0]), float(log_grid[-1]))
-        else:
-            found = _grid_and_refine(plan, live, log_grid)
-        for r, (log_b_star, val) in zip(live, found):
+        for r, (log_b_star, val) in zip(live, _search(_Plan(psi, N), live, lo, hi)):
             b_star, old = math.exp(log_b_star), best[r]
             if val > old.value or (val == old.value and (N, b_star) < (old.N_star, old.b_star)):
                 best[r] = OptimizedBound(float(val), float(b_star), N)

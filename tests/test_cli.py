@@ -22,7 +22,6 @@ from csrank.certify import fock_analytic_threshold
 from csrank.cli import _search_config, build_parser, main
 from csrank.fock import MAX_CUTOFF, fock_state, state_from_descriptor
 from csrank.hankel import (
-    MAX_GRID_POINTS,
     MAX_HANKEL_N,
     SearchConfig,
     plain_bound,
@@ -112,11 +111,11 @@ def test_certify_command(capsys):
 
 
 def test_search_config_takes_the_default_grid_unless_given():
-    args = argparse.Namespace(b_grid=None)
+    args = argparse.Namespace(b_range=None)
     assert _search_config(args, 7) == SearchConfig(N_max=7)
-    args.b_grid = "0.1,2,5"
-    assert _search_config(args, 7) == SearchConfig(N_max=7, b_grid=(0.1, 2.0, 5))
-    args.b_grid = "0.1,2"
+    args.b_range = "0.1,2"
+    assert _search_config(args, 7) == SearchConfig(N_max=7, b_range=(0.1, 2.0))
+    args.b_range = "0.1,2,5"
     with pytest.raises(ValueError):
         _search_config(args, 7)
 
@@ -158,6 +157,9 @@ ANALYTIC_CERT = {"state_descriptor": {"type": "fock", "n": 3}, "r": 3,
 
 # The rule a malformed case's message must name, by case id, where one is pinned.
 _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
+                       "certify-negative-n-max": "N_max must be non-negative",
+                       "certify-b-range-inf": "0 < b_min < b_max < inf",
+                       "bound-b-range-nan": "0 < b_min < b_max < inf",
                        "multimode-repeated-occ": "occupation [1] appears more than once",
                        "superposition-huge-c": "squared norm is past the double range",
                        "superposition-huge-norm": "squared norm is past the double range",
@@ -198,6 +200,9 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
                   '{"c":[1e200,0],"alpha":[0.5,0]}]}', "--r", "1"],
         ["bound", '{"type":"superposition","terms":[{"c":[1e308,0],"alpha":[0.1,0]},'
                   '{"c":[1e308,0],"alpha":[0.1,0]}]}', "--r", "1"],
+        ["certify", '{"type":"fock","n":3}', "--eps", "1e-3", "--n-max", "-1"],
+        ["certify", '{"type":"fock","n":1}', "--eps", "0.1", "--b-range", "1e-3,inf"],
+        ["bound", '{"type":"fock","n":1}', "--r", "1", "--b-range", "nan,10"],
     ],
     ids=["core-scalar-amps", "superposition-scalar-c", "multimode-scalar-c", "squeezed-huge-r",
          "fock-list-n", "core-scalar-amps-field", "squeezed-list-r", "fock-string-cutoff",
@@ -206,7 +211,8 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
          "check-list-r", "check-top-level-list", "check-list-parameters", "check-missing-N",
          "check-analytic-r-above-n", "check-analytic-no-N", "check-analytic-squeezed", "check-method-weighted",
          "check-method-list", "check-infinite-threshold", "check-negative-N",
-         "superposition-huge-c", "superposition-huge-norm", "superposition-merged-overflow"],
+         "superposition-huge-c", "superposition-huge-norm", "superposition-merged-overflow",
+         "certify-negative-n-max", "certify-b-range-inf", "bound-b-range-nan"],
 )
 def test_malformed_descriptor_values_exit_2(capsys, tmp_path, request, argv):
     # A non-string argument is a certificate, written to a file for --check.
@@ -226,15 +232,6 @@ def test_malformed_descriptor_values_exit_2(capsys, tmp_path, request, argv):
 
 def test_resource_limit_exits_4(capsys):
     assert main(["permanent", "--n", "17", "--delta", "0.2", "--trials", "1"]) == 4
-
-
-@pytest.mark.parametrize("command", [["bound", "--r", "1"], ["certify", "--eps", "0.1"]],
-                         ids=["bound", "certify"])
-def test_oversized_b_grid_exits_4(capsys, command):
-    argv = command[:1] + ['{"type":"fock","n":1}'] + command[1:]
-    assert main(argv + ["--b-grid", "1e-3,10,1000000000000"]) == 4
-    err = capsys.readouterr().err
-    assert str(MAX_GRID_POINTS) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
