@@ -127,6 +127,12 @@ def fock_analytic_threshold(n: int) -> float:
     )
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Refuse an epsilon outside (0, 1): NaN too, which no comparison passes."""
+    if not (0 < epsilon < 1):
+        raise ValueError("epsilon must lie in (0, 1)")
+
+
 def certify_rank(
     psi: FockVector,
     epsilon: float,
@@ -140,8 +146,7 @@ def certify_rank(
     selection stops at the first failure.  Returns r = 0 with a zero
     threshold when not even r = 1 is certified.
     """
-    if not (0 < epsilon < 1):
-        raise ValueError("epsilon must lie in (0, 1)")
+    check_epsilon(epsilon)
     if cfg is None:
         cfg = SearchConfig()
     n_max = cfg.resolve_n_max(psi.cutoff)

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .certify import BoundCertificate, certify_rank, fock_analytic_threshold
+from .certify import BoundCertificate, certify_rank, check_epsilon, fock_analytic_threshold
 from .decomp import (
     best_single_coherent,
     circle_decomposition_report,
@@ -115,6 +115,8 @@ def _check_certificate(path: str) -> int:
 def cmd_bound(args, descriptor):
     if args.r is None:
         raise ValueError("--r is required")
+    if args.eps is not None:
+        check_epsilon(args.eps)
     r = args.r
     if args.method == "analytic":
         cert = BoundCertificate(

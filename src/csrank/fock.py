@@ -6,9 +6,9 @@ squeezed states a_{2n} = (1/cosh r) lambda^n sqrt((2n)!) / (2^n n!) with
 lambda = -e^{i phi} tanh(r).  All factorial-bearing amplitudes are assembled
 in the log domain so large Fock numbers stay inside double range, from one
 table of log k! (``log_factorials``).  ``CoherentSuperposition`` is the one
-superposition type, for one mode and for coherent products.  An automatic
-cutoff is the smallest whose truncated weight is within a budget, read off
-tails summed from the same table (``_tails``).
+superposition type, for one mode and for coherent products.  One rule
+(``_truncate``) picks a coherent or squeezed state's cutoff and the weight it
+drops, from one reversed cumulative sum of the weights (``_tails``).
 """
 
 import functools
@@ -63,15 +63,16 @@ _log_factorial_table = np.zeros(0)
 
 
 def log_factorials(k_max: int) -> np.ndarray:
-    """log k! for k = 0..k_max: a read-only view of the one table this process
-    keeps, rebuilt at (at least) twice its size when a larger k_max is asked for."""
+    """log k! for k = 0..k_max (none for k_max < 0): a read-only view of the one
+    table this process keeps, rebuilt at (at least) twice its size when a larger
+    k_max is asked for."""
     global _log_factorial_table
     if k_max >= len(_log_factorial_table):
         size = max(k_max + 1, 2 * len(_log_factorial_table), 1024)
         table = _lgamma_of_integers(np.arange(1.0, size + 1))
         table.flags.writeable = False
         _log_factorial_table = table
-    return _log_factorial_table[: k_max + 1]
+    return _log_factorial_table[: max(k_max + 1, 0)]
 
 
 def log_factorial(k: int) -> float:
@@ -101,6 +102,8 @@ class FockVector:
         object.__setattr__(self, "amplitudes", amps)
         if amps.ndim != 1:
             raise ValueError("amplitudes must be a 1-d sequence")
+        if self.cutoff < 0:
+            raise ValueError(f"cutoff must be non-negative, got {self.cutoff}")
         if len(amps) != self.cutoff + 1:
             raise ValueError(
                 f"length {len(amps)} does not match cutoff {self.cutoff}"
@@ -320,63 +323,54 @@ def _tails(weights: np.ndarray) -> np.ndarray:
     return past
 
 
-def _auto_cutoff(past: np.ndarray, max_tail: float, what: str) -> int:
-    """The smallest c with past[c] <= max_tail (ResourceLimit above MAX_CUTOFF)."""
-    cutoff = int(np.argmax(past <= max_tail))
-    if cutoff > MAX_CUTOFF:
-        raise ResourceLimit(f"{what} needs a cutoff above {MAX_CUTOFF} "
-                            f"for tail weight <= {max_tail:.3g}")
-    return cutoff
-
-
-def _summed_smallest_first(weights: np.ndarray) -> float:
-    """sum(weights), added from the last entry to the first as ``_tails`` adds
-    them, so the sum of the weights past c equals ``_tails(...)[c]`` bit for bit."""
-    return float(np.cumsum(weights[::-1])[-1])
-
-
-def _poisson_length(lam: float) -> int:
-    """K = lam + 40 sqrt(lam + 1) + 60: every Poisson(lam) term past K is below
-    e^-400 of the largest, so the tails up to K are complete to well below any
-    budget."""
-    return int(lam + 40 * math.sqrt(lam + 1) + 60)
+def _truncate(weights, k: int, cutoff: int | None, per: int, max_tail: float, what: str):
+    """(cutoff, weight past it) for entries of ``per`` Fock indices each, weighing
+    ``weights(start, stop)`` for entries start..stop, negligible past entry k.
+    With ``cutoff=None``, the smallest cutoff whose tail is within ``max_tail``
+    (ResourceLimit naming ``what`` above MAX_CUTOFF) and that tail, off one
+    ``_tails`` table.  An explicit cutoff drops 1 - head where the head holds at
+    most half the norm, so nothing cancels; else 0 past entry k; else the entries
+    past it, summed in ``_tails``' order, so the table's entry bit for bit."""
+    if cutoff is None:
+        past = _tails(weights(0, k))
+        entry = int(np.argmax(past <= max_tail))
+        if per * entry > MAX_CUTOFF:
+            raise ResourceLimit(f"{what} needs a cutoff above {MAX_CUTOFF} "
+                                f"for tail weight <= {max_tail:.3g}")
+        return per * entry, float(past[entry])
+    entry = cutoff // per
+    kept = float(weights(0, entry).sum())
+    if kept <= 0.5:
+        return cutoff, 1.0 - kept
+    if entry >= k:
+        return cutoff, 0.0
+    return cutoff, float(np.cumsum(weights(entry + 1, k)[::-1])[-1])
 
 
 def _poisson_weights(lam: float, start: int, stop: int) -> np.ndarray:
-    """P(N = n), N ~ Poisson(lam > 0), for n = start..stop."""
+    """P(N = n), N ~ Poisson(lam >= 0), for n = start..stop."""
     n = np.arange(start, stop + 1)
+    if lam == 0:
+        return (n == 0).astype(float)
     return np.exp(n * math.log(lam) - lam - log_factorials(stop)[start:])
 
 
-def _coherent_tails(mag: float) -> np.ndarray:
-    """Poisson tails P(N > c), N ~ Poisson(lam = mag^2), for c = 0..K."""
+def _coherent_truncation(alpha: complex, cutoff: int | None, max_tail: float) -> tuple:
+    """``_truncate`` on the Poisson(|alpha|^2) weights."""
+    mag = abs(complex(alpha))
+    # A mean photon number |alpha|^2 above MAX_CUTOFF already needs a larger cutoff.
+    if cutoff is None and mag > math.sqrt(MAX_CUTOFF):
+        raise ResourceLimit(f"|alpha| = {mag:.6g} needs a cutoff above {MAX_CUTOFF}")
     lam = mag**2
-    if lam == 0:
-        return np.zeros(1)
-    return _tails(_poisson_weights(lam, 0, _poisson_length(lam)))
-
-
-def _coherent_tail(mag: float, cutoff: int) -> float:
-    """P(N > cutoff), N ~ Poisson(mag^2): 0 past K; 1 - head where the weights
-    up to the cutoff hold at most half the norm, so nothing cancels; else the
-    weights past the cutoff, summed as ``_coherent_tails`` sums them."""
-    lam = mag**2
-    k = _poisson_length(lam) if lam else 0
-    if cutoff >= k:
-        return 0.0
-    kept = float(_poisson_weights(lam, 0, cutoff).sum())
-    if kept <= 0.5:
-        return 1.0 - kept
-    return _summed_smallest_first(_poisson_weights(lam, cutoff + 1, k))
+    # every Poisson(lam) term past k is below e^-400 of the largest
+    k = int(lam + 40 * math.sqrt(lam + 1) + 60) if lam else 0
+    return _truncate(functools.partial(_poisson_weights, lam), k, cutoff, 1, max_tail,
+                     f"|alpha| = {mag:.6g}")
 
 
 def coherent_cutoff(alpha: complex, max_tail: float) -> int:
     """The smallest cutoff whose truncated Poisson weight is at most ``max_tail``."""
-    mag = abs(complex(alpha))
-    # A mean photon number |alpha|^2 above MAX_CUTOFF already needs a larger cutoff.
-    if mag > math.sqrt(MAX_CUTOFF):
-        raise ResourceLimit(f"|alpha| = {mag:.6g} needs a cutoff above {MAX_CUTOFF}")
-    return _auto_cutoff(_coherent_tails(mag), max_tail, f"|alpha| = {mag:.6g}")
+    return _coherent_truncation(alpha, None, max_tail)[0]
 
 
 def coherent_state(alpha: complex, cutoff: int | None = None) -> FockVector:
@@ -385,12 +379,9 @@ def coherent_state(alpha: complex, cutoff: int | None = None) -> FockVector:
     With ``cutoff=None`` the smallest cutoff whose truncation weight does not
     exceed DEFAULT_MAX_TAIL is chosen (ResourceLimit if that is above MAX_CUTOFF).
     The attained tail weight is stored on the returned vector as a
-    diagnostic; the vector is not renormalized.  The Poisson weights are
-    built up to the cutoff alone when they hold at most half the norm.
+    diagnostic; the vector is not renormalized.
     """
-    if cutoff is None:
-        cutoff = coherent_cutoff(alpha, DEFAULT_MAX_TAIL)
-    tail = _coherent_tail(abs(complex(alpha)), cutoff)
+    cutoff, tail = _coherent_truncation(alpha, cutoff, DEFAULT_MAX_TAIL)
     return FockVector(coherent_amplitudes(alpha, cutoff), cutoff, tail_weight=tail)
 
 
@@ -427,42 +418,21 @@ def _squeezed_pairs(params: SqueezedParams) -> int:
     return min(MAX_CUTOFF, int((math.log(math.cosh(params.r)) - negligible) / -log_t))
 
 
-def _squeezed_tail(params: SqueezedParams, head: np.ndarray) -> float:
-    """The weight past the pairs 0..len(head) - 1, whose weights are ``head``:
-    1 - head where they hold at most half the norm, so nothing cancels; else 0
-    past ``_squeezed_pairs``, or the pair weights past them, summed as the
-    automatic table sums them."""
-    kept = float(head.sum())
-    if kept <= 0.5:
-        return 1.0 - kept
-    k, n_pairs = _squeezed_pairs(params), len(head) - 1
-    if n_pairs >= k:
-        return 0.0
-    return _summed_smallest_first(np.exp(2 * _squeezed_even_log_mags(params, k, n_pairs + 1)))
-
-
 def squeezed_state(params: SqueezedParams, cutoff: int | None = None) -> FockVector:
     """Truncated squeezed vacuum a_{2n} = lam^n sqrt((2n)!) / (2^n n! sqrt(cosh r)).
 
     Odd amplitudes are exactly zero; with ``cutoff=None`` the smallest cutoff
     whose truncation weight does not exceed DEFAULT_MAX_TAIL is chosen
-    (ResourceLimit if that is above MAX_CUTOFF).  An explicit cutoff builds
-    the pairs up to it alone when they hold at most half the norm.
+    (ResourceLimit if that is above MAX_CUTOFF).
     """
-    if cutoff is None:
-        log_mags = _squeezed_even_log_mags(params, _squeezed_pairs(params))
-        # the weight past cutoff c is that of the pairs past c // 2
-        past = np.repeat(_tails(np.exp(2 * log_mags)), 2)
-        cutoff = _auto_cutoff(past, DEFAULT_MAX_TAIL, f"squeezing r = {params.r:.6g}")
-        tail = float(past[cutoff])
-    else:
-        log_mags = _squeezed_even_log_mags(params, cutoff // 2)
-        tail = _squeezed_tail(params, np.exp(2 * log_mags))
+    cutoff, tail = _truncate(
+        lambda start, stop: np.exp(2 * _squeezed_even_log_mags(params, stop, start)),
+        _squeezed_pairs(params), cutoff, 2, DEFAULT_MAX_TAIL, f"squeezing r = {params.r:.6g}")
     n_pairs = cutoff // 2
     lam = params.lam
     phases = np.exp(1j * np.arange(n_pairs + 1) * np.angle(lam)) if lam != 0 else 1.0
     amps = np.zeros(cutoff + 1, dtype=complex)
-    amps[0 : 2 * n_pairs + 1 : 2] = np.exp(log_mags[: n_pairs + 1]) * phases
+    amps[0 : 2 * n_pairs + 1 : 2] = np.exp(_squeezed_even_log_mags(params, n_pairs)) * phases
     return FockVector(amps, cutoff, tail_weight=tail)
 
 

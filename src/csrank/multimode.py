@@ -18,7 +18,7 @@ with (k, modes) displacements; ``MultimodeSuperposition`` only names them.
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -54,7 +54,7 @@ class MultimodeFockState:
 
     modes: int
     amplitudes: dict
-    max_total: int = -1
+    max_total: int = field(init=False)  # the largest boson count, set from the amplitudes
 
     def __post_init__(self):
         if self.modes < 1:

@@ -160,6 +160,9 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
                        "certify-negative-n-max": "N_max must be non-negative",
                        "certify-b-range-inf": "0 < b_min < b_max < inf",
                        "bound-b-range-nan": "0 < b_min < b_max < inf",
+                       "bound-eps-negative": "epsilon must lie in (0, 1)",
+                       "bound-eps-nan": "epsilon must lie in (0, 1)",
+                       "bound-eps-one": "epsilon must lie in (0, 1)",
                        "multimode-repeated-occ": "occupation [1] appears more than once",
                        "superposition-huge-c": "squared norm is past the double range",
                        "superposition-huge-norm": "squared norm is past the double range",
@@ -203,6 +206,9 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
         ["certify", '{"type":"fock","n":3}', "--eps", "1e-3", "--n-max", "-1"],
         ["certify", '{"type":"fock","n":1}', "--eps", "0.1", "--b-range", "1e-3,inf"],
         ["bound", '{"type":"fock","n":1}', "--r", "1", "--b-range", "nan,10"],
+        ["bound", '{"type":"fock","n":2}', "--r", "2", "--eps", "-1"],
+        ["bound", '{"type":"fock","n":2}', "--r", "2", "--eps", "nan"],
+        ["bound", '{"type":"fock","n":2}', "--r", "2", "--eps", "1"],
     ],
     ids=["core-scalar-amps", "superposition-scalar-c", "multimode-scalar-c", "squeezed-huge-r",
          "fock-list-n", "core-scalar-amps-field", "squeezed-list-r", "fock-string-cutoff",
@@ -212,7 +218,8 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
          "check-analytic-r-above-n", "check-analytic-no-N", "check-analytic-squeezed", "check-method-weighted",
          "check-method-list", "check-infinite-threshold", "check-negative-N",
          "superposition-huge-c", "superposition-huge-norm", "superposition-merged-overflow",
-         "certify-negative-n-max", "certify-b-range-inf", "bound-b-range-nan"],
+         "certify-negative-n-max", "certify-b-range-inf", "bound-b-range-nan",
+         "bound-eps-negative", "bound-eps-nan", "bound-eps-one"],
 )
 def test_malformed_descriptor_values_exit_2(capsys, tmp_path, request, argv):
     # A non-string argument is a certificate, written to a file for --check.

@@ -189,21 +189,34 @@ def test_explicit_cutoff_tails_come_from_the_kept_weights(monkeypatch):
 
 def test_explicit_cutoff_tails_past_half_the_norm_equal_the_automatic_table():
     # where the head holds more than half the norm, the weights past the cutoff
-    # are summed in the table's order, so the tail is the table's entry bit for bit
+    # are summed in the table's order, so the tail is the table's entry bit for
+    # bit, 0 past the table; the automatic cutoff is the table's first entry
+    # within the budget
     from csrank import fock
 
-    for mag in (0.3, 1.0, 2.5, 7.0, 30.0):
-        past = fock._coherent_tails(mag)
-        for cutoff in range(len(past) - 1):
-            if past[cutoff] < 0.5:
-                assert coherent_state(mag, cutoff).tail_weight == past[cutoff], (mag, cutoff)
-    for r in (0.1, 0.5, 1.5, 3.0):
+    for mag in (0.0, 0.3, 1.0, 2.5, 7.0, 30.0):
+        lam = mag**2
+        past = fock._tails(fock._poisson_weights(lam, 0, int(lam + 40 * math.sqrt(lam + 1) + 60)))
+        auto = coherent_state(mag)
+        assert (auto.cutoff, auto.tail_weight) == (np.argmax(past <= DEFAULT_MAX_TAIL),
+                                                   past[auto.cutoff]), mag
+        for cutoff in range(len(past) + 2):
+            expected = past[cutoff] if cutoff < len(past) else 0.0
+            if expected < 0.5:
+                assert coherent_state(mag, cutoff).tail_weight == expected, (mag, cutoff)
+    for r in (0.0, 0.1, 0.5, 1.5, 3.0):
         params = SqueezedParams(r)
         log_mags = fock._squeezed_even_log_mags(params, fock._squeezed_pairs(params))
         past = np.repeat(fock._tails(np.exp(2 * log_mags)), 2)
-        for cutoff in {*range(0, len(past), len(past) // 50 + 1), *range(1, len(past), len(past) // 50 + 1)}:
-            if past[cutoff] < 0.5:
-                assert squeezed_state(params, cutoff).tail_weight == past[cutoff], (r, cutoff)
+        auto = squeezed_state(params)
+        assert (auto.cutoff, auto.tail_weight) == (np.argmax(past <= DEFAULT_MAX_TAIL),
+                                                   past[auto.cutoff]), r
+        step = len(past) // 50 + 1
+        for cutoff in {*range(0, len(past), step), *range(1, len(past), step),
+                       len(past), len(past) + 1}:
+            expected = past[cutoff] if cutoff < len(past) else 0.0
+            if expected < 0.5:
+                assert squeezed_state(params, cutoff).tail_weight == expected, (r, cutoff)
 
 
 def test_superposition_single_vacuum_term():
@@ -332,6 +345,15 @@ def test_invariant_checks():
         FockVector(np.array([1.0, 1.0], dtype=complex), 1, normalized=True)
     with pytest.raises(ValueError):
         FockVector(np.ones(3, dtype=complex), 5)
+
+
+@pytest.mark.parametrize("build", [lambda: coherent_state(1.0, -1),
+                                   lambda: squeezed_state(SqueezedParams(0.5), -1),
+                                   lambda: coherent_state(0.0, -1)],
+                         ids=["coherent", "squeezed", "vacuum"])
+def test_negative_cutoff_is_refused(build):
+    with pytest.raises(ValueError, match="cutoff must be non-negative, got -1"):
+        build()
 
 
 @pytest.mark.filterwarnings("error")

@@ -448,3 +448,5 @@ def test_state_invariants():
         {"modes": 2, "amps": [{"occ": [1, 1], "c": [1, 0]}]}
     )
     assert core.max_total == 2
+    with pytest.raises(TypeError):  # derived from the amplitudes, never passed
+        MultimodeFockState(2, {(1, 1): 1.0}, max_total=7)

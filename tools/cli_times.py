@@ -2,16 +2,16 @@
 
 Each command runs in a fresh interpreter (``python -m csrank.cli ...``, with
 PYTHONPATH set to the checkout's ``src``), so its time includes the import of
-``csrank.cli``; the time recorded is the best of REPEAT = 3 runs.  The record
-also holds the line count of every file under ``src/csrank``, the exit code of
-each command, and the interpreter, numpy and host it ran on.
+``csrank.cli``.  The tier-1 test suite (SUITE) is timed the same way, so
+every entry records its REPEAT = 3 run times, the best of them and its exit
+codes.  The record also holds the line count of every file under
+``src/csrank``, and the interpreter, numpy and host it ran on.
 
     python3 tools/cli_times.py --label change --out BENCH_<n>.json
     python3 tools/cli_times.py --repo ../parent --label parent --out BENCH_<n>.json
 
 Runs with different labels (say, a parent commit and a change) share one
-file: each run replaces only its own label.  Each run also times one run of
-the tier-1 test suite (SUITE).  Standard library only.
+file: each run replaces only its own label.  Standard library only.
 """
 
 import argparse
@@ -24,7 +24,7 @@ import tempfile
 import time
 from pathlib import Path
 
-REPEAT = 3  # runs per command; the fastest is kept
+REPEAT = 3  # runs per command and of the suite; the fastest is kept
 SUITE = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
 COMMANDS = {
     "version": ["--version"],
@@ -44,12 +44,17 @@ COMMANDS = {
 }
 
 
-def timed(argv, env, cwd) -> tuple:
-    """(wall seconds, exit code) of one subprocess run, its output discarded."""
-    start = time.perf_counter()
-    code = subprocess.run(argv, env=env, cwd=cwd, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
-    return time.perf_counter() - start, code
+def timed(argv, env, cwd) -> dict:
+    """Wall times and exit codes of REPEAT subprocess runs, their output discarded."""
+    runs = []
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        code = subprocess.run(argv, env=env, cwd=cwd, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL).returncode
+        runs.append((time.perf_counter() - start, code))
+    return {"best_s": round(min(t for t, _ in runs), 4),
+            "runs_s": [round(t, 4) for t, _ in runs],
+            "exit_codes": sorted({code for _, code in runs})}
 
 
 def src_lines(repo: Path) -> dict:
@@ -64,20 +69,15 @@ def record(repo: Path) -> dict:
     commands = {}
     with tempfile.TemporaryDirectory() as work:
         for name, args in COMMANDS.items():  # in order: bound_check reads cert.json
-            runs = [timed([sys.executable, "-m", "csrank.cli", *args], env, work)
-                    for _ in range(REPEAT)]
-            commands[name] = {"argv": args, "best_s": round(min(t for t, _ in runs), 4),
-                              "runs_s": [round(t, 4) for t, _ in runs],
-                              "exit_codes": sorted({code for _, code in runs})}
+            commands[name] = {"argv": args,
+                              **timed([sys.executable, "-m", "csrank.cli", *args], env, work)}
     numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                            capture_output=True, text=True).stdout.strip()
-    out = {"commands": commands, "src_lines": src_lines(repo),
-           "python": platform.python_version(), "numpy": numpy,
-           "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
-           "repeat": REPEAT}
-    seconds, code = timed([sys.executable, *SUITE], env, repo)
-    out["tier1_suite"] = {"wall_s": round(seconds, 2), "exit_code": code}
-    return out
+    return {"commands": commands, "src_lines": src_lines(repo),
+            "python": platform.python_version(), "numpy": numpy,
+            "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
+            "repeat": REPEAT,
+            "tier1_suite": {"argv": SUITE, **timed([sys.executable, *SUITE], env, repo)}}
 
 
 def main(argv=None) -> int:
