@@ -37,7 +37,13 @@ SMALL_DELTA_WARNING = 1e-3
 EXPLORE_ITERS = 20
 
 # Most matrix entries one block of best_single_coherent's grid columns holds.
+# One unblocked product of the whole grid is large enough for OpenBLAS to wake
+# its other threads, which then slow every later numpy call of the process.
 _GRID_BLOCK_ENTRIES = 1 << 12
+
+# Grid points best_single_coherent climbs from, and its cap on Newton steps.
+CANDIDATES = 4
+MAX_ASCENT_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -63,8 +69,9 @@ class FitResult:
 
 
 def minimize(fun, x0, **options):
-    """scipy.optimize.minimize, imported on first use: the import costs about
-    0.3 s, which commands that never fit should not pay."""
+    """scipy.optimize.minimize, imported on first use by fit_superposition: the
+    import costs 0.43-0.51 s on a 2-core host, which commands that never fit
+    should not pay."""
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(fun, x0, **options)
@@ -322,41 +329,88 @@ def _coherent_overlap_sq(t: np.ndarray, alpha: complex) -> float:
     return float(abs(np.vdot(t, amps)) ** 2)
 
 
+def _ascent_step(alphas: np.ndarray, z: np.ndarray, plane: bool) -> np.ndarray:
+    """Newton steps up log |<t|alpha>|^2 from each alpha, given the rows
+    z_k = sum_n conj(t_n) sqrt(n!/(n-k)!) b_{n-k}(alpha), k = 0, 1, 2.
+
+    With h = log <t|alpha> + |alpha|^2/2, h' = z_1/z_0 and h'' = z_2/z_0 - h'^2
+    give the gradient and Hessian of log f = -x^2 - y^2 + 2 Re h in (x, y).
+    Each Hessian eigenvalue lambda is replaced by -max(|lambda|, 1e-12), so the
+    step always climbs.  Off the plane only the x entries count.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h1 = z[1] / z[0]
+        h2 = z[2] / z[0] - h1 * h1
+        gx = -2.0 * alphas.real + 2.0 * h1.real
+        gy = (-2.0 * alphas.imag - 2.0 * h1.imag) * plane
+        a = -2.0 + 2.0 * h2.real
+        b = -2.0 * h2.imag * plane
+        c = -2.0 - 2.0 * h2.real
+        # closed-form eigensystem of [[a, b], [b, c]]: v1 = (cos, sin), v2 = (-sin, cos)
+        theta = 0.5 * np.arctan2(2.0 * b, a - c)
+        cos, sin = np.cos(theta), np.sin(theta)
+        lam1 = a * cos * cos + 2.0 * b * sin * cos + c * sin * sin
+        lam2 = a * sin * sin - 2.0 * b * sin * cos + c * cos * cos
+        p1 = (cos * gx + sin * gy) / np.maximum(np.abs(lam1), 1e-12)
+        p2 = (cos * gy - sin * gx) / np.maximum(np.abs(lam2), 1e-12)
+        step = (p1 * cos - p2 * sin) + 1j * (p1 * sin + p2 * cos) * plane
+    return np.where(np.isfinite(step), step, 0.0)
+
+
 def best_single_coherent(target: FockVector):
     """Globally maximize |<target|alpha>|^2; returns (alpha, infidelity).
 
-    A dense grid over the disk of radius max(4, 2 sqrt(mean Fock number)) is
-    refined locally by Nelder-Mead.  A target with real, non-negative
-    amplitudes t_k is searched on the real axis only (2001 points, Re alpha
-    refined): |sum_k t_k alpha^k / sqrt(k!)| is at most the same sum at
-    |alpha|, so the maximum lies on alpha >= 0.  Any other target, a real
-    one with mixed signs included, is searched on a 121 x 121 grid clipped
-    to the disk, with both parts of alpha refined.
+    A coarse grid over the disk of radius max(4, 2 sqrt(mean Fock number))
+    picks the CANDIDATES best points (first on ties), and a safeguarded Newton
+    ascent on log |<target|alpha>|^2 climbs from all of them at once.  A target
+    with real, non-negative amplitudes t_k is searched on the real axis only
+    (201 points, Re alpha climbed): |sum_k t_k alpha^k / sqrt(k!)| is at most
+    the same sum at |alpha|, so the maximum lies on alpha >= 0.  Any other
+    target, a real one with mixed signs included, is searched on a 41 x 41
+    grid clipped to the disk, with both parts of alpha climbed.  A step is
+    kept only where the overlap does not fall, and the ascent stops when no
+    candidate rises; the scalar overlap of each end point picks the winner.
     """
     t = _normalized_target(target)
-    real_axis = bool(np.max(np.abs(t.imag)) < 1e-14 and np.min(t.real) >= 0)
+    cutoff = len(t) - 1
+    plane = not (np.max(np.abs(t.imag)) < 1e-14 and np.min(t.real) >= 0)
     radius = max(4.0, 2.0 * math.sqrt(target.mean_fock_number()))
-    if real_axis:
-        points = np.linspace(-radius, radius, 2001).astype(complex)
-    else:
-        xs = np.linspace(-radius, radius, 121)
+    if plane:
+        xs = np.linspace(-radius, radius, 41)
         x, y = np.meshgrid(xs, xs, indexing="ij")  # x outer, y inner once flattened
         points = (x + 1j * y)[x * x + y * y <= radius**2]
+    else:
+        points = np.linspace(-radius, radius, 201).astype(complex)
     # The grid scores |t^H B|^2 with B's columns built in blocks.  Squaring
     # hypot by pow rounds like the scalar abs(z) ** 2 of _coherent_overlap_sq
-    # (numpy's array abs and square do not), so near-ties, such as the ring
-    # of a Fock target on the complex grid, resolve to the same candidate.
+    # (numpy's array abs and square do not); the ascent scores the same way.
     step = max(1, _GRID_BLOCK_ENTRIES // len(t))
     scores = np.empty(len(points))
     for lo in range(0, len(points), step):
-        z = t.conj() @ coherent_columns(points[lo : lo + step], len(t) - 1)
+        z = t.conj() @ coherent_columns(points[lo : lo + step], cutoff)
         scores[lo : lo + step] = np.float_power(np.hypot(z.real, z.imag), 2.0)
-    a0 = points[int(np.argmax(scores))]
-    res = minimize(
-        lambda x: -_coherent_overlap_sq(t, complex(*x)),
-        [a0.real] if real_axis else [a0.real, a0.imag],
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14},
-    )
-    alpha = complex(*res.x)
-    return alpha, float(1.0 - min(1.0, _coherent_overlap_sq(t, alpha)))
+    alphas = points[np.argsort(-scores, kind="stable")[:CANDIDATES]]
+    # rows k = 0, 1, 2 of conj(t_n) sqrt(n!/(n-k)!), shifted so that one product
+    # with the columns b_0..b_cutoff gives z_0, z_1 and z_2
+    n = np.arange(cutoff + 1)
+    weights = np.zeros((3, cutoff + 1), dtype=complex)
+    weights[0] = t.conj()
+    weights[1, :cutoff] = t[1:].conj() * np.sqrt(n[1:])
+    weights[2, : cutoff - 1] = t[2:].conj() * np.sqrt(n[2:] * (n[2:] - 1.0))
+    overlaps = np.full(len(alphas), -np.inf)
+    z = np.zeros((3, len(alphas)), dtype=complex)
+    trial = alphas
+    for _ in range(MAX_ASCENT_STEPS):
+        z_trial = weights @ coherent_columns(trial, cutoff)
+        f_trial = np.float_power(np.hypot(z_trial[0].real, z_trial[0].imag), 2.0)
+        kept = f_trial >= overlaps
+        rose = f_trial > overlaps
+        alphas = np.where(kept, trial, alphas)
+        overlaps = np.where(kept, f_trial, overlaps)
+        z = np.where(kept, z_trial, z)
+        if not rose.any():
+            break
+        trial = alphas + _ascent_step(alphas, z, plane)
+    final = [_coherent_overlap_sq(t, a) for a in alphas.tolist()]
+    best = int(np.argmax(final))
+    return complex(alphas[best]), float(1.0 - min(1.0, final[best]))

@@ -82,6 +82,11 @@ def log_factorial(k: int) -> float:
     return float(_lgamma_of_integers(np.array([float(k + 1)]))[0])
 
 
+def _check_non_negative(cutoff: int) -> None:
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be non-negative, got {cutoff}")
+
+
 @dataclass(frozen=True)
 class FockVector:
     """A single-mode pure state truncated at ``cutoff``.
@@ -102,8 +107,7 @@ class FockVector:
         object.__setattr__(self, "amplitudes", amps)
         if amps.ndim != 1:
             raise ValueError("amplitudes must be a 1-d sequence")
-        if self.cutoff < 0:
-            raise ValueError(f"cutoff must be non-negative, got {self.cutoff}")
+        _check_non_negative(self.cutoff)
         if len(amps) != self.cutoff + 1:
             raise ValueError(
                 f"length {len(amps)} does not match cutoff {self.cutoff}"
@@ -330,7 +334,8 @@ def _truncate(weights, k: int, cutoff: int | None, per: int, max_tail: float, wh
     (ResourceLimit naming ``what`` above MAX_CUTOFF) and that tail, off one
     ``_tails`` table.  An explicit cutoff drops 1 - head where the head holds at
     most half the norm, so nothing cancels; else 0 past entry k; else the entries
-    past it, summed in ``_tails``' order, so the table's entry bit for bit."""
+    past it, summed in ``_tails``' order, so the table's entry bit for bit.  A
+    negative cutoff is refused before anything is weighed."""
     if cutoff is None:
         past = _tails(weights(0, k))
         entry = int(np.argmax(past <= max_tail))
@@ -338,6 +343,7 @@ def _truncate(weights, k: int, cutoff: int | None, per: int, max_tail: float, wh
             raise ResourceLimit(f"{what} needs a cutoff above {MAX_CUTOFF} "
                                 f"for tail weight <= {max_tail:.3g}")
         return per * entry, float(past[entry])
+    _check_non_negative(cutoff)
     entry = cutoff // per
     kept = float(weights(0, entry).sum())
     if kept <= 0.5:
@@ -358,10 +364,14 @@ def _poisson_weights(lam: float, start: int, stop: int) -> np.ndarray:
 def _coherent_truncation(alpha: complex, cutoff: int | None, max_tail: float) -> tuple:
     """``_truncate`` on the Poisson(|alpha|^2) weights."""
     mag = abs(complex(alpha))
-    # A mean photon number |alpha|^2 above MAX_CUTOFF already needs a larger cutoff.
-    if cutoff is None and mag > math.sqrt(MAX_CUTOFF):
+    try:
+        lam = mag**2
+    except OverflowError:
+        lam = math.inf
+    # A mean photon number |alpha|^2 above MAX_CUTOFF already needs a larger cutoff,
+    # and one past the double range cannot be weighed at any cutoff.
+    if mag > math.sqrt(MAX_CUTOFF) and (cutoff is None or lam == math.inf):
         raise ResourceLimit(f"|alpha| = {mag:.6g} needs a cutoff above {MAX_CUTOFF}")
-    lam = mag**2
     # every Poisson(lam) term past k is below e^-400 of the largest
     k = int(lam + 40 * math.sqrt(lam + 1) + 60) if lam else 0
     return _truncate(functools.partial(_poisson_weights, lam), k, cutoff, 1, max_tail,
@@ -537,8 +547,7 @@ def state_from_descriptor(descriptor: dict) -> FockVector:
     cutoff = descriptor.get("cutoff")
     if cutoff is not None:
         cutoff = int_field(cutoff, "cutoff")
-        if cutoff < 0:
-            raise ValueError(f"cutoff must be non-negative, got {cutoff}")
+        _check_non_negative(cutoff)
         _check_cutoff(cutoff)
     if kind == "fock":
         n = int_field(descriptor["n"], "n")

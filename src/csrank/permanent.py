@@ -19,6 +19,7 @@ without a 2^n x 2^n Gram matrix.  Trials are scored in blocks: one stacked QR
 draws a block's Haar unitaries, one Glynn pass and one formula pass score them.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations
@@ -48,22 +49,31 @@ def _square(m) -> np.ndarray:
     return m
 
 
+@functools.lru_cache(maxsize=NAIVE_LIMIT)
+def _permutation_table(k: int) -> np.ndarray:
+    """The k! permutations of range(k), one per row in itertools order: read-only int8."""
+    table = np.array(list(permutations(range(k))), dtype=np.int8)
+    table.flags.writeable = False
+    return table
+
+
 def permanent_naive(m) -> complex:
-    """Sum over permutations; the reference oracle for small matrices."""
+    """Sum over permutations; the reference oracle for small matrices.  For each
+    first-row column j it adds m[0, j] times the sum of the products that the
+    (n-1)! permutations of the other columns gather from rows 1..n-1."""
     m = _square(m)
     n = m.shape[0]
     if n > NAIVE_LIMIT:
         raise ResourceLimit(f"naive permanent supports n <= {NAIVE_LIMIT}")
     if n == 0:
         return 1.0 + 0j
+    table = _permutation_table(n - 1)
+    rows = np.arange(1, n)
     total = 0j
-    rows = range(n)
-    for sigma in permutations(range(n)):
-        term = 1.0 + 0j
-        for i in rows:
-            term *= m[i, sigma[i]]
-        total += term
-    return total
+    for j in range(n):
+        others = np.delete(np.arange(n, dtype=np.int8), j)
+        total += m[0, j] * np.prod(m[rows, others[table]], axis=1).sum()
+    return complex(total)
 
 
 def permanent_glynn(m) -> complex:

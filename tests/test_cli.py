@@ -462,6 +462,7 @@ runs = [
     ["bound", sq, "--r", "2", "--out", tmp + "/optimized.json"],
     ["bound", "--check", tmp + "/optimized.json"],
     ["certify", sq, "--eps", "1e-6", "--n-max", "6"],
+    ["figure", "--panel", "left", "--out", tmp + "/left.csv"],
     ["figure", "--panel", "right", "--out", tmp + "/right.csv"],
     ["decompose", '{"type":"fock","n":2}', "--delta", "0.1"],
     ["multimode", '{"modes":2,"amps":[{"occ":[1,1],"c":[1,0]}]}'],
@@ -487,7 +488,7 @@ def test_commands_without_fits_or_poisson_tails_import_no_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(csrank.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0] []", "False False", "True"]
+    assert out.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0, 0] []", "False False", "True"]
 
 
 @pytest.mark.parametrize("delta", ["10", "20", "30", "100"])

@@ -347,13 +347,27 @@ def test_invariant_checks():
         FockVector(np.ones(3, dtype=complex), 5)
 
 
-@pytest.mark.parametrize("build", [lambda: coherent_state(1.0, -1),
-                                   lambda: squeezed_state(SqueezedParams(0.5), -1),
-                                   lambda: coherent_state(0.0, -1)],
-                         ids=["coherent", "squeezed", "vacuum"])
-def test_negative_cutoff_is_refused(build):
-    with pytest.raises(ValueError, match="cutoff must be non-negative, got -1"):
-        build()
+_NEGATIVE_CUTOFF_BUILDS = {"coherent": lambda cutoff: coherent_state(1.0, cutoff),
+                           "squeezed": lambda cutoff: squeezed_state(SqueezedParams(0.5), cutoff),
+                           "vacuum": lambda cutoff: coherent_state(0.0, cutoff)}
+
+
+@pytest.mark.parametrize(
+    "name, cutoff",
+    [(name, cutoff) for cutoff in (-1, -2, -3, -10) for name in _NEGATIVE_CUTOFF_BUILDS],
+    ids=[name if cutoff == -1 else f"{name}{cutoff}"
+         for cutoff in (-1, -2, -3, -10) for name in _NEGATIVE_CUTOFF_BUILDS])
+def test_negative_cutoff_is_refused(name, cutoff):
+    # refused before anything is allocated, not by numpy's "negative dimensions"
+    with pytest.raises(ValueError, match=f"^cutoff must be non-negative, got {cutoff}$"):
+        _NEGATIVE_CUTOFF_BUILDS[name](cutoff)
+
+
+@pytest.mark.parametrize("cutoff", [5, None])
+def test_coherent_state_past_the_double_range_is_a_resource_limit(cutoff):
+    # |alpha|^2 = 1e400 overflows; an explicit cutoff is refused as the automatic one is
+    with pytest.raises(ResourceLimit, match=r"^\|alpha\| = 1e\+200 needs a cutoff above 100000$"):
+        coherent_state(1e200, cutoff)
 
 
 @pytest.mark.filterwarnings("error")

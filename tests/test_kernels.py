@@ -1,9 +1,11 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from csrank import _kernels
+from csrank import permanent
 from csrank.permanent import haar_unitary, permanent_naive
 
 KERNELS = (_kernels.glynn, _kernels.ryser)
@@ -15,6 +17,18 @@ def _reference(m):
     if n <= 8:
         return permanent_naive(m)
     return sum(m[0, j] * permanent_naive(np.delete(m[1:], j, axis=1)) for j in range(n))
+
+
+def _permutation_loop(m):
+    """The permanent as the textbook sum: one product per itertools permutation."""
+    n = len(m)
+    total = 0j
+    for sigma in itertools.permutations(range(n)):
+        term = 1.0 + 0j
+        for i in range(n):
+            term *= m[i, sigma[i]]
+        total += term
+    return total
 
 
 def _within_perfbench_tolerance(a, b, n):
@@ -78,3 +92,35 @@ def test_kernel_memory_stays_within_a_few_blocks(kernel, n):
     finally:
         tracemalloc.stop()
     assert peak < 4 * (1 << _kernels._BLOCK_BITS) * 16
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_naive_permanent_matches_the_permutation_loop(n):
+    rng = np.random.default_rng(50 + n)
+    ints = rng.integers(-3, 4, size=(n, n)) + 1j * rng.integers(-3, 4, size=(n, n))
+    assert permanent_naive(ints) == _permutation_loop(ints)  # every partial sum is exact
+    for seed in range(3 if n else 0):
+        u = haar_unitary(n, seed=seed)
+        # |Per(U)| <= 1 for a unitary, so this is 1e-15 of the largest it can be;
+        # a relative bound fails where the permanent itself nearly cancels
+        assert abs(permanent_naive(u) - _permutation_loop(u)) <= 1e-15
+
+
+def test_naive_permanent_table_is_cached_and_read_only():
+    table = permanent._permutation_table(7)
+    assert table.shape == (5040, 7) and table.dtype == np.int8 and not table.flags.writeable
+    assert permanent._permutation_table(7) is table
+    assert [tuple(row) for row in table[:3].tolist()] == list(itertools.permutations(range(7)))[:3]
+    assert permanent_naive(np.zeros((0, 0))) == 1.0
+
+
+def test_naive_permanent_memory_stays_under_one_kernel_block():
+    u = haar_unitary(8, seed=8)
+    permanent_naive(u)  # the permutation table is built outside the measurement
+    tracemalloc.start()
+    try:
+        permanent_naive(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << _kernels._BLOCK_BITS) * 16
