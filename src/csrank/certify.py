@@ -161,9 +161,7 @@ def certify_rank(
     return BoundCertificate(state_descriptor, r, res.value, "optimized", res.N_star, res.b_star)
 
 
-def recurrence_order(
-    psi: FockVector, N_max: int, rel_tol: float = DEFAULT_RANK_TOL
-) -> RecurrenceReport:
+def recurrence_order(psi: FockVector, N_max: int) -> RecurrenceReport:
     """Detect a finite linear-recurrence order from Hankel rank saturation.
 
     The rank of H_N (b = 1) is recorded for N = 1..N_max.  Saturation is
@@ -172,12 +170,12 @@ def recurrence_order(
     full-rank value at N_max means no finite order is certified (squeezed
     states behave this way for every N).
 
-    ``rel_tol`` trades false saturation against false full-rank calls:
-    superpositions with nearly coincident displacements push sigma_k toward
-    the threshold from above, while graded full-rank states (squeezed vacua)
-    push sigma_{N+1} toward it from below (about 2e-8 relative at N = 10 for
-    squeezing 0.5).  The 1e-10 default sits well clear of both at desk scale,
-    but near-degenerate inputs warrant a sweep over rel_tol.
+    The rank tolerance DEFAULT_RANK_TOL = 1e-10 (relative to sigma_1) trades
+    false saturation against false full-rank calls: superpositions with
+    nearly coincident displacements push sigma_k toward it from above, while
+    graded full-rank states (squeezed vacua) push sigma_{N+1} toward it from
+    below (about 2e-8 relative at N = 10 for squeezing 0.5).  1e-10 sits well
+    clear of both at desk scale.
     """
     if N_max < 1:
         raise ValueError("N_max must be at least 1")
@@ -185,7 +183,7 @@ def recurrence_order(
         raise ValueError(f"cutoff {psi.cutoff} < 2 N_max = {2 * N_max}")
     check_hankel_size(N_max)
     ranks = tuple(
-        (N, numerical_rank(hankel_matrix(psi, N, 1.0), rel_tol))
+        (N, numerical_rank(hankel_matrix(psi, N, 1.0), DEFAULT_RANK_TOL))
         for N in range(1, N_max + 1)
     )
     tail = [rank for _, rank in ranks[-3:]]

@@ -26,7 +26,7 @@ from .decomp import (
 )
 from .errors import NumericalFailure, ResourceLimit
 from .fock import fock_state, state_from_descriptor
-from .hankel import SearchConfig, check_hankel_size, optimized_bound, plain_bound
+from .hankel import SearchConfig, check_hankel_size, check_searchable, optimized_bound, plain_bound
 from .multimode import multimode_from_descriptor, multimode_lower_bound
 from .permanent import verify_permanent_bound
 
@@ -89,15 +89,6 @@ def _load_state(descriptor: dict, n_max: int):
     return psi
 
 
-def _search_config(args, n_max: int) -> SearchConfig:
-    if not getattr(args, "b_range", None):
-        return SearchConfig(N_max=n_max)
-    parts = args.b_range.split(",")
-    if len(parts) != 2:
-        raise ValueError("--b-range expects MIN,MAX")
-    return SearchConfig(N_max=n_max, b_range=(float(parts[0]), float(parts[1])))
-
-
 def _check_certificate(path: str) -> int:
     with open(path) as fh:
         cert = BoundCertificate.from_dict(json.load(fh))
@@ -124,15 +115,14 @@ def cmd_bound(args, descriptor):
         )
     else:
         n_max = args.n_max if args.n_max is not None else max(r, 10)
-        if r > n_max:
-            raise ValueError(f"--r {r} exceeds --n-max {n_max}")
+        check_searchable(r, n_max)
         psi = _load_state(descriptor, n_max)
         if args.method == "plain":
             values = {n: plain_bound(psi, r, n) for n in range(max(r, 1), n_max + 1)}
             n_star = max(values, key=values.get)  # the smallest N wins ties
             cert = BoundCertificate(descriptor, r, values[n_star], "plain", n_star, 1.0)
         else:
-            res = optimized_bound(psi, r, _search_config(args, n_max))
+            res = optimized_bound(psi, r, SearchConfig(N_max=n_max))
             cert = BoundCertificate(descriptor, r, res.value, "optimized", res.N_star, res.b_star)
     payload = cert.to_dict()
     if args.eps is not None:
@@ -145,7 +135,7 @@ def cmd_certify(args, descriptor):
         raise ValueError("--eps is required")
     n_max = args.n_max if args.n_max is not None else 10
     psi = _load_state(descriptor, n_max)
-    cert = certify_rank(psi, args.eps, _search_config(args, n_max), state_descriptor=descriptor)
+    cert = certify_rank(psi, args.eps, SearchConfig(N_max=n_max), state_descriptor=descriptor)
     return dict(cert.to_dict(), epsilon=args.eps, kappa_eps_at_least=cert.r + 1)
 
 
@@ -263,13 +253,6 @@ def _run(args) -> int:
     return 0
 
 
-_B_RANGE_HELP = (
-    "MIN,MAX: the b range of the optimized search (default 1e-3,10). At each N the bound "
-    "rises up to the first kink of its denominator and falls after the last, so the search "
-    "scores the segment between them clamped into [MIN, MAX], and b = 1 when inside"
-)
-
-
 @functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -291,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int)
     p.add_argument("--eps", type=float)
     p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--b-range", dest="b_range", help=_B_RANGE_HELP)
     p.add_argument("--method", choices=["plain", "optimized", "analytic"],
                    default="optimized")
     p.add_argument("--check", help="re-validate a stored certificate JSON")
@@ -302,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_state(p, optional=True)
     p.add_argument("--eps", type=float, required=False)
     p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--b-range", dest="b_range", help=_B_RANGE_HELP)
     p.add_argument("--check", help="re-validate a stored certificate JSON")
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)

@@ -19,12 +19,12 @@ Each sigma_l(H_{N,b}) is non-decreasing in b and sigma_l(H_{N,b}) / b^{2N}
 is non-increasing: for b' <= b, H_{N,b'} = D H_{N,b} D with D = diag((b'/b)^i)
 and ||D||_2 = 1, and for b' >= b the same holds with ||D||_2 = (b'/b)^N.  So
 the optimized objective rises up to the first kink of the piecewise-monomial
-denominator max_n m_n b^{2n} n! (``_kinks``) and falls after the last, and
-the search at each N (``_search``) looks only at the segment between those
-kinks, clamped into the b range: one stacked call scores its ends, a probe
-inside each end and b = 1, and golden-section runs only on a segment that
-neither end settles.  From N = 3 on there is one kink, so the segment is a
-single point.
+denominator max_n m_n b^{2n} n! (``_kinks``) and falls after the last, so
+the maximum over every b > 0 lies on the segment between those kinks, in
+[0.0364, 1] for every N.  The search at each N (``_search``) scores its ends,
+a probe inside each end and b = 1 in one stacked call, and golden-section
+runs only on a segment that neither end settles.  From N = 3 on there is one
+kink, so the segment is a single point.
 """
 
 import math
@@ -69,31 +69,19 @@ class HankelBundle:
     scale_exponent: float
 
 
-class SearchConfigError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search space for the optimized bound.
+    """Search space for the optimized bound: N <= N_max and every b > 0.
 
-    ``b_range`` is (b_min, b_max) with 0 < b_min < b_max < inf.  At each N
-    the search scores the segment between the first and last kink of the
-    denominator, clamped into the range, and b = 1 when the range holds it,
-    so the optimized bound dominates the plain one at every searched N.
     ``N_max`` must be non-negative; ``None`` resolves to min(20, cutoff // 2)
     per state.
     """
 
     N_max: int | None = None
-    b_range: tuple = (1e-3, 10.0)
 
     def __post_init__(self):
         if self.N_max is not None and self.N_max < 0:
-            raise SearchConfigError(f"N_max must be non-negative, got {self.N_max}")
-        b_min, b_max = self.b_range
-        if not (0 < b_min < b_max < math.inf):
-            raise SearchConfigError("b range must satisfy 0 < b_min < b_max < inf")
+            raise ValueError(f"N_max must be non-negative, got {self.N_max}")
 
     def resolve_n_max(self, cutoff: int) -> int:
         n_max = min(20, cutoff // 2) if self.N_max is None else self.N_max
@@ -101,6 +89,12 @@ class SearchConfig:
             raise ValueError(f"cutoff {cutoff} too small for N_max {n_max}")
         check_hankel_size(n_max)
         return n_max
+
+
+def check_searchable(r: int, n_max: int) -> None:
+    """ValueError unless N = max(r, 1), where every N search of r starts, is at most n_max."""
+    if max(r, 1) > n_max:
+        raise ValueError(f"r={r} needs N >= max(r, 1) = {max(r, 1)}, past N_max={n_max}")
 
 
 class OptimizedBound(NamedTuple):
@@ -257,23 +251,21 @@ def _golden_max(f, lo: list, hi: list, iters: int) -> list:
     return [(x, u) if u >= v else (y, v) for x, y, u, v in zip(c, d, fc, fd)]
 
 
-def _search(plan: _Plan, rs: list, lo: float, hi: float) -> list:
-    """(log b, threshold) of the maximum over log b in [lo, hi] for each r in
+def _search(plan: _Plan, rs: list) -> list:
+    """(log b, threshold) of the maximum over every b > 0 for each r in
     ``rs``, which lies on the segment [x0, x1] between the first and last
-    kink, clamped into [lo, hi].  One stacked call scores x0, x1, a probe
-    _PROBE of the width inside each end (none for a one-point segment), and
-    b = 1 when [lo, hi] holds it.  An end wins if it is at least its probe and
-    the other end, x0 first, so a segment whose values are all exactly 0 is
-    not refined; the segments neither end settles run golden-section in
-    lockstep, one stacked call a step.  b = 1 replaces the segment's point
-    only when strictly higher."""
+    kink.  One stacked call scores x0, x1, a probe _PROBE of the width inside
+    each end (none for a one-point segment) and b = 1.  An end wins if it is
+    at least its probe and the other end, x0 first, so a segment whose values
+    are all exactly 0 is not refined; the segments neither end settles run
+    golden-section in lockstep, one stacked call a step.  b = 1 replaces the
+    segment's point only when strictly higher."""
 
     kinks = _kinks(plan)
-    x0, x1 = (min(max(x, lo), hi) for x in (kinks[0], kinks[-1]))
+    x0, x1 = kinks[0], kinks[-1]
     h = _PROBE * (x1 - x0)
     ends = [x0, x1, x0 + h, x1 - h] if x1 > x0 else [x0]
-    at_one = lo <= 0.0 <= hi
-    xs = ends + [0.0] * at_one
+    xs = ends + [0.0]
     columns = list(zip(*_thresholds_at(plan, _log_b([*map(math.exp, xs)]), [rs] * len(xs))))
     found = {}
     for k, v in enumerate(columns):
@@ -287,8 +279,7 @@ def _search(plan: _Plan, rs: list, lo: float, hi: float) -> list:
             lambda xs: _point_thresholds(plan, _log_b([*map(math.exp, xs)]), [rs[k] for k in todo]),
             [x0] * len(todo), [x1] * len(todo), _REFINE_ITERS)
         found.update(zip(todo, golden))
-    return [(0.0, v[-1]) if at_one and v[-1] > found[k][1] else found[k]
-            for k, v in enumerate(columns)]
+    return [(0.0, v[-1]) if v[-1] > found[k][1] else found[k] for k, v in enumerate(columns)]
 
 
 def optimized_bounds(psi: FockVector, rs, cfg: SearchConfig | None = None) -> dict:
@@ -303,17 +294,18 @@ def optimized_bounds(psi: FockVector, rs, cfg: SearchConfig | None = None) -> di
     The denominator max_n m_n b^{2n} n! is the n = 0 term 1 left of its first
     kink and the n = 2N term (2N)! b^{4N} right of its last, so the objective
     rises up to the first kink and falls after the last: the maximum over
-    [b_min, b_max] lies on the segment between the two kinks, clamped into
-    the range (``_search``).  From N = 3 on there is one kink (``_kinks``) and
-    the segment is one point.  At N = 1 and 2 one local search of the
-    segment is enough: there the denominator is one monomial proportional to
-    b^{2N}; at r = 0 the objective is a sum of exponentials in log b, so
-    convex, and an end wins; at N = 1, r = 1 the determinant of H_{N,b} / b
-    is constant, so the objective is quasi-concave; at N = 2, r >= 1,
-    unimodality is measured on the corpus, not proven.  A zero tail stays
+    every b > 0 lies on the segment between the two kinks (``_search``),
+    which depend on N alone and lie in [0.0364, 1] for every N = 1..1023.
+    From N = 3 on there is one kink (``_kinks``) and the segment is one
+    point.  At N = 1 and 2 one local search of the segment is enough: there
+    the denominator is one monomial proportional to b^{2N}; at r = 0 the
+    objective is a sum of exponentials in log b, so convex, and an end wins;
+    at N = 1, r = 1 the determinant of H_{N,b} / b is constant, so the
+    objective is quasi-concave; at N = 2, r >= 1, unimodality is measured on
+    the corpus, not proven.  A zero tail stays
     zero at every b (H_{N,b} = B H_{N,1} B with B = diag(b^i) invertible).
-    b = 1 is scored too when the range holds it, so the optimized bound
-    dominates the plain one even on noise-level tails.  Each N takes one
+    b = 1 is always scored too, so the optimized bound dominates the plain
+    one at every searched N even on noise-level tails.  Each N takes one
     stacked call of at most five points for every r <= N.
 
     Ties go to the segment over b = 1, then to smaller N, then smaller b.
@@ -333,14 +325,12 @@ def optimized_bounds(psi: FockVector, rs, cfg: SearchConfig | None = None) -> di
     if rs[0] < 0:
         raise ValueError("r must be non-negative")
     n_max = cfg.resolve_n_max(psi.cutoff)
-    if max(rs[-1], 1) > n_max:
-        raise ValueError(f"r={rs[-1]} exceeds the largest searchable N={n_max}")
+    check_searchable(rs[-1], n_max)
 
-    lo, hi = map(math.log, cfg.b_range)
     best = {r: OptimizedBound(0.0, 1.0, max(r, 1)) for r in rs}
     for N in range(max(rs[0], 1), n_max + 1):
         live = [r for r in rs if r <= N]
-        for r, (log_b_star, val) in zip(live, _search(_Plan(psi, N), live, lo, hi)):
+        for r, (log_b_star, val) in zip(live, _search(_Plan(psi, N), live)):
             b_star, old = math.exp(log_b_star), best[r]
             if val > old.value or (val == old.value and (N, b_star) < (old.N_star, old.b_star)):
                 best[r] = OptimizedBound(float(val), float(b_star), N)

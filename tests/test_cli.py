@@ -1,4 +1,3 @@
-import argparse
 import csv
 import io
 import json
@@ -19,11 +18,10 @@ from hypothesis import strategies as st
 
 import csrank
 from csrank.certify import fock_analytic_threshold
-from csrank.cli import _search_config, build_parser, main
+from csrank.cli import build_parser, main
 from csrank.fock import MAX_CUTOFF, fock_state, state_from_descriptor
 from csrank.hankel import (
     MAX_HANKEL_N,
-    SearchConfig,
     plain_bound,
     rescaled_bound,
 )
@@ -110,14 +108,13 @@ def test_certify_command(capsys):
     assert payload["kappa_eps_at_least"] == 2
 
 
-def test_search_config_takes_the_default_grid_unless_given():
-    args = argparse.Namespace(b_range=None)
-    assert _search_config(args, 7) == SearchConfig(N_max=7)
-    args.b_range = "0.1,2"
-    assert _search_config(args, 7) == SearchConfig(N_max=7, b_range=(0.1, 2.0))
-    args.b_range = "0.1,2,5"
-    with pytest.raises(ValueError):
-        _search_config(args, 7)
+def test_b_range_is_a_usage_error(capsys):
+    # the optimized bound is the maximum over every b > 0: there is no range to give
+    for command in (["bound", "--r", "1"], ["certify", "--eps", "0.1"]):
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], '{"type":"fock","n":1}', *command[1:], "--b-range", "1e-3,10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --b-range" in capsys.readouterr().err
 
 
 def test_parser_is_built_once_and_survives_a_usage_error(capsys):
@@ -158,8 +155,8 @@ ANALYTIC_CERT = {"state_descriptor": {"type": "fock", "n": 3}, "r": 3,
 # The rule a malformed case's message must name, by case id, where one is pinned.
 _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
                        "certify-negative-n-max": "N_max must be non-negative",
-                       "certify-b-range-inf": "0 < b_min < b_max < inf",
-                       "bound-b-range-nan": "0 < b_min < b_max < inf",
+                       "bound-r0-n-max-0": "needs N >= max(r, 1) = 1, past N_max=0",
+                       "bound-plain-r0-n-max-0": "needs N >= max(r, 1) = 1, past N_max=0",
                        "bound-eps-negative": "epsilon must lie in (0, 1)",
                        "bound-eps-nan": "epsilon must lie in (0, 1)",
                        "bound-eps-one": "epsilon must lie in (0, 1)",
@@ -204,8 +201,8 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
         ["bound", '{"type":"superposition","terms":[{"c":[1e308,0],"alpha":[0.1,0]},'
                   '{"c":[1e308,0],"alpha":[0.1,0]}]}', "--r", "1"],
         ["certify", '{"type":"fock","n":3}', "--eps", "1e-3", "--n-max", "-1"],
-        ["certify", '{"type":"fock","n":1}', "--eps", "0.1", "--b-range", "1e-3,inf"],
-        ["bound", '{"type":"fock","n":1}', "--r", "1", "--b-range", "nan,10"],
+        ["bound", '{"type":"fock","n":1}', "--r", "0", "--n-max", "0"],
+        ["bound", '{"type":"fock","n":1}', "--r", "0", "--n-max", "0", "--method", "plain"],
         ["bound", '{"type":"fock","n":2}', "--r", "2", "--eps", "-1"],
         ["bound", '{"type":"fock","n":2}', "--r", "2", "--eps", "nan"],
         ["bound", '{"type":"fock","n":2}', "--r", "2", "--eps", "1"],
@@ -218,7 +215,7 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
          "check-analytic-r-above-n", "check-analytic-no-N", "check-analytic-squeezed", "check-method-weighted",
          "check-method-list", "check-infinite-threshold", "check-negative-N",
          "superposition-huge-c", "superposition-huge-norm", "superposition-merged-overflow",
-         "certify-negative-n-max", "certify-b-range-inf", "bound-b-range-nan",
+         "certify-negative-n-max", "bound-r0-n-max-0", "bound-plain-r0-n-max-0",
          "bound-eps-negative", "bound-eps-nan", "bound-eps-one"],
 )
 def test_malformed_descriptor_values_exit_2(capsys, tmp_path, request, argv):

@@ -21,7 +21,6 @@ from csrank.fock import (
 from csrank.hankel import (
     MAX_HANKEL_N,
     SearchConfig,
-    SearchConfigError,
     hankel_matrix,
     numerical_rank,
     optimized_bound,
@@ -221,11 +220,7 @@ def test_rescaled_bound_matches_plain_at_b_one():
 
 
 def test_search_config_validation():
-    for b_range in [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1e-3, math.inf), (math.nan, 1.0),
-                    (1e-3, math.nan)]:
-        with pytest.raises(SearchConfigError):
-            SearchConfig(b_range=b_range)
-    with pytest.raises(SearchConfigError):
+    with pytest.raises(ValueError, match="N_max must be non-negative"):
         SearchConfig(N_max=-1)
     assert SearchConfig(N_max=0).N_max == 0
     with pytest.raises(ValueError):
@@ -392,7 +387,6 @@ def record_golden(monkeypatch, calls):
 
 def test_certify_makes_one_grid_pass_per_n(monkeypatch):
     cfg = SearchConfig(N_max=6)
-    lo, hi = map(math.log, cfg.b_range)
     core2 = next(psi for name, psi, _ in corpus_states() if name == "core2")
     for state, psi in enumerate(builder_states() + [core2]):
         calls = record_blocks(monkeypatch)
@@ -408,7 +402,7 @@ def test_certify_makes_one_grid_pass_per_n(monkeypatch):
             (N, 2) for N in range(3, 7)]
         for N in (1, 2):  # golden-section takes exactly the r that neither end settles
             kinks = hankel._kinks(hankel._Plan(psi, N))
-            x0, x1 = (min(max(x, lo), hi) for x in (kinks[0], kinks[-1]))
+            x0, x1 = kinks[0], kinks[-1]
             h = hankel._PROBE * (x1 - x0)
             unsettled = 0
             for r in range(1, N + 1):
@@ -541,7 +535,6 @@ def test_kinks_are_the_upper_envelope_of_the_denominator(N):
 
 def test_kink_refinement_reaches_golden_section_on_the_corpus():
     # an end that settles its segment is at least what golden-section finds there
-    lo, hi = map(math.log, SearchConfig().b_range)
     for name, psi, _ in corpus_states():
         for N in (1, 2):
             plan = hankel._Plan(psi, N)
@@ -551,7 +544,7 @@ def test_kink_refinement_reaches_golden_section_on_the_corpus():
             def at_points(xs):
                 return hankel._point_thresholds(plan, hankel._log_b([*map(math.exp, xs)]), rs)
 
-            found = hankel._search(plan, rs, lo, hi)
+            found = hankel._search(plan, rs)
             golden = hankel._golden_max(at_points, [kinks[0]] * len(rs), [kinks[-1]] * len(rs),
                                         hankel._REFINE_ITERS)
             for r, (_, value), (_, reference) in zip(rs, found, golden):
@@ -576,12 +569,8 @@ def test_singular_values_rise_with_b_and_fall_after_dividing_by_b_to_the_2n(N):
 
 def grid_optimized_bounds(psi, rs, n_max, b_grid):
     """{r: best threshold over N = max(r, 1)..n_max and the b grid}, where
-    b_grid = (min, max, points) is spanned logarithmically, plus b = 1 when
-    inside."""
-    b_min, b_max, points = b_grid
-    b = np.geomspace(b_min, b_max, points)
-    if b_min <= 1.0 <= b_max:
-        b = np.unique(np.append(b, 1.0))
+    b_grid = (min, max, points) is spanned logarithmically, plus b = 1."""
+    b = np.unique(np.append(np.geomspace(*b_grid), 1.0))
     log_b = hankel._log_b(b)
     best = dict.fromkeys(rs, 0.0)
     for N in range(1, n_max + 1):
@@ -592,12 +581,10 @@ def grid_optimized_bounds(psi, rs, n_max, b_grid):
     return best
 
 
-@pytest.mark.parametrize("b_grid", [(1e-3, 10.0, 200), (1.0, 10.0, 50), (1e-3, 0.1, 50),
-                                    (0.5, 0.55, 7)])
+@pytest.mark.parametrize("b_grid", [(1e-3, 10.0, 200), (1e-6, 1e3, 400)])
 def test_kink_search_matches_the_grid_search_on_the_corpus(b_grid):
     n_max = 6
-    cfg = SearchConfig(N_max=n_max, b_range=b_grid[:2])
-    holds_one = b_grid[0] <= 1.0 <= b_grid[1]
+    cfg = SearchConfig(N_max=n_max)
     for name, psi, _ in corpus_states():
         found = optimized_bounds(psi, range(n_max + 1), cfg)
         grid = grid_optimized_bounds(psi, range(n_max + 1), n_max, b_grid)
@@ -605,16 +592,18 @@ def test_kink_search_matches_the_grid_search_on_the_corpus(b_grid):
             assert res.value == rescaled_bound(psi, r, res.N_star, res.b_star), (name, r)
             if max(res.value, grid[r]) > 1e-18:
                 assert res.value >= grid[r] * (1 - 1e-12), (name, r)
-            elif holds_one:  # noise-level tails: b = 1 keeps the plain bound beaten
+            else:  # noise-level tails: b = 1 keeps the plain bound beaten
                 for N in range(max(r, 1), n_max + 1):
                     assert res.value >= plain_bound(psi, r, N) * (1 - 1e-12), (name, r, N)
 
 
-# The dense oracle: 4,001 log-spaced b on the default range.  A narrower range
-# takes the oracle points inside it and its two ends; every range adds the
-# kinks inside it and b = 1 when it holds it.
-DENSE_LOG_B = np.linspace(math.log(1e-3), math.log(10.0), 4001)
-ORACLE_RANGES = [(1e-3, 10.0), (1.0, 10.0), (1e-3, 0.1), (0.5, 0.55)]
+# The dense oracle: 4,001 log-spaced b on [1e-3, 10] and 1,000 on each of
+# [1e-8, 1e-3) and (10, 1e4], to which each N adds its kinks and b = 1.
+DENSE_LOG_B = np.concatenate([
+    np.linspace(math.log(1e-8), math.log(1e-3), 1000, endpoint=False),
+    np.linspace(math.log(1e-3), math.log(10.0), 4001),
+    np.linspace(math.log(10.0), math.log(1e4), 1001)[1:],
+])
 
 
 def dense_oracle_thresholds(psi, N, log_b):
@@ -638,16 +627,10 @@ def test_search_reaches_the_dense_oracle():
         for N in range(1, 9):
             plan = hankel._Plan(psi, N)
             rs = list(range(N + 1))
-            extra = [x for b_range in ORACLE_RANGES for x in map(math.log, b_range)]
-            log_b = np.concatenate([DENSE_LOG_B, extra, hankel._kinks(plan), [0.0]])
-            table = dense_oracle_thresholds(psi, N, log_b)
-            for b_range in ORACLE_RANGES:
-                lo, hi = map(math.log, b_range)
-                inside = (log_b >= lo) & (log_b <= hi)
-                oracle = table[inside].max(axis=0)
-                found = hankel._search(plan, rs, lo, hi)
-                for r, (_, value) in zip(rs, found):
-                    assert value >= oracle[r] * (1 - 1e-12), (name, N, r, b_range)
+            log_b = np.concatenate([DENSE_LOG_B, hankel._kinks(plan), [0.0]])
+            oracle = dense_oracle_thresholds(psi, N, log_b).max(axis=0)
+            for r, (_, value) in zip(rs, hankel._search(plan, rs)):
+                assert value >= oracle[r] * (1 - 1e-12), (name, N, r)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
