@@ -3,11 +3,14 @@
 circle_decomposition places n+1 coherent states on a small circle
 delta * omega^j (omega the (n+1)-th root of unity) and solves the linear
 system that matches the target's first n+1 Fock amplitudes exactly; the
-fidelity tends to 1 as delta shrinks.  fit_superposition maximizes fidelity
-over r-term superpositions by variable projection: for a fixed displacement
-vector the optimal coefficients are a linear least-squares solve, so only
-the 2r real displacement parameters are searched.  Each seeded restart takes
-a few Nelder-Mead steps to explore, then converges by L-BFGS-B on the exact
+fidelity tends to 1 as delta shrinks.  best_single_coherent finds the global
+maximum of |<target|alpha>|^2 by a Newton climb from the best points of a
+coarse grid.  fit_superposition maximizes fidelity over r-term
+superpositions by variable projection: for a fixed displacement vector the
+optimal coefficients are a linear least-squares solve, so only the 2r real
+displacement parameters are searched.  At r = 1 that search is
+best_single_coherent's climb.  At r >= 2 each seeded restart takes a few
+Nelder-Mead steps to explore, then converges by L-BFGS-B on the exact
 variable-projection gradient (Golub & Pereyra 1973; Kaufman 1975).
 """
 
@@ -41,17 +44,19 @@ EXPLORE_ITERS = 20
 # its other threads, which then slow every later numpy call of the process.
 _GRID_BLOCK_ENTRIES = 1 << 12
 
-# Grid points best_single_coherent climbs from, and its cap on Newton steps.
+# Grid points best_single_coherent climbs from (the fewest an r = 1 fit
+# climbs), and the cap on each start's Newton steps.
 CANDIDATES = 4
 MAX_ASCENT_STEPS = 50
 
 
 @dataclass(frozen=True)
 class RestartReport:
-    """How one restart of fit_superposition ended: its iterations over both
-    methods and all rounds, whether L-BFGS-B reported success in the round it
-    kept, and the projection-fit fidelity of its displacements at the working
-    cutoff."""
+    """How one start of fit_superposition ended: its iterations (at r >= 2
+    over both methods and all rounds, at r = 1 its Newton steps), whether it
+    converged (L-BFGS-B's success in the round it kept, or at r = 1 that it
+    stopped rising before the step cap), and the projection-fit fidelity of its
+    displacements at the working cutoff."""
 
     nit: int
     converged: bool
@@ -69,9 +74,9 @@ class FitResult:
 
 
 def minimize(fun, x0, **options):
-    """scipy.optimize.minimize, imported on first use by fit_superposition: the
-    import costs 0.43-0.51 s on a 2-core host, which commands that never fit
-    should not pay."""
+    """scipy.optimize.minimize, imported on first use by a fit with r >= 2:
+    the import costs 0.3-0.5 s on a 2-core host, which commands that never
+    make such a fit should not pay."""
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(fun, x0, **options)
@@ -216,62 +221,13 @@ def _loss_and_gradient(x: np.ndarray, t: np.ndarray, sqrt_n: np.ndarray):
     return float(np.vdot(res, res).real), np.concatenate([grad_re, grad_im])
 
 
-def fit_superposition(
-    target: FockVector,
-    r: int,
-    restarts: int = 16,
-    seed: int | None = None,
-    max_iters: int = 4000,
-    tol: float = 1e-12,
-    init_alphas=None,
-) -> FitResult:
-    """Maximize fidelity with an r-term coherent superposition.
-
-    Restart 0 starts from displacements on a small circle (the explicit-
-    decomposition ansatz); later restarts perturb circle starts of varying
-    radius with seeded Gaussian noise.  ``init_alphas`` adds one extra warm
-    start.  Each restart explores with up to EXPLORE_ITERS Nelder-Mead
-    iterations, which move it off symmetric starts where the gradient
-    vanishes, then converges by L-BFGS-B on the exact gradient of the
-    infidelity until the largest gradient component is at most ``tol``.  It
-    repeats that pair from its result while the fidelity rises, and stops
-    after ``max_iters`` iterations of both methods together.  The best
-    restart wins; exact fidelity ties go to the lexicographically smaller
-    displacement tuple so reruns are stable.
-    """
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if restarts < 1 and init_alphas is None:
-        raise ValueError("need at least one restart or an explicit warm start")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    if not (tol >= 0 and math.isfinite(tol)):
-        raise ValueError("tol must be finite and non-negative")
-    rng = np.random.default_rng(seed)
-    radius = max(0.5, math.sqrt(target.mean_fock_number()))
-
-    # Work at a cutoff where every coherent state in the search region is
-    # represented to machine precision; otherwise chopped columns fake
-    # fidelity after renormalization.
-    search_reach = 2.0 * radius + 2.0
-    work_cutoff = max(target.cutoff, coherent_cutoff(search_reach, 1e-14))
-    t = _normalized_target(target.padded(work_cutoff))
-    sqrt_n = np.sqrt(np.arange(1, work_cutoff + 1))
-    base_deltas = np.geomspace(0.08, 1.2, num=max(restarts, 1)) * radius
-    starts = []
-    for i in range(restarts):
-        a0 = base_deltas[i] * np.exp(2j * np.pi * np.arange(r) / r)
-        if i > 0:
-            a0 = a0 + 0.3 * radius * (rng.standard_normal(r) + 1j * rng.standard_normal(r))
-        starts.append(a0)
-    if init_alphas is not None:
-        starts.append(np.asarray(init_alphas, dtype=complex))
+def _descent_runs(t, r, starts, max_iters, tol):
+    """(fidelity, alphas, coefficients, RestartReport) of each start at r >= 2."""
+    sqrt_n = np.sqrt(np.arange(1, len(t)))
 
     def negative_fidelity(x):
         return -_projection_fit(x[:r] + 1j * x[r:], t)[0]
 
-    best = None
-    reports = []
     for a0 in starts:
         x = np.concatenate([a0.real, a0.imag])
         nit, kept = 0, None
@@ -303,10 +259,93 @@ def fit_superposition(
             kept = (fid, alphas, coeffs, bool(res.success))
             x = res.x
         fid, alphas, coeffs, converged = kept
-        reports.append(RestartReport(nit=nit, converged=converged, fidelity=fid))
+        yield fid, alphas, coeffs, RestartReport(nit=nit, converged=converged, fidelity=fid)
+
+
+def _single_runs(target, t, count, warm, max_steps):
+    """(fidelity, alphas, coefficients, RestartReport) of each start at r = 1:
+    the end points of best_single_coherent's climb, fitted at t's cutoff."""
+    _, ends, nits, stopped = _climb_from_grid(target, count, warm, max_steps)
+    for alphas, nit, converged in zip(ends[:, None], nits.tolist(), stopped.tolist()):
+        fid, coeffs = _projection_fit(alphas, t)
+        yield fid, alphas, coeffs, RestartReport(nit, converged, fid)
+
+
+def fit_superposition(
+    target: FockVector,
+    r: int,
+    restarts: int = 16,
+    seed: int | None = None,
+    max_iters: int = 4000,
+    tol: float = 1e-12,
+    init_alphas=None,
+) -> FitResult:
+    """Maximize fidelity with an r-term coherent superposition.
+
+    ``init_alphas``, if given, is one more start: exactly r finite
+    displacements.  At r = 1 the fit is best_single_coherent's global search:
+    the max(restarts, CANDIDATES) best points of its grid (none at
+    ``restarts=0``) and the warm start climb by at most
+    min(max_iters, MAX_ASCENT_STEPS) Newton steps each, and ``seed`` and
+    ``tol`` are not used.  A start's ``nit`` counts the steps it took while it
+    rose; it converged if it stopped rising before that cap.
+
+    At r >= 2, restart 0 starts from displacements on a small circle (the
+    explicit-decomposition ansatz); later restarts perturb circle starts of
+    varying radius with seeded Gaussian noise.  Each restart explores with up
+    to EXPLORE_ITERS Nelder-Mead iterations, which move it off symmetric
+    starts where the gradient vanishes, then converges by L-BFGS-B on the
+    exact gradient of the infidelity until the largest gradient component is
+    at most ``tol``.  It repeats that pair from its result while the fidelity
+    rises, and stops after ``max_iters`` iterations of both methods together.
+
+    Each start's fidelity is the projection fit of its displacements at the
+    working cutoff.  The best start wins; exact fidelity ties go to the
+    lexicographically smaller displacement tuple so reruns are stable.
+    """
+    if r < 1:
+        raise ValueError("r must be at least 1")
+    if restarts < 1 and init_alphas is None:
+        raise ValueError("need at least one restart or an explicit warm start")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    if not (tol >= 0 and math.isfinite(tol)):
+        raise ValueError("tol must be finite and non-negative")
+    warm = []
+    if init_alphas is not None:
+        warm = [np.asarray(init_alphas, dtype=complex)]
+        if warm[0].shape != (r,) or not np.isfinite(warm[0]).all():
+            raise ValueError(f"init_alphas must be exactly r={r} finite displacements")
+    radius = max(0.5, math.sqrt(target.mean_fock_number()))
+
+    # Work at a cutoff where every coherent state in the search region is
+    # represented to machine precision; otherwise chopped columns fake
+    # fidelity after renormalization.
+    search_reach = 2.0 * radius + 2.0
+    work_cutoff = max(target.cutoff, coherent_cutoff(search_reach, 1e-14))
+    t = _normalized_target(target.padded(work_cutoff))
+    if r == 1:
+        count = max(restarts, CANDIDATES) if restarts > 0 else 0
+        runs = _single_runs(target, t, count, [a[0] for a in warm],
+                            min(max_iters, MAX_ASCENT_STEPS))
+    else:
+        rng = np.random.default_rng(seed)
+        base_deltas = np.geomspace(0.08, 1.2, num=max(restarts, 1)) * radius
+        starts = []
+        for i in range(restarts):
+            a0 = base_deltas[i] * np.exp(2j * np.pi * np.arange(r) / r)
+            if i > 0:
+                a0 = a0 + 0.3 * radius * (rng.standard_normal(r) + 1j * rng.standard_normal(r))
+            starts.append(a0)
+        runs = _descent_runs(t, r, starts + warm, max_iters, tol)
+
+    best = None
+    reports = []
+    for fid, alphas, coeffs, report in runs:
+        reports.append(report)
         key = sorted((a.real, a.imag) for a in alphas)
         if best is None or fid > best[0] or (fid == best[0] and key < best[1]):
-            best = (fid, key, alphas, coeffs, reports[-1])
+            best = (fid, key, alphas, coeffs, report)
 
     _, _, alphas, coeffs, winner = best
     sup = CoherentSuperposition(zip(coeffs, alphas))
@@ -318,7 +357,7 @@ def fit_superposition(
         fidelity_achieved=achieved,
         iterations=winner.nit,
         converged=winner.converged,
-        restarts_used=len(starts),
+        restarts_used=len(reports),
         restarts=tuple(reports),
     )
 
@@ -357,19 +396,12 @@ def _ascent_step(alphas: np.ndarray, z: np.ndarray, plane: bool) -> np.ndarray:
     return np.where(np.isfinite(step), step, 0.0)
 
 
-def best_single_coherent(target: FockVector):
-    """Globally maximize |<target|alpha>|^2; returns (alpha, infidelity).
+def _climb_from_grid(target: FockVector, count: int, starts, max_steps: int):
+    """The count best points of target's coarse grid (first on ties) and the
+    given starts, climbed in lockstep by at most max_steps Newton steps each.
 
-    A coarse grid over the disk of radius max(4, 2 sqrt(mean Fock number))
-    picks the CANDIDATES best points (first on ties), and a safeguarded Newton
-    ascent on log |<target|alpha>|^2 climbs from all of them at once.  A target
-    with real, non-negative amplitudes t_k is searched on the real axis only
-    (201 points, Re alpha climbed): |sum_k t_k alpha^k / sqrt(k!)| is at most
-    the same sum at |alpha|, so the maximum lies on alpha >= 0.  Any other
-    target, a real one with mixed signs included, is searched on a 41 x 41
-    grid clipped to the disk, with both parts of alpha climbed.  A step is
-    kept only where the overlap does not fall, and the ascent stops when no
-    candidate rises; the scalar overlap of each end point picks the winner.
+    Returns the normalized target, the end points, the Newton steps each
+    start took while it rose, and whether each stopped rising before the cap.
     """
     t = _normalized_target(target)
     cutoff = len(t) - 1
@@ -389,7 +421,8 @@ def best_single_coherent(target: FockVector):
     for lo in range(0, len(points), step):
         z = t.conj() @ coherent_columns(points[lo : lo + step], cutoff)
         scores[lo : lo + step] = np.float_power(np.hypot(z.real, z.imag), 2.0)
-    alphas = points[np.argsort(-scores, kind="stable")[:CANDIDATES]]
+    alphas = np.concatenate([points[np.argsort(-scores, kind="stable")[:count]],
+                             np.asarray(starts, dtype=complex)])
     # rows k = 0, 1, 2 of conj(t_n) sqrt(n!/(n-k)!), shifted so that one product
     # with the columns b_0..b_cutoff gives z_0, z_1 and z_2
     n = np.arange(cutoff + 1)
@@ -399,8 +432,10 @@ def best_single_coherent(target: FockVector):
     weights[2, : cutoff - 1] = t[2:].conj() * np.sqrt(n[2:] * (n[2:] - 1.0))
     overlaps = np.full(len(alphas), -np.inf)
     z = np.zeros((3, len(alphas)), dtype=complex)
+    steps = np.zeros(len(alphas), dtype=int)
+    rising = np.ones(len(alphas), dtype=bool)
     trial = alphas
-    for _ in range(MAX_ASCENT_STEPS):
+    for taken in range(max_steps + 1):  # the starts, then one Newton step a round
         z_trial = weights @ coherent_columns(trial, cutoff)
         f_trial = np.float_power(np.hypot(z_trial[0].real, z_trial[0].imag), 2.0)
         kept = f_trial >= overlaps
@@ -408,9 +443,30 @@ def best_single_coherent(target: FockVector):
         alphas = np.where(kept, trial, alphas)
         overlaps = np.where(kept, f_trial, overlaps)
         z = np.where(kept, z_trial, z)
-        if not rose.any():
+        rising &= rose
+        if taken == max_steps or not rose.any():
             break
+        steps += rising
         trial = alphas + _ascent_step(alphas, z, plane)
+    return t, alphas, steps, ~rising
+
+
+def best_single_coherent(target: FockVector):
+    """Globally maximize |<target|alpha>|^2; returns (alpha, infidelity).
+
+    A coarse grid over the disk of radius max(4, 2 sqrt(mean Fock number))
+    picks the CANDIDATES best points (first on ties), and a safeguarded Newton
+    ascent on log |<target|alpha>|^2 climbs from all of them at once.  A target
+    with real, non-negative amplitudes t_k is searched on the real axis only
+    (201 points, Re alpha climbed): |sum_k t_k alpha^k / sqrt(k!)| is at most
+    the same sum at |alpha|, so the maximum lies on alpha >= 0.  Any other
+    target, a real one with mixed signs included, is searched on a 41 x 41
+    grid clipped to the disk, with both parts of alpha climbed.  A step is
+    kept only where the overlap does not fall, and the ascent stops when no
+    candidate rises or after MAX_ASCENT_STEPS steps; the scalar overlap of
+    each end point picks the winner.
+    """
+    t, alphas, _, _ = _climb_from_grid(target, CANDIDATES, (), MAX_ASCENT_STEPS)
     final = [_coherent_overlap_sq(t, a) for a in alphas.tolist()]
     best = int(np.argmax(final))
     return complex(alphas[best]), float(1.0 - min(1.0, final[best]))

@@ -439,11 +439,14 @@ def test_only_fitting_imports_scipy_optimize():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    main(['fit', '{\"type\":\"fock\",\"n\":1}', '--r', '1', '--restarts', '1'])\n"
         "print('scipy.optimize' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['fit', '{\"type\":\"fock\",\"n\":1}', '--r', '2', '--restarts', '1'])\n"
+        "print('scipy.optimize' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(csrank.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == ["False", "True"]
+    assert out.split() == ["False", "False", "True"]
 
 
 _NO_SCIPY_SCRIPT = """
@@ -464,6 +467,7 @@ runs = [
     ["decompose", '{"type":"fock","n":2}', "--delta", "0.1"],
     ["multimode", '{"modes":2,"amps":[{"occ":[1,1],"c":[1,0]}]}'],
     ["permanent", "--n", "3", "--delta", "0.1", "--trials", "5"],
+    ["fit", '{"type":"fock","n":1}', "--r", "1", "--restarts", "1"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     try:
@@ -476,7 +480,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     main(["bound", cat, "--r", "1"])  # no cutoff: the summed Poisson tail picks one
 print("scipy.special" in sys.modules, "scipy.optimize" in sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
-    main(["fit", '{"type":"fock","n":1}', "--r", "1", "--restarts", "1"])
+    main(["fit", '{"type":"fock","n":1}', "--r", "2", "--restarts", "1"])
 print("scipy.optimize" in sys.modules)
 """
 
@@ -485,7 +489,7 @@ def test_commands_without_fits_or_poisson_tails_import_no_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(csrank.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0, 0] []", "False False", "True"]
+    assert out.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] []", "False False", "True"]
 
 
 @pytest.mark.parametrize("delta", ["10", "20", "30", "100"])

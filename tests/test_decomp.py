@@ -20,8 +20,10 @@ from csrank.fock import (
     core_state,
     fidelity,
     fock_state,
+    state_from_descriptor,
     superposition_to_fock,
 )
+from test_acceptance import corpus_states
 
 
 def odd_cat_infidelity(delta):
@@ -107,6 +109,50 @@ def test_fit_from_a_start_orthogonal_to_the_target_reports_fidelity_zero():
     res = fit_superposition(fock_state(3), 1, restarts=0, init_alphas=[0])
     assert res.fidelity_achieved == 0.0
     assert [rep.fidelity for rep in res.restarts] == [0.0]
+
+
+@pytest.mark.parametrize("init_alphas", [[0.1, 0.2, 0.3], [0.5], [float("nan"), 0.3]],
+                         ids=["three", "one", "nan"])
+def test_fit_refuses_a_warm_start_that_is_not_r_finite_displacements(init_alphas, capfd):
+    with pytest.raises(ValueError, match=r"init_alphas must be exactly r=2 finite displacements"):
+        fit_superposition(fock_state(2, 12), 2, restarts=1, seed=0, init_alphas=init_alphas)
+    assert capfd.readouterr().err == ""  # refused before LAPACK sees it
+
+
+def test_fit_single_term_finds_the_global_maximum():
+    # Seeded restarts all stopped at the local maximum alpha ~ 0.840 + 0.010i
+    # (fidelity 0.5105169115251); the global one is at alpha ~ -0.338 - 0.916i.
+    target = state_from_descriptor({"type": "core", "amps": [
+        [-0.9455992203016488, -0.36497593306658227], [-1.6071440152575571, 0.8882715663567016],
+        [0.1788951761571905, -0.12730598208965024], [-0.666864573880577, -0.741166432948018],
+    ], "cutoff": 16})
+    res = fit_superposition(target, 1, restarts=3, seed=7, max_iters=600)
+    assert res.fidelity_achieved >= 0.5758878258037
+    alpha = res.superposition.displacements()[0]
+    assert abs(alpha - (-0.338 - 0.916j)) < 1e-3
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+def test_fit_single_term_is_never_below_the_best_single_coherent_state(restarts):
+    for name, psi, _ in corpus_states():
+        res = fit_superposition(psi, 1, restarts=restarts, seed=7, max_iters=600)
+        assert res.fidelity_achieved >= 1 - best_single_coherent(psi)[1] - 1e-15, name
+
+
+@pytest.mark.parametrize("restarts,max_iters", [(1, 600), (3, 2), (6, 1), (16, 4000)])
+def test_fit_single_term_reports_one_climb_per_start(restarts, max_iters):
+    res = fit_superposition(core_state([0.6, 0.0, 0.8j], cutoff=12), 1, restarts=restarts,
+                            max_iters=max_iters)
+    assert res.restarts_used == len(res.restarts) == max(restarts, decomp.CANDIDATES)
+    assert all(rep.nit <= min(max_iters, decomp.MAX_ASCENT_STEPS) for rep in res.restarts)
+    if max_iters >= 600:
+        assert all(rep.converged for rep in res.restarts)
+    fids = [rep.fidelity for rep in res.restarts]
+    assert res.fidelity_achieved == pytest.approx(max(fids), abs=1e-12)
+    warm = fit_superposition(core_state([0.6, 0.0, 0.8j], cutoff=12), 1, restarts=restarts,
+                             max_iters=max_iters, init_alphas=[0.3j])
+    assert warm.restarts_used == res.restarts_used + 1
+    assert warm.restarts[:-1] == res.restarts
 
 
 def test_fit_rejects_r_zero():

@@ -3,28 +3,34 @@
 Each command runs in a fresh interpreter (``python -m csrank.cli ...``, with
 PYTHONPATH set to the checkout's ``src``), so its time includes the import of
 ``csrank.cli``.  The tier-1 test suite (SUITE) is timed the same way, so
-every entry records its REPEAT = 3 run times, the best of them and its exit
-codes.  The record also holds the line count of every file under
+every entry records its REPEAT = 3 run times, their best and median, and its
+exit codes.  The record also holds the line count of every file under
 ``src/csrank``, and the interpreter, numpy and host it ran on.
 
-    python3 tools/cli_times.py --label change --out BENCH_<n>.json
-    python3 tools/cli_times.py --repo ../parent --label parent --out BENCH_<n>.json
+    python3 tools/cli_times.py --repo ../parent --label parent \\
+        --repo . --label change --out BENCH_<n>.json
 
-Runs with different labels (say, a parent commit and a change) share one
-file: each run replaces only its own label.  Standard library only.
+One call times one or more checkouts, one ``--repo`` per ``--label``; a
+single ``--label`` without ``--repo`` times this checkout.  The labels take
+turns on every run of every command, the first of them rotating from one
+repeat to the next, so drift on a shared host reaches every label alike.
+Runs with different labels share one file: each call replaces only its own
+labels.  Standard library only.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-REPEAT = 3  # runs per command and of the suite; the fastest is kept
+REPEAT = 3  # runs per label of each command and of the suite
 SUITE = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
 COMMANDS = {
     "version": ["--version"],
@@ -44,17 +50,30 @@ COMMANDS = {
 }
 
 
-def timed(argv, env, cwd) -> dict:
-    """Wall times and exit codes of REPEAT subprocess runs, their output discarded."""
-    runs = []
-    for _ in range(REPEAT):
-        start = time.perf_counter()
-        code = subprocess.run(argv, env=env, cwd=cwd, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL).returncode
-        runs.append((time.perf_counter() - start, code))
-    return {"best_s": round(min(t for t, _ in runs), 4),
-            "runs_s": [round(t, 4) for t, _ in runs],
-            "exit_codes": sorted({code for _, code in runs})}
+def run_once(argv, env, cwd) -> tuple:
+    """Wall time and exit code of one subprocess run, its output discarded."""
+    start = time.perf_counter()
+    code = subprocess.run(argv, env=env, cwd=cwd, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+    return time.perf_counter() - start, code
+
+
+def timed(runs: dict) -> dict:
+    """label -> REPEAT timed runs of runs[label] = (argv, env, cwd).
+
+    Each repeat runs every label once, starting from the next label in turn.
+    """
+    labels = list(runs)
+    done = {label: [] for label in labels}
+    for i in range(REPEAT):
+        first = i % len(labels)
+        for label in labels[first:] + labels[:first]:
+            done[label].append(run_once(*runs[label]))
+    return {label: {"best_s": round(min(t for t, _ in done[label]), 4),
+                    "median_s": round(statistics.median(t for t, _ in done[label]), 4),
+                    "runs_s": [round(t, 4) for t, _ in done[label]],
+                    "exit_codes": sorted({code for _, code in done[label]})}
+            for label in labels}
 
 
 def src_lines(repo: Path) -> dict:
@@ -64,31 +83,43 @@ def src_lines(repo: Path) -> dict:
     return counts
 
 
-def record(repo: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
-    commands = {}
-    with tempfile.TemporaryDirectory() as work:
+def record(repos: dict) -> dict:
+    """label -> record of the checkout repos[label]."""
+    env = {label: dict(os.environ, PYTHONPATH=str(repo / "src")) for label, repo in repos.items()}
+    commands = {label: {} for label in repos}
+    with contextlib.ExitStack() as stack:
+        work = {label: stack.enter_context(tempfile.TemporaryDirectory()) for label in repos}
         for name, args in COMMANDS.items():  # in order: bound_check reads cert.json
-            commands[name] = {"argv": args,
-                              **timed([sys.executable, "-m", "csrank.cli", *args], env, work)}
+            argv = [sys.executable, "-m", "csrank.cli", *args]
+            times = timed({label: (argv, env[label], work[label]) for label in repos})
+            for label in repos:
+                commands[label][name] = {"argv": args, **times[label]}
+    suite = timed({label: ([sys.executable, *SUITE], env[label], repo)
+                   for label, repo in repos.items()})
     numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                            capture_output=True, text=True).stdout.strip()
-    return {"commands": commands, "src_lines": src_lines(repo),
-            "python": platform.python_version(), "numpy": numpy,
-            "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
-            "repeat": REPEAT,
-            "tier1_suite": {"argv": SUITE, **timed([sys.executable, *SUITE], env, repo)}}
+    return {label: {"commands": commands[label], "src_lines": src_lines(repo),
+                    "python": platform.python_version(), "numpy": numpy,
+                    "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
+                    "repeat": REPEAT,
+                    "tier1_suite": {"argv": SUITE, **suite[label]}}
+            for label, repo in repos.items()}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repo", type=Path, default=Path(__file__).resolve().parents[1],
-                        help="checkout whose src/ is timed (default: this one)")
-    parser.add_argument("--label", required=True, help="key of this run in the output file")
+    parser.add_argument("--repo", type=Path, action="append",
+                        help="checkout whose src/ is timed, one per --label "
+                             "(default with one label: this one)")
+    parser.add_argument("--label", required=True, action="append",
+                        help="key of a checkout's run in the output file")
     parser.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to update")
     args = parser.parse_args(argv)
+    repos = args.repo or [Path(__file__).resolve().parents[1]] * (len(args.label) == 1)
+    if len(repos) != len(args.label) or len(set(args.label)) != len(args.label):
+        parser.error("give one --repo per --label, and no label twice")
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data[args.label] = record(args.repo.resolve())
+    data.update(record({label: repo.resolve() for label, repo in zip(args.label, repos)}))
     args.out.write_text(json.dumps(data, indent=2) + "\n")
     return 0
 
