@@ -9,14 +9,16 @@ coarse grid.  fit_superposition maximizes fidelity over r-term
 superpositions by variable projection: for a fixed displacement vector the
 optimal coefficients are a linear least-squares solve, so only the 2r real
 displacement parameters are searched.  At r = 1 that search is
-best_single_coherent's climb.  At r >= 2 each seeded restart takes a few
-Nelder-Mead steps to explore, then converges by L-BFGS-B on the exact
-variable-projection gradient (Golub & Pereyra 1973; Kaufman 1975).
+best_single_coherent's climb.  At r >= 2 minimize climbs every restart at
+once by safeguarded Newton steps on -log F, with F the projected fidelity of
+a QR of the coherent columns, the exact variable-projection gradient (Golub &
+Pereyra 1973; Kaufman 1975) and a central-difference Hessian of it.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +38,15 @@ from .multimode import MultimodeSuperposition
 
 SMALL_DELTA_WARNING = 1e-3
 
-# Nelder-Mead iterations each fit restart takes before L-BFGS-B.
-EXPLORE_ITERS = 20
+# minimize's step lengths (longest first) and longest step, the offset of its
+# Hessian probes, and two ratios to the largest Hessian eigenvalue magnitude:
+# every magnitude is raised to at least FLAT_RATIO times it, and an eigenvalue
+# below -SADDLE_RATIO times it marks a saddle.
+LADDER = 0.5 ** np.arange(8)
+MAX_STEP = 1.0
+PROBE_STEP = 1e-5
+FLAT_RATIO = 1e-10
+SADDLE_RATIO = 1e-3
 
 # Most matrix entries one block of best_single_coherent's grid columns holds.
 # One unblocked product of the whole grid is large enough for OpenBLAS to wake
@@ -52,11 +61,11 @@ MAX_ASCENT_STEPS = 50
 
 @dataclass(frozen=True)
 class RestartReport:
-    """How one start of fit_superposition ended: its iterations (at r >= 2
-    over both methods and all rounds, at r = 1 its Newton steps), whether it
-    converged (L-BFGS-B's success in the round it kept, or at r = 1 that it
-    stopped rising before the step cap), and the projection-fit fidelity of its
-    displacements at the working cutoff."""
+    """How one start of fit_superposition ended: the Newton steps it kept,
+    whether it converged (stopped before its step cap: at r >= 2 because no
+    step lowered -log F or its gradient fell to ``tol``, at r = 1 because it
+    stopped rising), and the projection-fit fidelity of its displacements at
+    the working cutoff."""
 
     nit: int
     converged: bool
@@ -71,15 +80,6 @@ class FitResult:
     converged: bool
     restarts_used: int
     restarts: tuple  # one RestartReport per start, in start order
-
-
-def minimize(fun, x0, **options):
-    """scipy.optimize.minimize, imported on first use by a fit with r >= 2:
-    the import costs 0.3-0.5 s on a 2-core host, which commands that never
-    make such a fit should not pay."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(fun, x0, **options)
 
 
 def _round_up(x: float) -> float:
@@ -200,75 +200,109 @@ def _projection_fit(alphas: np.ndarray, t: np.ndarray):
     return min(1.0, max(0.0, fid)), c
 
 
-def _loss_and_gradient(x: np.ndarray, t: np.ndarray, sqrt_n: np.ndarray):
-    """||t - B c||^2 at the least-squares c, and its gradient in
-    x = (Re alpha, Im alpha).
+def _log_fidelity(x: np.ndarray, t: np.ndarray, sqrt_n: np.ndarray):
+    """-log F and its gradient at each row of x = (Re alpha, Im alpha), with F
+    = ||Q^H t||^2 the projected fidelity from a QR of the coherent columns.
 
-    At the optimal c the derivative through c vanishes (variable projection),
-    so d/dRe alpha_k = -2 Re(c_k res^H db_k/dRe alpha_k) with
-    db_{k,n}/dRe alpha_k = -Re(alpha_k) b_{k,n} + sqrt(n) b_{k,n-1}, and the
-    same for Im alpha_k with i sqrt(n).  It is the exact derivative of the
-    truncated columns too.
+    A point whose R has a diagonal entry within lstsq's rcond of the largest
+    (coinciding displacements) takes lstsq's rank-revealing fit instead, F
+    then ||B c||^2.  At the least-squares c the derivative through c vanishes
+    (variable projection), so d(1 - F)/dRe alpha_k = -2 Re(c_k res^H
+    db_k/dRe alpha_k) with db_{k,n}/dRe alpha_k = -Re(alpha_k) b_{k,n} +
+    sqrt(n) b_{k,n-1}, and the same for Im alpha_k with i sqrt(n); divided by
+    F it is the gradient of -log F, exact for the truncated columns too.
     """
-    r = len(x) // 2
-    B = coherent_columns(x[:r] + 1j * x[r:], len(t) - 1)
-    c, _, _, _ = np.linalg.lstsq(B, t, rcond=None)
-    res = t - B @ c
-    res_b = res.conj() @ B
-    res_shift = (res[1:].conj() * sqrt_n) @ B[:-1]
-    grad_re = -2.0 * (c * (res_shift - x[:r] * res_b)).real
-    grad_im = -2.0 * (c * (1j * res_shift - x[r:] * res_b)).real
-    return float(np.vdot(res, res).real), np.concatenate([grad_re, grad_im])
+    points, r = len(x), x.shape[1] // 2
+    B = coherent_columns(x[:, :r] + 1j * x[:, r:], len(t) - 1)
+    B = np.ascontiguousarray(B.reshape(len(t), points, r).transpose(1, 0, 2))
+    Q, R = np.linalg.qr(B)
+    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    full = (diag > diag.max(axis=1, keepdims=True) * len(t) * np.finfo(float).eps).all(axis=1)
+    q = (t.conj() @ Q).conj()
+    c = np.linalg.solve(np.where(full[:, None, None], R, np.eye(r)), q[:, :, None])[:, :, 0]
+    fid = (q.real**2 + q.imag**2).sum(axis=1)
+    fit = (Q @ q[:, :, None])[:, :, 0]
+    for i in np.flatnonzero(~full):  # singular R
+        c[i] = np.linalg.lstsq(B[i], t, rcond=None)[0]
+        fit[i] = B[i] @ c[i]
+        fid[i] = np.vdot(fit[i], fit[i]).real
+    res = t - fit
+    # rows res^H and (sqrt(n) res_n)^H shifted by one, against the columns
+    rows = np.zeros((points, 2, len(t)), dtype=complex)
+    rows[:, 0] = res.conj()
+    rows[:, 1, :-1] = res[:, 1:].conj() * sqrt_n
+    res_b, res_shift = (rows @ B).transpose(1, 0, 2)
+    grad_re = -2.0 * (c * (res_shift - x[:, :r] * res_b)).real
+    grad_im = -2.0 * (c * (1j * res_shift - x[:, r:] * res_b)).real
+    return -np.log(fid), np.concatenate([grad_re, grad_im], axis=1) / fid[:, None]
 
 
-def _descent_runs(t, r, starts, max_iters, tol):
-    """(fidelity, alphas, coefficients, RestartReport) of each start at r >= 2."""
+class Climb(NamedTuple):
+    """minimize's end points (one row of x per start), the Newton steps each
+    start kept, whether each stopped before max_iters, and the points scored.
+    nit and success total them over the starts, under the names of scipy's
+    OptimizeResult that the benchmark's tracer reads."""
+
+    x: np.ndarray
+    steps: np.ndarray
+    stopped: np.ndarray
+    nfev: int
+    nit: int
+    success: bool
+
+
+def minimize(t: np.ndarray, x0: np.ndarray, max_iters: int, tol: float) -> Climb:
+    """Minimize -log F from every row of x0 at once by safeguarded Newton steps.
+
+    Each step makes two stacked _log_fidelity calls.  The first scores every
+    active start and the 2n central-difference probes of its Hessian.  Where
+    the Hessian has an eigenvalue below -SADDLE_RATIO times its largest
+    magnitude, the step is MAX_STEP down that eigenvector, which moves
+    symmetric starts off their saddle; elsewhere, and after such a push did
+    not lower the objective, it is Newton's step with every eigenvalue
+    replaced by its magnitude (at least FLAT_RATIO times the largest), cut to
+    MAX_STEP.  The second call scores x + s p for each s in LADDER.  A start
+    keeps its lowest trial only if the objective falls, and stops when none
+    does, when its largest gradient component is at most tol, or after
+    max_iters steps.
+    """
+    n = x0.shape[1]
     sqrt_n = np.sqrt(np.arange(1, len(t)))
-
-    def negative_fidelity(x):
-        return -_projection_fit(x[:r] + 1j * x[r:], t)[0]
-
-    for a0 in starts:
-        x = np.concatenate([a0.real, a0.imag])
-        nit, kept = 0, None
-        # Explore, then converge; go round again from the result while that
-        # raises the fidelity and the restart's iterations last.
-        while nit < max_iters:
-            explore = min(EXPLORE_ITERS, max_iters - nit)
-            res = minimize(
-                negative_fidelity,
-                x,
-                method="Nelder-Mead",
-                options={"maxiter": explore, "fatol": tol, "xatol": 1e-10},
-            )
-            nit += int(res.nit)
-            if nit < max_iters:
-                res = minimize(
-                    _loss_and_gradient,
-                    res.x,
-                    args=(t, sqrt_n),
-                    jac=True,
-                    method="L-BFGS-B",
-                    options={"maxiter": max_iters - nit, "ftol": 0.0, "gtol": tol},
-                )
-                nit += int(res.nit)
-            alphas = res.x[:r] + 1j * res.x[r:]
-            fid, coeffs = _projection_fit(alphas, t)
-            if kept is not None and fid <= kept[0]:
-                break
-            kept = (fid, alphas, coeffs, bool(res.success))
-            x = res.x
-        fid, alphas, coeffs, converged = kept
-        yield fid, alphas, coeffs, RestartReport(nit=nit, converged=converged, fidelity=fid)
-
-
-def _single_runs(target, t, count, warm, max_steps):
-    """(fidelity, alphas, coefficients, RestartReport) of each start at r = 1:
-    the end points of best_single_coherent's climb, fitted at t's cutoff."""
-    _, ends, nits, stopped = _climb_from_grid(target, count, warm, max_steps)
-    for alphas, nit, converged in zip(ends[:, None], nits.tolist(), stopped.tolist()):
-        fid, coeffs = _projection_fit(alphas, t)
-        yield fid, alphas, coeffs, RestartReport(nit, converged, fid)
+    offsets = np.concatenate([np.zeros((1, n)), PROBE_STEP * np.eye(n), -PROBE_STEP * np.eye(n)])
+    x, steps = x0.copy(), np.zeros(len(x0), dtype=int)
+    stopped = np.zeros(len(x0), dtype=bool)
+    no_push = np.zeros(len(x0), dtype=bool)  # set after a push that did not lower
+    active, nfev = np.arange(len(x0)), 0
+    with np.errstate(all="ignore"):
+        while len(active):
+            each = np.arange(len(active))
+            here = x[active][:, None, :] + offsets
+            phi, grad = _log_fidelity(here.reshape(-1, n), t, sqrt_n)
+            f, grad = phi[:: 2 * n + 1], grad.reshape(here.shape)
+            flat = np.abs(grad[:, 0]).max(axis=1) <= tol  # False at a NaN gradient
+            grad = np.nan_to_num(grad, posinf=0.0, neginf=0.0)
+            hess = (grad[:, 1 : n + 1] - grad[:, n + 1 :]) / (2.0 * PROBE_STEP)
+            lam, vec = np.linalg.eigh(0.5 * (hess + hess.transpose(0, 2, 1)))
+            scale = np.abs(lam).max(axis=1, keepdims=True)
+            gv = (vec * grad[:, :1].transpose(0, 2, 1)).sum(axis=1)  # g in the eigenbasis
+            curvature = np.maximum(np.abs(lam), FLAT_RATIO * scale + 1e-300)
+            p = -(vec * (gv / curvature)[:, None, :]).sum(axis=2)
+            p *= np.minimum(1.0, MAX_STEP / np.linalg.norm(p, axis=1))[:, None]
+            pushed = (lam[:, 0] < -SADDLE_RATIO * scale[:, 0]) & ~no_push[active]
+            down = np.where(gv[:, :1] > 0, -MAX_STEP, MAX_STEP) * vec[:, :, 0]
+            p = np.where(pushed[:, None], down, p)
+            trials = x[active][:, None, :] + LADDER[:, None] * p[:, None, :]
+            tried = _log_fidelity(trials.reshape(-1, n), t, sqrt_n)[0].reshape(trials.shape[:2])
+            nfev += len(phi) + tried.size
+            tried = np.where(np.isnan(tried), np.inf, tried)
+            pick = np.argmin(tried, axis=1)
+            better = (tried[each, pick] < f) & ~flat
+            x[active] = np.where(better[:, None], trials[each, pick], x[active])
+            steps[active] += better
+            stopped[active] = ~better & ~pushed
+            no_push[active] = ~better & pushed
+            active = active[~stopped[active] & (steps[active] < max_iters)]
+    return Climb(x, steps, stopped, nfev, int(steps.sum()), bool(stopped.all()))
 
 
 def fit_superposition(
@@ -292,12 +326,11 @@ def fit_superposition(
 
     At r >= 2, restart 0 starts from displacements on a small circle (the
     explicit-decomposition ansatz); later restarts perturb circle starts of
-    varying radius with seeded Gaussian noise.  Each restart explores with up
-    to EXPLORE_ITERS Nelder-Mead iterations, which move it off symmetric
-    starts where the gradient vanishes, then converges by L-BFGS-B on the
-    exact gradient of the infidelity until the largest gradient component is
-    at most ``tol``.  It repeats that pair from its result while the fidelity
-    rises, and stops after ``max_iters`` iterations of both methods together.
+    varying radius with seeded Gaussian noise.  The restarts and the warm
+    start climb together by minimize's safeguarded Newton steps on -log F.  A
+    start's ``nit`` counts the steps it kept; it stops, converged, when no
+    step lowers -log F or the largest component of its gradient is at most
+    ``tol``, and unconverged after ``max_iters`` steps.
 
     Each start's fidelity is the projection fit of its displacements at the
     working cutoff.  The best start wins; exact fidelity ties go to the
@@ -326,8 +359,9 @@ def fit_superposition(
     t = _normalized_target(target.padded(work_cutoff))
     if r == 1:
         count = max(restarts, CANDIDATES) if restarts > 0 else 0
-        runs = _single_runs(target, t, count, [a[0] for a in warm],
-                            min(max_iters, MAX_ASCENT_STEPS))
+        _, ends, nits, stopped = _climb_from_grid(target, count, [a[0] for a in warm],
+                                                  min(max_iters, MAX_ASCENT_STEPS))
+        ends = ends[:, None]
     else:
         rng = np.random.default_rng(seed)
         base_deltas = np.geomspace(0.08, 1.2, num=max(restarts, 1)) * radius
@@ -337,15 +371,18 @@ def fit_superposition(
             if i > 0:
                 a0 = a0 + 0.3 * radius * (rng.standard_normal(r) + 1j * rng.standard_normal(r))
             starts.append(a0)
-        runs = _descent_runs(t, r, starts + warm, max_iters, tol)
+        starts = np.array(starts + warm)
+        climb = minimize(t, np.concatenate([starts.real, starts.imag], axis=1), max_iters, tol)
+        ends, nits, stopped = climb.x[:, :r] + 1j * climb.x[:, r:], climb.steps, climb.stopped
 
     best = None
     reports = []
-    for fid, alphas, coeffs, report in runs:
-        reports.append(report)
+    for alphas, nit, converged in zip(ends, nits.tolist(), stopped.tolist()):
+        fid, coeffs = _projection_fit(alphas, t)
+        reports.append(RestartReport(nit, converged, fid))
         key = sorted((a.real, a.imag) for a in alphas)
         if best is None or fid > best[0] or (fid == best[0] and key < best[1]):
-            best = (fid, key, alphas, coeffs, report)
+            best = (fid, key, alphas, coeffs, reports[-1])
 
     _, _, alphas, coeffs, winner = best
     sup = CoherentSuperposition(zip(coeffs, alphas))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,16 +203,65 @@ def test_fit_loss_gradient_matches_central_differences(alphas):
     sqrt_n = np.sqrt(np.arange(1, cutoff + 1))
     alphas = np.asarray(alphas, dtype=complex)
     x = np.concatenate([alphas.real, alphas.imag])
-    loss, grad = decomp._loss_and_gradient(x, t, sqrt_n)
-    fid, _ = decomp._projection_fit(alphas, t)
-    assert loss == pytest.approx(1.0 - fid, abs=1e-14)
     h = 1e-5
-    central = np.array([
-        (decomp._loss_and_gradient(x + h * e, t, sqrt_n)[0]
-         - decomp._loss_and_gradient(x - h * e, t, sqrt_n)[0]) / (2 * h)
-        for e in np.eye(len(x))
-    ])
-    assert np.linalg.norm(grad - central) <= 1e-7 * np.linalg.norm(grad)
+    # the point and its central-difference pairs, scored in one batch
+    points = np.concatenate([x[None], x + h * np.eye(len(x)), x - h * np.eye(len(x))])
+    loss, grad = decomp._log_fidelity(points, t, sqrt_n)
+    fid, _ = decomp._projection_fit(alphas, t)
+    assert loss[0] == pytest.approx(-math.log(fid), abs=1e-13)
+    central = (loss[1 : len(x) + 1] - loss[len(x) + 1 :]) / (2 * h)
+    assert np.linalg.norm(grad[0] - central) <= 1e-7 * np.linalg.norm(grad[0])
+    # each row is scored on its own: the batch changes no bit of any row
+    for row, want, want_grad in zip(points, loss, grad):
+        alone = decomp._log_fidelity(row[None], t, sqrt_n)
+        assert alone[0][0] == want and np.array_equal(alone[1][0], want_grad)
+
+
+@pytest.mark.parametrize("alphas", [[0.3, 0.3, -0.5], [0.3, -0.5, 0.3], [-0.5, 0.3, 0.3]],
+                         ids=["front", "apart", "back"])
+def test_log_fidelity_at_coinciding_displacements_is_the_least_squares_fit(alphas):
+    # R is singular wherever the coinciding pair sits; F is still the
+    # projection onto the span of the distinct columns
+    rng = np.random.default_rng(1)
+    t = np.zeros(30, dtype=complex)
+    t[:10] = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+    t /= np.linalg.norm(t)
+    alphas = np.asarray(alphas, dtype=complex)
+    x = np.concatenate([alphas.real, alphas.imag])[None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, grad = decomp._log_fidelity(x, t, np.sqrt(np.arange(1, 30)))
+    assert math.exp(-loss[0]) == pytest.approx(decomp._projection_fit(alphas, t)[0], abs=1e-14)
+    assert np.isfinite(grad).all()
+
+
+@pytest.mark.parametrize("start,expected", [
+    ([0.3, 0.3], 0.5698021990542742),
+    ([0.0, 0.0], 0.5698021990542742),
+    ([1e-9, -1e-9], 0.5698021990542742),
+    ([40.0, -40.0], 0.0),
+], ids=["coincident", "origin", "near-coincident", "far"])
+def test_fit_climbs_from_a_degenerate_warm_start(start, expected):
+    # Coinciding displacements give a singular R, which takes lstsq's
+    # rank-revealing fit; at the origin |2> has no overlap at all, and at +-40
+    # the columns underflow, so nothing can be fitted.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fit_superposition(fock_state(2, 12), 2, restarts=0, max_iters=200,
+                                init_alphas=start)
+    assert res.fidelity_achieved == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_fit_restarts_climb_independently(r):
+    # every start climbs in the same stacked calls, yet a start's path
+    # depends on no other start
+    target = core_state([0.6, 0.0, 0.8j, -0.3], cutoff=12)
+    res = fit_superposition(target, r, restarts=5, seed=3, max_iters=600)
+    warm = fit_superposition(target, r, restarts=5, seed=3, max_iters=600,
+                             init_alphas=0.5 * np.exp(2j * np.arange(r)))
+    assert warm.restarts_used == res.restarts_used + 1
+    assert warm.restarts[:-1] == res.restarts
 
 
 # Fidelities of the Nelder-Mead-only fit that preceded the gradient phase.  A
