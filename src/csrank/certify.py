@@ -1,4 +1,4 @@
-"""Rank certificates from Hankel bounds and finite-rank detection.
+"""Rank certificates, every one issued here, and finite-rank detection.
 
 A certificate records a threshold t for a state and an integer r with the
 guarantee: any eps < t implies the eps-approximate coherent state rank
@@ -17,8 +17,10 @@ from .hankel import (
     DEFAULT_RANK_TOL,
     SearchConfig,
     check_hankel_size,
+    check_searchable,
     hankel_matrix,
     numerical_rank,
+    optimized_bound,
     optimized_bounds,
     plain_bound,
     rescaled_bound,
@@ -34,8 +36,8 @@ class BoundCertificate:
     """Machine-checkable record of a certified rank lower bound.
 
     ``to_dict`` writes the certificate format and ``from_dict`` reads it back;
-    construction validates it either way, and ``recompute`` re-derives the
-    threshold from the stored method and parameters alone.
+    construction refuses, either way, what no method writes, and ``recompute``
+    re-derives the threshold from the stored method and parameters alone.
     """
 
     state_descriptor: dict | None
@@ -54,16 +56,20 @@ class BoundCertificate:
             raise ValueError("r must be non-negative")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.r > 0 and self.N is None:
-            raise ValueError("a certificate with r > 0 needs N")
-        if self.method == "optimized" and self.N is not None and self.b is None:
-            raise ValueError("an optimized certificate needs b")
+        if (self.N is None) != (self.b is None) or (self.r > 0 and self.N is None):
+            raise ValueError("N and b are stored together, and r > 0 needs them")
+        if self.method != "optimized" and self.b != 1.0:
+            raise ValueError(f"method {self.method} stores b = 1")
+        if self.statement != STATEMENT or not isinstance(self.version, str):
+            raise ValueError(f"statement must read {STATEMENT!r} and version be a string")
         if self.method == "analytic_fock":
             d = self.state_descriptor
             if not (isinstance(d, dict) and d.get("type") == "fock"):
                 raise ValueError("analytic_fock applies to Fock-state descriptors only")
-            if int_field(d.get("n"), "n") != self.r:
-                raise ValueError("the analytic Fock threshold is stated at r = n")
+            if int_field(d.get("n"), "n") != self.r or self.N != self.r:
+                raise ValueError("the analytic Fock threshold is stated at r = n = N")
+            if d.get("cutoff") is not None and int_field(d["cutoff"], "cutoff") < self.r:
+                raise ValueError(f"n={self.r} exceeds cutoff={d['cutoff']}")
             # the analytic certificate names its state by type and n alone
             object.__setattr__(self, "state_descriptor", {"type": "fock", "n": self.r})
 
@@ -155,10 +161,31 @@ def certify_rank(
     r = 0
     while r < n_max and bounds[r + 1].value > epsilon:
         r += 1
-    if r == 0:
-        return BoundCertificate(state_descriptor, 0, 0.0, "optimized", None, None)
-    res = bounds[r]
-    return BoundCertificate(state_descriptor, r, res.value, "optimized", res.N_star, res.b_star)
+    return _optimized_certificate(state_descriptor, r, bounds.get(r))
+
+
+def _optimized_certificate(descriptor, r: int, res) -> BoundCertificate:
+    """r's certificate from its optimized search; none (certify_rank's r = 0) stores no N, b."""
+    value, b, N = res or (0.0, None, None)  # an OptimizedBound: (value, b_star, N_star)
+    return BoundCertificate(descriptor, r, value, "optimized", N, b)
+
+
+def bound_certificate(descriptor, r: int, method: str, n_max, load_state) -> BoundCertificate:
+    """The certificate ``bound --method`` writes for kappa_eps > r: ``analytic``
+    by the closed form at r = n, building no state; ``plain`` (b = 1, ties to
+    the smallest N) and ``optimized`` by the search of N = max(r, 1)..n_max
+    (max(r, 10) if None) on ``load_state(descriptor, n_max)``."""
+    if method == "analytic":
+        return BoundCertificate(descriptor, r, fock_analytic_threshold(r), "analytic_fock", r, 1.0)
+    n_max = max(r, 10) if n_max is None else n_max
+    check_searchable(r, n_max)
+    psi = load_state(descriptor, n_max)
+    if method == "optimized":
+        res = optimized_bound(psi, r, SearchConfig(N_max=n_max))
+        return _optimized_certificate(descriptor, r, res)
+    values = {N: plain_bound(psi, r, N) for N in range(max(r, 1), n_max + 1)}
+    n_star = max(values, key=values.get)  # the smallest N wins ties
+    return BoundCertificate(descriptor, r, values[n_star], "plain", n_star, 1.0)
 
 
 def recurrence_order(psi: FockVector, N_max: int) -> RecurrenceReport:
@@ -193,10 +220,3 @@ def recurrence_order(psi: FockVector, N_max: int) -> RecurrenceReport:
         and tail[-1] < N_max + 1
     )
     return RecurrenceReport(tail[-1] if saturated else None, ranks, saturated)
-
-
-def analytic_fock_certificate(n: int) -> BoundCertificate:
-    """Analytic certificate for |n>: kappa_eps = n+1 below the threshold (r = n)."""
-    return BoundCertificate(
-        {"type": "fock", "n": n}, n, fock_analytic_threshold(n), "analytic_fock", n, 1.0
-    )

@@ -18,15 +18,15 @@ import time
 import numpy as np
 
 from . import __version__
-from .certify import BoundCertificate, certify_rank, check_epsilon, fock_analytic_threshold
+from .certify import BoundCertificate, bound_certificate, certify_rank, check_epsilon
 from .decomp import (
     best_single_coherent,
     circle_decomposition_report,
     fit_superposition,
 )
 from .errors import NumericalFailure, ResourceLimit
-from .fock import fock_state, state_from_descriptor
-from .hankel import SearchConfig, check_hankel_size, check_searchable, optimized_bound, plain_bound
+from .fock import core_state, fock_state, state_from_descriptor
+from .hankel import SearchConfig, check_hankel_size
 from .multimode import multimode_from_descriptor, multimode_lower_bound
 from .permanent import verify_permanent_bound
 
@@ -108,22 +108,7 @@ def cmd_bound(args, descriptor):
         raise ValueError("--r is required")
     if args.eps is not None:
         check_epsilon(args.eps)
-    r = args.r
-    if args.method == "analytic":
-        cert = BoundCertificate(
-            descriptor, r, fock_analytic_threshold(r), "analytic_fock", r, 1.0
-        )
-    else:
-        n_max = args.n_max if args.n_max is not None else max(r, 10)
-        check_searchable(r, n_max)
-        psi = _load_state(descriptor, n_max)
-        if args.method == "plain":
-            values = {n: plain_bound(psi, r, n) for n in range(max(r, 1), n_max + 1)}
-            n_star = max(values, key=values.get)  # the smallest N wins ties
-            cert = BoundCertificate(descriptor, r, values[n_star], "plain", n_star, 1.0)
-        else:
-            res = optimized_bound(psi, r, SearchConfig(N_max=n_max))
-            cert = BoundCertificate(descriptor, r, res.value, "optimized", res.N_star, res.b_star)
+    cert = bound_certificate(descriptor, args.r, args.method, args.n_max, _load_state)
     payload = cert.to_dict()
     if args.eps is not None:
         payload["certifies"] = bool(args.eps < cert.epsilon_threshold)
@@ -146,7 +131,6 @@ def cmd_fit(args, descriptor):
         restarts=args.restarts,
         seed=args.seed,
         max_iters=args.max_iters,
-        tol=args.tol,
     )
     return {
         "terms": [
@@ -178,24 +162,19 @@ def cmd_decompose(args, descriptor):
 
 
 def cmd_figure(args, descriptor):
+    def bounds(psi, r, n_max):  # what `bound --method plain` and `bound` certify for psi
+        return [bound_certificate(None, r, method, n_max, lambda *_: psi).epsilon_threshold
+                for method in ("plain", "optimized")]
+
+    if args.panel == "right":
+        rows = [(n, *bounds(fock_state(n, 2 * n), n, n)) for n in range(1, 13)]
+        return ["n", "plain_bound", "optimized_bound"], rows, {}
     rows = []
-    if args.panel == "left":
-        for gamma in np.linspace(0.0, 1.0, 64):
-            amps = [np.sqrt(1.0 - gamma), np.sqrt(gamma)]
-            psi = state_from_descriptor(
-                {"type": "core", "amps": [[a, 0.0] for a in amps], "cutoff": 16}
-            )
-            _, exact = best_single_coherent(psi)
-            plain = max(plain_bound(psi, 1, n) for n in range(1, 9))
-            opt = optimized_bound(psi, 1, SearchConfig(N_max=8)).value
-            rows.append((float(gamma), exact, plain, opt))
-        return ["gamma", "exact_infidelity", "plain_bound", "optimized_bound"], rows, {}
-    for n in range(1, 13):
-        psi = fock_state(n, 2 * n)
-        plain = plain_bound(psi, n, n)
-        opt = optimized_bound(psi, n, SearchConfig(N_max=n)).value
-        rows.append((n, plain, opt))
-    return ["n", "plain_bound", "optimized_bound"], rows, {}
+    for gamma in np.linspace(0.0, 1.0, 64):
+        psi = core_state([np.sqrt(1.0 - gamma), np.sqrt(gamma)], 16)
+        _, exact = best_single_coherent(psi)
+        rows.append((float(gamma), exact, *bounds(psi, 1, 8)))
+    return ["gamma", "exact_infidelity", "plain_bound", "optimized_bound"], rows, {}
 
 
 def cmd_permanent(args, descriptor):
@@ -294,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--max-iters", type=int, default=4000, dest="max_iters")
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--out")
     p.set_defaults(func=cmd_fit)
 

@@ -41,12 +41,14 @@ SMALL_DELTA_WARNING = 1e-3
 # minimize's step lengths (longest first) and longest step, the offset of its
 # Hessian probes, and two ratios to the largest Hessian eigenvalue magnitude:
 # every magnitude is raised to at least FLAT_RATIO times it, and an eigenvalue
-# below -SADDLE_RATIO times it marks a saddle.
+# below -SADDLE_RATIO times it marks a saddle.  A start stops once no gradient
+# component exceeds GRAD_TOL.
 LADDER = 0.5 ** np.arange(8)
 MAX_STEP = 1.0
 PROBE_STEP = 1e-5
 FLAT_RATIO = 1e-10
 SADDLE_RATIO = 1e-3
+GRAD_TOL = 1e-12
 
 # Most matrix entries one block of best_single_coherent's grid columns holds.
 # One unblocked product of the whole grid is large enough for OpenBLAS to wake
@@ -63,7 +65,7 @@ MAX_ASCENT_STEPS = 50
 class RestartReport:
     """How one start of fit_superposition ended: the Newton steps it kept,
     whether it converged (stopped before its step cap: at r >= 2 because no
-    step lowered -log F or its gradient fell to ``tol``, at r = 1 because it
+    step lowered -log F or its gradient fell to GRAD_TOL, at r = 1 because it
     stopped rising), and the projection-fit fidelity of its displacements at
     the working cutoff."""
 
@@ -251,7 +253,7 @@ class Climb(NamedTuple):
     success: bool
 
 
-def minimize(t: np.ndarray, x0: np.ndarray, max_iters: int, tol: float) -> Climb:
+def minimize(t: np.ndarray, x0: np.ndarray, max_iters: int) -> Climb:
     """Minimize -log F from every row of x0 at once by safeguarded Newton steps.
 
     Each step makes two stacked _log_fidelity calls.  The first scores every
@@ -263,7 +265,7 @@ def minimize(t: np.ndarray, x0: np.ndarray, max_iters: int, tol: float) -> Climb
     replaced by its magnitude (at least FLAT_RATIO times the largest), cut to
     MAX_STEP.  The second call scores x + s p for each s in LADDER.  A start
     keeps its lowest trial only if the objective falls, and stops when none
-    does, when its largest gradient component is at most tol, or after
+    does, when its largest gradient component is at most GRAD_TOL, or after
     max_iters steps.
     """
     n = x0.shape[1]
@@ -279,7 +281,7 @@ def minimize(t: np.ndarray, x0: np.ndarray, max_iters: int, tol: float) -> Climb
             here = x[active][:, None, :] + offsets
             phi, grad = _log_fidelity(here.reshape(-1, n), t, sqrt_n)
             f, grad = phi[:: 2 * n + 1], grad.reshape(here.shape)
-            flat = np.abs(grad[:, 0]).max(axis=1) <= tol  # False at a NaN gradient
+            flat = np.abs(grad[:, 0]).max(axis=1) <= GRAD_TOL  # False at a NaN gradient
             grad = np.nan_to_num(grad, posinf=0.0, neginf=0.0)
             hess = (grad[:, 1 : n + 1] - grad[:, n + 1 :]) / (2.0 * PROBE_STEP)
             lam, vec = np.linalg.eigh(0.5 * (hess + hess.transpose(0, 2, 1)))
@@ -311,7 +313,6 @@ def fit_superposition(
     restarts: int = 16,
     seed: int | None = None,
     max_iters: int = 4000,
-    tol: float = 1e-12,
     init_alphas=None,
 ) -> FitResult:
     """Maximize fidelity with an r-term coherent superposition.
@@ -320,9 +321,9 @@ def fit_superposition(
     displacements.  At r = 1 the fit is best_single_coherent's global search:
     the max(restarts, CANDIDATES) best points of its grid (none at
     ``restarts=0``) and the warm start climb by at most
-    min(max_iters, MAX_ASCENT_STEPS) Newton steps each, and ``seed`` and
-    ``tol`` are not used.  A start's ``nit`` counts the steps it took while it
-    rose; it converged if it stopped rising before that cap.
+    min(max_iters, MAX_ASCENT_STEPS) Newton steps each, and ``seed`` is not
+    used.  A start's ``nit`` counts the steps it took while it rose; it
+    converged if it stopped rising before that cap.
 
     At r >= 2, restart 0 starts from displacements on a small circle (the
     explicit-decomposition ansatz); later restarts perturb circle starts of
@@ -330,7 +331,7 @@ def fit_superposition(
     start climb together by minimize's safeguarded Newton steps on -log F.  A
     start's ``nit`` counts the steps it kept; it stops, converged, when no
     step lowers -log F or the largest component of its gradient is at most
-    ``tol``, and unconverged after ``max_iters`` steps.
+    GRAD_TOL, and unconverged after ``max_iters`` steps.
 
     Each start's fidelity is the projection fit of its displacements at the
     working cutoff.  The best start wins; exact fidelity ties go to the
@@ -342,8 +343,6 @@ def fit_superposition(
         raise ValueError("need at least one restart or an explicit warm start")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    if not (tol >= 0 and math.isfinite(tol)):
-        raise ValueError("tol must be finite and non-negative")
     warm = []
     if init_alphas is not None:
         warm = [np.asarray(init_alphas, dtype=complex)]
@@ -372,7 +371,7 @@ def fit_superposition(
                 a0 = a0 + 0.3 * radius * (rng.standard_normal(r) + 1j * rng.standard_normal(r))
             starts.append(a0)
         starts = np.array(starts + warm)
-        climb = minimize(t, np.concatenate([starts.real, starts.imag], axis=1), max_iters, tol)
+        climb = minimize(t, np.concatenate([starts.real, starts.imag], axis=1), max_iters)
         ends, nits, stopped = climb.x[:, :r] + 1j * climb.x[:, r:], climb.steps, climb.stopped
 
     best = None

@@ -6,7 +6,7 @@ import pytest
 
 from csrank.certify import (
     BoundCertificate,
-    analytic_fock_certificate,
+    bound_certificate,
     certify_rank,
     fock_analytic_threshold,
     recurrence_order,
@@ -154,8 +154,13 @@ def test_recurrence_preconditions():
         recurrence_order(fock_state(1, 4), 0)
 
 
+def analytic(n):
+    """The certificate ``bound --method analytic`` writes for |n>; it builds no state."""
+    return bound_certificate({"type": "fock", "n": n}, n, "analytic", None, None)
+
+
 def test_certificate_serialization_and_validation():
-    cert = analytic_fock_certificate(3)
+    cert = analytic(3)
     d = cert.to_dict()
     assert d["method"] == "analytic_fock"
     assert d["parameters"] == {"N": 3, "b": 1.0}
@@ -173,7 +178,7 @@ def test_certificate_serialization_and_validation():
 def test_certificate_reads_back_what_it_writes():
     psi = fock_state(2, 12)
     certificates = [
-        analytic_fock_certificate(3),
+        analytic(3),
         BoundCertificate({"type": "fock", "n": 2}, 2, plain_bound(psi, 2, 3), "plain", 3, 1.0),
         certify_rank(psi, 1e-4, SearchConfig(N_max=6), {"type": "fock", "n": 2}),
         certify_rank(psi, 0.9, SearchConfig(N_max=2), {"type": "fock", "n": 2}),  # r = 0
@@ -201,7 +206,7 @@ def test_recompute_maps_each_method_to_its_formula():
     assert optimized.recompute(load) == rescaled_bound(psi, 2, 3, 0.7)
     assert calls == [(fock2, 3), (fock2, 3)]
     # neither the analytic nor the empty certificate needs the state
-    assert analytic_fock_certificate(2).recompute(None) == fock_analytic_threshold(2)
+    assert analytic(2).recompute(None) == fock_analytic_threshold(2)
     assert BoundCertificate(fock2, 0, 0.0, "optimized", None, None).recompute(None) == 0.0
 
 
@@ -224,4 +229,24 @@ def test_analytic_certificate_names_its_state_by_type_and_n():
     cert = BoundCertificate({"type": "fock", "n": 3.0, "cutoff": 8}, 3,
                             fock_analytic_threshold(3), "analytic_fock", 3, 1.0)
     assert cert.to_dict()["state_descriptor"] == {"type": "fock", "n": 3}
-    assert cert == analytic_fock_certificate(3)
+    assert cert == analytic(3)
+
+
+def test_bound_certificate_issues_each_method():
+    psi = fock_state(2, 20)
+    calls = []
+
+    def load(descriptor, N):
+        calls.append(N)
+        return psi
+
+    fock2 = {"type": "fock", "n": 2}
+    plain = bound_certificate(fock2, 2, "plain", 6, load)
+    values = [plain_bound(psi, 2, N) for N in range(2, 7)]
+    best = max(values)
+    assert (plain.epsilon_threshold, plain.N, plain.b) == (best, 2 + values.index(best), 1.0)
+    optimized = bound_certificate(fock2, 2, "optimized", None, load)
+    res = optimized_bound(psi, 2, SearchConfig(N_max=10))
+    assert (optimized.epsilon_threshold, optimized.b, optimized.N) == res
+    assert calls == [6, 10]  # an n_max of None searches up to max(r, 10)
+    assert bound_certificate(fock2, 2, "analytic", 6, None) == analytic(2)

@@ -163,7 +163,16 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
                        "multimode-repeated-occ": "occupation [1] appears more than once",
                        "superposition-huge-c": "squared norm is past the double range",
                        "superposition-huge-norm": "squared norm is past the double range",
-                       "superposition-merged-overflow": "c must be finite"}
+                       "superposition-merged-overflow": "c must be finite",
+                       "check-plain-b-5": "method plain stores b = 1",
+                       "check-analytic-N-99-b-negative": "method analytic_fock stores b = 1",
+                       "check-analytic-N-99": "stated at r = n = N",
+                       "check-r0-b-without-N": "N and b are stored together",
+                       "check-statement-5": "statement must read",
+                       "check-version-5": "version be a string",
+                       "analytic-cutoff-below-n": "n=3 exceeds cutoff=2",
+                       "analytic-negative-cutoff": "n=3 exceeds cutoff=-5",
+                       "analytic-string-cutoff": "cutoff"}
 
 
 @pytest.mark.parametrize(
@@ -194,6 +203,16 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
         ["bound", "--check", dict(OPT_CERT, method=["x"])],
         ["bound", "--check", dict(CERT, epsilon_threshold=math.inf)],
         ["bound", "--check", dict(CERT, parameters={"N": -2, "b": 1.0})],
+        ["bound", "--check", dict(CERT, parameters={"N": 1, "b": 5.0})],
+        ["bound", "--check", dict(ANALYTIC_CERT, parameters={"N": 99, "b": -7.0})],
+        ["bound", "--check", dict(ANALYTIC_CERT, parameters={"N": 99, "b": 1.0})],
+        ["bound", "--check", dict(OPT_CERT, r=0, epsilon_threshold=0.0,
+                                  parameters={"N": None, "b": 3.0})],
+        ["bound", "--check", dict(CERT, statement=5)],
+        ["bound", "--check", dict(CERT, version=5)],
+        ["bound", '{"type":"fock","n":3,"cutoff":2}', "--r", "3", "--method", "analytic"],
+        ["bound", '{"type":"fock","n":3,"cutoff":-5}', "--r", "3", "--method", "analytic"],
+        ["bound", '{"type":"fock","n":3,"cutoff":"x"}', "--r", "3", "--method", "analytic"],
         ["bound", '{"type":"superposition","terms":[{"c":[1e300,0],"alpha":[0.1,0]}]}',
          "--r", "1"],
         ["bound", '{"type":"superposition","terms":[{"c":[1e200,0],"alpha":[0.1,0]},'
@@ -214,6 +233,9 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
          "check-list-r", "check-top-level-list", "check-list-parameters", "check-missing-N",
          "check-analytic-r-above-n", "check-analytic-no-N", "check-analytic-squeezed", "check-method-weighted",
          "check-method-list", "check-infinite-threshold", "check-negative-N",
+         "check-plain-b-5", "check-analytic-N-99-b-negative", "check-analytic-N-99",
+         "check-r0-b-without-N", "check-statement-5", "check-version-5",
+         "analytic-cutoff-below-n", "analytic-negative-cutoff", "analytic-string-cutoff",
          "superposition-huge-c", "superposition-huge-norm", "superposition-merged-overflow",
          "certify-negative-n-max", "bound-r0-n-max-0", "bound-plain-r0-n-max-0",
          "bound-eps-negative", "bound-eps-nan", "bound-eps-one"],
@@ -242,12 +264,11 @@ def test_resource_limit_exits_4(capsys):
     "argv",
     [
         ["fit", '{"type":"fock","n":1}', "--r", "1", "--max-iters", "0"],
-        ["fit", '{"type":"fock","n":1}', "--r", "1", "--tol", "nan"],
         ["permanent", "--n", "2", "--delta", "0.2", "--trials", "0"],
         ["permanent", "--n", "2", "--delta", "0.2", "--trials", "-2"],
         ["multimode", '{"modes":2,"amps":[{"occ":[1,1],"c":[1,0]}]}', "--trials", "-1"],
     ],
-    ids=["fit-max-iters-0", "fit-tol-nan", "permanent-trials-0", "permanent-trials-negative",
+    ids=["fit-max-iters-0", "permanent-trials-0", "permanent-trials-negative",
          "multimode-trials-negative"],
 )
 def test_malformed_counts_exit_2(capsys, tmp_path, argv):
@@ -343,6 +364,12 @@ _CERTIFICATES = st.fixed_dictionaries({
 
 @settings(max_examples=200, deadline=None)
 @given(_CERTIFICATES)
+@example(CERT)
+@example(ANALYTIC_CERT)
+@example(dict(OPT_CERT, r=0, epsilon_threshold=0.0, parameters={"N": None, "b": None}))
+@example(dict(CERT, parameters={"N": 1, "b": 5.0}))
+@example(dict(ANALYTIC_CERT, parameters={"N": 99, "b": -7.0}))
+@example(dict(OPT_CERT, r=0, epsilon_threshold=0.0, parameters={"N": None, "b": 3.0}))
 def test_check_never_leaks_a_traceback(certificate):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -353,6 +380,14 @@ def test_check_never_leaks_a_traceback(certificate):
             code = main(["bound", "--check", path])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+    if code == 0:  # an accepted record holds the (N, b) its method writes
+        params = certificate.get("parameters") or {}
+        n, b = params.get("N"), params.get("b")
+        assert (n is None) == (b is None)
+        if certificate["method"] == "plain":
+            assert b == 1
+        if certificate["method"] == "analytic_fock":
+            assert (n, b) == (certificate["r"], 1)
 
 
 def _multimode_core(m):
@@ -768,3 +803,46 @@ def test_new_certificates_omit_rank_tol(capsys):
     exact = math.sqrt(5.0) / 10.0
     assert abs(payload["epsilon_threshold"] - exact) <= 1e-15 * exact
     assert payload["epsilon_threshold"] > OLD_CERTIFICATE["epsilon_threshold"]
+
+
+# Certificates as `bound` (plain, optimized, analytic at r = 2 on |2>) and
+# `certify` (at r = 0) wrote them while each method's certificate was still
+# built in the CLI, manifest removed.
+_STATEMENT = "any eps < epsilon_threshold implies kappa_eps(state) > r"
+PINNED_CERTIFICATES = {
+    "plain": (["bound", '{"type":"fock","n":2}', "--r", "2", "--method", "plain"], {
+        "epsilon_threshold": 0.013888888888888888, "method": "plain",
+        "parameters": {"N": 2, "b": 1.0}, "r": 2, "state_descriptor": {"n": 2, "type": "fock"},
+        "statement": _STATEMENT, "version": "0.1.0"}),
+    "optimized": (["bound", '{"type":"fock","n":2}', "--r", "2"], {
+        "epsilon_threshold": 0.16666666666666669, "method": "optimized",
+        "parameters": {"N": 2, "b": 0.7071067811865475}, "r": 2,
+        "state_descriptor": {"n": 2, "type": "fock"}, "statement": _STATEMENT,
+        "version": "0.1.0"}),
+    "analytic": (["bound", '{"type":"fock","n":2}', "--r", "2", "--method", "analytic"], {
+        "epsilon_threshold": 0.013888888888888888, "method": "analytic_fock",
+        "parameters": {"N": 2, "b": 1.0}, "r": 2, "state_descriptor": {"n": 2, "type": "fock"},
+        "statement": _STATEMENT, "version": "0.1.0"}),
+    "certify-r0": (["certify", '{"type":"superposition","terms":[{"c":[1,0],"alpha":[0.5,0]}]}',
+                    "--eps", "0.5"], {
+        "epsilon": 0.5, "epsilon_threshold": 0.0, "kappa_eps_at_least": 1, "method": "optimized",
+        "parameters": {"N": None, "b": None}, "r": 0,
+        "state_descriptor": {"terms": [{"alpha": [0.5, 0], "c": [1, 0]}], "type": "superposition"},
+        "statement": _STATEMENT, "version": "0.1.0"}),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_CERTIFICATES))
+def test_certificates_keep_their_bytes(tmp_path, capsys, name):
+    # OLD_CERTIFICATE re-checks in test_check_accepts_certificate_with_rank_tol
+    argv, pinned = PINNED_CERTIFICATES[name]
+    path = tmp_path / "cert.json"
+    assert main(argv + ["--out", str(path)]) == 0
+    written = json.loads(path.read_text())
+    del written["manifest"]
+    assert json.dumps(written, indent=2, sort_keys=True) == json.dumps(pinned, indent=2,
+                                                                        sort_keys=True)
+    path.write_text(json.dumps(pinned))
+    capsys.readouterr()
+    assert main(["bound", "--check", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("certificate OK")
