@@ -174,8 +174,11 @@ def bound_certificate(descriptor, r: int, method: str, n_max, load_state) -> Bou
     """The certificate ``bound --method`` writes for kappa_eps > r: ``analytic``
     by the closed form at r = n, building no state; ``plain`` (b = 1, ties to
     the smallest N) and ``optimized`` by the search of N = max(r, 1)..n_max
-    (max(r, 10) if None) on ``load_state(descriptor, n_max)``."""
+    (max(r, 10) if None) on ``load_state(descriptor, n_max)``.  Every method
+    refuses an n_max below max(r, 1)."""
     if method == "analytic":
+        if n_max is not None:
+            check_searchable(r, n_max)
         return BoundCertificate(descriptor, r, fock_analytic_threshold(r), "analytic_fock", r, 1.0)
     n_max = max(r, 10) if n_max is None else n_max
     check_searchable(r, n_max)

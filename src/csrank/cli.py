@@ -125,6 +125,8 @@ def cmd_certify(args, descriptor):
 
 
 def cmd_fit(args, descriptor):
+    if args.seed is None:  # drawn here, so the manifest records the seed that ran
+        args.seed = int(np.random.default_rng().integers(2**32))
     result = fit_superposition(
         state_from_descriptor(descriptor),
         args.r,

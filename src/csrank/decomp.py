@@ -12,9 +12,11 @@ displacement parameters are searched.  At r = 1 that search is
 best_single_coherent's climb.  At r >= 2 minimize climbs every restart at
 once by safeguarded Newton steps on -log F, with F the projected fidelity of
 a QR of the coherent columns, the exact variable-projection gradient (Golub &
-Pereyra 1973; Kaufman 1975) and a central-difference Hessian of it.
+Pereyra 1973; Kaufman 1975) and a central-difference Hessian of it; each step
+builds the columns only to the rows its points reach.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,6 +39,11 @@ from .fock import (
 from .multimode import MultimodeSuperposition
 
 SMALL_DELTA_WARNING = 1e-3
+
+# Poisson tail weight a fit leaves past its cutoffs: the working cutoff keeps
+# every coherent state of the search disk to it, and each Newton step of
+# minimize every point the step scores.
+WORK_TAIL = 1e-14
 
 # minimize's step lengths (longest first) and longest step, the offset of its
 # Hessian probes, and two ratios to the largest Hessian eigenvalue magnitude:
@@ -202,17 +209,14 @@ def _projection_fit(alphas: np.ndarray, t: np.ndarray):
     return min(1.0, max(0.0, fid)), c
 
 
-def _log_fidelity(x: np.ndarray, t: np.ndarray, sqrt_n: np.ndarray):
-    """-log F and its gradient at each row of x = (Re alpha, Im alpha), with F
-    = ||Q^H t||^2 the projected fidelity from a QR of the coherent columns.
+def _qr_fits(x: np.ndarray, t: np.ndarray):
+    """The projected fidelity F = ||Q^H t||^2 at each row of x = (Re alpha,
+    Im alpha), from one stacked QR of the coherent columns B on len(t) rows.
 
     A point whose R has a diagonal entry within lstsq's rcond of the largest
-    (coinciding displacements) takes lstsq's rank-revealing fit instead, F
-    then ||B c||^2.  At the least-squares c the derivative through c vanishes
-    (variable projection), so d(1 - F)/dRe alpha_k = -2 Re(c_k res^H
-    db_k/dRe alpha_k) with db_{k,n}/dRe alpha_k = -Re(alpha_k) b_{k,n} +
-    sqrt(n) b_{k,n-1}, and the same for Im alpha_k with i sqrt(n); divided by
-    F it is the gradient of -log F, exact for the truncated columns too.
+    (coinciding displacements) takes lstsq's rank-revealing fit instead, F then
+    ||B c||^2.  Returns B (points, len(t), r), Q, R, q = Q^H t, F, and lstsq's
+    c for each such point by index.
     """
     points, r = len(x), x.shape[1] // 2
     B = coherent_columns(x[:, :r] + 1j * x[:, r:], len(t) - 1)
@@ -221,22 +225,61 @@ def _log_fidelity(x: np.ndarray, t: np.ndarray, sqrt_n: np.ndarray):
     diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
     full = (diag > diag.max(axis=1, keepdims=True) * len(t) * np.finfo(float).eps).all(axis=1)
     q = (t.conj() @ Q).conj()
-    c = np.linalg.solve(np.where(full[:, None, None], R, np.eye(r)), q[:, :, None])[:, :, 0]
     fid = (q.real**2 + q.imag**2).sum(axis=1)
+    singular = {i: np.linalg.lstsq(B[i], t, rcond=None)[0] for i in np.flatnonzero(~full)}
+    for i, c in singular.items():
+        fit = B[i] @ c
+        fid[i] = np.vdot(fit, fit).real
+    return B, Q, R, q, fid, singular
+
+
+def _log_fidelity_value(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """-log F alone at each row of x, as _log_fidelity gives it bit for bit."""
+    return -np.log(_qr_fits(x, t)[4])
+
+
+def _log_fidelity(x: np.ndarray, t: np.ndarray):
+    """-log F and its gradient at each row of x = (Re alpha, Im alpha), with F
+    the projected fidelity of _qr_fits on the len(t) rows of t.
+
+    At the least-squares c the derivative through c vanishes (variable
+    projection), so d(1 - F)/dRe alpha_k = -2 Re(c_k res^H db_k/dRe alpha_k)
+    with db_{k,n}/dRe alpha_k = -Re(alpha_k) b_{k,n} + sqrt(n) b_{k,n-1}, and
+    the same for Im alpha_k with i sqrt(n); divided by F it is the gradient of
+    -log F, exact for the truncated columns too.
+    """
+    B, Q, R, q, fid, singular = _qr_fits(x, t)
+    points, r = B.shape[0], B.shape[2]
+    R[list(singular)] = np.eye(r)  # those points take lstsq's c below
+    c = np.linalg.solve(R, q[:, :, None])[:, :, 0]
     fit = (Q @ q[:, :, None])[:, :, 0]
-    for i in np.flatnonzero(~full):  # singular R
-        c[i] = np.linalg.lstsq(B[i], t, rcond=None)[0]
-        fit[i] = B[i] @ c[i]
-        fid[i] = np.vdot(fit[i], fit[i]).real
+    for i, ci in singular.items():
+        c[i], fit[i] = ci, B[i] @ ci
     res = t - fit
     # rows res^H and (sqrt(n) res_n)^H shifted by one, against the columns
     rows = np.zeros((points, 2, len(t)), dtype=complex)
     rows[:, 0] = res.conj()
-    rows[:, 1, :-1] = res[:, 1:].conj() * sqrt_n
+    rows[:, 1, :-1] = res[:, 1:].conj() * np.sqrt(np.arange(1, len(t)))
     res_b, res_shift = (rows @ B).transpose(1, 0, 2)
     grad_re = -2.0 * (c * (res_shift - x[:, :r] * res_b)).real
     grad_im = -2.0 * (c * (1j * res_shift - x[:, r:] * res_b)).real
     return -np.log(fid), np.concatenate([grad_re, grad_im], axis=1) / fid[:, None]
+
+
+@functools.lru_cache(maxsize=256)
+def _reach_cutoff(reach: float) -> int:
+    """The cutoff that keeps every coherent state |alpha| <= reach to WORK_TAIL."""
+    return coherent_cutoff(reach, WORK_TAIL)
+
+
+def _step_cutoff(x: np.ndarray, cutoff: int, reach: float) -> int:
+    """The cutoff a Newton step from the starts x scores on: at least
+    ``cutoff``, and that of the disk of radius R + MAX_STEP, R the largest
+    |alpha| in x rounded up to 1/8, which holds every point the step scores,
+    but never past the disk of radius ``reach``."""
+    r = x.shape[1] // 2
+    radius = float(np.ceil(8.0 * np.hypot(x[:, :r], x[:, r:]).max()) / 8.0) + MAX_STEP
+    return max(cutoff, _reach_cutoff(min(radius, reach)))
 
 
 class Climb(NamedTuple):
@@ -253,23 +296,26 @@ class Climb(NamedTuple):
     success: bool
 
 
-def minimize(t: np.ndarray, x0: np.ndarray, max_iters: int) -> Climb:
+def minimize(t: np.ndarray, x0: np.ndarray, max_iters: int, reach: float) -> Climb:
     """Minimize -log F from every row of x0 at once by safeguarded Newton steps.
 
-    Each step makes two stacked _log_fidelity calls.  The first scores every
+    t is the normalized target on its own rows; each step scores on the rows
+    of _step_cutoff, which reach every point the step scores but stop at the
+    disk of radius ``reach``, with t padded by zeros.  Each step makes two
+    stacked calls on those rows.  The first, _log_fidelity, scores every
     active start and the 2n central-difference probes of its Hessian.  Where
     the Hessian has an eigenvalue below -SADDLE_RATIO times its largest
     magnitude, the step is MAX_STEP down that eigenvector, which moves
     symmetric starts off their saddle; elsewhere, and after such a push did
     not lower the objective, it is Newton's step with every eigenvalue
     replaced by its magnitude (at least FLAT_RATIO times the largest), cut to
-    MAX_STEP.  The second call scores x + s p for each s in LADDER.  A start
-    keeps its lowest trial only if the objective falls, and stops when none
-    does, when its largest gradient component is at most GRAD_TOL, or after
-    max_iters steps.
+    MAX_STEP.  The second, _log_fidelity_value, scores x + s p for each s in
+    LADDER, values only.  A start keeps its lowest trial only if the objective
+    falls below its value at x, so every comparison is of values on the same
+    rows; it stops when none does, when its largest gradient component is at
+    most GRAD_TOL, or after max_iters steps.
     """
     n = x0.shape[1]
-    sqrt_n = np.sqrt(np.arange(1, len(t)))
     offsets = np.concatenate([np.zeros((1, n)), PROBE_STEP * np.eye(n), -PROBE_STEP * np.eye(n)])
     x, steps = x0.copy(), np.zeros(len(x0), dtype=int)
     stopped = np.zeros(len(x0), dtype=bool)
@@ -278,8 +324,10 @@ def minimize(t: np.ndarray, x0: np.ndarray, max_iters: int) -> Climb:
     with np.errstate(all="ignore"):
         while len(active):
             each = np.arange(len(active))
+            padded = np.zeros(_step_cutoff(x[active], len(t) - 1, reach) + 1, dtype=complex)
+            padded[: len(t)] = t
             here = x[active][:, None, :] + offsets
-            phi, grad = _log_fidelity(here.reshape(-1, n), t, sqrt_n)
+            phi, grad = _log_fidelity(here.reshape(-1, n), padded)
             f, grad = phi[:: 2 * n + 1], grad.reshape(here.shape)
             flat = np.abs(grad[:, 0]).max(axis=1) <= GRAD_TOL  # False at a NaN gradient
             grad = np.nan_to_num(grad, posinf=0.0, neginf=0.0)
@@ -294,7 +342,7 @@ def minimize(t: np.ndarray, x0: np.ndarray, max_iters: int) -> Climb:
             down = np.where(gv[:, :1] > 0, -MAX_STEP, MAX_STEP) * vec[:, :, 0]
             p = np.where(pushed[:, None], down, p)
             trials = x[active][:, None, :] + LADDER[:, None] * p[:, None, :]
-            tried = _log_fidelity(trials.reshape(-1, n), t, sqrt_n)[0].reshape(trials.shape[:2])
+            tried = _log_fidelity_value(trials.reshape(-1, n), padded).reshape(trials.shape[:2])
             nfev += len(phi) + tried.size
             tried = np.where(np.isnan(tried), np.inf, tried)
             pick = np.argmin(tried, axis=1)
@@ -328,14 +376,19 @@ def fit_superposition(
     At r >= 2, restart 0 starts from displacements on a small circle (the
     explicit-decomposition ansatz); later restarts perturb circle starts of
     varying radius with seeded Gaussian noise.  The restarts and the warm
-    start climb together by minimize's safeguarded Newton steps on -log F.  A
-    start's ``nit`` counts the steps it kept; it stops, converged, when no
-    step lowers -log F or the largest component of its gradient is at most
-    GRAD_TOL, and unconverged after ``max_iters`` steps.
+    start climb together by minimize's safeguarded Newton steps on -log F,
+    handed the target on its own rows: each step scores on the rows its
+    displacements reach, at most the working cutoff.  A start's ``nit``
+    counts the steps it kept; it stops, converged, when no step lowers -log F
+    or the largest component of its gradient is at most GRAD_TOL, and
+    unconverged after ``max_iters`` steps.
 
-    Each start's fidelity is the projection fit of its displacements at the
-    working cutoff.  The best start wins; exact fidelity ties go to the
-    lexicographically smaller displacement tuple so reruns are stable.
+    The working cutoff keeps every coherent state of the search disk,
+    |alpha| <= 2 max(0.5, sqrt(mean Fock number)) + 2, to WORK_TAIL, and sets
+    the reported fidelities alone: each start's fidelity is the projection
+    fit of its displacements there.  The best start wins; exact fidelity ties
+    go to the lexicographically smaller displacement tuple so reruns are
+    stable.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -354,7 +407,7 @@ def fit_superposition(
     # represented to machine precision; otherwise chopped columns fake
     # fidelity after renormalization.
     search_reach = 2.0 * radius + 2.0
-    work_cutoff = max(target.cutoff, coherent_cutoff(search_reach, 1e-14))
+    work_cutoff = max(target.cutoff, _reach_cutoff(search_reach))
     t = _normalized_target(target.padded(work_cutoff))
     if r == 1:
         count = max(restarts, CANDIDATES) if restarts > 0 else 0
@@ -371,7 +424,8 @@ def fit_superposition(
                 a0 = a0 + 0.3 * radius * (rng.standard_normal(r) + 1j * rng.standard_normal(r))
             starts.append(a0)
         starts = np.array(starts + warm)
-        climb = minimize(t, np.concatenate([starts.real, starts.imag], axis=1), max_iters)
+        x0 = np.concatenate([starts.real, starts.imag], axis=1)
+        climb = minimize(t[: target.cutoff + 1], x0, max_iters, search_reach)
         ends, nits, stopped = climb.x[:, :r] + 1j * climb.x[:, r:], climb.steps, climb.stopped
 
     best = None

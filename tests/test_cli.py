@@ -172,7 +172,9 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
                        "check-version-5": "version be a string",
                        "analytic-cutoff-below-n": "n=3 exceeds cutoff=2",
                        "analytic-negative-cutoff": "n=3 exceeds cutoff=-5",
-                       "analytic-string-cutoff": "cutoff"}
+                       "analytic-string-cutoff": "cutoff",
+                       "analytic-negative-n-max": "needs N >= max(r, 1) = 2, past N_max=-1",
+                       "analytic-n-max-below-r": "needs N >= max(r, 1) = 2, past N_max=1"}
 
 
 @pytest.mark.parametrize(
@@ -213,6 +215,8 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
         ["bound", '{"type":"fock","n":3,"cutoff":2}', "--r", "3", "--method", "analytic"],
         ["bound", '{"type":"fock","n":3,"cutoff":-5}', "--r", "3", "--method", "analytic"],
         ["bound", '{"type":"fock","n":3,"cutoff":"x"}', "--r", "3", "--method", "analytic"],
+        ["bound", '{"type":"fock","n":2}', "--r", "2", "--method", "analytic", "--n-max", "-1"],
+        ["bound", '{"type":"fock","n":2}', "--r", "2", "--method", "analytic", "--n-max", "1"],
         ["bound", '{"type":"superposition","terms":[{"c":[1e300,0],"alpha":[0.1,0]}]}',
          "--r", "1"],
         ["bound", '{"type":"superposition","terms":[{"c":[1e200,0],"alpha":[0.1,0]},'
@@ -236,6 +240,7 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
          "check-plain-b-5", "check-analytic-N-99-b-negative", "check-analytic-N-99",
          "check-r0-b-without-N", "check-statement-5", "check-version-5",
          "analytic-cutoff-below-n", "analytic-negative-cutoff", "analytic-string-cutoff",
+         "analytic-negative-n-max", "analytic-n-max-below-r",
          "superposition-huge-c", "superposition-huge-norm", "superposition-merged-overflow",
          "certify-negative-n-max", "bound-r0-n-max-0", "bound-plain-r0-n-max-0",
          "bound-eps-negative", "bound-eps-nan", "bound-eps-one"],
@@ -461,6 +466,18 @@ def test_fit_command(capsys):
     assert set(restarts[0]) == {"nit", "converged", "fidelity"}
     best = max(restarts, key=lambda rep: rep["fidelity"])
     assert best["fidelity"] == pytest.approx(payload["fidelity_achieved"], abs=1e-12)
+
+
+def test_fit_without_a_seed_records_the_seed_that_reproduces_it(capsys):
+    argv = ["fit", '{"type":"fock","n":3}', "--r", "2", "--restarts", "3"]
+    code, first = run_json(capsys, argv)
+    seed = first["manifest"]["seed"]
+    assert code == 0 and isinstance(seed, int) and first["manifest"]["flags"]["seed"] == seed
+    code, again = run_json(capsys, argv + ["--seed", str(seed)])
+    assert code == 0
+    for payload in (first, again):  # only the wall clock may differ
+        payload["manifest"].pop("wall_clock_s")
+    assert json.dumps(again, sort_keys=True) == json.dumps(first, sort_keys=True)
 
 
 def test_only_fitting_imports_scipy_optimize():

@@ -200,20 +200,21 @@ def test_fit_loss_gradient_matches_central_differences(alphas):
     t = rng.standard_normal(cutoff + 1) + 1j * rng.standard_normal(cutoff + 1)
     t[-1] = 0.5
     t /= np.linalg.norm(t)
-    sqrt_n = np.sqrt(np.arange(1, cutoff + 1))
     alphas = np.asarray(alphas, dtype=complex)
     x = np.concatenate([alphas.real, alphas.imag])
     h = 1e-5
     # the point and its central-difference pairs, scored in one batch
     points = np.concatenate([x[None], x + h * np.eye(len(x)), x - h * np.eye(len(x))])
-    loss, grad = decomp._log_fidelity(points, t, sqrt_n)
+    loss, grad = decomp._log_fidelity(points, t)
+    # the ladder's value-only scoring gives the same bits
+    assert np.array_equal(decomp._log_fidelity_value(points, t), loss)
     fid, _ = decomp._projection_fit(alphas, t)
     assert loss[0] == pytest.approx(-math.log(fid), abs=1e-13)
     central = (loss[1 : len(x) + 1] - loss[len(x) + 1 :]) / (2 * h)
     assert np.linalg.norm(grad[0] - central) <= 1e-7 * np.linalg.norm(grad[0])
     # each row is scored on its own: the batch changes no bit of any row
     for row, want, want_grad in zip(points, loss, grad):
-        alone = decomp._log_fidelity(row[None], t, sqrt_n)
+        alone = decomp._log_fidelity(row[None], t)
         assert alone[0][0] == want and np.array_equal(alone[1][0], want_grad)
 
 
@@ -230,7 +231,8 @@ def test_log_fidelity_at_coinciding_displacements_is_the_least_squares_fit(alpha
     x = np.concatenate([alphas.real, alphas.imag])[None]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        loss, grad = decomp._log_fidelity(x, t, np.sqrt(np.arange(1, 30)))
+        loss, grad = decomp._log_fidelity(x, t)
+        assert np.array_equal(decomp._log_fidelity_value(x, t), loss)
     assert math.exp(-loss[0]) == pytest.approx(decomp._projection_fit(alphas, t)[0], abs=1e-14)
     assert np.isfinite(grad).all()
 
@@ -240,11 +242,15 @@ def test_log_fidelity_at_coinciding_displacements_is_the_least_squares_fit(alpha
     ([0.0, 0.0], 0.5698021990542742),
     ([1e-9, -1e-9], 0.5698021990542742),
     ([40.0, -40.0], 0.0),
-], ids=["coincident", "origin", "near-coincident", "far"])
+    ([400.0, -400.0], 0.0),
+    ([1e6, 3.0], 0.27067056647322535),
+], ids=["coincident", "origin", "near-coincident", "far", "past-the-cutoff-cap", "one-far"])
 def test_fit_climbs_from_a_degenerate_warm_start(start, expected):
     # Coinciding displacements give a singular R, which takes lstsq's
     # rank-revealing fit; at the origin |2> has no overlap at all, and at +-40
-    # the columns underflow, so nothing can be fitted.
+    # the columns underflow, so nothing can be fitted.  A step whose starts lie
+    # past the search disk scores on the working cutoff, so a displacement
+    # that no cutoff could hold (|alpha| > sqrt(MAX_CUTOFF)) is no error.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = fit_superposition(fock_state(2, 12), 2, restarts=0, max_iters=200,
@@ -262,6 +268,71 @@ def test_fit_restarts_climb_independently(r):
                              init_alphas=0.5 * np.exp(2j * np.arange(r)))
     assert warm.restarts_used == res.restarts_used + 1
     assert warm.restarts[:-1] == res.restarts
+
+
+@pytest.mark.parametrize("target,r", [
+    (fock_state(3, 16), 2),
+    (fock_state(10, 16), 2),
+    (fock_state(12, 16), 3),
+    (core_state([0.6, 0.0, 0.8j, -0.3], cutoff=16), 3),
+    (state_from_descriptor({"type": "squeezed", "r": 0.6, "phi": 1.0}), 2),
+], ids=["fock3-r2", "fock10-r2", "fock12-r3", "core-r3", "squeezed-r2"])
+def test_each_newton_step_scores_on_the_rows_its_points_reach(monkeypatch, target, r):
+    calls = []  # (name, points, cutoff) of every scoring call
+    for name in ("_log_fidelity", "_log_fidelity_value", "_projection_fit"):
+        def spy(x, t, name=name, fn=getattr(decomp, name)):
+            calls.append((name, np.array(x), len(t) - 1))
+            return fn(x, t)
+        monkeypatch.setattr(decomp, name, spy)
+    fit_superposition(target, r, restarts=3, seed=7, max_iters=600)
+    work_cutoff = {cutoff for name, _, cutoff in calls if name == "_projection_fit"}
+    steps = [call for call in calls if call[0] != "_projection_fit"]
+    assert len(work_cutoff) == 1 and len(steps) % 2 == 0
+    work_cutoff, below_cap = work_cutoff.pop(), 0
+    for (probe, here, cutoff), (ladder, trials, ladder_cutoff) in zip(steps[::2], steps[1::2]):
+        # one step: the probes and the ladder share its rows
+        assert (probe, ladder) == ("_log_fidelity", "_log_fidelity_value")
+        assert cutoff == ladder_cutoff <= work_cutoff
+        if cutoff == work_cutoff:
+            continue
+        below_cap += 1
+        points = np.concatenate([here, trials])
+        largest = np.hypot(points[:, :r], points[:, r:]).max()
+        # the Poisson tail past the rows, summed smallest first
+        tail = np.sum(np.abs(coherent_amplitudes(largest, cutoff + 200)[:cutoff:-1]) ** 2)
+        assert tail <= decomp.WORK_TAIL * (1 + 1e-9), (cutoff, largest)
+    assert below_cap > 0
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("restarts,seed", [(3, 7), (16, 1)])
+def test_fit_on_each_steps_rows_matches_the_fit_on_the_working_cutoff(monkeypatch, r, restarts,
+                                                                     seed):
+    # Fock 1..12 at cutoff 16, then the acceptance corpus's three squeezed
+    # states and its first 15 random cores
+    corpus = [(f"fock{n}", fock_state(n, 16)) for n in range(1, 13)]
+    corpus += [(name, psi) for name, psi, _ in corpus_states()
+               if name.startswith(("squeezed", "core"))][:18]
+    chosen = [fit_superposition(psi, r, restarts=restarts, seed=seed).fidelity_achieved
+              for _, psi in corpus]
+    monkeypatch.setattr(decomp, "_step_cutoff",
+                        lambda x, cutoff, reach: max(cutoff, decomp._reach_cutoff(reach)))
+    for (name, psi), fid in zip(corpus, chosen):
+        fixed = fit_superposition(psi, r, restarts=restarts, seed=seed).fidelity_achieved
+        assert abs(fid - fixed) <= 1e-15, name
+
+
+@pytest.mark.parametrize("target,r", [
+    (fock_state(1, 12), 2),
+    (fock_state(2, 12), 3),
+    (fock_state(3, 12), 4),
+    (core_state([0.6, 0.8], cutoff=12), 2),
+    (core_state([0.6, 0.0, 0.8j], cutoff=12), 3),
+], ids=["fock1-r2", "fock2-r3", "fock3-r4", "core2-r2", "core3-r3"])
+def test_fit_reaches_border_rank_targets(target, r):
+    # each target is a limit of r-term superpositions (r = its top Fock level + 1)
+    res = fit_superposition(target, r, restarts=3, seed=7)
+    assert 1.0 - res.fidelity_achieved <= 1e-14
 
 
 # Fidelities of the Nelder-Mead-only fit that preceded the gradient phase.  A

@@ -40,6 +40,7 @@ COMMANDS = {
                                 "--eps", "1e-8", "--n-max", "10"],
     "fit_fock1": ["fit", '{"type":"fock","n":1}', "--r", "1", "--seed", "0"],
     "fit_fock3_r2": ["fit", '{"type":"fock","n":3}', "--r", "2", "--seed", "0"],
+    "fit_fock10_r2": ["fit", '{"type":"fock","n":10}', "--r", "2", "--seed", "0"],
     "decompose_fock2": ["decompose", '{"type":"fock","n":2}', "--delta", "0.1"],
     "figure_left": ["figure", "--panel", "left", "--out", "left.csv"],
     "figure_right": ["figure", "--panel", "right", "--out", "right.csv"],
