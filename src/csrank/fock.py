@@ -288,8 +288,8 @@ def core_state(amplitudes, cutoff: int | None = None) -> FockVector:
 
 @functools.lru_cache(maxsize=64)
 def _fock_index_column(cutoff: int) -> tuple:
-    """(n, log sqrt(n!)) as read-only (cutoff+1) x 1 columns."""
-    n = np.arange(cutoff + 1)[:, None]
+    """(n, log sqrt(n!)) as read-only float (cutoff+1) x 1 columns."""
+    n = np.arange(cutoff + 1.0)[:, None]
     half_log_fact = 0.5 * log_factorials(cutoff)[:, None]
     n.flags.writeable = half_log_fact.flags.writeable = False
     return n, half_log_fact
@@ -297,21 +297,28 @@ def _fock_index_column(cutoff: int) -> tuple:
 
 def coherent_columns(alphas, cutoff: int) -> np.ndarray:
     """(cutoff+1) x k matrix with column k the truncated coherent state
-    e^{-|alpha_k|^2/2} alpha_k^n / sqrt(n!), n <= cutoff."""
-    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
+    e^{-|alpha_k|^2/2} alpha_k^n / sqrt(n!), n <= cutoff.
+
+    Row n's magnitude is exp(n log|alpha| - |alpha|^2/2 - log sqrt(n!)), one
+    np.log per column, and its phase the running product (np.multiply.accumulate
+    down the rows) of the column's unit phasor alpha / |alpha|, whose parts are
+    divided as reals so a subnormal alpha does not overflow.  An alpha = 0
+    column takes |alpha| = 1 in the log and the division, so its phasor is 0
+    and it is exactly the vacuum.  Every step is elementwise or runs down one
+    column, so a column is the same bit for bit whatever batch it is built in."""
+    alphas = np.ascontiguousarray(alphas, dtype=complex).reshape(-1)
     mags = np.abs(alphas)
+    safe = np.where(mags > 0, mags, 1.0)
     n, half_log_fact = _fock_index_column(cutoff)
-    # n log|alpha_k| with libm's log per magnitude (numpy's log differs in the last
-    # bit); an alpha = 0 column has -inf past row 0 and so is exactly the vacuum
-    values = mags.tolist()
-    if 0.0 in values:
-        n_log_mag = np.zeros((cutoff + 1, len(values)))
-        logs = [math.log(m) if m else -math.inf for m in values]
-        np.multiply(n[1:], logs, out=n_log_mag[1:])
-    else:
-        n_log_mag = n * np.fromiter(map(math.log, values), float, len(values))
-    log_mag = -0.5 * mags**2 + n_log_mag - half_log_fact
-    return np.exp(log_mag) * np.exp(1j * n * np.arctan2(alphas.imag, alphas.real))
+    log_mag = n * np.log(safe)
+    log_mag -= 0.5 * mags**2
+    log_mag -= half_log_fact
+    cols = np.empty(log_mag.shape, dtype=complex)
+    cols[0] = 1.0
+    cols[1:] = (alphas.view(float).reshape(-1, 2) / safe[:, None]).view(complex)[:, 0]
+    np.multiply.accumulate(cols, axis=0, out=cols)
+    cols *= np.exp(log_mag, out=log_mag)
+    return cols
 
 
 def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:

@@ -12,11 +12,14 @@ which equals <1|^n U |phi> when evaluated at a unitary X = U.  Since
 <= sqrt(2 delta) once the global phase theta of <1^n|phi> is aligned.
 
 verify_permanent_bound checks this for the n-th tensor power of the
-two-term odd cat circle_decomposition(|1>, delta).  Its norm, infidelity,
-tail weight and phase are n-th powers of one mode's numbers, and its 2^n
-formula rows are an index product of that mode's two terms, so n runs to 16
-without a 2^n x 2^n Gram matrix.  Trials are scored in blocks: one stacked QR
-draws a block's Haar unitaries, one Glynn pass and one formula pass score them.
+two-term odd cat circle_decomposition(|1>, delta).  The odd cat has only odd
+occupations, so the n-photon sector of its power is its |1>^n component alone
+and F(U) = a_1^n Per(U) for the factor's normalized |1> amplitude a_1: after
+the phase alignment F(U) = sqrt(1 - delta_inf) Per(U) exactly, and a trial's
+error is |Per(U)| (1 - sqrt(1 - delta_inf)).  Its infidelity and tail weight
+are n-th powers of one mode's numbers, so no 2^n-row formula is built.
+Trials are scored in blocks: one stacked QR draws a block's Haar unitaries and
+one Glynn pass scores them.
 """
 
 import functools
@@ -34,8 +37,12 @@ from .fock import coherent_columns, fock_state
 NAIVE_LIMIT = 8
 KERNEL_LIMIT = 24
 
-# Most rows the bridge's formula may have: 2^n rows at n modes, so n <= 16.
-MAX_FORMULA_ROWS = 1 << 16
+# Most modes the bridge runs.
+MAX_MODES = 16
+
+# Trials go in blocks of TRIAL_BLOCK_ROWS / 2^n, so a block's Glynn pass sums
+# at most as many patterns as one trial's does at MAX_MODES.
+TRIAL_BLOCK_ROWS = 1 << MAX_MODES
 
 # Fock cutoff of the bridge's single-mode factor.  Wherever delta_inf <= 0.5
 # (delta < 1.49), the factor's weight past it is at most 1.05e-36 of its norm.
@@ -139,19 +146,7 @@ def evaluate_formula(formula: MultilinearFormula, x) -> complex:
     x = np.asarray(x, dtype=complex)
     if x.shape != (formula.n, formula.n):
         raise ValueError(f"matrix must be {formula.n} x {formula.n}")
-    return complex(_formula_stack(formula, x[None])[0])
-
-
-def _formula_stack(formula: MultilinearFormula, x: np.ndarray) -> np.ndarray:
-    """F of each matrix of the (T, n, n) stack x, as a (T,) array.  One matrix
-    product gives inner[i, t, j] = sum_k alpha_jk x_tik, and the product over
-    rows i builds in place in inner[0], so the stack costs one (n, T, r) array."""
-    count, n = len(x), formula.n
-    inner = (x.transpose(1, 0, 2).reshape(-1, n) @ formula.alphas.T).reshape(n, count, -1)
-    prod = inner[0]
-    for row in inner[1:]:
-        prod *= row
-    return prod @ formula.gammas
+    return complex(np.prod(x @ formula.alphas.T, axis=0) @ formula.gammas)
 
 
 def _power_complement(share: float, modes: int) -> float:
@@ -160,34 +155,26 @@ def _power_complement(share: float, modes: int) -> float:
 
 
 def _odd_cat_power(modes: int, delta: float):
-    """(formula, delta_inf, tail_weight, phase) of the normalized tensor power
-    of the odd cat circle_decomposition(|1>, delta) over ``modes`` modes.
+    """(delta_inf, tail_weight) of the normalized tensor power of the odd cat
+    circle_decomposition(|1>, delta) over ``modes`` modes.
 
-    Every number is a power of one factor's Fock weights w_m = |<m|phi_1>|^2,
+    Both are powers of one factor's Fock weights w_m = |<m|phi_1>|^2,
     m <= FACTOR_CUTOFF, each a sum of non-negative terms: 1 - delta_inf is
-    (w_1 / W)^n and 1 - tail_weight is ((w_0 + w_1 + w_2) / W)^n.  The rows
-    of the formula are the index product of the factor's two terms, first
-    mode slowest, as in decomp.delta_cat_product.  Past delta = 10 it returns
-    delta_inf = tail_weight = 1, exact there, and no formula or phase: past
-    delta = 26.8 the factor's coefficients e^(delta^2/2) / (2 delta) overflow.
+    (w_1 / W)^n and 1 - tail_weight is ((w_0 + w_1 + w_2) / W)^n.  Past
+    delta = 10 both are 1, exact there: past delta = 26.8 the factor's
+    coefficients e^(delta^2/2) / (2 delta) overflow.
     """
     if 10 < delta < math.inf:  # |1>'s share delta^2 / sinh(delta^2) < 1e-41: delta_inf is 1
-        return None, 1.0, 1.0, None
+        return 1.0, 1.0
     factor = circle_decomposition(fock_state(1), delta)
-    coeffs, alphas = factor.coefficients(), factor.displacements()
-    amps = coherent_columns(alphas, FACTOR_CUTOFF) @ coeffs
+    amps = coherent_columns(factor.displacements(), FACTOR_CUTOFF) @ factor.coefficients()
     w = np.abs(amps) ** 2
     total = float(w.sum())
     if total == 0:
         raise ValueError("superposition has zero norm")
     delta_inf = _power_complement(float(w[0] + w[2:].sum()) / total, modes)
     tail = _power_complement(float(w[3:].sum()) / total, modes)
-    phase = (amps[1] / abs(amps[1])) ** modes
-
-    gamma = coeffs * np.exp(-0.5 * np.abs(alphas) ** 2) / math.sqrt(total)
-    rows = np.indices((len(alphas),) * modes).reshape(modes, -1).T
-    formula = MultilinearFormula(modes, np.prod(gamma[rows], axis=1), alphas[rows])
-    return formula, delta_inf, tail, phase
+    return delta_inf, tail
 
 
 @dataclass(frozen=True)
@@ -200,7 +187,7 @@ class PermanentBoundReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_error <= self.bound + 1e-9
+        return self.max_error <= self.bound
 
 
 def verify_permanent_bound(
@@ -211,35 +198,36 @@ def verify_permanent_bound(
     The decomposition is the tensor power of circle_decomposition(|1>, delta)
     over ``modes`` modes (see _odd_cat_power); delta_inf is its infidelity
     against |1>^n and ``tail_weight`` its weight outside occupations <= 2 per
-    mode.  Raises ResourceLimit past MAX_FORMULA_ROWS formula rows and
-    NumericalFailure if any trial violates the bound beyond 1e-9 slack.
+    mode.  Each row's |F| is sqrt(1 - delta_inf) |Per| and its error
+    |Per| (1 - sqrt(1 - delta_inf)), the identity of the module docstring.
+    Raises ResourceLimit past MAX_MODES modes and NumericalFailure if any
+    trial's error exceeds the bound.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if modes < 1:
         raise ValueError("need at least one mode")
-    if modes > math.log2(MAX_FORMULA_ROWS):
-        raise ResourceLimit(f"the formula has 2^{modes} rows, over {MAX_FORMULA_ROWS}")
-    formula, delta_inf, tail, phase = _odd_cat_power(modes, delta)
+    if modes > MAX_MODES:
+        raise ResourceLimit(f"the permanent bridge runs at most {MAX_MODES} modes, got {modes}")
+    delta_inf, tail = _odd_cat_power(modes, delta)
     if delta_inf > 0.5:
         raise ValueError(
             f"superposition is too far from |1>^{modes} (delta_inf = {delta_inf:.3f})"
         )
     bound = math.sqrt(2.0 * delta_inf)
+    scale = math.sqrt(1.0 - delta_inf)
+    shortfall = -math.expm1(0.5 * math.log1p(-delta_inf))  # 1 - sqrt(1 - delta_inf)
 
-    # Trials go in blocks of MAX_FORMULA_ROWS / 2^n, so the formula's (n, T, 2^n)
-    # inner array holds at most n 2^16 entries, as one trial's does at n = 16.
-    block = MAX_FORMULA_ROWS >> modes
+    block = TRIAL_BLOCK_ROWS >> modes
     rows = []
     for start in range(0, trials, block):
         stop = min(start + block, trials)
         seeds = range(seed + start, seed + stop)
-        u = _haar_stack(modes, seeds)
-        per = _glynn(u)
-        val = np.conj(phase) * _formula_stack(formula, u)
+        per = _glynn(_haar_stack(modes, seeds))
         # np.hypot rounds |z| as Python's abs(complex) does; np.abs may not.
-        rows += zip(range(start, stop), seeds,
-                    *(np.hypot(z.real, z.imag).tolist() for z in (per, val, per - val)))
+        abs_per = np.hypot(per.real, per.imag)
+        rows += zip(range(start, stop), seeds, abs_per.tolist(), (scale * abs_per).tolist(),
+                    (shortfall * abs_per).tolist())
     max_error = max(row[4] for row in rows)
     report = PermanentBoundReport(delta_inf, bound, max_error, tail, tuple(rows))
     if not report.passed:

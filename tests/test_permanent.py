@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from csrank import _kernels, permanent
-from csrank.decomp import delta_cat_product
+from csrank.decomp import circle_decomposition, delta_cat_product
 from csrank.errors import ResourceLimit
+from csrank.fock import coherent_columns, fock_state
 from csrank.multimode import MultimodeSuperposition
 from csrank.permanent import (
     MultilinearFormula,
@@ -199,15 +200,41 @@ def test_delta_inf_matches_closed_form(delta):
         x = mpmath.mpf(delta) ** 2
         for n in range(1, 17):
             exact = float(1 - (x / mpmath.sinh(x)) ** n)
-            _, delta_inf, _, _ = _odd_cat_power(n, delta)
+            delta_inf, _ = _odd_cat_power(n, delta)
             assert delta_inf == pytest.approx(exact, rel=1e-13)
+
+
+def _bridge_formula(modes, delta):
+    """(formula, phase) of the bridge's normalized odd-cat power: the 2^n rows are
+    the index product of circle_decomposition(|1>, delta)'s two terms, first mode
+    slowest, and the phase is that of the power's |1>^n amplitude."""
+    factor = circle_decomposition(fock_state(1), delta)
+    coeffs, alphas = factor.coefficients(), factor.displacements()
+    amps = coherent_columns(alphas, permanent.FACTOR_CUTOFF) @ coeffs
+    norm = math.sqrt(float((np.abs(amps) ** 2).sum()))
+    gamma = coeffs * np.exp(-0.5 * np.abs(alphas) ** 2) / norm
+    rows = np.indices((len(alphas),) * modes).reshape(modes, -1).T
+    formula = MultilinearFormula(modes, np.prod(gamma[rows], axis=1), alphas[rows])
+    return formula, (amps[1] / abs(amps[1])) ** modes
+
+
+def _identity_tolerance(formula, u) -> float:
+    """Rounding bound on |e^{-i theta} F(U) - sqrt(1 - delta_inf) Glynn(U)|.  Each
+    side sums at most 2^n products of n inner sums of n terms, with its data and
+    scale a few roundings off, so it rounds within (4n + 2^n + 4) u of the sum of
+    its terms' absolute values: for F the formula at |gamma|, |alpha| and |U|, for
+    Glynn's average of 2^(n-1) products at most prod_i sum_k |U_ik|."""
+    n = formula.n
+    abs_formula = MultilinearFormula(n, np.abs(formula.gammas), np.abs(formula.alphas))
+    terms = evaluate_formula(abs_formula, np.abs(u)).real + np.prod(np.abs(u).sum(axis=1))
+    return (4 * n + 2**n + 4) * 2.0**-53 * terms
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 @pytest.mark.parametrize("delta", [0.1, 0.4])
 def test_bridge_formula_is_the_normalized_cat_product_formula(n, delta):
     reference = formula_from_decomposition(delta_cat_product(n, delta))
-    formula = _odd_cat_power(n, delta)[0]
+    formula = _bridge_formula(n, delta)[0]
     np.testing.assert_array_equal(formula.alphas, reference.alphas)
     np.testing.assert_allclose(formula.gammas * _cat_norm(n, delta), reference.gammas,
                                rtol=1e-12, atol=0)
@@ -243,39 +270,59 @@ def test_stacked_kernels_match_per_matrix_calls(monkeypatch, kernel, n):
         assert np.max(np.abs(values - expected)) <= n * 2.0**-52
 
 
+@pytest.mark.filterwarnings("ignore:circle decomposition at delta=1e-08")
+@pytest.mark.parametrize("modes", [1, 2, 3, 6])
+@pytest.mark.parametrize("delta", [1e-8, 0.1, 0.5])
+def test_bridge_formula_is_the_scaled_permanent(modes, delta):
+    # The odd cat has only odd occupations, so F(U) = sqrt(1 - delta_inf) Per(U)
+    # once the phase is aligned, and every row sits at or under its bound.
+    formula, phase = _bridge_formula(modes, delta)
+    report = verify_permanent_bound(modes, delta, trials=20, seed=5)
+    scale = math.sqrt(1.0 - report.delta_inf)
+    for u in _haar_stack(modes, range(5, 25)):
+        value = np.conj(phase) * evaluate_formula(formula, u)
+        assert abs(value - scale * permanent_glynn(u)) <= _identity_tolerance(formula, u)
+    assert all(row[4] <= report.bound for row in report.trials)
+    assert report.passed and report.max_error <= report.bound
+
+
 def _reference_rows(modes, delta, trials, seed):
-    """verify_permanent_bound's rows, scored one trial at a time."""
-    formula, _, _, phase = _odd_cat_power(modes, delta)
+    """verify_permanent_bound's rows scored one trial at a time through the formula,
+    each with the identity's rounding bound."""
+    formula, phase = _bridge_formula(modes, delta)
     rows = []
     for i in range(trials):
         u = _one_haar(modes, seed + i)
         per = permanent_glynn(u)
         val = np.conj(phase) * evaluate_formula(formula, u)
-        rows.append((i, seed + i, abs(per), abs(val), abs(per - val)))
+        rows.append((i, seed + i, abs(per), abs(val), abs(per - val),
+                     _identity_tolerance(formula, u)))
     return rows
 
 
 @pytest.mark.parametrize("modes, max_rows", [(1, 1 << 10), (4, 1 << 10), (8, 1 << 10),
-                                             (8, permanent.MAX_FORMULA_ROWS)])
+                                             (8, permanent.TRIAL_BLOCK_ROWS)])
 def test_blocked_trials_match_the_per_trial_loop(monkeypatch, modes, max_rows):
-    monkeypatch.setattr(permanent, "MAX_FORMULA_ROWS", max_rows)
+    monkeypatch.setattr(permanent, "TRIAL_BLOCK_ROWS", max_rows)
     block = max_rows >> modes
     for trials in sorted({1, block, block + 1, 100}):
         report = verify_permanent_bound(modes, 0.2, trials=trials, seed=3)
         expected = _reference_rows(modes, 0.2, trials, seed=3)
         assert [row[:2] for row in report.trials] == [row[:2] for row in expected]
         values = np.array([row[2:] for row in report.trials])
-        # A stacked matrix product may round an ulp apart from a single one.
-        np.testing.assert_allclose(values, np.array([row[2:] for row in expected]),
-                                   rtol=0, atol=2.0**-51)
+        reference = np.array([row[2:5] for row in expected])
+        # A stacked matrix product may round an ulp apart from a single one; the
+        # closed form's |F| and error are the formula's within the identity's bound.
+        np.testing.assert_allclose(values[:, 0], reference[:, 0], rtol=0, atol=2.0**-51)
+        tolerance = np.array([row[5] for row in expected]) + 2.0**-51
+        assert np.all(np.abs(values[:, 1:] - reference[:, 1:]) <= tolerance[:, None])
         assert report.max_error == max(row[4] for row in report.trials)
 
 
 def test_blocked_trials_keep_the_memory_of_one_trial_at_16_modes():
-    # A per-trial loop peaks at 35,658,232 bytes here (numpy 2.4): the formula
-    # (17 MiB), one trial's 16 x 2^16 inner array (16 MiB) and its 1 MiB row
-    # product.  Blocked trials build the product inside the inner array and
-    # peak at 34,609,576.
+    # The bridge builds no formula: its peak is one trial's Glynn pass at 16 modes,
+    # 1,419,944 bytes here (numpy 2.4), where evaluating the 2^16-row formula
+    # took 34,609,576.
     verify_permanent_bound(16, 0.2, trials=1)  # caches fill outside the measurement
     tracemalloc.start()
     try:
@@ -283,4 +330,4 @@ def test_blocked_trials_keep_the_memory_of_one_trial_at_16_modes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 35_658_232
+    assert peak <= 4_000_000

@@ -39,6 +39,8 @@ COMMANDS = {
     "certify_squeezed_nmax10": ["certify", '{"type":"squeezed","r":0.5,"phi":0}',
                                 "--eps", "1e-8", "--n-max", "10"],
     "fit_fock1": ["fit", '{"type":"fock","n":1}', "--r", "1", "--seed", "0"],
+    # a complex target: the r = 1 fit runs the 41 x 41 plane grid, not the real axis
+    "fit_core_r1": ["fit", '{"type":"core","amps":[[0.6,0],[0,0.8]]}', "--r", "1", "--seed", "0"],
     "fit_fock3_r2": ["fit", '{"type":"fock","n":3}', "--r", "2", "--seed", "0"],
     "fit_fock10_r2": ["fit", '{"type":"fock","n":10}', "--r", "2", "--seed", "0"],
     "decompose_fock2": ["decompose", '{"type":"fock","n":2}', "--delta", "0.1"],
