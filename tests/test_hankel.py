@@ -275,7 +275,8 @@ def reference_log_weight_max(N, log_b):
 
 
 def reference_tails(psi, N, b, rs, log_den=None):
-    """The whole (len(rs), len(b)) threshold table; a refinement step read its diagonal."""
+    """The whole (len(rs), len(b)) threshold table, each tail the correctly
+    rounded sum of its squared sigma; a refinement point reads its diagonal."""
     log_b = hankel._log_b(b)
     _, sigma, scale = reference_spectra(psi, N, log_b)
     den = ([log_den] * len(log_b) if log_den is not None
@@ -283,7 +284,8 @@ def reference_tails(psi, N, b, rs, log_den=None):
     scale = scale.tolist()
     out = np.zeros((len(rs), len(b)))
     for k, r in enumerate(rs):
-        for i, tail in enumerate((sigma[:, r:] ** 2).sum(axis=1).tolist()):
+        for i, row in enumerate(sigma[:, r:].tolist()):
+            tail = math.fsum(x * x for x in row)
             if tail > 0.0:
                 out[k, i] = math.exp(math.log(tail) + 2.0 * scale[i] - den[i])
     return out
@@ -311,7 +313,7 @@ def test_plan_matches_the_reference_builder_on_the_corpus(N):
             table = reference_tails(psi, N, b, rs)
             together = hankel._thresholds_at(plan, log_b, [rs] * len(b))
             assert hexes(together) == hexes(table.T), name
-            # a golden-section point asks for one r; cycle the r over the points
+            # a refinement point asks for one r; cycle the r over the points
             ks = [i % len(rs) for i in range(len(b))]
             points = hankel._point_thresholds(plan, log_b, [rs[k] for k in ks])
             assert hexes(points) == hexes(table[ks, range(len(b))]), name
@@ -321,20 +323,20 @@ def test_plan_matches_the_reference_builder_on_the_corpus(N):
 
 
 def record_blocks(monkeypatch):
-    """Wrap hankel._spectra to record (N, number of b) of every call."""
+    """Wrap hankel._spectra to record (N, number of b, with vectors) of every call."""
     calls = []
     spectra = hankel._spectra
 
-    def wrapped(plan, log_b):
-        calls.append((plan.N, len(log_b)))
-        return spectra(plan, log_b)
+    def wrapped(plan, log_b, vectors=False):
+        calls.append((plan.N, len(log_b), vectors))
+        return spectra(plan, log_b, vectors)
 
     monkeypatch.setattr(hankel, "_spectra", wrapped)
     return calls
 
 
 def entries(calls):
-    return [points * (N + 1) ** 2 for N, points in calls]
+    return [points * (N + 1) ** 2 for N, points, _ in calls]
 
 
 @pytest.mark.parametrize("state", range(4), ids=["fock", "squeezed", "core", "superposition"])
@@ -349,7 +351,7 @@ def test_block_split_keeps_every_threshold(monkeypatch, state):
     monkeypatch.setattr(hankel, "_BLOCK_ENTRIES", 4 * (N + 1) ** 2 + 1)
     calls = record_blocks(monkeypatch)
     split = hankel._thresholds_at(plan, log_b, [rs] * len(B_GRID))
-    assert [p for _, p in calls] == [4] * 50 + [1]
+    assert [(p, uv) for _, p, uv in calls] == [(4, False)] * 50 + [(1, False)]
     assert max(entries(calls)) <= hankel._BLOCK_ENTRIES
     table = reference_tails(psi, N, B_GRID, rs)
     assert hexes(split) == hexes(whole) == hexes(table.T)
@@ -360,29 +362,30 @@ def test_block_split_keeps_every_threshold(monkeypatch, state):
 
 
 def test_stacked_svd_calls_stay_within_the_block_bound(monkeypatch):
-    # blocks of two 3x3 matrices split the five points of each N = 2 segment
+    # blocks of two 3x3 matrices split the five points of each N = 2 segment,
+    # and a secant's points too
     psi, cfg = builder_states()[1], SearchConfig(N_max=2)
     whole = optimized_bounds(psi, [0, 1, 2], cfg)
     monkeypatch.setattr(hankel, "_BLOCK_ENTRIES", 2 * 9)
     calls = record_blocks(monkeypatch)
     assert optimized_bounds(psi, [0, 1, 2], cfg) == whole
     assert max(entries(calls)) <= hankel._BLOCK_ENTRIES
-    assert [p for N, p in calls if N == 2][:3] == [2, 2, 1]
+    assert [p for N, p, _ in calls if N == 2][:3] == [2, 2, 1]
 
 
-def record_golden(monkeypatch, calls):
-    """Wrap hankel._golden_max to record (brackets, indices of the _spectra calls it made)."""
-    runs = []
-    golden = hankel._golden_max
-
-    def wrapped(f, lo, hi, iters):
-        start = len(calls)
-        out = golden(f, lo, hi, iters)
-        runs.append((len(lo), range(start, len(calls))))
-        return out
-
-    monkeypatch.setattr(hankel, "_golden_max", wrapped)
-    return runs
+def unsettled_and_bracketed(psi, N):
+    """The r whose segment neither end settles, and of those the r whose slope
+    rises at the segment's lower end and falls at its upper end."""
+    plan = hankel._Plan(psi, N)
+    x0, x1 = plan.tables.kinks[0], plan.tables.kinks[-1]
+    h = hankel._PROBE * (x1 - x0)
+    unsettled = []
+    for r in range(N + 1):
+        v0, v1, p0, p1 = (rescaled_bound(psi, r, N, math.exp(x)) for x in (x0, x1, x0 + h, x1 - h))
+        if not (v0 >= max(v1, p0) or v1 >= max(v0, p1)):
+            unsettled.append(r)
+    slopes = hankel._slopes(plan, [x0, x1], [unsettled, unsettled])
+    return unsettled, [r for r, g0, g1 in zip(unsettled, *slopes) if g0 > 0.0 > g1]
 
 
 def test_certify_makes_one_grid_pass_per_n(monkeypatch):
@@ -390,32 +393,30 @@ def test_certify_makes_one_grid_pass_per_n(monkeypatch):
     core2 = next(psi for name, psi, _ in corpus_states() if name == "core2")
     for state, psi in enumerate(builder_states() + [core2]):
         calls = record_blocks(monkeypatch)
-        runs = record_golden(monkeypatch, calls)
         certify_rank(psi, 1e-6, cfg)
-        # golden-section: 2 + 43 calls of one point per bracket, in lockstep
-        for brackets, steps in runs:
-            assert len(steps) == 45 and {calls[i][1] for i in steps} == {brackets}
-        golden = {i for _, steps in runs for i in steps}
-        # one call per N for every r: at N = 1 and 2 the segment's two ends, a
-        # probe inside each and b = 1; from N = 3 on its one point and b = 1
-        assert [call for i, call in enumerate(calls) if i not in golden] == [(1, 5), (2, 5)] + [
-            (N, 2) for N in range(3, 7)]
-        for N in (1, 2):  # golden-section takes exactly the r that neither end settles
-            kinks = hankel._kinks(hankel._Plan(psi, N))
-            x0, x1 = kinks[0], kinks[-1]
-            h = hankel._PROBE * (x1 - x0)
-            unsettled = 0
-            for r in range(1, N + 1):
-                v0, v1, p0, p1 = (rescaled_bound(psi, r, N, math.exp(x))
-                                  for x in (x0, x1, x0 + h, x1 - h))
-                unsettled += not (v0 >= max(v1, p0) or v1 >= max(v0, p1))
-            at_n = [brackets for brackets, steps in runs if calls[steps[0]][0] == N]
-            assert at_n == ([unsettled] if unsettled else []), (state, N)
-        if state < 4:  # every builder state settles on an end at every r
-            assert runs == []
-        else:  # core2 refines r = 1 at N = 1 and r = 1, 2 at N = 2
-            assert [brackets for brackets, _ in runs] == [1, 2]
         monkeypatch.undo()
+        # one scoring call per N for every r: at N = 1 and 2 the segment's two
+        # ends, a probe inside each and b = 1; from N = 3 on its one point and b = 1
+        assert [call for call in calls if call[0] >= 3] == [(N, 2, False) for N in range(3, 7)]
+        for N in (1, 2):
+            at_n = [call[1:] for call in calls if call[0] == N]
+            unsettled, bracketed = unsettled_and_bracketed(psi, N)
+            assert at_n[0] == (5, False)
+            if not unsettled:
+                assert at_n == [(5, False)], (state, N)
+                continue
+            # the slopes at both ends, the secant steps with one point per live
+            # bracket, then one call scoring every root
+            steps = [points for points, _ in at_n[2:-1]]
+            assert at_n[1] == (2, True) and at_n[-1] == (len(bracketed), False), (state, N)
+            assert all(uv for _, uv in at_n[2:-1]), (state, N)
+            assert steps == sorted(steps, reverse=True) and steps[0] == len(bracketed)
+            assert len(steps) <= hankel._SECANT_STEPS
+        if state < 4:  # every builder state settles on an end at every r
+            assert all(not uv for _, _, uv in calls)
+        else:  # core2 refines r = 1 at N = 1 and r = 1, 2 at N = 2, at most 10 steps per N
+            assert [unsettled_and_bracketed(psi, N) for N in (1, 2)] == [([1], [1]), ([1, 2], [1, 2])]
+            assert sum(uv for _, _, uv in calls) <= 2 * 11
 
 
 def test_certify_builds_the_b_independent_parts_once_per_n(monkeypatch):
@@ -428,9 +429,14 @@ def test_certify_builds_the_b_independent_parts_once_per_n(monkeypatch):
         return table
 
     monkeypatch.setattr(hankel, "log_factorials", counted)
+    hankel._tables.cache_clear()
     certify_rank(builder_states()[1], 1e-6, SearchConfig(N_max=6))
-    # one log k! table per plan, for k = 0..2N, not one per golden-section step
+    # one log k! table per N, for k = 0..2N, not one per plan or refinement step
     assert calls == [2 * N + 1 for N in range(1, 7)]
+    certify_rank(builder_states()[2], 1e-6, SearchConfig(N_max=7))
+    plain_bound(builder_states()[3], 1, 5)
+    assert calls == [2 * N + 1 for N in range(1, 8)]
+    assert hankel._tables(3) is hankel._Plan(builder_states()[0], 3).tables
 
 
 @pytest.mark.parametrize("state", range(4), ids=["fock", "squeezed", "core", "superposition"])
@@ -452,7 +458,7 @@ def test_tails_of_several_r_equal_one_r_at_a_time(state):
     for k, r in enumerate(rs):
         alone = hankel._point_thresholds(plan, log_b, [r] * len(B_GRID))
         assert [row[k] for row in together] == alone
-    # a golden-section step stacks one point per r and reads only that point's tail
+    # a secant step scores one point per r and reads only that point's tail
     points = B_GRID[[3, 50, 120, 200]]
     values = hankel._point_thresholds(plan, hankel._log_b(points), rs)
     assert values == [rescaled_bound(psi, r, N, b) for r, b in zip(rs, points)]
@@ -471,47 +477,66 @@ def test_one_search_equals_a_search_per_r(state):
             alone.value.hex(), alone.b_star.hex(), alone.N_star)
 
 
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
 def scalar_golden_max(f, lo, hi, iters):
-    """The one-bracket golden-section search the lockstep search must repeat."""
+    """(x, f(x)) of golden-section search for the maximum of f on [lo, hi],
+    the oracle the secant refinement must reach."""
     a, b = lo, hi
-    c = b - hankel._INVPHI * (b - a)
-    d = a + hankel._INVPHI * (b - a)
+    c = b - INVPHI * (b - a)
+    d = a + INVPHI * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iters):
         if fc >= fd:
             b, d, fd = d, c, fc
-            c = b - hankel._INVPHI * (b - a)
+            c = b - INVPHI * (b - a)
             fc = f(c)
         else:
             a, c, fc = c, d, fd
-            d = a + hankel._INVPHI * (b - a)
+            d = a + INVPHI * (b - a)
             fd = f(d)
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def test_lockstep_golden_max_repeats_every_scalar_run():
-    # peaked, flat (ties), monotone both ways and piecewise functions
-    fs = [
-        lambda x: -((x - 0.3) ** 2),
-        lambda x: 1.0,
-        lambda x: x,
-        lambda x: -x,
-        lambda x: min(math.sin(3 * x), 0.5),
-        lambda x: float(round(4 * x)),
+def test_lockstep_secant_repeats_every_scalar_run():
+    # smooth, steep, convex, kinked and step slopes, each positive left of its one simple root
+    gs = [
+        lambda x: 0.3 - x,
+        lambda x: math.tanh(5.0 * (0.1 - x)),
+        lambda x: -(x**3) - x + 0.25,
+        lambda x: min(1.0, 2.0 * (0.4 - x)),
+        lambda x: math.exp(-3.0 * x) - 2.0,
+        lambda x: -1.0 if x > 0.05 else 1.0,
     ]
-    lo = [-1.0, 0.0, -2.0, 0.5, -0.7, -1.3]
-    hi = [1.0, 1.0, 3.0, 0.6, 2.1, 1.9]
+    lo, hi = [-1.0, -0.7, -1.0, -2.0, -1.0, -1.0], [1.0, 2.1, 1.0, 1.5, 0.7, 1.0]
+    at_lo, at_hi = [g(x) for g, x in zip(gs, lo)], [g(x) for g, x in zip(gs, hi)]
     steps = []
 
-    def batch(xs):
+    def batch(xs, live):
         steps.append(len(xs))
-        return [f(x) for f, x in zip(fs, xs)]
+        return [gs[k](x) for k, x in zip(live, xs)]
 
-    together = hankel._golden_max(batch, lo, hi, 40)
-    assert steps == [len(fs)] * 42
-    for f, a, b, result in zip(fs, lo, hi, together):
-        assert hankel._golden_max(lambda xs: [f(xs[0])], [a], [b], 40) == [result]
-        assert scalar_golden_max(f, a, b, 40) == result
+    together = hankel._secant(batch, lo, hi, at_lo, at_hi)
+    assert steps == sorted(steps, reverse=True) and steps[0] == len(gs)
+    assert len(steps) <= hankel._SECANT_STEPS
+    for k, g in enumerate(gs):
+        alone = hankel._secant(lambda xs, live: [g(xs[0])], [lo[k]], [hi[k]], [at_lo[k]], [at_hi[k]])
+        assert alone == [together[k]]
+        # the root lies within the final bracket, _XTOL of the width, of the point returned
+        near = hankel._XTOL * (hi[k] - lo[k])
+        assert g(together[k] - near) >= 0.0 >= g(together[k] + near), k
+
+
+def test_secant_refinement_is_the_same_for_every_r_set():
+    # the lockstep secants of N = 1, 2 equal one r at a time, bit for bit
+    for name, psi, _ in corpus_states():
+        for N in (1, 2):
+            rs = list(range(N + 1))
+            together = hankel._search(hankel._Plan(psi, N), rs)
+            for r, (x, value) in zip(rs, together):
+                [(x_alone, value_alone)] = hankel._search(hankel._Plan(psi, N), [r])
+                assert (x.hex(), value.hex()) == (x_alone.hex(), value_alone.hex()), (name, N, r)
 
 
 @pytest.mark.parametrize("N", range(1, 21))
@@ -528,26 +553,24 @@ def test_kinks_are_the_upper_envelope_of_the_denominator(N):
                 brute.append(x)
     brute = sorted(brute)
     distinct = [x for x, y in zip(brute, [-math.inf] + brute) if x - y > 1e-9]
-    kinks = hankel._kinks(plan)
+    kinks = list(plan.tables.kinks)
     assert kinks == sorted(kinks)
     assert np.allclose(kinks, distinct, rtol=0, atol=1e-12)
 
 
 def test_kink_refinement_reaches_golden_section_on_the_corpus():
-    # an end that settles its segment is at least what golden-section finds there
+    # wherever either is above noise, the search's point at N = 1, 2 is at
+    # least what 45 calls of golden-section find on the segment
     for name, psi, _ in corpus_states():
         for N in (1, 2):
             plan = hankel._Plan(psi, N)
-            rs = list(range(N + 1))
-            kinks = hankel._kinks(plan)
+            kinks = plan.tables.kinks
+            for r, (_, value) in enumerate(hankel._search(plan, list(range(N + 1)))):
 
-            def at_points(xs):
-                return hankel._point_thresholds(plan, hankel._log_b([*map(math.exp, xs)]), rs)
+                def at(x):
+                    return hankel._point_thresholds(plan, hankel._scored_at([x]), [r])[0]
 
-            found = hankel._search(plan, rs)
-            golden = hankel._golden_max(at_points, [kinks[0]] * len(rs), [kinks[-1]] * len(rs),
-                                        hankel._REFINE_ITERS)
-            for r, (_, value), (_, reference) in zip(rs, found, golden):
+                _, reference = scalar_golden_max(at, kinks[0], kinks[-1], 43)
                 if max(value, reference) > 1e-20:
                     assert value >= reference * (1 - 1e-14), (name, N, r)
 
@@ -627,7 +650,7 @@ def test_search_reaches_the_dense_oracle():
         for N in range(1, 9):
             plan = hankel._Plan(psi, N)
             rs = list(range(N + 1))
-            log_b = np.concatenate([DENSE_LOG_B, hankel._kinks(plan), [0.0]])
+            log_b = np.concatenate([DENSE_LOG_B, plan.tables.kinks, [0.0]])
             oracle = dense_oracle_thresholds(psi, N, log_b).max(axis=0)
             for r, (_, value) in zip(rs, hankel._search(plan, rs)):
                 assert value >= oracle[r] * (1 - 1e-12), (name, N, r)

@@ -133,7 +133,7 @@ def test_formula_dimension_mismatch():
 
 def test_verify_bound_scalar_case():
     report = verify_permanent_bound(1, 0.2, trials=25, seed=1)
-    assert report.max_error <= report.bound + 1e-9
+    assert report.max_error <= report.bound
     assert report.delta_inf < 1e-3
 
 
