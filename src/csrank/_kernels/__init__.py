@@ -7,11 +7,15 @@ Ryser:  Per(A) = (-1)^n sum_{S nonempty} (-1)^{|S|} prod_i (sum_{j in S} A[i, j]
 Both sum parity(x) prod_i (c_i + (M x)_i) over 2^k bit patterns x, split into
 low and high halves: each half's partial sums M x are one matrix product with
 its cached patterns, and the products build in place, factor lo[i, l] + hi[i, h]
-by factor, in blocks of at most 2^16 (h, l) pairs: O(2^n n) work, O(2^{n/2} n
-+ 2^16) memory.  Each kernel takes one n x n matrix, giving a complex, or a
-(T, n, n) stack, giving a (T,) array from one pass over the stack's
-half-tables (O(T 2^{n/2} n + 2^16) memory); a block then spans several
-matrices wherever one matrix has fewer than 2^16 pairs.
+by factor, in blocks of at most 2^15 (h, l) pairs (two high patterns where one
+holds more): O(2^n n) work, O(2^{n/2} n + 2^15) memory.  A call allocates two
+block buffers, the product and the factor, and builds every block in them
+(2 x 512 KiB, which a 2 MiB L2 holds).  The operations and their order are
+those of p = lo[0] + hi[0]; p *= lo[i] + hi[i], so every sum is the same to
+the bit at any block size.  Each kernel takes one n x n matrix, giving a
+complex, or a (T, n, n) stack, giving a (T,) array from one pass over the
+stack's half-tables (O(T 2^{n/2} n + 2^15) memory); a block then spans several
+matrices wherever one matrix has fewer than 2^15 pairs.
 """
 
 from functools import lru_cache
@@ -21,7 +25,7 @@ import numpy as np
 # The benchmark reports this beside its results; numpy is the only backend.
 BACKEND = "python"
 
-_BLOCK_BITS = 16
+_BLOCK_BITS = 15
 
 
 @lru_cache(maxsize=None)
@@ -45,16 +49,25 @@ def _pattern_sum(m: np.ndarray, offset, signed: bool) -> np.ndarray:
     # Factor i leads, so the product loop below takes plain views lo[i], hi[i].
     lo = (m[:, :, :low] @ rows_lo + offset).transpose(1, 0, 2)[:, :, None, :]
     hi = (m[:, :, low:] @ rows_hi).transpose(1, 0, 2)[..., None]
-    step = min(hi.shape[2], 1 << max(0, _BLOCK_BITS - low))  # high patterns per block
+    # High patterns per block, two at least: numpy sums a one-row block by a dot
+    # product, which rounds apart from the matrix-vector product of a taller one.
+    step = min(hi.shape[2], 1 << max(1, _BLOCK_BITS - low))
     per_block = max(1, (1 << _BLOCK_BITS) // (step << low))  # matrices per block
+    # Two buffers serve every block: the product and the factor it takes next.
+    # The factor buffer starts 40 entries into its allocation, so the two do not
+    # share an offset modulo the 4 KiB page.
+    product = np.empty((min(per_block, count), step, 1 << low), dtype=complex)
+    factor = np.empty(product.size + 40, dtype=complex)[40:].reshape(product.shape)
     sums = np.empty((count, hi.shape[2]), dtype=complex)  # [t, h] = sum over l
     for t in range(0, count, per_block):
         lo_t = lo[:, t : t + per_block]
+        p, f = product[: lo_t.shape[1]], factor[: lo_t.shape[1]]
         for start in range(0, hi.shape[2], step):
             h = hi[:, t : t + per_block, start : start + step]
-            p = lo_t[0] + h[0]
+            np.add(lo_t[0], h[0], out=p)
             for i in range(1, n):
-                p *= lo_t[i] + h[i]
+                np.add(lo_t[i], h[i], out=f)
+                p *= f
             np.matmul(p, parity_lo, out=sums[t : t + per_block, start : start + step])
     return sums @ parity_hi
 

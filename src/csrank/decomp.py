@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import NumericalFailure, ResourceLimit
 from .fock import (
     ALPHA_MERGE_TOL,
     CoherentSuperposition,
@@ -61,6 +61,13 @@ GRAD_TOL = 1e-12
 # One unblocked product of the whole grid is large enough for OpenBLAS to wake
 # its other threads, which then slow every later numpy call of the process.
 _GRID_BLOCK_ENTRIES = 1 << 12
+
+# Caps on fit_superposition, checked before anything is allocated (exit 4
+# beyond): at most MAX_RESTARTS starts, and at r >= 2 at most MAX_STEP_ENTRIES
+# coherent-column entries in one Newton step's stacked call, (4r + 1) points per
+# start, r columns and at most working cutoff + 1 rows each (128 MiB of complex).
+MAX_RESTARTS = 1024
+MAX_STEP_ENTRIES = 1 << 23
 
 # Grid points best_single_coherent climbs from (the fewest an r = 1 fit
 # climbs), and the cap on each start's Newton steps.
@@ -389,6 +396,11 @@ def fit_superposition(
     fit of its displacements there.  The best start wins; exact fidelity ties
     go to the lexicographically smaller displacement tuple so reruns are
     stable.
+
+    Raises ResourceLimit, before anything is allocated, past MAX_RESTARTS
+    restarts, past r = working cutoff + 1 (that many coherent states already
+    span the working space) and at r >= 2 past MAX_STEP_ENTRIES entries in
+    one Newton step.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -401,6 +413,8 @@ def fit_superposition(
         warm = [np.asarray(init_alphas, dtype=complex)]
         if warm[0].shape != (r,) or not np.isfinite(warm[0]).all():
             raise ValueError(f"init_alphas must be exactly r={r} finite displacements")
+    if restarts > MAX_RESTARTS:
+        raise ResourceLimit(f"a fit runs at most {MAX_RESTARTS} restarts, got {restarts}")
     radius = max(0.5, math.sqrt(target.mean_fock_number()))
 
     # Work at a cutoff where every coherent state in the search region is
@@ -408,6 +422,14 @@ def fit_superposition(
     # fidelity after renormalization.
     search_reach = 2.0 * radius + 2.0
     work_cutoff = max(target.cutoff, _reach_cutoff(search_reach))
+    if r > work_cutoff + 1:  # that many coherent states span the working space
+        raise ResourceLimit(f"a fit at working cutoff {work_cutoff} takes at most "
+                            f"{work_cutoff + 1} terms, got r = {r}")
+    entries = (restarts + len(warm)) * (4 * r + 1) * r * (work_cutoff + 1)
+    if r > 1 and entries > MAX_STEP_ENTRIES:
+        raise ResourceLimit(f"a fit step at r = {r} with {restarts + len(warm)} starts builds "
+                            f"{entries} coherent-column entries, more than MAX_STEP_ENTRIES "
+                            f"= {MAX_STEP_ENTRIES}")
     t = _normalized_target(target.padded(work_cutoff))
     if r == 1:
         count = max(restarts, CANDIDATES) if restarts > 0 else 0

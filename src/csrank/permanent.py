@@ -35,10 +35,16 @@ from .errors import NumericalFailure, ResourceLimit
 from .fock import coherent_columns, fock_state
 
 NAIVE_LIMIT = 8
+# Permutations permanent_naive gathers at once: 1024 x 7 entries at n = 8.
+NAIVE_CHUNK = 1024
 KERNEL_LIMIT = 24
 
 # Most modes the bridge runs.
 MAX_MODES = 16
+
+# Most trials one bridge call runs (exit 4 beyond): its CSV rows are kept in
+# memory, and at MAX_MODES each trial costs one 2^15-term Glynn sum.
+MAX_TRIALS = 10_000
 
 # Trials go in blocks of TRIAL_BLOCK_ROWS / 2^n, so a block's Glynn pass sums
 # at most as many patterns as one trial's does at MAX_MODES.
@@ -67,7 +73,8 @@ def _permutation_table(k: int) -> np.ndarray:
 def permanent_naive(m) -> complex:
     """Sum over permutations; the reference oracle for small matrices.  For each
     first-row column j it adds m[0, j] times the sum of the products that the
-    (n-1)! permutations of the other columns gather from rows 1..n-1."""
+    (n-1)! permutations of the other columns gather from rows 1..n-1, gathered
+    and multiplied NAIVE_CHUNK permutations at a time."""
     m = _square(m)
     n = m.shape[0]
     if n > NAIVE_LIMIT:
@@ -75,11 +82,15 @@ def permanent_naive(m) -> complex:
     if n == 0:
         return 1.0 + 0j
     table = _permutation_table(n - 1)
-    rows = np.arange(1, n)
+    row_starts = np.arange(n - 1) * (n - 1)  # of rows 1..n-1 in each flattened minor
+    products = np.empty(len(table), dtype=complex)
     total = 0j
     for j in range(n):
-        others = np.delete(np.arange(n, dtype=np.int8), j)
-        total += m[0, j] * np.prod(m[rows, others[table]], axis=1).sum()
+        minor = np.delete(m[1:], j, axis=1).ravel()
+        for lo in range(0, len(table), NAIVE_CHUNK):
+            chunk = slice(lo, lo + NAIVE_CHUNK)
+            np.prod(minor[table[chunk] + row_starts], axis=1, out=products[chunk])
+        total += m[0, j] * products.sum()
     return complex(total)
 
 
@@ -200,8 +211,9 @@ def verify_permanent_bound(
     against |1>^n and ``tail_weight`` its weight outside occupations <= 2 per
     mode.  Each row's |F| is sqrt(1 - delta_inf) |Per| and its error
     |Per| (1 - sqrt(1 - delta_inf)), the identity of the module docstring.
-    Raises ResourceLimit past MAX_MODES modes and NumericalFailure if any
-    trial's error exceeds the bound.
+    Raises ResourceLimit past MAX_MODES modes or MAX_TRIALS trials, before
+    anything is drawn, and NumericalFailure if any trial's error exceeds the
+    bound.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -209,6 +221,8 @@ def verify_permanent_bound(
         raise ValueError("need at least one mode")
     if modes > MAX_MODES:
         raise ResourceLimit(f"the permanent bridge runs at most {MAX_MODES} modes, got {modes}")
+    if trials > MAX_TRIALS:
+        raise ResourceLimit(f"the permanent bridge runs at most {MAX_TRIALS} trials, got {trials}")
     delta_inf, tail = _odd_cat_power(modes, delta)
     if delta_inf > 0.5:
         raise ValueError(

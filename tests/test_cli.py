@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import csrank
 from csrank.certify import fock_analytic_threshold
 from csrank.cli import build_parser, main
+from csrank.decomp import MAX_RESTARTS
 from csrank.fock import MAX_CUTOFF, fock_state, state_from_descriptor
 from csrank.hankel import (
     MAX_HANKEL_N,
@@ -26,6 +27,7 @@ from csrank.hankel import (
     rescaled_bound,
 )
 from csrank.multimode import multimode_from_descriptor, reduction_amplitudes
+from csrank.permanent import MAX_TRIALS
 
 
 def run_json(capsys, argv):
@@ -674,18 +676,28 @@ def test_permanent_past_the_gram_limit_satisfies_the_bound(capsys, n, trials):
         assert float(row["error"]) <= float(row["bound"])
 
 
+# Half the drawn floats fall where the bridge runs (delta_inf <= 0.5 below 1.49).
 _DELTA_ARGS = st.sampled_from(["x", "", "0", "-0.2", "-1e-3", "nan", "inf", "-inf",
-                               "1e-300", "1e-20", "30", "100"]) | st.floats(1e-3, 1.5).map(repr)
+                               "1e-300", "1e-20", "30", "100", "1e3"]) | (
+    st.floats(1e-3, 1.5) | st.floats(1.5, 1e3)).map(repr)
+_HUGE = 10**400
+# Trials that finish fast: at most 3, or past the cap, which is refused unrun.
+_TRIALS = st.integers(1, 3) | st.integers(-_HUGE, 0) | st.integers(MAX_TRIALS + 1, _HUGE)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(-2, 18), _DELTA_ARGS, st.integers(1, 3))
-@example(16, "1e-20", 1)  # the two terms would merge: refused
-@example(16, "1.3", 1)  # delta_inf > 0.5
-@example(8, "0.1", 1)
-def test_permanent_flags_never_leak_a_traceback(n, delta, trials):
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-2, 18) | st.integers(-_HUGE, _HUGE), _DELTA_ARGS, _TRIALS,
+       st.integers(0, 3) | st.integers(-_HUGE, _HUGE))
+@example(16, "1e-20", 1, 0)  # the two terms would merge: refused
+@example(16, "1.3", 1, 0)  # delta_inf > 0.5
+@example(8, "0.1", 1, 0)
+@example(4, "0.1", _HUGE, 0)  # refused before any row is kept
+@example(4, "0.1", MAX_TRIALS + 1, 0)
+@example(4, "0.1", 2, _HUGE)
+def test_permanent_flags_never_leak_a_traceback(n, delta, trials, seed):
     out, err = io.StringIO(), io.StringIO()
-    argv = ["permanent", "--n", str(n), "--delta", delta, "--trials", str(trials)]
+    argv = ["permanent", "--n", str(n), "--delta", delta, "--trials", str(trials),
+            "--seed", str(seed)]
     with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         warnings.filterwarnings("ignore", "circle decomposition at delta=.* is severely "
@@ -696,15 +708,45 @@ def test_permanent_flags_never_leak_a_traceback(n, delta, trials):
             code = exc.code
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+    if trials > MAX_TRIALS and 1 <= n <= 16 and not err.getvalue().startswith("usage: "):
+        assert code == 4  # refused before the delta is read
     if code == 0:
         rows = list(csv.DictReader(io.StringIO(out.getvalue())))
         assert len(rows) == trials
         for row in rows:
-            values = [float(v) for v in row.values()]
+            assert int(row["seed"]) == seed + int(row["trial"])  # exact past 2^53 too
+            values = [float(row[k]) for k in ("abs_permanent", "abs_formula", "error", "bound")]
             assert all(math.isfinite(v) for v in values)
             assert float(row["error"]) <= float(row["bound"])
     else:
         assert err.getvalue().startswith(("error: ", "usage: "))
+
+
+# Fits that finish fast: r and restarts at most 2, or past a cap, refused unrun;
+# no working cutoff exceeds MAX_CUTOFF, so r = MAX_CUTOFF + 2 is always past it.
+_FIT_R = st.integers(1, 2) | st.integers(-_HUGE, 0) | st.integers(MAX_CUTOFF + 2, _HUGE)
+_FIT_RESTARTS = st.integers(1, 2) | st.integers(-_HUGE, 0) | st.integers(MAX_RESTARTS + 1, _HUGE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FIT_R, _FIT_RESTARTS)
+@example(100_000, 16)  # once an allocation failure past the memory limit
+@example(2, 100_000_000)  # once a 100-million-start loop
+@example(71, 1)  # past fock n = 2's working cutoff 69 + 1
+@example(62, 16)  # more than MAX_STEP_ENTRIES in one Newton step
+def test_fit_flags_never_leak_a_traceback(r, restarts):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["fit", '{"type":"fock","n":2}', "--r", str(r), "--restarts", str(restarts),
+            "--seed", "0", "--max-iters", "20"]
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    if r < 1 or restarts < 1:
+        assert code == 2
+    elif r > 2 or restarts > 2:
+        assert code == 4 and err.getvalue().startswith("error: ")
+    else:
+        assert code == 0 and len(json.loads(out.getvalue())["terms"]) == r
 
 
 def test_figure_right_endpoints(tmp_path):

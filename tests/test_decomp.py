@@ -14,6 +14,7 @@ from csrank.decomp import (
     delta_cat_product,
     fit_superposition,
 )
+from csrank.errors import ResourceLimit
 from csrank.fock import (
     FockVector,
     coherent_amplitudes,
@@ -159,6 +160,30 @@ def test_fit_single_term_reports_one_climb_per_start(restarts, max_iters):
 def test_fit_rejects_r_zero():
     with pytest.raises(ValueError):
         fit_superposition(fock_state(1, 8), 0)
+
+
+def test_fit_refuses_oversized_searches_before_allocating(monkeypatch):
+    def no_climb(*args):
+        raise AssertionError("a refused fit started climbing")
+
+    monkeypatch.setattr(decomp, "minimize", no_climb)
+    monkeypatch.setattr(decomp, "_climb_from_grid", no_climb)
+    target = fock_state(2)  # working cutoff 69: at most 70 terms
+    work_cutoff = max(target.cutoff, decomp._reach_cutoff(2.0 * math.sqrt(2.0) + 2.0))
+    refused = [
+        (dict(r=1, restarts=decomp.MAX_RESTARTS + 1), "at most 1024 restarts"),
+        (dict(r=2, restarts=10**400), "at most 1024 restarts"),
+        (dict(r=work_cutoff + 2, restarts=1), f"at most {work_cutoff + 1} terms"),
+        (dict(r=10**400, restarts=1), "terms"),
+        # 16 starts x 249 points x 62 columns x 70 rows
+        (dict(r=62, restarts=16), "more than MAX_STEP_ENTRIES"),
+    ]
+    for kwargs, message in refused:
+        with pytest.raises(ResourceLimit, match=message):
+            fit_superposition(target, **kwargs)
+    # a long target: 16 starts and a warm start x 9 points x 2 columns x 50,001 rows
+    with pytest.raises(ResourceLimit, match="with 17 starts builds 15300306 coherent"):
+        fit_superposition(fock_state(2, 50_000), 2, init_alphas=[0.5, -0.5])
 
 
 def test_fit_deterministic_per_seed():

@@ -54,7 +54,7 @@ def test_python_kernels_tiny_sizes(n):
 
 @pytest.mark.parametrize("n", range(10, 19))
 def test_glynn_and_ryser_agree_on_haar_unitaries(n):
-    # n = 17 and 18 span more than one block of 2^16 products.
+    # n = 16..18 span more than one block of 2^15 products.
     u = haar_unitary(n, seed=100 + n)
     assert _within_perfbench_tolerance(_kernels.glynn(u), _kernels.ryser(u), n)
 
@@ -71,18 +71,24 @@ def test_repeated_calls_are_bit_identical(kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=["glynn", "ryser"])
 def test_small_blocks_give_the_same_sum(monkeypatch, kernel):
-    # A block narrower than the low half holds one high pattern at a time.
-    u = haar_unitary(12, seed=3)
-    expected = kernel(u)
-    for bits in (3, 7, 9):
+    # A block narrower than the low half holds one high pattern at a time; a
+    # block wider than one matrix's pairs spans several matrices of a stack.
+    rng = np.random.default_rng(4)
+    stacks = [haar_unitary(12, seed=3), haar_unitary(15, seed=5)] + [
+        rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+        for count, n in ((9, 3), (37, 6), (5, 9), (3, 11))]
+    expected = [kernel(a) for a in stacks]
+    for bits in (0, 3, 7, 9, 12, 14, 16, 20):
         monkeypatch.setattr(_kernels, "_BLOCK_BITS", bits)
-        assert _within_perfbench_tolerance(kernel(u), expected, 12)
+        for a, value in zip(stacks, expected):
+            assert np.array_equal(kernel(a), value)
 
 
 @pytest.mark.parametrize("n", [18, 20])
 @pytest.mark.parametrize("kernel", KERNELS, ids=["glynn", "ryser"])
 def test_kernel_memory_stays_within_a_few_blocks(kernel, n):
-    # One block of 2^16 complex products is 1 MiB; the half-tables are far smaller.
+    # One block of 2^15 complex products is 512 KiB, and a call holds two such
+    # buffers; the half-tables are far smaller.
     u = haar_unitary(n, seed=n)
     kernel(u)  # the pattern cache is filled outside the measurement
     tracemalloc.start()

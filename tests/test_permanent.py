@@ -160,6 +160,17 @@ def test_verify_bound_resource_limit():
         verify_permanent_bound(17, 0.2, trials=1, seed=0)
 
 
+def test_verify_bound_refuses_trials_past_the_cap_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a refused call drew a unitary")
+
+    monkeypatch.setattr(permanent, "_haar_stack", no_draws)
+    for trials in (permanent.MAX_TRIALS + 1, 10**400):
+        with pytest.raises(ResourceLimit, match=f"at most {permanent.MAX_TRIALS} trials"):
+            verify_permanent_bound(4, 0.1, trials=trials, seed=0)
+    assert permanent.MAX_TRIALS >= 100  # the trials the bridge benchmark runs
+
+
 def _brute_force_box(coeffs, alphas):
     """occupation -> sum_j c_j prod_i e^{-|a_ji|^2/2} a_ji^k_i / sqrt(k_i!)."""
     n = alphas.shape[1]
