@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from . import __version__
 from .fock import FockVector, int_field, log_factorial, object_field, real_field
 from .hankel import (
-    DEFAULT_RANK_TOL,
     SearchConfig,
     check_hankel_size,
     check_searchable,
@@ -213,7 +212,7 @@ def recurrence_order(psi: FockVector, N_max: int) -> RecurrenceReport:
         raise ValueError(f"cutoff {psi.cutoff} < 2 N_max = {2 * N_max}")
     check_hankel_size(N_max)
     ranks = tuple(
-        (N, numerical_rank(hankel_matrix(psi, N, 1.0), DEFAULT_RANK_TOL))
+        (N, numerical_rank(hankel_matrix(psi, N, 1.0)))
         for N in range(1, N_max + 1)
     )
     tail = [rank for _, rank in ranks[-3:]]

@@ -192,9 +192,7 @@ def cmd_permanent(args, descriptor):
 
 
 def cmd_multimode(args, descriptor):
-    report = multimode_lower_bound(
-        multimode_from_descriptor(descriptor), trials=args.trials, seed=args.seed
-    )
+    report = multimode_lower_bound(multimode_from_descriptor(descriptor), seed=args.seed)
     return {
         "lower_bound": report.bound,
         "d_n": _c2j(report.d_n),
@@ -299,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("multimode", help="multimode rank lower bound via bunching")
     add_state(p)
-    p.add_argument("--trials", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_multimode)

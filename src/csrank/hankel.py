@@ -173,14 +173,12 @@ def hankel_matrix(psi: FockVector, N: int, b: float = 1.0) -> HankelBundle:
     return HankelBundle(matrices[0], N, float(b), sigma[0], float(scale[0]))
 
 
-def numerical_rank(bundle: HankelBundle, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above rel_tol * sigma_1 (0 for a zero matrix)."""
-    if not (0 < rel_tol < 1):
-        raise ValueError("rel_tol must lie in (0, 1)")
+def numerical_rank(bundle: HankelBundle) -> int:
+    """Number of singular values above DEFAULT_RANK_TOL * sigma_1 (0 for a zero matrix)."""
     s = bundle.singular_values
     if len(s) == 0 or s[0] == 0:
         return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    return int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
 
 
 def _log_weight_max(plan: _Plan, log_b: np.ndarray) -> np.ndarray:

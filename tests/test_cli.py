@@ -273,10 +273,8 @@ def test_resource_limit_exits_4(capsys):
         ["fit", '{"type":"fock","n":1}', "--r", "1", "--max-iters", "0"],
         ["permanent", "--n", "2", "--delta", "0.2", "--trials", "0"],
         ["permanent", "--n", "2", "--delta", "0.2", "--trials", "-2"],
-        ["multimode", '{"modes":2,"amps":[{"occ":[1,1],"c":[1,0]}]}', "--trials", "-1"],
     ],
-    ids=["fit-max-iters-0", "permanent-trials-0", "permanent-trials-negative",
-         "multimode-trials-negative"],
+    ids=["fit-max-iters-0", "permanent-trials-0", "permanent-trials-negative"],
 )
 def test_malformed_counts_exit_2(capsys, tmp_path, argv):
     out = tmp_path / "out"
@@ -286,13 +284,13 @@ def test_malformed_counts_exit_2(capsys, tmp_path, argv):
     assert not out.exists()
 
 
-def test_multimode_with_no_sampled_trials_keeps_the_uniform_row(capsys):
-    code, payload = run_json(
-        capsys,
-        ["multimode", '{"modes":2,"amps":[{"occ":[1,1],"c":[1,0]}]}', "--trials", "0"],
-    )
-    assert code == 0
-    assert payload["lower_bound"] == 3
+def test_multimode_has_no_trials_option(capsys):
+    # the candidate set is fixed: the uniform row and multimode.TRIALS Gaussian rows
+    with pytest.raises(SystemExit) as exc:
+        main(["multimode", '{"modes":2,"amps":[{"occ":[1,1],"c":[1,0]}]}', "--trials", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "--trials" in err
 
 
 @pytest.mark.parametrize(
@@ -348,22 +346,27 @@ _DESCRIPTORS = st.one_of(
 )
 
 
+_WIDE_COUNT = st.integers(-3, 12) | st.sampled_from([10**400, -10**400])
+
+
 @settings(max_examples=200, deadline=None)
-@given(_DESCRIPTORS)
-def test_cli_never_leaks_a_traceback(descriptor):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(["bound", json.dumps(descriptor), "--r", "1", "--method", "plain",
-                     "--n-max", "2"])
-    assert code in (0, 2, 3, 4)
-    assert "Traceback" not in err.getvalue()
-    # the optimized search at N = 1, 2, whose secant divides by tails and sigma
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code = main(["bound", json.dumps(descriptor), "--r", "1", "--n-max", "2"])
-    assert code in (0, 2, 3, 4)
-    assert "Traceback" not in err.getvalue()
+@given(_DESCRIPTORS, _WIDE_COUNT, _WIDE_COUNT, st.sampled_from(["plain", "optimized", "analytic"]))
+@example({"type": "fock", "n": 2}, 1, 2, "plain")
+@example({"type": "squeezed", "r": 0.5}, 1, 2, "optimized")
+@example({"type": "fock", "n": 2}, 10**400, 3, "plain")
+@example({"type": "fock", "n": 2}, 2, 10**400, "optimized")
+@example({"type": "fock", "n": 2}, 2, -10**400, "analytic")
+def test_cli_never_leaks_a_traceback(descriptor, r, n_max, method):
+    # the optimized search at N = 1, 2 divides by tails and sigma in its secant
+    state = json.dumps(descriptor)
+    for argv in (["bound", state, "--r", str(r), "--method", method, "--n-max", str(n_max)],
+                 ["certify", state, "--eps", "0.1", "--n-max", str(n_max)]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
 
 
 _COUNT = st.integers(-3, 40) | _SMALL_JSON
@@ -423,16 +426,16 @@ _MULTIMODE = st.integers(1, 4).flatmap(_multimode_core) | st.fixed_dictionaries(
 
 
 @settings(max_examples=200, deadline=None)
-@given(_MULTIMODE, st.integers(-2, 3))
+@given(_MULTIMODE, st.integers(0, 3) | st.sampled_from([10**400, -10**400]))
 @example({"modes": 2, "amps": [{"occ": [1, 1], "c": [0.5, 0.0]}]}, 0)
 @example({"modes": 1, "amps": [{"occ": [0], "c": [0.6, 0]}, {"occ": [2], "c": [0, 0.8]}]}, 3)
 @example({"modes": 3, "amps": [{"occ": [0, 0, 0], "c": [1, 0]}]}, 1)
-def test_multimode_never_leaks_a_traceback(descriptor, trials):
+def test_multimode_never_leaks_a_traceback(descriptor, seed):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            code = main(["multimode", json.dumps(descriptor), "--trials", str(trials)])
-        except SystemExit as exc:  # argparse reads a negative number as an option
+            code = main(["multimode", json.dumps(descriptor), "--seed", str(seed)])
+        except SystemExit as exc:  # argparse reads a state such as "-Infinity" as an option
             code = exc.code
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
@@ -912,3 +915,137 @@ def test_certificates_keep_their_bytes(tmp_path, capsys, name):
     capsys.readouterr()
     assert main(["bound", "--check", str(path)]) == 0
     assert capsys.readouterr().out.startswith("certificate OK")
+
+
+# `multimode` payloads, manifest removed, as it wrote them while `--trials` was
+# still a flag (at its default of 64): the README example and six cores of the
+# bridge workload's ones, tensor and core forms at 2-4 modes, at their seeds.
+PINNED_MULTIMODE = {
+    "readme": (
+        {"amps": [{"c": [1, 0], "occ": [1, 1]}], "modes": 2},
+        [],
+        {"abs_d_n_sq": 0.5000000000000001,
+         "d_n": [0.7071067811865476, 0.0],
+         "hankel_threshold": 0.006944444444444444,
+         "lower_bound": 3,
+         "reduction_amplitudes": [[0.0, 0.0], [0.0, 0.0], [0.7071067811865476, 0.0]],
+         "unitary": [[[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]],
+                     [[0.7071067811865475, 0.0], [-0.7071067811865475, 0.0]]]}),
+    "ones-2": (
+        {"amps": [{"c": [1.0, 0.0], "occ": [1, 1]}], "modes": 2},
+        ["--seed", "1866217508"],
+        {"abs_d_n_sq": 0.5000000000000001,
+         "d_n": [0.7071067811865476, 0.0],
+         "hankel_threshold": 0.006944444444444444,
+         "lower_bound": 3,
+         "reduction_amplitudes": [[0.0, 0.0], [0.0, 0.0], [0.7071067811865476, 0.0]],
+         "unitary": [[[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]],
+                     [[0.7071067811865475, 0.0], [-0.7071067811865475, 0.0]]]}),
+    "ones-4": (
+        {"amps": [{"c": [1.0, 0.0], "occ": [1, 1, 1, 1]}], "modes": 4},
+        ["--seed", "248819508"],
+        {"abs_d_n_sq": 0.09375000000000001,
+         "d_n": [0.3061862178478973, 0.0],
+         "hankel_threshold": 5.580357142857145e-06,
+         "lower_bound": 5,
+         "reduction_amplitudes": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                                  [0.3061862178478973, 0.0]],
+         "unitary": [[[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0]],
+                     [[0.8660254037844388, 0.0], [-0.2886751345948129, 0.0],
+                      [-0.2886751345948129, 0.0], [-0.2886751345948129, 0.0]],
+                     [[1.1792433787234476e-17, 0.0], [0.8164965809277259, 0.0],
+                      [-0.40824829046386296, 0.0], [-0.40824829046386296, 0.0]],
+                     [[-1.1408696328308086e-17, 0.0], [1.783469463991585e-17, 0.0],
+                      [0.7071067811865475, 0.0], [-0.7071067811865476, 0.0]]]}),
+    "tensor-3": (
+        {"amps": [{"c": [1.0, 0.0], "occ": [1, 2, 1]}], "modes": 3},
+        ["--seed", "563313609"],
+        {"abs_d_n_sq": 0.18720096774513204,
+         "d_n": [-0.43160769157483136, -0.03026166417395546],
+         "hankel_threshold": 1.1142914746734058e-05,
+         "lower_bound": 5,
+         "reduction_amplitudes": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                                  [-0.43160769157483136, -0.03026166417395546]],
+         "unitary": [[[0.42393260187763293, 0.2771912880252953],
+                      [0.019881678048647405, -0.6967777697526828],
+                      [0.42831627560868724, -0.2722072104358893]],
+                     [[0.8622332276757478, -5.4108459556276746e-18],
+                      [0.21422537433194963, 0.34897500020877614],
+                      [-0.12308011622435445, 0.2715310006310181]],
+                     [[-1.6030869864476783e-17, -6.977377407630687e-18],
+                      [-0.32974020410446503, 0.4875456845006565],
+                      [0.8084371362832932, 1.4046231666168463e-17]]]}),
+    "tensor-4": (
+        {"amps": [{"c": [1.0, 0.0], "occ": [0, 3, 1, 1]}], "modes": 4},
+        ["--seed", "1316414565"],
+        {"abs_d_n_sq": 0.1007652232226061,
+         "d_n": [-0.047511683701956554, -0.3138596232942545],
+         "hankel_threshold": 2.7768194230215506e-07,
+         "lower_bound": 6,
+         "reduction_amplitudes": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                                  [-0.047511683701956554, -0.3138596232942545]],
+         "unitary": [[[0.0849888962056721, 0.22999649979755857],
+                      [0.15900254963265842, 0.6503087060491012],
+                      [0.09485029826029585, -0.41224406129357405],
+                      [-0.188086887897214, 0.526665786907527]],
+                     [[0.9694733093812398, 1.9179501322293887e-18],
+                      [-0.16821729467769056, -0.01928778138058022],
+                      [0.08948515463649097, 0.05864153637978114],
+                      [-0.10845681829634135, -0.09079163801726081]],
+                     [[-8.536732871604132e-19, 3.356525489626055e-18],
+                      [0.2991700021811463, -0.15044536589251445],
+                      [0.8997843253573686, -1.4477788928186447e-17],
+                      [0.27782699654847726, 0.032616399348147064]],
+                     [[1.5248870174848716e-17, -1.9775235846852707e-17],
+                      [-0.535268497694404, 0.3528439263472843],
+                      [-5.105211496437989e-17, 7.851285780071901e-18],
+                      [0.767456056732767, -1.5202723395198563e-18]]]}),
+    "core-2": (
+        {"amps": [{"c": [0.45239580271155294, -0.39894562376147386], "occ": [1, 0]},
+                  {"c": [-0.6094033725331992, 0.49553517055496954], "occ": [1, 2]},
+                  {"c": [-0.1348052424155394, 0.03286937596069641], "occ": [2, 1]}],
+         "modes": 2},
+        ["--seed", "1618157079"],
+        {"abs_d_n_sq": 0.3489546478741873,
+         "d_n": [0.38910622137693496, 0.44446709255011324],
+         "hankel_threshold": 0.0002841988749928327,
+         "lower_bound": 4,
+         "reduction_amplitudes": [[0.0, 0.0], [-0.3013396176194648, 0.19139510514734082],
+                                  [0.0, 0.0], [0.38910622137693496, 0.44446709255011324]],
+         "unitary": [[[-0.5845782733421718, -0.0924408195166691],
+                      [-0.6195193682444717, -0.5156730452460575]],
+                     [[0.8060539294757961, 7.623383306656762e-18],
+                      [-0.5084359575817866, -0.30293553739124107]]]}),
+    "core-3": (
+        {"amps": [{"c": [-0.8093766923655596, -0.12603858364123244], "occ": [1, 0, 0]},
+                  {"c": [-0.5639364312238389, 0.063779896632547], "occ": [1, 2, 1]},
+                  {"c": [-0.05217557371897802, 0.06487818678304552], "occ": [3, 0, 1]}],
+         "modes": 3},
+        ["--seed", "629145196"],
+        {"abs_d_n_sq": 0.06449223325554194,
+         "d_n": [0.05014645196564475, 0.2489529405546342],
+         "hankel_threshold": 2.6490181524606967e-06,
+         "lower_bound": 5,
+         "reduction_amplitudes": [[0.0, 0.0], [-0.4306019269006333, 0.17335584829554404],
+                                  [0.0, 0.0], [0.0, 0.0],
+                                  [0.05014645196564475, 0.2489529405546342]],
+         "unitary": [[[0.48685715292713394, -0.28999925065802473],
+                      [-0.36320620289974426, 0.5447166060502654],
+                      [0.33420767376353366, 0.37221076197131475]],
+                     [[-0.06325352540780377, 0.32121130072976073],
+                      [-0.093964756723202, -0.36637212889441845],
+                      [0.8658893575222534, -1.802557558868418e-17]],
+                     [[0.7561037224273195, 5.284227641886632e-18],
+                      [0.5905753379414234, -0.2820069700325235],
+                      [-6.5787619872276556e-18, 7.460580530269175e-18]]]}),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_MULTIMODE))
+def test_multimode_payloads_keep_their_bytes(capsys, name):
+    descriptor, flags, pinned = PINNED_MULTIMODE[name]
+    code, payload = run_json(capsys, ["multimode", json.dumps(descriptor), *flags])
+    assert code == 0
+    del payload["manifest"]
+    assert json.dumps(payload, indent=2, sort_keys=True) == json.dumps(pinned, indent=2,
+                                                                        sort_keys=True)

@@ -77,7 +77,7 @@ def test_hankel_structure_random_state():
 def test_two_coherent_terms_have_rank_two():
     psi = k_term_state([0.9, -0.4 + 0.6j], [1.0, 0.8], cutoff=10)
     bundle = hankel_matrix(psi, 5, 1.0)
-    assert numerical_rank(bundle, 1e-10) == 2
+    assert numerical_rank(bundle) == 2
 
 
 def test_cutoff_too_small_rejected():
@@ -167,8 +167,6 @@ def test_numerical_rank_cases():
     assert numerical_rank(hankel_matrix(psi, 8, 1.0)) == 3
     zero = FockVector(np.zeros(9, dtype=complex), 8)
     assert numerical_rank(hankel_matrix(zero, 4, 1.0)) == 0
-    with pytest.raises(ValueError):
-        numerical_rank(hankel_matrix(zero, 4, 1.0), rel_tol=2.0)
 
 
 def frobenius_norm_sq(psi: FockVector, N: int, b: float = 1.0) -> float:

@@ -266,7 +266,7 @@ def test_block_split_scoring_picks_the_same_row(monkeypatch):
     rng = np.random.default_rng(41)
     cores = [_random_core(rng, int(rng.integers(2, 6)), 5, int(rng.integers(1, 7)))
              for _ in range(20)]
-    expected = [bunching_row(core, trials=40, seed=i) for i, core in enumerate(cores)]
+    expected = [bunching_row(core, seed=i) for i, core in enumerate(cores)]
     calls = []
     evaluate = multimode.reduction_amplitudes
 
@@ -277,13 +277,15 @@ def test_block_split_scoring_picks_the_same_row(monkeypatch):
     monkeypatch.setattr(multimode, "reduction_amplitudes", recording)
     monkeypatch.setattr(multimode, "_BLOCK_ENTRIES", 12)
     for i, (core, want) in enumerate(zip(cores, expected)):
-        assert np.array_equal(bunching_row(core, trials=40, seed=i), want)
+        assert np.array_equal(bunching_row(core, seed=i), want)
     assert len(calls) > 4 * len(cores)
     assert all(rows <= max(1, 12 // monomials) for rows, monomials in calls)
 
 
 def _scripted_scores(monkeypatch, scores):
-    """Make the evaluator score candidate i as scores[i], in candidate order."""
+    """Make the evaluator score candidate i as scores[i], in candidate order,
+    and every candidate past the list 0."""
+    scores = list(scores) + [0.0] * (multimode.TRIALS + 1 - len(scores))
     seen = []
 
     def scripted(core, rows):
@@ -304,15 +306,15 @@ def test_earliest_row_in_the_tie_band_of_the_best_wins(monkeypatch, block):
     core = tensor_fock([1, 1])
     monkeypatch.setattr(multimode, "_BLOCK_ENTRIES", block)
     seen = _scripted_scores(monkeypatch, scores)
-    u = bunching_row(core, trials=len(scores) - 1, seed=0)
-    assert len(seen) == len(scores)
+    u = bunching_row(core, seed=0)
+    assert len(seen) == multimode.TRIALS + 1
     assert np.array_equal(u, seen[1])
 
 
 def test_a_vanishing_top_sector_exits_as_a_numerical_failure(monkeypatch):
     _scripted_scores(monkeypatch, [0.0, 1e-15, 0.0])
     with pytest.raises(NumericalFailure, match="retry with a different seed"):
-        bunching_row(tensor_fock([1, 1]), trials=2, seed=0)
+        bunching_row(tensor_fock([1, 1]), seed=0)
 
 
 def test_single_mode_core_takes_the_uniform_row():
@@ -333,11 +335,11 @@ def test_multimode_lower_bound_evaluates_once_per_block_and_once_to_reduce(monke
 
     monkeypatch.setattr(multimode, "reduction_amplitudes", recording)
     core = MultimodeFockState(3, {(1, 0, 0): 0.5, (2, 1, 1): 0.5, (0, 3, 1): 0.5j})
-    multimode_lower_bound(core, trials=64, seed=1)
+    multimode_lower_bound(core, seed=1)
     assert calls == [65, 1]
     calls.clear()
     monkeypatch.setattr(multimode, "_BLOCK_ENTRIES", 3 * 20)  # 20 rows of 3 monomials
-    multimode_lower_bound(core, trials=64, seed=1)
+    multimode_lower_bound(core, seed=1)
     assert calls == [20, 20, 20, 5, 1]
 
 
