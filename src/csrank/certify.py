@@ -5,7 +5,9 @@ guarantee: any eps < t implies the eps-approximate coherent state rank
 exceeds r.  Finite coherent rank shows up numerically as saturation of the
 Hankel rank when the truncation parameter N grows; states whose rescaled
 amplitudes obey no linear recurrence (e.g. squeezed vacua) stay full rank
-for every N.
+for every N.  No function here defaults the truncation N_max: ``certify_rank``
+takes a ``SearchConfig`` and ``bound_certificate`` an int, which the CLI's
+``--n-max`` supplies (10 for ``certify``, max(r, 10) for ``bound``).
 """
 
 import math
@@ -139,21 +141,16 @@ def check_epsilon(epsilon: float) -> None:
 
 
 def certify_rank(
-    psi: FockVector,
-    epsilon: float,
-    cfg: SearchConfig | None = None,
-    state_descriptor: dict | None = None,
+    psi: FockVector, epsilon: float, cfg: SearchConfig, state_descriptor: dict | None = None
 ) -> BoundCertificate:
     """Largest r whose optimized bound exceeds epsilon, i.e. kappa_eps >= r+1.
 
-    One search gives the bound for every r = 1..N_max.  The bound is
+    One search gives the bound for every r = 1..cfg.N_max.  The bound is
     non-increasing in r (the singular-value tail shrinks), so the upward
     selection stops at the first failure.  Returns r = 0 with a zero
     threshold when not even r = 1 is certified.
     """
     check_epsilon(epsilon)
-    if cfg is None:
-        cfg = SearchConfig()
     n_max = cfg.resolve_n_max(psi.cutoff)
     bounds = optimized_bounds(psi, range(1, n_max + 1), cfg)
 
@@ -169,18 +166,17 @@ def _optimized_certificate(descriptor, r: int, res) -> BoundCertificate:
     return BoundCertificate(descriptor, r, value, "optimized", N, b)
 
 
-def bound_certificate(descriptor, r: int, method: str, n_max, load_state) -> BoundCertificate:
+def bound_certificate(descriptor, r: int, method: str, n_max: int, load_state) -> BoundCertificate:
     """The certificate ``bound --method`` writes for kappa_eps > r: ``analytic``
     by the closed form at r = n, building no state; ``plain`` (b = 1, ties to
-    the smallest N) and ``optimized`` by the search of N = max(r, 1)..n_max
-    (max(r, 10) if None) on ``load_state(descriptor, n_max)``.  Every method
-    refuses an n_max below max(r, 1)."""
-    if method == "analytic":
-        if n_max is not None:
-            check_searchable(r, n_max)
-        return BoundCertificate(descriptor, r, fock_analytic_threshold(r), "analytic_fock", r, 1.0)
-    n_max = max(r, 10) if n_max is None else n_max
+    the smallest N) and ``optimized`` by the search of N = max(r, 1)..n_max on
+    ``load_state(descriptor, n_max)``.  Every method refuses a negative r
+    first, then an n_max below max(r, 1)."""
+    if r < 0:
+        raise ValueError("r must be non-negative")
     check_searchable(r, n_max)
+    if method == "analytic":
+        return BoundCertificate(descriptor, r, fock_analytic_threshold(r), "analytic_fock", r, 1.0)
     psi = load_state(descriptor, n_max)
     if method == "optimized":
         res = optimized_bound(psi, r, SearchConfig(N_max=n_max))
@@ -212,8 +208,7 @@ def recurrence_order(psi: FockVector, N_max: int) -> RecurrenceReport:
         raise ValueError(f"cutoff {psi.cutoff} < 2 N_max = {2 * N_max}")
     check_hankel_size(N_max)
     ranks = tuple(
-        (N, numerical_rank(hankel_matrix(psi, N, 1.0)))
-        for N in range(1, N_max + 1)
+        (N, numerical_rank(hankel_matrix(psi, N)[1])) for N in range(1, N_max + 1)
     )
     tail = [rank for _, rank in ranks[-3:]]
     saturated = (

@@ -108,7 +108,8 @@ def cmd_bound(args, descriptor):
         raise ValueError("--r is required")
     if args.eps is not None:
         check_epsilon(args.eps)
-    cert = bound_certificate(descriptor, args.r, args.method, args.n_max, _load_state)
+    n_max = max(args.r, 10) if args.n_max is None else args.n_max
+    cert = bound_certificate(descriptor, args.r, args.method, n_max, _load_state)
     payload = cert.to_dict()
     if args.eps is not None:
         payload["certifies"] = bool(args.eps < cert.epsilon_threshold)

@@ -10,11 +10,14 @@ any eps below
 implies the state is not eps-approximable by r coherent states.  Here
 m_n = n+1 for n <= N and 2N-n+1 for N < n <= 2N counts the (i, j) pairs
 with i+j = n.  Factorials and b powers are handled in the log domain: the
-matrix is stored with a global scale factored out (scale_exponent) and the
+matrix is stored with a global scale factored out (its log, ``scale``) and the
 bound values are re-exponentiated only at the end.  Every matrix comes from
 ``_spectra`` out of the b-independent ``_Plan`` of its (state, N), built once
 per search and N, over the tables that depend on N alone (``_tables``, built
-once per process), and every bound from ``_threshold``.
+once per process), and every bound from ``_threshold``.  The truncation
+N_max has no default in the library: every search takes a ``SearchConfig``
+(the CLI's ``--n-max`` defaults to 10 for ``certify`` and max(r, 10) for
+``bound``).
 
 Each sigma_l(H_{N,b}) is non-decreasing in b and sigma_l(H_{N,b}) / b^{2N}
 is non-increasing: for b' <= b, H_{N,b'} = D H_{N,b} D with D = diag((b'/b)^i)
@@ -57,41 +60,25 @@ def check_hankel_size(N: int) -> None:
 
 
 @dataclass(frozen=True)
-class HankelBundle:
-    """A rescaled Hankel matrix with its singular values.
-
-    ``matrix`` holds the entries divided by e^{scale_exponent};
-    ``singular_values`` belong to the stored (scaled) matrix, so the true
-    singular values are singular_values * e^{scale_exponent}.
-    """
-
-    matrix: np.ndarray
-    N: int
-    b: float
-    singular_values: np.ndarray
-    scale_exponent: float
-
-
-@dataclass(frozen=True)
 class SearchConfig:
     """Search space for the optimized bound: N <= N_max and every b > 0.
 
-    ``N_max`` must be non-negative; ``None`` resolves to min(20, cutoff // 2)
-    per state.
+    ``N_max`` must be non-negative and has no default here: the CLI's
+    ``--n-max`` supplies it.
     """
 
-    N_max: int | None = None
+    N_max: int
 
     def __post_init__(self):
-        if self.N_max is not None and self.N_max < 0:
+        if self.N_max < 0:
             raise ValueError(f"N_max must be non-negative, got {self.N_max}")
 
     def resolve_n_max(self, cutoff: int) -> int:
-        n_max = min(20, cutoff // 2) if self.N_max is None else self.N_max
-        if 2 * n_max > cutoff:
-            raise ValueError(f"cutoff {cutoff} too small for N_max {n_max}")
-        check_hankel_size(n_max)
-        return n_max
+        """N_max, once a state of this cutoff and one SVD block hold H_{N_max}."""
+        if 2 * self.N_max > cutoff:
+            raise ValueError(f"cutoff {cutoff} too small for N_max {self.N_max}")
+        check_hankel_size(self.N_max)
+        return self.N_max
 
 
 def check_searchable(r: int, n_max: int) -> None:
@@ -167,15 +154,16 @@ def _spectra(plan: _Plan, log_b: np.ndarray, vectors: bool = False):
     return matrices, np.linalg.svd(matrices, compute_uv=vectors), scale
 
 
-def hankel_matrix(psi: FockVector, N: int, b: float = 1.0) -> HankelBundle:
-    """Build H_{N,b}(psi) and its singular values (the one-b view of _spectra)."""
+def hankel_matrix(psi: FockVector, N: int, b: float = 1.0):
+    """(matrix, singular_values, scale) of H_{N,b}(psi), the one-b slice of
+    _spectra: the matrix is stored divided by e^scale and the singular values
+    are its own, so the true ones are singular_values * e^scale."""
     matrices, sigma, scale = _spectra(_Plan(psi, N), _log_b([b]))
-    return HankelBundle(matrices[0], N, float(b), sigma[0], float(scale[0]))
+    return matrices[0], sigma[0], scale[0]
 
 
-def numerical_rank(bundle: HankelBundle) -> int:
-    """Number of singular values above DEFAULT_RANK_TOL * sigma_1 (0 for a zero matrix)."""
-    s = bundle.singular_values
+def numerical_rank(s: np.ndarray) -> int:
+    """Number of singular values s above DEFAULT_RANK_TOL * s[0] (0 for a zero matrix)."""
     if len(s) == 0 or s[0] == 0:
         return 0
     return int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
@@ -364,10 +352,10 @@ def _search(plan: _Plan, rs: list) -> list:
     return [(0.0, v[-1]) if v[-1] > found[k][1] else found[k] for k, v in enumerate(columns)]
 
 
-def optimized_bounds(psi: FockVector, rs, cfg: SearchConfig | None = None) -> dict:
+def optimized_bounds(psi: FockVector, rs, cfg: SearchConfig) -> dict:
     """{r: OptimizedBound} maximizing the rescaled bound over (b, N), for r in ``rs``.
 
-    The N search is exhaustive on [max(r, 1), N_max].  For b' <= b,
+    The N search is exhaustive on [max(r, 1), cfg.N_max].  For b' <= b,
     H_{N,b'} = D H_{N,b} D with D = diag((b'/b)^i) and ||D||_2 = 1, so each
     sigma_l(H_{N,b}) is non-decreasing in b (Horn & Johnson, Topics in Matrix
     Analysis, 3.3: sigma_l(AXB) <= ||A||_2 sigma_l(X) ||B||_2); the same
@@ -402,8 +390,6 @@ def optimized_bounds(psi: FockVector, rs, cfg: SearchConfig | None = None) -> di
     sometimes drop that factor and report a threshold twice as large; the
     conservative value is certified here.
     """
-    if cfg is None:
-        cfg = SearchConfig()
     rs = sorted(set(rs))
     if not rs:
         return {}
@@ -422,6 +408,6 @@ def optimized_bounds(psi: FockVector, rs, cfg: SearchConfig | None = None) -> di
     return best
 
 
-def optimized_bound(psi: FockVector, r: int, cfg: SearchConfig | None = None) -> OptimizedBound:
+def optimized_bound(psi: FockVector, r: int, cfg: SearchConfig) -> OptimizedBound:
     """The optimized bound at one r (the one-r view of optimized_bounds)."""
     return optimized_bounds(psi, [r], cfg)[r]

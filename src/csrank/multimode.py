@@ -36,6 +36,7 @@ from .fock import (
 )
 from .hankel import plain_bound
 
+# Largest max |U^H U - I| check_unitary accepts, and a bunching row's norm slack past 1.
 UNITARY_TOL = 1e-10
 
 # Desk-scale limits of the exact evolution; multimode_lower_bound keeps them too.
@@ -122,12 +123,12 @@ def multimode_from_descriptor(descriptor: dict) -> MultimodeFockState:
     return MultimodeFockState(modes, amps)
 
 
-def check_unitary(U: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+def check_unitary(U: np.ndarray) -> np.ndarray:
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError("unitary must be a square matrix")
     defect = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))
-    if defect > tol:
+    if defect > UNITARY_TOL:
         raise ValueError(f"matrix is not unitary: max |U^H U - I| = {defect:.3e}")
     return U
 

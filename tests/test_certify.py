@@ -46,13 +46,13 @@ def test_plain_bound_agrees_with_analytic(n):
 
 
 def test_certify_fock1():
-    cert = certify_rank(fock_state(1, 20), 0.1)
+    cert = certify_rank(fock_state(1, 20), 0.1, SearchConfig(N_max=10))
     assert cert.r == 1
     assert cert.epsilon_threshold == pytest.approx(0.25, rel=1e-9)
 
 
 def test_certify_coherent_returns_zero():
-    cert = certify_rank(coherent_state(1.0), 1e-6)
+    cert = certify_rank(coherent_state(1.0), 1e-6, SearchConfig(N_max=7))
     assert cert.r == 0
     assert cert.epsilon_threshold == 0.0
 
@@ -65,9 +65,9 @@ def test_certify_squeezed():
 
 def test_certify_epsilon_range():
     with pytest.raises(ValueError):
-        certify_rank(fock_state(1, 20), 0.0)
+        certify_rank(fock_state(1, 20), 0.0, SearchConfig(N_max=10))
     with pytest.raises(ValueError):
-        certify_rank(fock_state(1, 20), 1.0)
+        certify_rank(fock_state(1, 20), 1.0, SearchConfig(N_max=10))
 
 
 def test_certify_monotone_in_epsilon():
@@ -156,7 +156,7 @@ def test_recurrence_preconditions():
 
 def analytic(n):
     """The certificate ``bound --method analytic`` writes for |n>; it builds no state."""
-    return bound_certificate({"type": "fock", "n": n}, n, "analytic", None, None)
+    return bound_certificate({"type": "fock", "n": n}, n, "analytic", max(n, 10), None)
 
 
 def test_certificate_serialization_and_validation():
@@ -245,8 +245,18 @@ def test_bound_certificate_issues_each_method():
     values = [plain_bound(psi, 2, N) for N in range(2, 7)]
     best = max(values)
     assert (plain.epsilon_threshold, plain.N, plain.b) == (best, 2 + values.index(best), 1.0)
-    optimized = bound_certificate(fock2, 2, "optimized", None, load)
+    optimized = bound_certificate(fock2, 2, "optimized", 10, load)
     res = optimized_bound(psi, 2, SearchConfig(N_max=10))
     assert (optimized.epsilon_threshold, optimized.b, optimized.N) == res
-    assert calls == [6, 10]  # an n_max of None searches up to max(r, 10)
+    assert calls == [6, 10]
     assert bound_certificate(fock2, 2, "analytic", 6, None) == analytic(2)
+
+
+@pytest.mark.parametrize("method", ["plain", "optimized", "analytic"])
+@pytest.mark.parametrize("n_max", [-1, 10, 10**400])
+def test_bound_certificate_refuses_negative_r_before_anything_else(method, n_max):
+    def load(descriptor, N):
+        raise AssertionError("a negative r must be refused before a state is built")
+
+    with pytest.raises(ValueError, match="^r must be non-negative$"):
+        bound_certificate({"type": "fock", "n": 2}, -1, method, n_max, load)

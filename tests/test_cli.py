@@ -110,6 +110,23 @@ def test_certify_command(capsys):
     assert payload["kappa_eps_at_least"] == 2
 
 
+def test_n_max_defaults_to_10_for_certify_and_max_r_10_for_bound(capsys):
+    # cli.py alone holds these defaults: no library function has one
+    squeezed = '{"type":"squeezed","r":0.5}'
+    code, payload = run_json(capsys, ["certify", squeezed, "--eps", "1e-30"])
+    assert code == 0
+    assert (payload["r"], payload["parameters"]["N"]) == (10, 10)
+    code, payload = run_json(capsys, ["bound", squeezed, "--r", "12"])
+    assert code == 0
+    assert payload["parameters"]["N"] == 12
+
+
+@pytest.mark.parametrize("method", ["plain", "optimized", "analytic"])
+def test_negative_r_names_r_for_every_method(capsys, method):
+    assert main(["bound", '{"type":"fock","n":2}', "--r", "-1", "--method", method]) == 2
+    assert capsys.readouterr().err == "error: r must be non-negative\n"
+
+
 def test_b_range_is_a_usage_error(capsys):
     # the optimized bound is the maximum over every b > 0: there is no range to give
     for command in (["bound", "--r", "1"], ["certify", "--eps", "0.1"]):
