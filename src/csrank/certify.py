@@ -208,7 +208,7 @@ def recurrence_order(psi: FockVector, N_max: int) -> RecurrenceReport:
         raise ValueError(f"cutoff {psi.cutoff} < 2 N_max = {2 * N_max}")
     check_hankel_size(N_max)
     ranks = tuple(
-        (N, numerical_rank(hankel_matrix(psi, N)[1])) for N in range(1, N_max + 1)
+        (N, numerical_rank(hankel_matrix(psi, N, 1.0)[1])) for N in range(1, N_max + 1)
     )
     tail = [rank for _, rank in ranks[-3:]]
     saturated = (

@@ -80,12 +80,12 @@ def _parse_descriptor(raw: str) -> dict:
 
 
 def _load_state(descriptor: dict, n_max: int):
-    """The state for Hankel matrices up to N = n_max: an auto-chosen cutoff is
-    extended to 2 n_max, and an n_max past hankel.MAX_HANKEL_N exits 4."""
+    """The state for Hankel matrices up to N = n_max, an auto-chosen cutoff extended
+    to 2 n_max; an n_max past hankel.MAX_HANKEL_N exits 4 before any state is built."""
+    check_hankel_size(n_max)
     psi = state_from_descriptor(descriptor)
     if descriptor.get("cutoff") is None and psi.cutoff < 2 * n_max:
         psi = state_from_descriptor(dict(descriptor, cutoff=2 * n_max))
-    check_hankel_size(n_max)
     return psi
 
 

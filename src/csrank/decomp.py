@@ -69,6 +69,10 @@ _GRID_BLOCK_ENTRIES = 1 << 12
 MAX_RESTARTS = 1024
 MAX_STEP_ENTRIES = 1 << 23
 
+# Most nodes of a circle decomposition, whose system holds nodes^2 entries (16 MiB
+# of complex at the cap); checked before the system is built (exit 4 beyond).
+MAX_CIRCLE_NODES = 1024
+
 # Grid points best_single_coherent climbs from (the fewest an r = 1 fit
 # climbs), and the cap on each start's Newton steps.
 CANDIDATES = 4
@@ -119,6 +123,9 @@ def _circle_solve(core: FockVector, delta: float):
     n = core.highest_occupied()
     if n < 0:
         raise ValueError("core state must have a nonzero amplitude")
+    if n >= MAX_CIRCLE_NODES:
+        raise ResourceLimit(f"a circle decomposition takes at most {MAX_CIRCLE_NODES} nodes, "
+                            f"got {n + 1} for highest occupation {n}")
     k = np.arange(n + 1)
     omega = np.exp(2j * np.pi / (n + 1))
     alphas = delta * omega**k
@@ -140,10 +147,10 @@ def _circle_solve(core: FockVector, delta: float):
     if n == 0:
         # a weight-0 core state is itself coherent; no circle needed
         return CoherentSuperposition([(core.amplitudes[0], 0.0)]), 1.0, 0.0
-    row_scale = coherent_amplitudes(delta, n).real  # |delta>'s amplitudes are real
     # W[k, j] = omega^(j k); the raw matrix is diag(row_scale) @ W.
     W = omega ** np.outer(k, k)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        row_scale = coherent_amplitudes(delta, n).real  # |delta>'s amplitudes are real
         rhs = core.amplitudes[: n + 1] / row_scale
         rhs_norm = np.linalg.norm(rhs)
     if not np.isfinite(rhs_norm):  # the coefficients are as large as rhs
@@ -362,14 +369,8 @@ def minimize(t: np.ndarray, x0: np.ndarray, max_iters: int, reach: float) -> Cli
     return Climb(x, steps, stopped, nfev, int(steps.sum()), bool(stopped.all()))
 
 
-def fit_superposition(
-    target: FockVector,
-    r: int,
-    restarts: int = 16,
-    seed: int | None = None,
-    max_iters: int = 4000,
-    init_alphas=None,
-) -> FitResult:
+def fit_superposition(target: FockVector, r: int, restarts: int, seed: int | None,
+                      max_iters: int, init_alphas=None) -> FitResult:
     """Maximize fidelity with an r-term coherent superposition.
 
     ``init_alphas``, if given, is one more start: exactly r finite
@@ -382,12 +383,12 @@ def fit_superposition(
 
     At r >= 2, restart 0 starts from displacements on a small circle (the
     explicit-decomposition ansatz); later restarts perturb circle starts of
-    varying radius with seeded Gaussian noise.  The restarts and the warm
-    start climb together by minimize's safeguarded Newton steps on -log F,
-    handed the target on its own rows: each step scores on the rows its
-    displacements reach, at most the working cutoff.  A start's ``nit``
-    counts the steps it kept; it stops, converged, when no step lowers -log F
-    or the largest component of its gradient is at most GRAD_TOL, and
+    varying radius with Gaussian noise from default_rng(seed).  The restarts
+    and the warm start climb together by minimize's safeguarded Newton steps
+    on -log F, handed the target on its own rows: each step scores on the
+    rows its displacements reach, at most the working cutoff.  A start's
+    ``nit`` counts the steps it kept; it stops, converged, when no step lowers
+    -log F or the largest component of its gradient is at most GRAD_TOL, and
     unconverged after ``max_iters`` steps.
 
     The working cutoff keeps every coherent state of the search disk,

@@ -154,10 +154,10 @@ def _spectra(plan: _Plan, log_b: np.ndarray, vectors: bool = False):
     return matrices, np.linalg.svd(matrices, compute_uv=vectors), scale
 
 
-def hankel_matrix(psi: FockVector, N: int, b: float = 1.0):
-    """(matrix, singular_values, scale) of H_{N,b}(psi), the one-b slice of
-    _spectra: the matrix is stored divided by e^scale and the singular values
-    are its own, so the true ones are singular_values * e^scale."""
+def hankel_matrix(psi: FockVector, N: int, b: float):
+    """(matrix, singular_values, scale) of H_{N,b}(psi) at the caller's b, the
+    one-b slice of _spectra: the matrix is stored divided by e^scale and the
+    singular values are its own, so the true ones are singular_values * e^scale."""
     matrices, sigma, scale = _spectra(_Plan(psi, N), _log_b([b]))
     return matrices[0], sigma[0], scale[0]
 

@@ -206,11 +206,11 @@ def _complete_to_unitary(u: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-def bunching_row(core: MultimodeFockState, seed: int | None = None) -> np.ndarray:
+def bunching_row(core: MultimodeFockState, seed: int | None) -> np.ndarray:
     """First row u of a bunching unitary.  The candidates, the uniform row
-    (optimal for |1>^m) and then ``TRIALS`` seeded Gaussian rows, are scored
-    by |d_n(u)| in blocks of at most ``_BLOCK_ENTRIES`` (row, monomial) pairs;
-    the earliest within ``_TIE_RTOL`` relative of the best wins."""
+    (optimal for |1>^m) and ``TRIALS`` Gaussian rows from default_rng(seed), are
+    scored by |d_n(u)| in blocks of at most ``_BLOCK_ENTRIES`` (row, monomial)
+    pairs; the earliest within ``_TIE_RTOL`` relative of the best wins."""
     n, m = core.max_total, core.modes
     draw = np.random.default_rng(seed).standard_normal((TRIALS, 2, m))
     v = draw[:, 0] + 1j * draw[:, 1]
@@ -280,15 +280,13 @@ class MultimodeBoundReport:
     reduction: FockVector
 
 
-def multimode_lower_bound(
-    core: MultimodeFockState, seed: int | None = None
-) -> MultimodeBoundReport:
+def multimode_lower_bound(core: MultimodeFockState, seed: int | None) -> MultimodeBoundReport:
     """Rank lower bound max_total + 1 for a multimode core state.
 
-    The report carries a unitary completing the bunching row (its first row
-    U[0] is the row the reduction reads), the bunched amplitude d_n, and the
-    plain Hankel threshold of the single-mode reduction at r = max_total
-    (strictly positive exactly because d_n is nonzero).
+    The report carries a unitary completing bunching_row(core, seed) (its
+    first row U[0] is the row the reduction reads), the bunched amplitude d_n,
+    and the plain Hankel threshold of the single-mode reduction at r =
+    max_total (strictly positive exactly because d_n is nonzero).
     """
     _check_desk_scale(core)
     n = core.max_total

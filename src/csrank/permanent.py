@@ -110,8 +110,8 @@ def permanent_ryser(m) -> complex:
     return _ryser(m)
 
 
-def haar_unitary(n: int, seed=None) -> np.ndarray:
-    """Haar sample via QR of a Ginibre matrix with phase-fixed R diagonal."""
+def haar_unitary(n: int, seed: int | None) -> np.ndarray:
+    """Haar sample from default_rng(seed): QR of a Ginibre matrix, R's diagonal phase-fixed."""
     if n < 1:
         raise ValueError("need n >= 1")
     return _haar_stack(n, [seed])[0]
@@ -202,9 +202,10 @@ class PermanentBoundReport:
 
 
 def verify_permanent_bound(
-    modes: int, delta: float, trials: int = 100, seed: int = 0
+    modes: int, delta: float, trials: int, seed: int
 ) -> PermanentBoundReport:
-    """Check |Per(U) - e^{-i theta} F(U)| <= sqrt(2 delta_inf) on Haar samples.
+    """Check |Per(U) - e^{-i theta} F(U)| <= sqrt(2 delta_inf) on ``trials`` Haar
+    samples, trial i on haar_unitary(modes, seed + i).
 
     The decomposition is the tensor power of circle_decomposition(|1>, delta)
     over ``modes`` modes (see _odd_cat_power); delta_inf is its infidelity

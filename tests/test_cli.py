@@ -19,15 +19,19 @@ from hypothesis import strategies as st
 import csrank
 from csrank.certify import fock_analytic_threshold
 from csrank.cli import build_parser, main
-from csrank.decomp import MAX_RESTARTS
+from csrank.decomp import MAX_CIRCLE_NODES, MAX_RESTARTS, fit_superposition
 from csrank.fock import MAX_CUTOFF, fock_state, state_from_descriptor
 from csrank.hankel import (
     MAX_HANKEL_N,
     plain_bound,
     rescaled_bound,
 )
-from csrank.multimode import multimode_from_descriptor, reduction_amplitudes
-from csrank.permanent import MAX_TRIALS
+from csrank.multimode import (
+    multimode_from_descriptor,
+    multimode_lower_bound,
+    reduction_amplitudes,
+)
+from csrank.permanent import MAX_TRIALS, verify_permanent_bound
 
 
 def run_json(capsys, argv):
@@ -315,17 +319,14 @@ def test_multimode_has_no_trials_option(capsys):
     [
         ["bound", '{"type":"fock","n":1,"cutoff":%d}' % (MAX_CUTOFF + 1), "--r", "1"],
         ["bound", '{"type":"fock","n":%d}' % (MAX_CUTOFF + 1), "--r", "1"],
-        ["bound", '{"type":"fock","n":1}', "--r", "1", "--n-max", str(MAX_CUTOFF // 2 + 1)],
-        ["certify", '{"type":"squeezed","r":0.5}', "--eps", "0.1",
-         "--n-max", str(MAX_CUTOFF // 2 + 1)],
         ["bound", '{"type":"superposition","terms":[{"c":[1,0],"alpha":[1e300,0]}]}',
          "--r", "1"],
         ["bound", '{"type":"squeezed","r":4.6}', "--r", "1"],
         ["bound", '{"type":"superposition","terms":[{"c":[1,0],"alpha":[316,0]}]}',
          "--r", "1"],
     ],
-    ids=["explicit-cutoff", "fock-n", "bound-n-max", "certify-n-max", "huge-alpha",
-         "squeezed-auto-cutoff", "coherent-auto-cutoff"],
+    ids=["explicit-cutoff", "fock-n", "huge-alpha", "squeezed-auto-cutoff",
+         "coherent-auto-cutoff"],
 )
 def test_vectors_past_the_cutoff_cap_exit_4(capsys, argv):
     assert main(argv) == 4
@@ -509,6 +510,35 @@ def test_fit_without_a_seed_records_the_seed_that_reproduces_it(capsys):
     assert json.dumps(again, sort_keys=True) == json.dumps(first, sort_keys=True)
 
 
+def test_cli_defaults_are_pinned_and_agree_with_the_library(tmp_path, capsys):
+    # the library takes every run setting from its caller; only the CLI has defaults
+    fit_state = '{"type":"fock","n":1}'
+    code, fit = run_json(capsys, ["fit", fit_state, "--r", "1", "--seed", "0"])
+    assert code == 0
+    assert (fit["manifest"]["flags"]["restarts"], fit["manifest"]["flags"]["max_iters"]) == (
+        16, 4000)
+    want = fit_superposition(state_from_descriptor(json.loads(fit_state)), 1, 16, 0, 4000)
+    assert [(complex(*t["c"]), complex(*t["alpha"])) for t in fit["terms"]] == [
+        (t.c, t.alpha) for t in want.superposition.terms]
+
+    out = tmp_path / "per.csv"
+    assert main(["permanent", "--n", "4", "--delta", "0.1", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "per.csv.manifest.json").read_text())
+    assert (manifest["flags"]["trials"], manifest["flags"]["seed"]) == (100, 0)
+    rows = [(int(row["trial"]), int(row["seed"]), float(row["abs_permanent"]),
+             float(row["abs_formula"]), float(row["error"])) for row in csv.DictReader(out.open())]
+    assert rows == list(verify_permanent_bound(4, 0.1, 100, 0).trials)
+
+    # the README example, and a core whose bunching row depends on the seed
+    for descriptor in ('{"modes":2,"amps":[{"occ":[1,1],"c":[1,0]}]}',
+                       '{"modes":2,"amps":[{"occ":[2,1],"c":[1,0]}]}'):
+        code, payload = run_json(capsys, ["multimode", descriptor])
+        assert code == 0 and payload["manifest"]["flags"]["seed"] == 0
+        report = multimode_lower_bound(multimode_from_descriptor(json.loads(descriptor)), 0)
+        assert payload["unitary"] == [[[z.real, z.imag] for z in row]
+                                      for row in report.unitary.tolist()]
+
+
 def test_only_fitting_imports_scipy_optimize():
     # fitting was once the one command to load scipy.optimize; now every r climbs
     # by csrank's own Newton steps, so no step of this script may load it
@@ -595,7 +625,7 @@ def test_permanent_far_from_one_photon_names_delta_inf(capsys, delta):
     )
 
 
-@pytest.mark.parametrize("delta", ["30", "100"])
+@pytest.mark.parametrize("delta", ["30", "100", "1e+300"])
 def test_decompose_past_the_double_range_names_delta(capsys, delta):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -769,6 +799,43 @@ def test_fit_flags_never_leak_a_traceback(r, restarts):
         assert code == 0 and len(json.loads(out.getvalue())["terms"]) == r
 
 
+@settings(max_examples=200, deadline=None)
+@given(_DESCRIPTORS, _DELTA_ARGS)
+@example({"type": "fock", "n": 1}, "1e+300")  # coefficients past the double range
+@example({"type": "fock", "n": 3}, "1e-20")  # the nodes would merge
+@example({"type": "fock", "n": 2}, "1e-4")  # ill conditioned, still solved
+@example({"type": "core", "amps": [[0, 0], [0, 0]]}, "0.1")  # no nonzero amplitude
+@example({"type": "squeezed", "r": 4}, "0.5")  # 37,891 nodes: refused unbuilt
+def test_decompose_never_leaks_a_traceback(descriptor, delta):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.filterwarnings("ignore", "circle decomposition at delta=.* is severely "
+                                "ill conditioned", RuntimeWarning)
+        try:
+            code = main(["decompose", json.dumps(descriptor), "--delta", delta])
+        except SystemExit as exc:  # argparse refuses a junk number
+            code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert err.getvalue().startswith(("error: ", "usage: "))
+
+
+def test_decompose_past_the_node_cap_exits_4(capsys):
+    # squeezing r = 4 occupies Fock levels up to 37,890: a system of 1.4e9 entries
+    start = time.perf_counter()
+    assert main(["decompose", '{"type":"squeezed","r":4}', "--delta", "0.5"]) == 4
+    assert time.perf_counter() - start < 5.0  # refused before the system is built
+    assert capsys.readouterr().err == (f"error: a circle decomposition takes at most "
+                                       f"{MAX_CIRCLE_NODES} nodes, got 37891 for highest "
+                                       "occupation 37890\n")
+    n = MAX_CIRCLE_NODES - 1  # the largest core it takes
+    code, payload = run_json(capsys, ["decompose", '{"type":"fock","n":%d}' % n,
+                                      "--delta", "30"])
+    assert code == 0 and len(payload["terms"]) == MAX_CIRCLE_NODES
+
+
 def test_figure_right_endpoints(tmp_path):
     out = tmp_path / "right.csv"
     assert main(["figure", "--panel", "right", "--out", str(out)]) == 0
@@ -835,11 +902,27 @@ def test_analytic_bound_on_a_non_fock_state_names_the_rule(capsys):
         ["bound", '{"type":"fock","n":1}', "--r", "1", "--n-max", "1024"],
         ["certify", '{"type":"squeezed","r":0.5}', "--eps", "0.1", "--n-max", "1024"],
         ["bound", "--check", dict(CERT, parameters={"N": 1024, "b": 1.0})],
+        # an --n-max whose 2 n_max cutoff is past MAX_CUTOFF
+        ["bound", '{"type":"fock","n":1}', "--r", "1", "--n-max", str(MAX_CUTOFF // 2 + 1)],
+        ["certify", '{"type":"squeezed","r":0.5}', "--eps", "0.1",
+         "--n-max", str(MAX_CUTOFF // 2 + 1)],
+        # below it, where a state of cutoff 2 n_max used to be built first
+        ["certify", '{"type":"squeezed","r":0.5}', "--eps", "0.1", "--n-max", "40000"],
+        ["bound", '{"type":"superposition","terms":[{"c":[1,0],"alpha":[1,0]}]}', "--r", "1",
+         "--n-max", "49000"],
     ],
-    ids=["bound-plain", "bound-optimized", "certify", "check"],
+    ids=["bound-plain", "bound-optimized", "certify", "check", "bound-n-max", "certify-n-max",
+         "certify-n-max-40000", "bound-n-max-49000"],
 )
-def test_hankel_past_one_svd_block_exits_4(capsys, tmp_path, argv):
+def test_hankel_past_one_svd_block_exits_4(capsys, tmp_path, monkeypatch, argv):
     assert MAX_HANKEL_N == 1023
+    built = []
+
+    def recording(*args):
+        built.append(args)
+        return state_from_descriptor(*args)
+
+    monkeypatch.setattr("csrank.cli.state_from_descriptor", recording)
     path = tmp_path / "cert.json"
     for arg in argv:
         if isinstance(arg, dict):
@@ -850,6 +933,7 @@ def test_hankel_past_one_svd_block_exits_4(capsys, tmp_path, argv):
     assert time.perf_counter() - start < 5.0  # refused before any matrix is built
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(MAX_HANKEL_N) in err
+    assert built == []  # refused before any state is built
 
 
 def test_certify_certificate_checks_too(tmp_path, capsys):

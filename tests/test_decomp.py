@@ -87,19 +87,19 @@ def test_circle_invalid_delta():
 
 
 def test_fit_coherent_target_in_model_class():
-    res = fit_superposition(coherent_state(0.7), 1, seed=0)
+    res = fit_superposition(coherent_state(0.7), 1, restarts=16, seed=0, max_iters=4000)
     assert res.fidelity_achieved >= 1 - 1e-10
     assert res.superposition.terms[0].alpha == pytest.approx(0.7, abs=1e-4)
 
 
 def test_fit_fock1_single_term():
-    res = fit_superposition(fock_state(1, 12), 1, seed=0)
+    res = fit_superposition(fock_state(1, 12), 1, restarts=16, seed=0, max_iters=4000)
     assert res.fidelity_achieved == pytest.approx(math.exp(-1), abs=1e-9)
     assert abs(res.superposition.terms[0].alpha) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_fit_fock2_three_terms():
-    res = fit_superposition(fock_state(2, 12), 3, seed=1)
+    res = fit_superposition(fock_state(2, 12), 3, restarts=16, seed=1, max_iters=4000)
     assert 1 - res.fidelity_achieved <= 1e-4
     assert res.converged
     assert res.restarts_used == 16
@@ -108,7 +108,8 @@ def test_fit_fock2_three_terms():
 def test_fit_from_a_start_orthogonal_to_the_target_reports_fidelity_zero():
     # |0> is orthogonal to |3>: the least-squares coefficient is 0 and the
     # gradient vanishes, so the restart stays there with nothing fitted
-    res = fit_superposition(fock_state(3), 1, restarts=0, init_alphas=[0])
+    res = fit_superposition(fock_state(3), 1, restarts=0, seed=None, max_iters=4000,
+                            init_alphas=[0])
     assert res.fidelity_achieved == 0.0
     assert [rep.fidelity for rep in res.restarts] == [0.0]
 
@@ -117,7 +118,8 @@ def test_fit_from_a_start_orthogonal_to_the_target_reports_fidelity_zero():
                          ids=["three", "one", "nan"])
 def test_fit_refuses_a_warm_start_that_is_not_r_finite_displacements(init_alphas, capfd):
     with pytest.raises(ValueError, match=r"init_alphas must be exactly r=2 finite displacements"):
-        fit_superposition(fock_state(2, 12), 2, restarts=1, seed=0, init_alphas=init_alphas)
+        fit_superposition(fock_state(2, 12), 2, restarts=1, seed=0, max_iters=4000,
+                          init_alphas=init_alphas)
     assert capfd.readouterr().err == ""  # refused before LAPACK sees it
 
 
@@ -144,7 +146,7 @@ def test_fit_single_term_is_never_below_the_best_single_coherent_state(restarts)
 @pytest.mark.parametrize("restarts,max_iters", [(1, 600), (3, 2), (6, 1), (16, 4000)])
 def test_fit_single_term_reports_one_climb_per_start(restarts, max_iters):
     res = fit_superposition(core_state([0.6, 0.0, 0.8j], cutoff=12), 1, restarts=restarts,
-                            max_iters=max_iters)
+                            seed=None, max_iters=max_iters)
     assert res.restarts_used == len(res.restarts) == max(restarts, decomp.CANDIDATES)
     assert all(rep.nit <= min(max_iters, decomp.MAX_ASCENT_STEPS) for rep in res.restarts)
     if max_iters >= 600:
@@ -152,14 +154,14 @@ def test_fit_single_term_reports_one_climb_per_start(restarts, max_iters):
     fids = [rep.fidelity for rep in res.restarts]
     assert res.fidelity_achieved == pytest.approx(max(fids), abs=1e-12)
     warm = fit_superposition(core_state([0.6, 0.0, 0.8j], cutoff=12), 1, restarts=restarts,
-                             max_iters=max_iters, init_alphas=[0.3j])
+                             seed=None, max_iters=max_iters, init_alphas=[0.3j])
     assert warm.restarts_used == res.restarts_used + 1
     assert warm.restarts[:-1] == res.restarts
 
 
 def test_fit_rejects_r_zero():
     with pytest.raises(ValueError):
-        fit_superposition(fock_state(1, 8), 0)
+        fit_superposition(fock_state(1, 8), 0, restarts=16, seed=None, max_iters=4000)
 
 
 def test_fit_refuses_oversized_searches_before_allocating(monkeypatch):
@@ -180,15 +182,16 @@ def test_fit_refuses_oversized_searches_before_allocating(monkeypatch):
     ]
     for kwargs, message in refused:
         with pytest.raises(ResourceLimit, match=message):
-            fit_superposition(target, **kwargs)
+            fit_superposition(target, seed=None, max_iters=4000, **kwargs)
     # a long target: 16 starts and a warm start x 9 points x 2 columns x 50,001 rows
     with pytest.raises(ResourceLimit, match="with 17 starts builds 15300306 coherent"):
-        fit_superposition(fock_state(2, 50_000), 2, init_alphas=[0.5, -0.5])
+        fit_superposition(fock_state(2, 50_000), 2, restarts=16, seed=None, max_iters=4000,
+                          init_alphas=[0.5, -0.5])
 
 
 def test_fit_deterministic_per_seed():
-    a = fit_superposition(fock_state(1, 10), 2, seed=9, restarts=4)
-    b = fit_superposition(fock_state(1, 10), 2, seed=9, restarts=4)
+    a = fit_superposition(fock_state(1, 10), 2, seed=9, restarts=4, max_iters=4000)
+    b = fit_superposition(fock_state(1, 10), 2, seed=9, restarts=4, max_iters=4000)
     assert a.fidelity_achieved == b.fidelity_achieved
     assert np.array_equal(
         a.superposition.displacements(), b.superposition.displacements()
@@ -196,7 +199,7 @@ def test_fit_deterministic_per_seed():
 
 
 def test_fit_reported_fidelity_is_recomputable():
-    res = fit_superposition(fock_state(2, 14), 2, seed=4, restarts=6)
+    res = fit_superposition(fock_state(2, 14), 2, seed=4, restarts=6, max_iters=4000)
     approx = superposition_to_fock(res.superposition, cutoff=40)
     assert fidelity(fock_state(2, 40), approx) == pytest.approx(
         res.fidelity_achieved, abs=1e-10
@@ -205,10 +208,10 @@ def test_fit_reported_fidelity_is_recomputable():
 
 def test_fit_warm_start_never_hurts():
     target = core_state([0.6, 0.0, 0.8], cutoff=10)
-    base = fit_superposition(target, 2, seed=2, restarts=6)
+    base = fit_superposition(target, 2, seed=2, restarts=6, max_iters=4000)
     prev = base.superposition.displacements()
     warm = np.concatenate([prev, [prev.max() + 0.5]])
-    res = fit_superposition(target, 3, seed=2, restarts=6, init_alphas=warm)
+    res = fit_superposition(target, 3, seed=2, restarts=6, max_iters=4000, init_alphas=warm)
     assert res.fidelity_achieved >= base.fidelity_achieved - 1e-12
 
 
@@ -278,7 +281,7 @@ def test_fit_climbs_from_a_degenerate_warm_start(start, expected):
     # that no cutoff could hold (|alpha| > sqrt(MAX_CUTOFF)) is no error.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = fit_superposition(fock_state(2, 12), 2, restarts=0, max_iters=200,
+        res = fit_superposition(fock_state(2, 12), 2, restarts=0, seed=None, max_iters=200,
                                 init_alphas=start)
     assert res.fidelity_achieved == pytest.approx(expected, abs=1e-9)
 
@@ -338,12 +341,13 @@ def test_fit_on_each_steps_rows_matches_the_fit_on_the_working_cutoff(monkeypatc
     corpus = [(f"fock{n}", fock_state(n, 16)) for n in range(1, 13)]
     corpus += [(name, psi) for name, psi, _ in corpus_states()
                if name.startswith(("squeezed", "core"))][:18]
-    chosen = [fit_superposition(psi, r, restarts=restarts, seed=seed).fidelity_achieved
-              for _, psi in corpus]
+    chosen = [fit_superposition(psi, r, restarts=restarts, seed=seed,
+                                max_iters=4000).fidelity_achieved for _, psi in corpus]
     monkeypatch.setattr(decomp, "_step_cutoff",
                         lambda x, cutoff, reach: max(cutoff, decomp._reach_cutoff(reach)))
     for (name, psi), fid in zip(corpus, chosen):
-        fixed = fit_superposition(psi, r, restarts=restarts, seed=seed).fidelity_achieved
+        fixed = fit_superposition(psi, r, restarts=restarts, seed=seed,
+                                  max_iters=4000).fidelity_achieved
         assert abs(fid - fixed) <= 1e-15, name
 
 
@@ -356,7 +360,7 @@ def test_fit_on_each_steps_rows_matches_the_fit_on_the_working_cutoff(monkeypatc
 ], ids=["fock1-r2", "fock2-r3", "fock3-r4", "core2-r2", "core3-r3"])
 def test_fit_reaches_border_rank_targets(target, r):
     # each target is a limit of r-term superpositions (r = its top Fock level + 1)
-    res = fit_superposition(target, r, restarts=3, seed=7)
+    res = fit_superposition(target, r, restarts=3, seed=7, max_iters=4000)
     assert 1.0 - res.fidelity_achieved <= 1e-14
 
 
@@ -385,7 +389,7 @@ def test_fit_reports_every_restart(monkeypatch):
         return projection_fit(alphas, t)
 
     monkeypatch.setattr(decomp, "_projection_fit", recording_fit)
-    res = fit_superposition(fock_state(2, 12), 2, seed=3, restarts=4)
+    res = fit_superposition(fock_state(2, 12), 2, seed=3, restarts=4, max_iters=4000)
     assert len(res.restarts) == res.restarts_used == 4 == len(ends)
     fids = [rep.fidelity for rep in res.restarts]
     winner = res.restarts[min(range(4), key=lambda i: (-fids[i], ends[i]))]

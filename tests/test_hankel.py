@@ -679,7 +679,7 @@ def test_hankel_size_cap_refuses_before_building():
         lambda: hankel._Plan(psi, N),
         lambda: plain_bound(psi, 1, N),
         lambda: rescaled_bound(psi, 1, N, 0.5),
-        lambda: hankel_matrix(psi, N),
+        lambda: hankel_matrix(psi, N, 1.0),
         lambda: optimized_bound(psi, 1, SearchConfig(N_max=N)),
         lambda: certify_rank(psi, 0.1, SearchConfig(N_max=N)),
         lambda: recurrence_order(psi, N),
