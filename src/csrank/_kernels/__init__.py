@@ -16,6 +16,15 @@ the bit at any block size.  Each kernel takes one n x n matrix, giving a
 complex, or a (T, n, n) stack, giving a (T,) array from one pass over the
 stack's half-tables (O(T 2^{n/2} n + 2^15) memory); a block then spans several
 matrices wherever one matrix has fewer than 2^15 pairs.
+
+Each add broadcasts runs of 2^low entries, low the low half's bits, and numpy
+copies such an operand through its ufunc buffer (8192 entries by default) when
+the run is under half the buffer: at n = 18 that copy made the adds three
+quarters of kernel time.  So from low = _RUN_BITS on the blocks build with the
+buffer one run long, and the caller's size is put back on return or raise;
+shorter runs (Glynn to n = 9, Ryser to n = 8) add faster buffered and keep the
+caller's size.  Buffering only moves operands, so every sum keeps its bits.
+n = 18 on a 2-core x86-64 host: Glynn 8.9 -> 4.3 ms, Ryser 17.0 -> 7.8 ms.
 """
 
 from functools import lru_cache
@@ -26,6 +35,7 @@ import numpy as np
 BACKEND = "python"
 
 _BLOCK_BITS = 15
+_RUN_BITS = 5  # low halves this wide add unbuffered; narrower ones buffered
 
 
 @lru_cache(maxsize=None)
@@ -59,16 +69,21 @@ def _pattern_sum(m: np.ndarray, offset, signed: bool) -> np.ndarray:
     product = np.empty((min(per_block, count), step, 1 << low), dtype=complex)
     factor = np.empty(product.size + 40, dtype=complex)[40:].reshape(product.shape)
     sums = np.empty((count, hi.shape[2]), dtype=complex)  # [t, h] = sum over l
-    for t in range(0, count, per_block):
-        lo_t = lo[:, t : t + per_block]
-        p, f = product[: lo_t.shape[1]], factor[: lo_t.shape[1]]
-        for start in range(0, hi.shape[2], step):
-            h = hi[:, t : t + per_block, start : start + step]
-            np.add(lo_t[0], h[0], out=p)
-            for i in range(1, n):
-                np.add(lo_t[i], h[i], out=f)
-                p *= f
-            np.matmul(p, parity_lo, out=sums[t : t + per_block, start : start + step])
+    # One run of 2^low per buffer adds unbuffered; see the module docstring.
+    bufsize = np.setbufsize(1 << low if low >= _RUN_BITS else np.getbufsize())
+    try:
+        for t in range(0, count, per_block):
+            lo_t = lo[:, t : t + per_block]
+            p, f = product[: lo_t.shape[1]], factor[: lo_t.shape[1]]
+            for start in range(0, hi.shape[2], step):
+                h = hi[:, t : t + per_block, start : start + step]
+                np.add(lo_t[0], h[0], out=p)
+                for i in range(1, n):
+                    np.add(lo_t[i], h[i], out=f)
+                    p *= f
+                np.matmul(p, parity_lo, out=sums[t : t + per_block, start : start + step])
+    finally:
+        np.setbufsize(bufsize)
     return sums @ parity_hi
 
 

@@ -89,6 +89,9 @@ class BoundCertificate:
     def from_dict(cls, stored) -> "BoundCertificate":
         """Read a ``to_dict`` certificate; keys it does not write are ignored."""
         stored = object_field(stored, "certificate")
+        for key in ("state_descriptor", "r", "epsilon_threshold", "method"):
+            if key not in stored:
+                raise ValueError(f"certificate has no field {key!r}")
         params = object_field(stored.get("parameters") or {}, "parameters")
         n, b = params.get("N"), params.get("b")
         return cls(

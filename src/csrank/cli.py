@@ -233,6 +233,17 @@ def _run(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """The type of every --seed: an int that numpy's default_rng takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
+
+
 @functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -271,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="best-fit r-term coherent superposition")
     add_state(p)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--max-iters", type=int, default=4000, dest="max_iters")
     p.add_argument("--out")
@@ -292,13 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_permanent)
 
     p = sub.add_parser("multimode", help="multimode rank lower bound via bunching")
     add_state(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_multimode)
 

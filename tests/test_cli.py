@@ -175,6 +175,8 @@ ANALYTIC_CERT = {"state_descriptor": {"type": "fock", "n": 3}, "r": 3,
                  "parameters": {"N": 3, "b": 1.0}}
 
 
+# The fields a certificate cannot be read without.
+_CERT_FIELDS = ("state_descriptor", "r", "epsilon_threshold", "method")
 # The rule a malformed case's message must name, by case id, where one is pinned.
 _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
                        "certify-negative-n-max": "N_max must be non-negative",
@@ -197,7 +199,10 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
                        "analytic-negative-cutoff": "n=3 exceeds cutoff=-5",
                        "analytic-string-cutoff": "cutoff",
                        "analytic-negative-n-max": "needs N >= max(r, 1) = 2, past N_max=-1",
-                       "analytic-n-max-below-r": "needs N >= max(r, 1) = 2, past N_max=1"}
+                       "analytic-n-max-below-r": "needs N >= max(r, 1) = 2, past N_max=1",
+                       **{f"check-missing-{field}": f"certificate has no field '{field}'"
+                          for field in _CERT_FIELDS},
+                       "check-empty": "certificate has no field 'state_descriptor'"}
 
 
 @pytest.mark.parametrize(
@@ -252,6 +257,9 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
         ["bound", '{"type":"fock","n":2}', "--r", "2", "--eps", "-1"],
         ["bound", '{"type":"fock","n":2}', "--r", "2", "--eps", "nan"],
         ["bound", '{"type":"fock","n":2}', "--r", "2", "--eps", "1"],
+        *(["bound", "--check", {k: v for k, v in CERT.items() if k != field}]
+          for field in _CERT_FIELDS),
+        ["bound", "--check", {}],
     ],
     ids=["core-scalar-amps", "superposition-scalar-c", "multimode-scalar-c", "squeezed-huge-r",
          "fock-list-n", "core-scalar-amps-field", "squeezed-list-r", "fock-string-cutoff",
@@ -266,7 +274,8 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
          "analytic-negative-n-max", "analytic-n-max-below-r",
          "superposition-huge-c", "superposition-huge-norm", "superposition-merged-overflow",
          "certify-negative-n-max", "bound-r0-n-max-0", "bound-plain-r0-n-max-0",
-         "bound-eps-negative", "bound-eps-nan", "bound-eps-one"],
+         "bound-eps-negative", "bound-eps-nan", "bound-eps-one",
+         *(f"check-missing-{field}" for field in _CERT_FIELDS), "check-empty"],
 )
 def test_malformed_descriptor_values_exit_2(capsys, tmp_path, request, argv):
     # A non-string argument is a certificate, written to a file for --check.
@@ -282,6 +291,27 @@ def test_malformed_descriptor_values_exit_2(capsys, tmp_path, request, argv):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert _MALFORMED_MESSAGES.get(request.node.callspec.id, "") in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", '{"type":"fock","n":2}', "--r", "1", "--seed", "-1"],
+        ["fit", '{"type":"fock","n":2}', "--r", "2", "--seed", "-1"],
+        ["permanent", "--n", "4", "--delta", "0.1", "--trials", "2", "--seed", "-1"],
+        ["multimode", '{"modes":2,"amps":[{"occ":[1,1],"c":[1,0]}]}', "--seed", "-3"],
+    ],
+    ids=["fit-r1", "fit-r2", "permanent", "multimode"],
+)
+def test_negative_seed_is_a_usage_error_naming_the_flag(capsys, tmp_path, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert f"error: argument --seed: must be non-negative, got {argv[-1]}" in err
+    assert not out.exists()
 
 
 def test_resource_limit_exits_4(capsys):

@@ -84,6 +84,39 @@ def test_small_blocks_give_the_same_sum(monkeypatch, kernel):
             assert np.array_equal(kernel(a), value)
 
 
+@pytest.mark.parametrize("kernel", KERNELS, ids=["glynn", "ryser"])
+def test_caller_buffer_size_neither_changes_the_sum_nor_is_changed(kernel):
+    rng = np.random.default_rng(12)
+    stacks = [haar_unitary(12, seed=12), haar_unitary(17, seed=17),
+              rng.standard_normal((9, 3, 3)) + 1j * rng.standard_normal((9, 3, 3))]
+    expected = [kernel(a) for a in stacks]
+    before = np.getbufsize()
+    try:
+        for size in (16, 8192, 1 << 16):
+            np.setbufsize(size)
+            for a, value in zip(stacks, expected):
+                assert np.array_equal(kernel(a), value)
+                assert np.getbufsize() == size
+    finally:
+        np.setbufsize(before)
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=["glynn", "ryser"])
+def test_a_raising_block_loop_restores_the_buffer_size(monkeypatch, kernel):
+    def fail(*args, **kwargs):
+        raise RuntimeError("matmul failed")
+
+    u = haar_unitary(14, seed=14)
+    monkeypatch.setattr(_kernels.np, "matmul", fail)  # called once per block
+    before = np.setbufsize(1 << 16)
+    try:
+        with pytest.raises(RuntimeError, match="matmul failed"):
+            kernel(u)
+        assert np.getbufsize() == 1 << 16
+    finally:
+        np.setbufsize(before)
+
+
 @pytest.mark.parametrize("n", [18, 20])
 @pytest.mark.parametrize("kernel", KERNELS, ids=["glynn", "ryser"])
 def test_kernel_memory_stays_within_a_few_blocks(kernel, n):
