@@ -58,9 +58,10 @@ SADDLE_RATIO = 1e-3
 GRAD_TOL = 1e-12
 
 # Most matrix entries one block of best_single_coherent's grid columns holds.
-# One unblocked product of the whole grid is large enough for OpenBLAS to wake
-# its other threads, which then slow every later numpy call of the process.
-_GRID_BLOCK_ENTRIES = 1 << 12
+# OpenBLAS runs a complex matrix-vector product of 4096 entries or more on its
+# worker threads, which then spin and slow every later numpy call of the
+# process; one entry fewer keeps each block's product on the calling thread.
+_GRID_BLOCK_ENTRIES = (1 << 12) - 1
 
 # Caps on fit_superposition, checked before anything is allocated (exit 4
 # beyond): at most MAX_RESTARTS starts, and at r >= 2 at most MAX_STEP_ENTRIES

@@ -23,13 +23,16 @@ Each sigma_l(H_{N,b}) is non-decreasing in b and sigma_l(H_{N,b}) / b^{2N}
 is non-increasing: for b' <= b, H_{N,b'} = D H_{N,b} D with D = diag((b'/b)^i)
 and ||D||_2 = 1, and for b' >= b the same holds with ||D||_2 = (b'/b)^N.  So
 the optimized objective rises up to the first kink of the piecewise-monomial
-denominator max_n m_n b^{2n} n! (``_kinks``) and falls after the last, so
-the maximum over every b > 0 lies on the segment between those kinks, in
-[0.0364, 1] for every N.  The search at each N (``_search``) scores its ends,
-a probe inside each end and b = 1 in one stacked call.  On a segment that
-neither end settles, a secant on the objective's slope in log b, which one SVD
-with vectors gives (``_slopes``), finds the interior maximum.  From N = 3 on
-there is one kink, so the segment is a single point.
+denominator max_n m_n b^{2n} n! and falls after the last, so the maximum over
+every b > 0 lies on the segment between those kinks, in [0.0364, 1] for every
+N.  With c_k = log m_k + log k!, the first kink is where the n = 0 term is
+first overtaken, x0 = min_{1<=k<=2N} (c_0 - c_k) / (2k) in log b, and the
+last where the n = 2N term takes over, x1 = max_{0<=k<2N} (c_k - c_2N) /
+(2 (2N - k)) (``_Tables.ends``).  The search at each N (``_search``) scores
+its ends, a probe inside each end and b = 1 in one stacked call.  On a segment
+that neither end settles, a secant on the objective's slope in log b, which
+one SVD with vectors gives (``_slopes``), finds the interior maximum.  From
+N = 3 on there is one kink, so the segment is a single point.
 """
 
 import functools
@@ -107,7 +110,7 @@ class _Tables(NamedTuple):
     index: np.ndarray  # (N+1, N+1) Hankel index i + j
     log_m: np.ndarray  # log m_k, the anti-diagonal sizes
     two_k: np.ndarray  # 2k
-    kinks: tuple  # ``_kinks`` of the denominator
+    ends: tuple  # (x0, x1), the denominator's first and last kink in log b; () at N = 0
 
 
 @functools.lru_cache(maxsize=32)
@@ -120,7 +123,10 @@ def _tables(N: int) -> _Tables:
     two_k = 2 * k
     for table in (index, log_m, two_k):
         table.flags.writeable = False  # shared by every plan of this N
-    return _Tables(lgam, index, log_m, two_k, tuple(_kinks((log_m + lgam).tolist())))
+    c, top = (log_m + lgam).tolist(), 2 * N
+    ends = (min((c[0] - c[k]) / (2 * k) for k in range(1, top + 1)),
+            max((c[k] - c[top]) / (2 * (top - k)) for k in range(top))) if N else ()
+    return _Tables(lgam, index, log_m, two_k, ends)
 
 
 class _Plan:
@@ -223,24 +229,6 @@ _XTOL = 1e-9  # a secant stops once a step or its bracket is this fraction of th
 _SECANT_STEPS = 40  # and after this many steps in any case
 
 
-def _kinks(c: list) -> list:
-    """The x at which the largest of the lines c[k] + 2k x changes, in
-    increasing order: the breakpoints of their upper envelope.  With
-    c[k] = log m_k + log k! and x = log b these are the kinks of
-    max_k m_k b^{2k} k!."""
-
-    def meet(i, j):  # where lines i < j cross
-        return (c[i] - c[j]) / (2 * (j - i))
-
-    hull = []  # the envelope's lines by increasing slope
-    for k in range(len(c)):
-        # hull[-1] is never on top once line k overtakes hull[-2] before it does
-        while len(hull) >= 2 and meet(hull[-2], k) <= meet(hull[-2], hull[-1]):
-            hull.pop()
-        hull.append(k)
-    return [meet(i, j) for i, j in zip(hull, hull[1:])]
-
-
 def _scored_at(xs) -> np.ndarray:
     """The log b that scoring at b = exp(x) reads, as ``rescaled_bound`` reads it."""
     return _log_b([*map(math.exp, xs)])
@@ -322,8 +310,7 @@ def _search(plan: _Plan, rs: list) -> list:
     order) only when strictly higher.  b = 1 replaces the segment's point
     only when strictly higher."""
 
-    kinks = plan.tables.kinks
-    x0, x1 = kinks[0], kinks[-1]
+    x0, x1 = plan.tables.ends
     h = _PROBE * (x1 - x0)
     ends = [x0, x1, x0 + h, x1 - h] if x1 > x0 else [x0]
     xs = ends + [0.0]
@@ -366,9 +353,11 @@ def optimized_bounds(psi: FockVector, rs, cfg: SearchConfig) -> dict:
     rises up to the first kink and falls after the last: the maximum over
     every b > 0 lies on the segment between the two kinks (``_search``),
     which depend on N alone and lie in [0.0364, 1] for every N = 1..1023.
-    From N = 3 on there is one kink (``_kinks``) and the segment is one
-    point.  At N = 1 and 2 one local search of the segment is enough: there
-    the denominator is one monomial proportional to b^{2N}; at r = 0 the
+    With c_k = log m_k + log k!, they are x0 = min_{1<=k<=2N} (c_0 - c_k) /
+    (2k) and x1 = max_{0<=k<2N} (c_k - c_2N) / (2 (2N - k)) in log b
+    (``_tables``).  From N = 3 on there is one kink, x0 = x1, and the segment
+    is one point.  At N = 1 and 2 one local search of the segment is enough:
+    there the denominator is one monomial proportional to b^{2N}; at r = 0 the
     objective is a sum of exponentials in log b, so convex, and an end wins;
     at N = 1, r = 1 the determinant of H_{N,b} / b is constant, so the
     objective is quasi-concave; at N = 2, r >= 1, unimodality is measured on

@@ -541,6 +541,26 @@ def test_best_single_block_split_keeps_the_result(monkeypatch):
     assert max(grid) <= 60
 
 
+@pytest.mark.parametrize("cutoff", [15, 31, 63, 127])
+def test_grid_products_stay_under_the_openblas_thread_cutoff(monkeypatch, cutoff):
+    # OpenBLAS wakes its worker threads for a complex matrix-vector product of
+    # 4096 entries or more; a row count that divides 4096 once made each grid
+    # block exactly that large
+    shapes = []
+    columns = decomp.coherent_columns
+
+    def recording_columns(alphas, rows):
+        block = columns(alphas, rows)
+        shapes.append(block.shape)
+        return block
+
+    monkeypatch.setattr(decomp, "coherent_columns", recording_columns)
+    for target in (core_state([0.3, -0.5j, 0.8], cutoff=cutoff), fock_state(3, cutoff)):
+        best_single_coherent(target)
+    assert {rows for rows, _ in shapes} == {cutoff + 1}
+    assert max(rows * points for rows, points in shapes) < 4096
+
+
 def test_delta_cat_product_structure():
     sup = delta_cat_product(3, 0.2)
     assert len(sup) == 8

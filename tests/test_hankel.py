@@ -373,7 +373,7 @@ def unsettled_and_bracketed(psi, N):
     """The r whose segment neither end settles, and of those the r whose slope
     rises at the segment's lower end and falls at its upper end."""
     plan = hankel._Plan(psi, N)
-    x0, x1 = plan.tables.kinks[0], plan.tables.kinks[-1]
+    x0, x1 = plan.tables.ends
     h = hankel._PROBE * (x1 - x0)
     unsettled = []
     for r in range(N + 1):
@@ -549,9 +549,36 @@ def test_kinks_are_the_upper_envelope_of_the_denominator(N):
                 brute.append(x)
     brute = sorted(brute)
     distinct = [x for x, y in zip(brute, [-math.inf] + brute) if x - y > 1e-9]
-    kinks = list(plan.tables.kinks)
-    assert kinks == sorted(kinks)
-    assert np.allclose(kinks, distinct, rtol=0, atol=1e-12)
+    x0, x1 = plan.tables.ends
+    assert x0 <= x1
+    ends = sorted({x0, x1})
+    assert len(ends) == len(distinct)
+    assert np.allclose(ends, distinct, rtol=0, atol=1e-12)
+
+
+def hull_breakpoints(c):
+    """The breakpoints of the upper envelope of the lines c[k] + 2k x, in
+    increasing order, by a convex-hull pass over the lines by slope."""
+
+    def meet(i, j):  # where lines i < j cross
+        return (c[i] - c[j]) / (2 * (j - i))
+
+    hull = []
+    for k in range(len(c)):
+        while len(hull) >= 2 and meet(hull[-2], k) <= meet(hull[-2], hull[-1]):
+            hull.pop()
+        hull.append(k)
+    return [meet(i, j) for i, j in zip(hull, hull[1:])]
+
+
+def test_segment_ends_are_the_hulls_first_and_last_breakpoints():
+    # built unshared, so the 1,023 tables do not crowd the process's cache
+    for N in range(1, 1024):
+        tables = hankel._tables.__wrapped__(N)
+        kinks = hull_breakpoints((tables.log_m + tables.lgam).tolist())
+        assert len(kinks) == (2 if N <= 2 else 1), N
+        assert [x.hex() for x in tables.ends] == [kinks[0].hex(), kinks[-1].hex()], N
+    assert hankel._tables(0).ends == ()
 
 
 def test_kink_refinement_reaches_golden_section_on_the_corpus():
@@ -560,13 +587,13 @@ def test_kink_refinement_reaches_golden_section_on_the_corpus():
     for name, psi, _ in corpus_states():
         for N in (1, 2):
             plan = hankel._Plan(psi, N)
-            kinks = plan.tables.kinks
+            x0, x1 = plan.tables.ends
             for r, (_, value) in enumerate(hankel._search(plan, list(range(N + 1)))):
 
                 def at(x):
                     return hankel._point_thresholds(plan, hankel._scored_at([x]), [r])[0]
 
-                _, reference = scalar_golden_max(at, kinks[0], kinks[-1], 43)
+                _, reference = scalar_golden_max(at, x0, x1, 43)
                 if max(value, reference) > 1e-20:
                     assert value >= reference * (1 - 1e-14), (name, N, r)
 
@@ -646,7 +673,7 @@ def test_search_reaches_the_dense_oracle():
         for N in range(1, 9):
             plan = hankel._Plan(psi, N)
             rs = list(range(N + 1))
-            log_b = np.concatenate([DENSE_LOG_B, plan.tables.kinks, [0.0]])
+            log_b = np.concatenate([DENSE_LOG_B, sorted(set(plan.tables.ends)), [0.0]])
             oracle = dense_oracle_thresholds(psi, N, log_b).max(axis=0)
             for r, (_, value) in zip(rs, hankel._search(plan, rs)):
                 assert value >= oracle[r] * (1 - 1e-12), (name, N, r)
