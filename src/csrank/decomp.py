@@ -63,6 +63,9 @@ GRAD_TOL = 1e-12
 # process; one entry fewer keeps each block's product on the calling thread.
 _GRID_BLOCK_ENTRIES = (1 << 12) - 1
 
+# Machine epsilon, read once: np.finfo is a lookup on every call.
+_EPS = np.finfo(float).eps
+
 # Caps on fit_superposition, checked before anything is allocated (exit 4
 # beyond): at most MAX_RESTARTS starts, and at r >= 2 at most MAX_STEP_ENTRIES
 # coherent-column entries in one Newton step's stacked call, (4r + 1) points per
@@ -235,16 +238,18 @@ def _qr_fits(x: np.ndarray, t: np.ndarray):
     """
     points, r = len(x), x.shape[1] // 2
     B = coherent_columns(x[:, :r] + 1j * x[:, r:], len(t) - 1)
-    B = np.ascontiguousarray(B.reshape(len(t), points, r).transpose(1, 0, 2))
+    B = B.reshape(len(t), points, r).transpose(1, 0, 2)  # qr copies it anyway
     Q, R = np.linalg.qr(B)
     diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
-    full = (diag > diag.max(axis=1, keepdims=True) * len(t) * np.finfo(float).eps).all(axis=1)
+    full = (diag > diag.max(axis=1, keepdims=True) * len(t) * _EPS).all(axis=1)
     q = (t.conj() @ Q).conj()
     fid = (q.real**2 + q.imag**2).sum(axis=1)
-    singular = {i: np.linalg.lstsq(B[i], t, rcond=None)[0] for i in np.flatnonzero(~full)}
-    for i, c in singular.items():
-        fit = B[i] @ c
-        fid[i] = np.vdot(fit, fit).real
+    singular = {}
+    if not full.all():
+        singular = {i: np.linalg.lstsq(B[i], t, rcond=None)[0] for i in np.flatnonzero(~full)}
+        for i, c in singular.items():
+            fit = B[i] @ c
+            fid[i] = np.vdot(fit, fit).real
     return B, Q, R, q, fid, singular
 
 
@@ -265,7 +270,8 @@ def _log_fidelity(x: np.ndarray, t: np.ndarray):
     """
     B, Q, R, q, fid, singular = _qr_fits(x, t)
     points, r = B.shape[0], B.shape[2]
-    R[list(singular)] = np.eye(r)  # those points take lstsq's c below
+    if singular:
+        R[list(singular)] = np.eye(r)  # those points take lstsq's c below
     c = np.linalg.solve(R, q[:, :, None])[:, :, 0]
     fit = (Q @ q[:, :, None])[:, :, 0]
     for i, ci in singular.items():
@@ -274,11 +280,19 @@ def _log_fidelity(x: np.ndarray, t: np.ndarray):
     # rows res^H and (sqrt(n) res_n)^H shifted by one, against the columns
     rows = np.zeros((points, 2, len(t)), dtype=complex)
     rows[:, 0] = res.conj()
-    rows[:, 1, :-1] = res[:, 1:].conj() * np.sqrt(np.arange(1, len(t)))
-    res_b, res_shift = (rows @ B).transpose(1, 0, 2)
+    rows[:, 1, :-1] = res[:, 1:].conj() * _sqrt_levels(len(t))
+    res_b, res_shift = (rows @ np.ascontiguousarray(B)).transpose(1, 0, 2)
     grad_re = -2.0 * (c * (res_shift - x[:, :r] * res_b)).real
     grad_im = -2.0 * (c * (1j * res_shift - x[:, r:] * res_b)).real
     return -np.log(fid), np.concatenate([grad_re, grad_im], axis=1) / fid[:, None]
+
+
+@functools.lru_cache(maxsize=256)
+def _sqrt_levels(rows: int) -> np.ndarray:
+    """sqrt(n) for n = 1 .. rows - 1, shared by every step on that many rows."""
+    levels = np.sqrt(np.arange(1, rows))
+    levels.flags.writeable = False
+    return levels
 
 
 @functools.lru_cache(maxsize=256)
@@ -338,31 +352,31 @@ def minimize(t: np.ndarray, x0: np.ndarray, max_iters: int, reach: float) -> Cli
     active, nfev = np.arange(len(x0)), 0
     with np.errstate(all="ignore"):
         while len(active):
-            each = np.arange(len(active))
-            padded = np.zeros(_step_cutoff(x[active], len(t) - 1, reach) + 1, dtype=complex)
+            each, xa = np.arange(len(active)), x[active]
+            padded = np.zeros(_step_cutoff(xa, len(t) - 1, reach) + 1, dtype=complex)
             padded[: len(t)] = t
-            here = x[active][:, None, :] + offsets
+            here = xa[:, None, :] + offsets
             phi, grad = _log_fidelity(here.reshape(-1, n), padded)
             f, grad = phi[:: 2 * n + 1], grad.reshape(here.shape)
             flat = np.abs(grad[:, 0]).max(axis=1) <= GRAD_TOL  # False at a NaN gradient
-            grad = np.nan_to_num(grad, posinf=0.0, neginf=0.0)
+            grad = np.where(np.isfinite(grad), grad, 0.0)
             hess = (grad[:, 1 : n + 1] - grad[:, n + 1 :]) / (2.0 * PROBE_STEP)
             lam, vec = np.linalg.eigh(0.5 * (hess + hess.transpose(0, 2, 1)))
             scale = np.abs(lam).max(axis=1, keepdims=True)
             gv = (vec * grad[:, :1].transpose(0, 2, 1)).sum(axis=1)  # g in the eigenbasis
             curvature = np.maximum(np.abs(lam), FLAT_RATIO * scale + 1e-300)
             p = -(vec * (gv / curvature)[:, None, :]).sum(axis=2)
-            p *= np.minimum(1.0, MAX_STEP / np.linalg.norm(p, axis=1))[:, None]
+            p *= np.minimum(1.0, MAX_STEP / np.sqrt(np.add.reduce(p * p, axis=1)))[:, None]
             pushed = (lam[:, 0] < -SADDLE_RATIO * scale[:, 0]) & ~no_push[active]
             down = np.where(gv[:, :1] > 0, -MAX_STEP, MAX_STEP) * vec[:, :, 0]
             p = np.where(pushed[:, None], down, p)
-            trials = x[active][:, None, :] + LADDER[:, None] * p[:, None, :]
+            trials = xa[:, None, :] + LADDER[:, None] * p[:, None, :]
             tried = _log_fidelity_value(trials.reshape(-1, n), padded).reshape(trials.shape[:2])
             nfev += len(phi) + tried.size
             tried = np.where(np.isnan(tried), np.inf, tried)
             pick = np.argmin(tried, axis=1)
             better = (tried[each, pick] < f) & ~flat
-            x[active] = np.where(better[:, None], trials[each, pick], x[active])
+            x[active] = np.where(better[:, None], trials[each, pick], xa)
             steps[active] += better
             stopped[active] = ~better & ~pushed
             no_push[active] = ~better & pushed

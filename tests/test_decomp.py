@@ -265,6 +265,29 @@ def test_log_fidelity_at_coinciding_displacements_is_the_least_squares_fit(alpha
     assert np.isfinite(grad).all()
 
 
+def test_log_fidelity_scores_a_partly_rank_deficient_batch_row_by_row():
+    # full-rank rows stacked with coinciding-displacement rows: only the latter
+    # take lstsq's fit, and every row keeps the bits it has when scored alone
+    rng = np.random.default_rng(1)
+    t = np.zeros(30, dtype=complex)
+    t[:10] = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+    t /= np.linalg.norm(t)
+    alphas = np.array([[0.9 - 0.4j, 0.0, 1.1 + 0.3j], [0.3, 0.3, -0.5],
+                       [-0.7 + 0.8j, 0.2j, 0.5], [0.3, -0.5, 0.3], [-0.5, 0.3, 0.3],
+                       [1.2, -1.2, 0.4 - 0.6j]])
+    x = np.concatenate([alphas.real, alphas.imag], axis=1)
+    assert sorted(decomp._qr_fits(x, t)[5]) == [1, 3, 4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, grad = decomp._log_fidelity(x, t)
+        value = decomp._log_fidelity_value(x, t)
+        for i, row in enumerate(x):
+            alone, alone_grad = decomp._log_fidelity(row[None], t)
+            assert alone[0] == loss[i] == value[i]
+            assert decomp._log_fidelity_value(row[None], t)[0] == value[i]
+            assert np.array_equal(alone_grad[0], grad[i])
+
+
 @pytest.mark.parametrize("start,expected", [
     ([0.3, 0.3], 0.5698021990542742),
     ([0.0, 0.0], 0.5698021990542742),
@@ -296,6 +319,91 @@ def test_fit_restarts_climb_independently(r):
                              init_alphas=0.5 * np.exp(2j * np.arange(r)))
     assert warm.restarts_used == res.restarts_used + 1
     assert warm.restarts[:-1] == res.restarts
+
+
+# Every bit of six r >= 2 fits: the winner's fidelity, each term's
+# "Re c Im c Re alpha Im alpha" and each start's (nit, converged, fidelity).
+# Each fit takes saddle pushes and the coinciding warm start takes lstsq's
+# rank-revealing fit too, so a change to the arithmetic of any branch of the
+# Newton step shows here.
+FIT_PINS = [
+    pytest.param(fock_state(3, 16), 2, dict(restarts=3, seed=7, max_iters=600),
+                 "0x1.d5dafcec2c99cp-2",
+                 ("-0x1.8a8ecee52ddc8p-2 0x1.2f3715339663dp-2"
+                  " 0x1.f9482939257cbp-2 0x1.9c4593398acc3p+0",
+                  "-0x1.d07323ded578fp-2 -0x1.6538a0112c626p-3"
+                  " -0x1.ab89b4980e508p+0 0x1.c003e87eb60fep-3"),
+                 ((11, True, "0x1.d5dafcec2c998p-2"),
+                  (11, True, "0x1.d5dafcec2c998p-2"),
+                  (7, True, "0x1.cbfecc3e74770p-2")),
+                 id="fock3-r2"),
+    pytest.param(fock_state(10, 16), 2, dict(restarts=3, seed=7, max_iters=600),
+                 "0x1.00cae86722196p-2",
+                 ("0x1.d9aef38e9375cp-6 -0x1.69d00cfaaa294p-2"
+                  " -0x1.690f96569e30bp+0 0x1.693c7cf937ca3p+1",
+                  "0x1.696b9a3212760p-2 0x1.107fd45ac1b00p-5"
+                  " -0x1.93d0e10cb600bp+1 0x1.f94d379ce8886p-6"),
+                 ((27, True, "0x1.00cae86722190p-2"),
+                  (23, True, "0x1.00cae86722198p-2"),
+                  (14, True, "0x1.0039b0c8a5ca4p-2")),
+                 id="fock10-r2"),
+    pytest.param(core_state([0.6, 0.8], cutoff=16), 2, dict(restarts=3, seed=7, max_iters=600),
+                 "0x1.0000000000000p+0",
+                 ("0x1.4f93ab30a5c51p+13 0x1.4c92705ecc5d1p+10"
+                  " 0x1.33c81d991bc88p-15 -0x1.313566514a19cp-18",
+                  "-0x1.4f8ede63d88a8p+13 -0x1.4c92705ecbfe7p+10"
+                  " -0x1.33ba91c14d3e9p-15 0x1.30cebbfdcdb1cp-18"),
+                 ((20, True, "0x1.0000000000000p+0"),
+                  (24, True, "0x1.ffffffffffffep-1"),
+                  (25, True, "0x1.fffffffffffffp-1")),
+                 id="core2-r2"),
+    pytest.param(state_from_descriptor({"type": "squeezed", "r": 0.6, "phi": 1.0}), 2,
+                 dict(restarts=3, seed=7, max_iters=600),
+                 "0x1.f6d88de70fcf4p-1",
+                 ("0x1.3a887aa172f5fp-1 0x1.7924c342658eap-50"
+                  " 0x1.7c462b63887fap-2 -0x1.5c0b251d324e7p-1",
+                  "0x1.3a887aa172f69p-1 -0x1.81ebcc6cf77e4p-50"
+                  " -0x1.7c462b6388812p-2 0x1.5c0b251d324c3p-1"),
+                 ((11, True, "0x1.f6d88de70fcf3p-1"),
+                  (8, True, "0x1.f6d88de70fcf3p-1"),
+                  (8, True, "0x1.f6d88de70fcf4p-1")),
+                 id="squeezed-r2"),
+    pytest.param(core_state([0.6, 0.0, 0.8j, -0.3], cutoff=12), 3,
+                 dict(restarts=5, seed=3, max_iters=600),
+                 "0x1.fffadc2af6963p-1",
+                 ("-0x1.9fb27267e9368p-1 0x1.4649bff023c3cp-1"
+                  " 0x1.4cd7f4ac40b7fp-1 -0x1.468ca96ce8ad5p-6",
+                  "0x1.239b9ea4600e8p-1 -0x1.c5ab992f45728p+0"
+                  " 0x1.035c2af9a0215p-4 0x1.3047a57d73f6ep-1",
+                  "0x1.cdc6d2f1fa881p-1 0x1.2765097e04bf6p+0"
+                  " -0x1.2fd7c442b0735p-1 0x1.85236fd506952p-5"),
+                 ((18, True, "0x1.fffadc2af6965p-1"),
+                  (12, True, "0x1.fffadc2af6965p-1"),
+                  (18, True, "0x1.fffadc2af6965p-1"),
+                  (15, True, "0x1.fffadc2af6965p-1"),
+                  (17, True, "0x1.fffadc2af6965p-1")),
+                 id="core4-r3"),
+    pytest.param(fock_state(2, 12), 2,
+                 dict(restarts=0, seed=None, max_iters=200, init_alphas=[0.3, 0.3]),
+                 "0x1.23bd1d244104ep-1",
+                 ("-0x1.1a054da8be756p-1 0x1.67c4e2329b98bp-5"
+                  " 0x1.42baef5b6cc83p-4 -0x1.527746714f504p+0",
+                  "0x1.e4bb6bf2e1540p-3 -0x1.ff4bd5b484c9dp-2"
+                  " 0x1.22100b7154af3p+0 0x1.5f2aea55c3f93p-1"),
+                 ((10, True, "0x1.23bd1d244104dp-1"),),
+                 id="coincident-warm"),
+]
+
+
+@pytest.mark.parametrize("target,r,kwargs,fid,terms,reports", FIT_PINS)
+def test_fit_keeps_every_bit_of_its_climb(target, r, kwargs, fid, terms, reports):
+    res = fit_superposition(target, r, **kwargs)
+    sup = res.superposition
+    got = tuple(" ".join(v.hex() for v in (c.real, c.imag, a.real, a.imag))
+                for c, a in zip(sup.coefficients().tolist(), sup.displacements().tolist()))
+    assert res.fidelity_achieved.hex() == fid
+    assert got == terms
+    assert tuple((rep.nit, rep.converged, rep.fidelity.hex()) for rep in res.restarts) == reports
 
 
 @pytest.mark.parametrize("target,r", [
