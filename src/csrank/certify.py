@@ -1,12 +1,12 @@
-"""Rank certificates, every one issued here, and finite-rank detection.
+"""Rank certificates, each loaded, issued and re-checked here, and finite-rank detection.
 
 A certificate records a threshold t for a state and an integer r with the
 guarantee: any eps < t implies the eps-approximate coherent state rank
 exceeds r.  Finite coherent rank shows up numerically as saturation of the
 Hankel rank when the truncation parameter N grows; states whose rescaled
 amplitudes obey no linear recurrence (e.g. squeezed vacua) stay full rank
-for every N.  No function here defaults the truncation N_max: ``certify_rank``
-takes a ``SearchConfig`` and ``bound_certificate`` an int, which the CLI's
+for every N.  No function here defaults the truncation n_max: ``load_state``,
+``certify_rank`` and ``bound_certificate`` take an int, which the CLI's
 ``--n-max`` supplies (10 for ``certify``, max(r, 10) for ``bound``).
 """
 
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .fock import FockVector, int_field, log_factorial, object_field, real_field
+from .fock import state_from_descriptor
 from .hankel import (
     SearchConfig,
     check_hankel_size,
@@ -31,17 +32,19 @@ STATEMENT = "any eps < epsilon_threshold implies kappa_eps(state) > r"
 
 METHODS = ("plain", "optimized", "analytic_fock")
 
+CHECK_REL_TOL = 1e-12  # a stored threshold re-checks within this relative distance
+
 
 @dataclass(frozen=True)
 class BoundCertificate:
     """Machine-checkable record of a certified rank lower bound.
 
     ``to_dict`` writes the certificate format and ``from_dict`` reads it back;
-    construction refuses, either way, what no method writes, and ``recompute``
-    re-derives the threshold from the stored method and parameters alone.
+    construction refuses, either way, what no method writes.  ``check``
+    re-derives the threshold (``recompute``) and compares it with the stored one.
     """
 
-    state_descriptor: dict | None
+    state_descriptor: dict
     r: int
     epsilon_threshold: float
     method: str  # one of METHODS
@@ -51,6 +54,7 @@ class BoundCertificate:
     version: str = field(default=__version__)
 
     def __post_init__(self):
+        object_field(self.state_descriptor, "state_descriptor")
         if not 0 <= self.epsilon_threshold < math.inf:
             raise ValueError("epsilon_threshold must be finite and non-negative")
         if self.r < 0:
@@ -65,7 +69,7 @@ class BoundCertificate:
             raise ValueError(f"statement must read {STATEMENT!r} and version be a string")
         if self.method == "analytic_fock":
             d = self.state_descriptor
-            if not (isinstance(d, dict) and d.get("type") == "fock"):
+            if d.get("type") != "fock":
                 raise ValueError("analytic_fock applies to Fock-state descriptors only")
             if int_field(d.get("n"), "n") != self.r or self.N != self.r:
                 raise ValueError("the analytic Fock threshold is stated at r = n = N")
@@ -95,7 +99,7 @@ class BoundCertificate:
         params = object_field(stored.get("parameters") or {}, "parameters")
         n, b = params.get("N"), params.get("b")
         return cls(
-            object_field(stored["state_descriptor"], "state_descriptor"),
+            object_field(stored["state_descriptor"], "state_descriptor"),  # refused before r
             int_field(stored["r"], "r"),
             real_field(stored["epsilon_threshold"], "epsilon_threshold"),
             stored["method"],
@@ -104,9 +108,9 @@ class BoundCertificate:
             **{key: stored[key] for key in ("statement", "version") if key in stored},
         )
 
-    def recompute(self, load_state) -> float:
-        """The threshold re-derived from the method and parameters alone;
-        ``load_state(descriptor, N)`` builds the state that H_N needs."""
+    def recompute(self) -> float:
+        """The threshold re-derived from the method and parameters alone, on
+        ``load_state(descriptor, N)``."""
         if self.N is None:  # r = 0: nothing certified
             return 0.0
         if self.method == "analytic_fock":
@@ -115,6 +119,12 @@ class BoundCertificate:
         if self.method == "plain":
             return plain_bound(psi, self.r, self.N)
         return rescaled_bound(psi, self.r, self.N, self.b)
+
+    def check(self) -> tuple:
+        """(ok, recomputed): whether the stored threshold t lies within CHECK_REL_TOL
+        of recomputed = ``recompute()``, relative to the larger of the two."""
+        t, recomputed = self.epsilon_threshold, self.recompute()
+        return abs(recomputed - t) <= CHECK_REL_TOL * max(t, recomputed, 1e-300), recomputed
 
 
 @dataclass(frozen=True)
@@ -143,24 +153,32 @@ def check_epsilon(epsilon: float) -> None:
         raise ValueError("epsilon must lie in (0, 1)")
 
 
-def certify_rank(
-    psi: FockVector, epsilon: float, cfg: SearchConfig, state_descriptor: dict | None = None
-) -> BoundCertificate:
+def load_state(descriptor: dict, n_max: int) -> FockVector:
+    """The state for H_N up to N = n_max, an auto-chosen cutoff extended to 2 n_max;
+    ResourceLimit past hankel.MAX_HANKEL_N before any state is built."""
+    check_hankel_size(n_max)
+    psi = state_from_descriptor(descriptor)
+    if descriptor.get("cutoff") is None and psi.cutoff < 2 * n_max:
+        psi = state_from_descriptor(dict(descriptor, cutoff=2 * n_max))
+    return psi
+
+
+def certify_rank(psi: FockVector, epsilon: float, n_max: int, descriptor: dict) -> BoundCertificate:
     """Largest r whose optimized bound exceeds epsilon, i.e. kappa_eps >= r+1.
 
-    One search gives the bound for every r = 1..cfg.N_max.  The bound is
+    One search gives the bound for every r = 1..n_max.  The bound is
     non-increasing in r (the singular-value tail shrinks), so the upward
     selection stops at the first failure.  Returns r = 0 with a zero
     threshold when not even r = 1 is certified.
     """
+    cfg = SearchConfig(N_max=n_max)
     check_epsilon(epsilon)
-    n_max = cfg.resolve_n_max(psi.cutoff)
-    bounds = optimized_bounds(psi, range(1, n_max + 1), cfg)
+    bounds = optimized_bounds(psi, range(1, cfg.resolve_n_max(psi.cutoff) + 1), cfg)
 
     r = 0
     while r < n_max and bounds[r + 1].value > epsilon:
         r += 1
-    return _optimized_certificate(state_descriptor, r, bounds.get(r))
+    return _optimized_certificate(descriptor, r, bounds.get(r))
 
 
 def _optimized_certificate(descriptor, r: int, res) -> BoundCertificate:
@@ -169,7 +187,7 @@ def _optimized_certificate(descriptor, r: int, res) -> BoundCertificate:
     return BoundCertificate(descriptor, r, value, "optimized", N, b)
 
 
-def bound_certificate(descriptor, r: int, method: str, n_max: int, load_state) -> BoundCertificate:
+def bound_certificate(descriptor, r: int, method: str, n_max: int) -> BoundCertificate:
     """The certificate ``bound --method`` writes for kappa_eps > r: ``analytic``
     by the closed form at r = n, building no state; ``plain`` (b = 1, ties to
     the smallest N) and ``optimized`` by the search of N = max(r, 1)..n_max on

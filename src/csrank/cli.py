@@ -18,19 +18,12 @@ import time
 import numpy as np
 
 from . import __version__
-from .certify import BoundCertificate, bound_certificate, certify_rank, check_epsilon
-from .decomp import (
-    best_single_coherent,
-    circle_decomposition_report,
-    fit_superposition,
-)
+from .certify import BoundCertificate, bound_certificate, certify_rank, check_epsilon, load_state
+from .decomp import best_single_coherent, circle_decomposition_report, fit_superposition
 from .errors import NumericalFailure, ResourceLimit
-from .fock import core_state, fock_state, state_from_descriptor
-from .hankel import SearchConfig, check_hankel_size
+from .fock import state_from_descriptor
 from .multimode import multimode_from_descriptor, multimode_lower_bound
 from .permanent import verify_permanent_bound
-
-CHECK_REL_TOL = 1e-12
 
 
 def _fmt(x: float) -> str:
@@ -79,23 +72,12 @@ def _parse_descriptor(raw: str) -> dict:
     return descriptor
 
 
-def _load_state(descriptor: dict, n_max: int):
-    """The state for Hankel matrices up to N = n_max, an auto-chosen cutoff extended
-    to 2 n_max; an n_max past hankel.MAX_HANKEL_N exits 4 before any state is built."""
-    check_hankel_size(n_max)
-    psi = state_from_descriptor(descriptor)
-    if descriptor.get("cutoff") is None and psi.cutoff < 2 * n_max:
-        psi = state_from_descriptor(dict(descriptor, cutoff=2 * n_max))
-    return psi
-
-
 def _check_certificate(path: str) -> int:
     with open(path) as fh:
         cert = BoundCertificate.from_dict(json.load(fh))
-    stored, recomputed = cert.epsilon_threshold, cert.recompute(_load_state)
-    ok = abs(recomputed - stored) <= CHECK_REL_TOL * max(stored, recomputed, 1e-300)
+    ok, recomputed = cert.check()
     print(
-        f"certificate {'OK' if ok else 'MISMATCH'}: stored {_fmt(stored)}, "
+        f"certificate {'OK' if ok else 'MISMATCH'}: stored {_fmt(cert.epsilon_threshold)}, "
         f"recomputed {_fmt(recomputed)}"
     )
     if not ok:
@@ -109,7 +91,7 @@ def cmd_bound(args, descriptor):
     if args.eps is not None:
         check_epsilon(args.eps)
     n_max = max(args.r, 10) if args.n_max is None else args.n_max
-    cert = bound_certificate(descriptor, args.r, args.method, n_max, _load_state)
+    cert = bound_certificate(descriptor, args.r, args.method, n_max)
     payload = cert.to_dict()
     if args.eps is not None:
         payload["certifies"] = bool(args.eps < cert.epsilon_threshold)
@@ -120,8 +102,7 @@ def cmd_certify(args, descriptor):
     if args.eps is None:
         raise ValueError("--eps is required")
     n_max = args.n_max if args.n_max is not None else 10
-    psi = _load_state(descriptor, n_max)
-    cert = certify_rank(psi, args.eps, SearchConfig(N_max=n_max), state_descriptor=descriptor)
+    cert = certify_rank(load_state(descriptor, n_max), args.eps, n_max, descriptor)
     return dict(cert.to_dict(), epsilon=args.eps, kappa_eps_at_least=cert.r + 1)
 
 
@@ -165,18 +146,19 @@ def cmd_decompose(args, descriptor):
 
 
 def cmd_figure(args, descriptor):
-    def bounds(psi, r, n_max):  # what `bound --method plain` and `bound` certify for psi
-        return [bound_certificate(None, r, method, n_max, lambda *_: psi).epsilon_threshold
+    def bounds(state, r, n_max):  # what `bound --method plain` and `bound` certify
+        return [bound_certificate(state, r, method, n_max).epsilon_threshold
                 for method in ("plain", "optimized")]
 
     if args.panel == "right":
-        rows = [(n, *bounds(fock_state(n, 2 * n), n, n)) for n in range(1, 13)]
+        rows = [(n, *bounds({"type": "fock", "n": n, "cutoff": 2 * n}, n, n)) for n in range(1, 13)]
         return ["n", "plain_bound", "optimized_bound"], rows, {}
     rows = []
     for gamma in np.linspace(0.0, 1.0, 64):
-        psi = core_state([np.sqrt(1.0 - gamma), np.sqrt(gamma)], 16)
-        _, exact = best_single_coherent(psi)
-        rows.append((float(gamma), exact, *bounds(psi, 1, 8)))
+        core = {"type": "core", "amps": [[np.sqrt(1.0 - gamma), 0.0], [np.sqrt(gamma), 0.0]],
+                "cutoff": 16}
+        _, exact = best_single_coherent(state_from_descriptor(core))
+        rows.append((float(gamma), exact, *bounds(core, 1, 8)))
     return ["gamma", "exact_infidelity", "plain_bound", "optimized_bound"], rows, {}
 
 

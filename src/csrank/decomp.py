@@ -455,13 +455,10 @@ def fit_superposition(target: FockVector, r: int, restarts: int, seed: int | Non
     else:
         rng = np.random.default_rng(seed)
         base_deltas = np.geomspace(0.08, 1.2, num=max(restarts, 1)) * radius
-        starts = []
-        for i in range(restarts):
-            a0 = base_deltas[i] * np.exp(2j * np.pi * np.arange(r) / r)
-            if i > 0:
-                a0 = a0 + 0.3 * radius * (rng.standard_normal(r) + 1j * rng.standard_normal(r))
-            starts.append(a0)
-        starts = np.array(starts + warm)
+        starts = base_deltas[:restarts, None] * np.exp(2j * np.pi * np.arange(r) / r)
+        noise = rng.standard_normal((max(restarts - 1, 0), 2, r))  # each row: re, then im
+        starts[1:] += 0.3 * radius * (noise[:, 0] + 1j * noise[:, 1])
+        starts = np.vstack([starts, *warm])
         x0 = np.concatenate([starts.real, starts.imag], axis=1)
         climb = minimize(t[: target.cutoff + 1], x0, max_iters, search_reach)
         ends, nits, stopped = climb.x[:, :r] + 1j * climb.x[:, r:], climb.steps, climb.stopped

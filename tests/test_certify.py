@@ -9,6 +9,7 @@ from csrank.certify import (
     bound_certificate,
     certify_rank,
     fock_analytic_threshold,
+    load_state,
     recurrence_order,
 )
 from csrank.fock import (
@@ -45,34 +46,44 @@ def test_plain_bound_agrees_with_analytic(n):
     )
 
 
+FOCK1_20 = {"type": "fock", "n": 1, "cutoff": 20}
+
+
+def named(psi):
+    """A core descriptor naming psi by its amplitudes and cutoff."""
+    return {"type": "core", "amps": [[z.real, z.imag] for z in psi.amplitudes.tolist()],
+            "cutoff": psi.cutoff}
+
+
 def test_certify_fock1():
-    cert = certify_rank(fock_state(1, 20), 0.1, SearchConfig(N_max=10))
+    cert = certify_rank(fock_state(1, 20), 0.1, 10, FOCK1_20)
     assert cert.r == 1
     assert cert.epsilon_threshold == pytest.approx(0.25, rel=1e-9)
 
 
 def test_certify_coherent_returns_zero():
-    cert = certify_rank(coherent_state(1.0), 1e-6, SearchConfig(N_max=7))
+    coherent1 = {"type": "superposition", "terms": [{"c": [1, 0], "alpha": [1, 0]}]}
+    cert = certify_rank(coherent_state(1.0), 1e-6, 7, coherent1)
     assert cert.r == 0
     assert cert.epsilon_threshold == 0.0
 
 
 def test_certify_squeezed():
     sq = squeezed_state(SqueezedParams(0.5), cutoff=20)
-    cert = certify_rank(sq, 1e-8, SearchConfig(N_max=10))
+    cert = certify_rank(sq, 1e-8, 10, {"type": "squeezed", "r": 0.5, "cutoff": 20})
     assert cert.r >= 2
 
 
 def test_certify_epsilon_range():
     with pytest.raises(ValueError):
-        certify_rank(fock_state(1, 20), 0.0, SearchConfig(N_max=10))
+        certify_rank(fock_state(1, 20), 0.0, 10, FOCK1_20)
     with pytest.raises(ValueError):
-        certify_rank(fock_state(1, 20), 1.0, SearchConfig(N_max=10))
+        certify_rank(fock_state(1, 20), 1.0, 10, FOCK1_20)
 
 
 def test_certify_monotone_in_epsilon():
     psi = fock_state(3, 12)
-    rs = [certify_rank(psi, eps, SearchConfig(N_max=6)).r
+    rs = [certify_rank(psi, eps, 6, {"type": "fock", "n": 3, "cutoff": 12}).r
           for eps in (1e-6, 1e-3, 1e-2, 0.2)]
     assert all(a >= b for a, b in zip(rs, rs[1:]))
 
@@ -104,7 +115,7 @@ def test_certify_equals_a_search_per_r(state, n_max):
     cfg = SearchConfig(N_max=n_max)
     per_r = [optimized_bound(psi, r, cfg) for r in range(1, n_max + 1)]
     for eps in (1e-2, 1e-4, 1e-7, 1e-12):
-        cert = certify_rank(psi, eps, cfg)
+        cert = certify_rank(psi, eps, n_max, named(psi))
         got = (cert.r, cert.epsilon_threshold.hex() if cert.r else 0.0, cert.N,
                None if cert.b is None else cert.b.hex())
         assert got == per_r_certificate(per_r, eps)
@@ -156,7 +167,7 @@ def test_recurrence_preconditions():
 
 def analytic(n):
     """The certificate ``bound --method analytic`` writes for |n>; it builds no state."""
-    return bound_certificate({"type": "fock", "n": n}, n, "analytic", max(n, 10), None)
+    return bound_certificate({"type": "fock", "n": n}, n, "analytic", max(n, 10))
 
 
 def test_certificate_serialization_and_validation():
@@ -169,45 +180,63 @@ def test_certificate_serialization_and_validation():
     with pytest.raises(ValueError):
         BoundCertificate({"type": "core", "amps": []}, 1, 0.1, "analytic_fock", 1, 1.0)
     with pytest.raises(ValueError):
-        BoundCertificate(None, 1, -0.5, "plain", 1, 1.0)
+        BoundCertificate({"type": "fock", "n": 1}, 1, -0.5, "plain", 1, 1.0)
+    for descriptor in (None, [], "fock"):  # from_dict's message, so none is ever issued
+        with pytest.raises(ValueError, match="^state_descriptor must be an object, got "):
+            BoundCertificate(descriptor, 1, 0.25, "optimized", 1, 1.0)
     with pytest.raises(ValueError):
         BoundCertificate({"type": "fock", "n": 3}, 2, fock_analytic_threshold(3),
                          "analytic_fock", 3, 1.0)
 
 
+SQUEEZED = {"type": "squeezed", "r": 0.5, "phi": 0.3}  # no cutoff: load_state picks one
+
+
 def test_certificate_reads_back_what_it_writes():
-    psi = fock_state(2, 12)
+    fock2, psi = {"type": "fock", "n": 2, "cutoff": 12}, fock_state(2, 12)
     certificates = [
         analytic(3),
-        BoundCertificate({"type": "fock", "n": 2}, 2, plain_bound(psi, 2, 3), "plain", 3, 1.0),
-        certify_rank(psi, 1e-4, SearchConfig(N_max=6), {"type": "fock", "n": 2}),
-        certify_rank(psi, 0.9, SearchConfig(N_max=2), {"type": "fock", "n": 2}),  # r = 0
+        BoundCertificate(fock2, 2, plain_bound(psi, 2, 3), "plain", 3, 1.0),
+        bound_certificate(SQUEEZED, 2, "plain", 6),
+        bound_certificate(SQUEEZED, 2, "optimized", 6),
+        certify_rank(psi, 1e-4, 6, fock2),
+        certify_rank(load_state(SQUEEZED, 6), 1e-6, 6, SQUEEZED),
+        certify_rank(psi, 0.9, 2, fock2),  # r = 0
     ]
-    assert certificates[-1].r == 0 and certificates[-1].N is None
+    assert [cert.r for cert in certificates] == [3, 2, 2, 2, 2, 4, 0]
     extra = {"rank_tol": 1e-10, "manifest": {}, "certifies": True, "epsilon": 1e-4,
              "kappa_eps_at_least": 3}
     for cert in certificates:
         stored = json.loads(json.dumps(cert.to_dict() | extra))
         assert BoundCertificate.from_dict(stored) == cert
+        ok, recomputed = cert.check()  # each re-derives its threshold bit for bit
+        assert ok and recomputed == cert.epsilon_threshold
 
 
-def test_recompute_maps_each_method_to_its_formula():
-    psi = fock_state(2, 8)
+def recording_loads(monkeypatch, psi):
+    """Replace certify.load_state by one that records its calls and returns psi."""
     calls = []
 
     def load(descriptor, N):
         calls.append((descriptor, N))
         return psi
 
+    monkeypatch.setattr("csrank.certify.load_state", load)
+    return calls
+
+
+def test_recompute_maps_each_method_to_its_formula(monkeypatch):
+    psi = fock_state(2, 8)
+    calls = recording_loads(monkeypatch, psi)
     fock2 = {"type": "fock", "n": 2}
     plain = BoundCertificate(fock2, 2, 0.1, "plain", 3, 1.0)
     optimized = BoundCertificate(fock2, 2, 0.1, "optimized", 3, 0.7)
-    assert plain.recompute(load) == plain_bound(psi, 2, 3)
-    assert optimized.recompute(load) == rescaled_bound(psi, 2, 3, 0.7)
-    assert calls == [(fock2, 3), (fock2, 3)]
+    assert plain.recompute() == plain_bound(psi, 2, 3)
+    assert optimized.recompute() == rescaled_bound(psi, 2, 3, 0.7)
     # neither the analytic nor the empty certificate needs the state
-    assert analytic(2).recompute(None) == fock_analytic_threshold(2)
-    assert BoundCertificate(fock2, 0, 0.0, "optimized", None, None).recompute(None) == 0.0
+    assert analytic(2).recompute() == fock_analytic_threshold(2)
+    assert BoundCertificate(fock2, 0, 0.0, "optimized", None, None).recompute() == 0.0
+    assert calls == [(fock2, 3), (fock2, 3)]
 
 
 @pytest.mark.parametrize(
@@ -232,31 +261,26 @@ def test_analytic_certificate_names_its_state_by_type_and_n():
     assert cert == analytic(3)
 
 
-def test_bound_certificate_issues_each_method():
+def test_bound_certificate_issues_each_method(monkeypatch):
     psi = fock_state(2, 20)
-    calls = []
-
-    def load(descriptor, N):
-        calls.append(N)
-        return psi
-
+    calls = recording_loads(monkeypatch, psi)
     fock2 = {"type": "fock", "n": 2}
-    plain = bound_certificate(fock2, 2, "plain", 6, load)
+    plain = bound_certificate(fock2, 2, "plain", 6)
     values = [plain_bound(psi, 2, N) for N in range(2, 7)]
     best = max(values)
     assert (plain.epsilon_threshold, plain.N, plain.b) == (best, 2 + values.index(best), 1.0)
-    optimized = bound_certificate(fock2, 2, "optimized", 10, load)
+    optimized = bound_certificate(fock2, 2, "optimized", 10)
     res = optimized_bound(psi, 2, SearchConfig(N_max=10))
     assert (optimized.epsilon_threshold, optimized.b, optimized.N) == res
-    assert calls == [6, 10]
-    assert bound_certificate(fock2, 2, "analytic", 6, None) == analytic(2)
+    assert bound_certificate(fock2, 2, "analytic", 6) == analytic(2)
+    assert calls == [(fock2, 6), (fock2, 10)]
 
 
 @pytest.mark.parametrize("method", ["plain", "optimized", "analytic"])
 @pytest.mark.parametrize("n_max", [-1, 10, 10**400])
-def test_bound_certificate_refuses_negative_r_before_anything_else(method, n_max):
-    def load(descriptor, N):
-        raise AssertionError("a negative r must be refused before a state is built")
-
+def test_bound_certificate_refuses_negative_r_before_anything_else(monkeypatch, method, n_max):
+    calls = recording_loads(monkeypatch, None)
     with pytest.raises(ValueError, match="^r must be non-negative$"):
-        bound_certificate({"type": "fock", "n": 2}, -1, method, n_max, load)
+        bound_certificate({"type": "fock", "n": 2}, -1, method, n_max)
+    assert calls == []  # refused before a state is built
+

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -877,6 +878,19 @@ def test_figure_right_endpoints(tmp_path):
     assert 1e-5 <= float(last["optimized_bound"]) <= 1e-3
 
 
+FIGURE_SHA256 = {  # recorded when each panel still built its states in the CLI
+    "left": "9243919b0f164d65c1862c9888fd651dc400061e2b61d089de1b3c0ea05a3f45",
+    "right": "c65ca4ec2547f6f21b1fa791fe28f0201d578235651e006e4892cecde2537bf6",
+}
+
+
+@pytest.mark.parametrize("panel", list(FIGURE_SHA256))
+def test_figure_csvs_keep_their_bytes(tmp_path, panel):
+    out = tmp_path / f"{panel}.csv"
+    assert main(["figure", "--panel", panel, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_SHA256[panel]
+
+
 def test_outputs_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["permanent", "--n", "3", "--delta", "0.3", "--trials", "4", "--seed", "5"]
@@ -919,6 +933,29 @@ def test_certificate_check_roundtrip(tmp_path, capsys, argv):
     assert main(["bound", "--check", str(cert_path)]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, scale, code, verdict",
+    [
+        (["bound", '{"type":"fock","n":2}', "--r", "2", "--method", "plain"], 1 + 1e-13, 0, "OK"),
+        (["bound", '{"type":"fock","n":2}', "--r", "2", "--method", "plain"], 1 + 1e-11, 3,
+         "MISMATCH"),
+        # r = 0 stores 0 and re-derives 0, which no scale moves
+        (["certify", '{"type":"superposition","terms":[{"c":[1,0],"alpha":[0.5,0]}]}',
+          "--eps", "0.5"], 1 + 1e-11, 0, "OK"),
+    ],
+    ids=["within-1e-12", "past-1e-12", "r0"],
+)
+def test_check_matches_within_a_relative_1e_12(tmp_path, capsys, argv, scale, code, verdict):
+    cert_path = tmp_path / "cert.json"
+    assert main(argv + ["--out", str(cert_path)]) == 0
+    stored = json.loads(cert_path.read_text())
+    stored["epsilon_threshold"] *= scale
+    cert_path.write_text(json.dumps(stored))
+    capsys.readouterr()
+    assert main(["bound", "--check", str(cert_path)]) == code
+    assert capsys.readouterr().out.startswith(f"certificate {verdict}: ")
+
+
 def test_analytic_bound_on_a_non_fock_state_names_the_rule(capsys):
     assert main(["bound", '{"type":"squeezed","r":0.5}', "--r", "2", "--method", "analytic"]) == 2
     err = capsys.readouterr().err
@@ -952,7 +989,7 @@ def test_hankel_past_one_svd_block_exits_4(capsys, tmp_path, monkeypatch, argv):
         built.append(args)
         return state_from_descriptor(*args)
 
-    monkeypatch.setattr("csrank.cli.state_from_descriptor", recording)
+    monkeypatch.setattr("csrank.certify.state_from_descriptor", recording)
     path = tmp_path / "cert.json"
     for arg in argv:
         if isinstance(arg, dict):

@@ -29,6 +29,7 @@ from csrank.hankel import (
     rescaled_bound,
 )
 from test_acceptance import corpus_states
+from test_certify import named
 
 
 def k_term_state(alphas, coeffs, cutoff):
@@ -227,6 +228,9 @@ def test_search_config_validation():
 B_GRID = np.unique(np.append(np.geomspace(1e-3, 10.0, 200), 1.0))
 
 
+SQUEEZED_06_04 = {"type": "squeezed", "r": 0.6, "phi": 0.4, "cutoff": 16}
+
+
 def builder_states():
     rng = np.random.default_rng(31)
     core = core_state(rng.standard_normal(5) + 1j * rng.standard_normal(5), cutoff=16)
@@ -385,11 +389,10 @@ def unsettled_and_bracketed(psi, N):
 
 
 def test_certify_makes_one_grid_pass_per_n(monkeypatch):
-    cfg = SearchConfig(N_max=6)
     core2 = next(psi for name, psi, _ in corpus_states() if name == "core2")
     for state, psi in enumerate(builder_states() + [core2]):
         calls = record_blocks(monkeypatch)
-        certify_rank(psi, 1e-6, cfg)
+        certify_rank(psi, 1e-6, 6, named(psi))
         monkeypatch.undo()
         # one scoring call per N for every r: at N = 1 and 2 the segment's two
         # ends, a probe inside each and b = 1; from N = 3 on its one point and b = 1
@@ -426,10 +429,10 @@ def test_certify_builds_the_b_independent_parts_once_per_n(monkeypatch):
 
     monkeypatch.setattr(hankel, "log_factorials", counted)
     hankel._tables.cache_clear()
-    certify_rank(builder_states()[1], 1e-6, SearchConfig(N_max=6))
+    certify_rank(builder_states()[1], 1e-6, 6, SQUEEZED_06_04)
     # one log k! table per N, for k = 0..2N, not one per plan or refinement step
     assert calls == [2 * N + 1 for N in range(1, 7)]
-    certify_rank(builder_states()[2], 1e-6, SearchConfig(N_max=7))
+    certify_rank(builder_states()[2], 1e-6, 7, named(builder_states()[2]))
     plain_bound(builder_states()[3], 1, 5)
     assert calls == [2 * N + 1 for N in range(1, 8)]
     assert hankel._tables(3) is hankel._Plan(builder_states()[0], 3).tables
@@ -708,7 +711,7 @@ def test_hankel_size_cap_refuses_before_building():
         lambda: rescaled_bound(psi, 1, N, 0.5),
         lambda: hankel_matrix(psi, N, 1.0),
         lambda: optimized_bound(psi, 1, SearchConfig(N_max=N)),
-        lambda: certify_rank(psi, 0.1, SearchConfig(N_max=N)),
+        lambda: certify_rank(psi, 0.1, N, {"type": "fock", "n": 1, "cutoff": psi.cutoff}),
         lambda: recurrence_order(psi, N),
     ]
     for call in refused:
