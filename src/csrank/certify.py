@@ -20,11 +20,12 @@ from .hankel import (
     SearchConfig,
     check_hankel_size,
     check_searchable,
-    hankel_matrix,
+    hankel_matrices,
     numerical_rank,
     optimized_bound,
     optimized_bounds,
     plain_bound,
+    plain_bounds,
     rescaled_bound,
 )
 
@@ -192,17 +193,17 @@ def bound_certificate(descriptor, r: int, method: str, n_max: int) -> BoundCerti
     by the closed form at r = n, building no state; ``plain`` (b = 1, ties to
     the smallest N) and ``optimized`` by the search of N = max(r, 1)..n_max on
     ``load_state(descriptor, n_max)``.  Every method refuses a negative r
-    first, then an n_max below max(r, 1)."""
+    first, then an n_max below max(r, 1); both searches then refuse an
+    explicit cutoff below 2 n_max with one message, before any SVD."""
     if r < 0:
         raise ValueError("r must be non-negative")
     check_searchable(r, n_max)
     if method == "analytic":
         return BoundCertificate(descriptor, r, fock_analytic_threshold(r), "analytic_fock", r, 1.0)
-    psi = load_state(descriptor, n_max)
+    psi, cfg = load_state(descriptor, n_max), SearchConfig(N_max=n_max)
     if method == "optimized":
-        res = optimized_bound(psi, r, SearchConfig(N_max=n_max))
-        return _optimized_certificate(descriptor, r, res)
-    values = {N: plain_bound(psi, r, N) for N in range(max(r, 1), n_max + 1)}
+        return _optimized_certificate(descriptor, r, optimized_bound(psi, r, cfg))
+    values = plain_bounds(psi, r, cfg)
     n_star = max(values, key=values.get)  # the smallest N wins ties
     return BoundCertificate(descriptor, r, values[n_star], "plain", n_star, 1.0)
 
@@ -228,9 +229,9 @@ def recurrence_order(psi: FockVector, N_max: int) -> RecurrenceReport:
     if psi.cutoff < 2 * N_max:
         raise ValueError(f"cutoff {psi.cutoff} < 2 N_max = {2 * N_max}")
     check_hankel_size(N_max)
-    ranks = tuple(
-        (N, numerical_rank(hankel_matrix(psi, N, 1.0)[1])) for N in range(1, N_max + 1)
-    )
+    Ns = range(1, N_max + 1)
+    spectra = hankel_matrices(psi, Ns, 1.0)  # one entry pass, one SVD call per N
+    ranks = tuple((N, numerical_rank(sigma)) for N, (_, sigma, _) in zip(Ns, spectra))
     tail = [rank for _, rank in ranks[-3:]]
     saturated = (
         len(ranks) >= 3

@@ -12,11 +12,16 @@ m_n = n+1 for n <= N and 2N-n+1 for N < n <= 2N counts the (i, j) pairs
 with i+j = n.  Factorials and b powers are handled in the log domain: the
 matrix is stored with a global scale factored out (its log, ``scale``) and the
 bound values are re-exponentiated only at the end.  Every matrix comes from
-``_spectra`` out of the b-independent ``_Plan`` of its (state, N), built once
-per search and N, over the tables that depend on N alone (``_tables``, built
-once per process), and every bound from ``_threshold``.  The truncation
-N_max has no default in the library: every search takes a ``SearchConfig``
-(the CLI's ``--n-max`` defaults to 10 for ``certify`` and max(r, 10) for
+one builder: a call builds the b-independent ``_Plan`` of its state once, for
+every N it reads, over the tables that depend on N alone (``_tables``, built
+once per process); one entry pass (``_entries``) gives every (N, b) point of
+the call its entries and scale, and each N's points go through one stacked
+SVD call (``_spectra``, ``_blocks``).  A search over N = 1..N_max (optimized,
+plain or the rank trace) is one such call for its first points, and a
+one-N function (``hankel_matrix``, ``plain_bound``, ``rescaled_bound``) is
+the one-N case.  Every bound comes from ``_threshold``.  The truncation N_max
+has no default in the library: every search takes a ``SearchConfig`` (the
+CLI's ``--n-max`` defaults to 10 for ``certify`` and max(r, 10) for
 ``bound``).
 
 Each sigma_l(H_{N,b}) is non-decreasing in b and sigma_l(H_{N,b}) / b^{2N}
@@ -28,14 +33,16 @@ every b > 0 lies on the segment between those kinks, in [0.0364, 1] for every
 N.  With c_k = log m_k + log k!, the first kink is where the n = 0 term is
 first overtaken, x0 = min_{1<=k<=2N} (c_0 - c_k) / (2k) in log b, and the
 last where the n = 2N term takes over, x1 = max_{0<=k<2N} (c_k - c_2N) /
-(2 (2N - k)) (``_Tables.ends``).  The search at each N (``_search``) scores
-its ends, a probe inside each end and b = 1 in one stacked call.  On a segment
-that neither end settles, a secant on the objective's slope in log b, which
-one SVD with vectors gives (``_slopes``), finds the interior maximum.  From
-N = 3 on there is one kink, so the segment is a single point.
+(2 (2N - k)) (``_Tables.ends``).  The search (``_searches``) scores each N's
+ends, a probe inside each end and b = 1, every N in one entry pass and one
+stacked SVD call per N.  On a segment that neither end settles, a secant on
+the objective's slope in log b, which one SVD with vectors gives
+(``_slopes``), finds the interior maximum, per N.  From N = 3 on there is one
+kink, so the segment is a single point.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -103,14 +110,35 @@ def _log_b(b) -> np.ndarray:
     return np.fromiter(map(math.log, b), float, len(b))
 
 
+def _scored_at(xs) -> np.ndarray:
+    """The log b that scoring at b = exp(x) reads, as ``rescaled_bound`` reads it."""
+    return _log_b([*map(math.exp, xs)])
+
+
+_PROBE = 1e-6  # an end's probe sits this fraction of the segment's width inside it
+_XTOL = 1e-9  # a secant stops once a step or its bracket is this fraction of the segment's width
+_SECANT_STEPS = 40  # and after this many steps in any case
+
+
 class _Tables(NamedTuple):
-    """The parts of H_{N,b} and of its bound's denominator that depend on N alone."""
+    """The parts of H_{N,b}, of its bounds' denominators and of its search that
+    depend on N alone."""
 
     lgam: np.ndarray  # log k!, k = 0..2N
     index: np.ndarray  # (N+1, N+1) Hankel index i + j
     log_m: np.ndarray  # log m_k, the anti-diagonal sizes
     two_k: np.ndarray  # 2k
+    plain_log_den: float  # log 2 (N+1) (2N)!, the plain bound's denominator
     ends: tuple  # (x0, x1), the denominator's first and last kink in log b; () at N = 0
+    segment: tuple  # the x the first call scores: x0, x1 and a probe inside each, or x0 alone
+    first_log_b: np.ndarray  # the log b the first call reads: the segment's, then b = 1
+    first_log_den: tuple  # their log 2 max_n m_n b^{2n} n!
+
+
+def _optimized_log_den(t: _Tables, log_b: np.ndarray) -> list:
+    """The optimized bound's log 2 max_{n=0..2N} m_n b^{2n} n! at t's N for each
+    log b, m_n the anti-diagonal multiplicity."""
+    return (math.log(2.0) + (t.log_m + t.two_k * log_b[:, None] + t.lgam).max(axis=1)).tolist()
 
 
 @functools.lru_cache(maxsize=32)
@@ -121,18 +149,26 @@ def _tables(N: int) -> _Tables:
     log_m = np.log(np.where(k <= N, k + 1, 2 * N - k + 1))
     index = np.add.outer(k[: N + 1], k[: N + 1])
     two_k = 2 * k
-    for table in (index, log_m, two_k):
-        table.flags.writeable = False  # shared by every plan of this N
     c, top = (log_m + lgam).tolist(), 2 * N
-    ends = (min((c[0] - c[k]) / (2 * k) for k in range(1, top + 1)),
-            max((c[k] - c[top]) / (2 * (top - k)) for k in range(top))) if N else ()
-    return _Tables(lgam, index, log_m, two_k, ends)
+    ends, segment = (), ()
+    if N:
+        x0 = min((c[0] - c[k]) / (2 * k) for k in range(1, top + 1))
+        x1 = max((c[k] - c[top]) / (2 * (top - k)) for k in range(top))
+        h = _PROBE * (x1 - x0)
+        ends, segment = (x0, x1), ((x0, x1, x0 + h, x1 - h) if x1 > x0 else (x0,))
+    first = _scored_at(segment + (0.0,))
+    plain = math.log(2.0) + math.log(N + 1) + float(lgam[top])
+    t = _Tables(lgam, index, log_m, two_k, plain, ends, segment, first, ())
+    for table in (index, log_m, two_k, first):
+        table.flags.writeable = False  # shared by every call at this N
+    return t._replace(first_log_den=tuple(_optimized_log_den(t, first)))
 
 
 class _Plan:
-    """The b-independent parts of H_{N,b}(psi) that depend on the state: its
-    nonzero indices n, their log sqrt(n!) and log |psi_n|, and their phases,
-    built once per (state, N) so that every b of a search reuses them."""
+    """The b-independent parts of H_{N',b}(psi) that depend on the state, for
+    every N' <= N: its nonzero indices n <= 2N, their log sqrt(n!) and
+    log |psi_n|, and their phases, built once per state and call so that every
+    (N', b) of the call reuses them."""
 
     def __init__(self, psi: FockVector, N: int):
         if not 0 <= 2 * N <= psi.cutoff:
@@ -140,32 +176,65 @@ class _Plan:
         check_hankel_size(N)
         amps = psi.amplitudes[: 2 * N + 1]
         self.N = N
-        self.tables = _tables(N)
         self.n = np.flatnonzero(amps)  # zero amplitudes stay exact zeros
-        self.half_lgam = 0.5 * self.tables.lgam[self.n]
+        self.half_lgam = 0.5 * _tables(N).lgam[self.n]
         self.log_mags = np.log(np.abs(amps[self.n]))
         self.phases = psi.phases[self.n]
 
 
-def _spectra(plan: _Plan, log_b: np.ndarray, vectors: bool = False):
-    """(B, N+1, N+1) scaled matrices H_{N,b}(psi), their singular values from one
-    stacked SVD call (with ``vectors``, the (U, sigma, V^H) of that call) and the
-    (B,) log scales, for the B values of ``log_b``."""
+def _entries(plan: _Plan, Ns, log_b: np.ndarray):
+    """The entry pass of the P points (Ns[k], log_b[k]): their (P, 2 plan.N + 1)
+    entries b^n sqrt(n!) psi_n / e^scale and their (P,) log scales.  A point's
+    scale is the max of its log entries over n <= 2N (0 where it has none), and
+    its entries past 2N, which its matrix never reads, are 0."""
     log_entry = plan.n * log_b[:, None] + plan.half_lgam + plan.log_mags
-    scale = log_entry.max(axis=1) if len(plan.n) else np.zeros(len(log_b))
+    if len(plan.n) and plan.n[-1] > 2 * min(Ns):  # some point reads fewer n than the plan holds
+        log_entry[plan.n > 2 * np.asarray(Ns)[:, None]] = -np.inf
+    scale = log_entry.max(axis=1, initial=-np.inf)
+    scale[scale == -np.inf] = 0.0
     vals = np.zeros((len(log_b), 2 * plan.N + 1), dtype=complex)
     vals[:, plan.n] = np.exp(log_entry - scale[:, None]) * plan.phases
+    return vals, scale
 
-    matrices = vals[:, plan.tables.index]
-    return matrices, np.linalg.svd(matrices, compute_uv=vectors), scale
+
+def _spectra(vals: np.ndarray, N: int, vectors: bool = False):
+    """The (B, N+1, N+1) matrices H_N of B entry rows and their singular values
+    from one stacked SVD call (with ``vectors``, the (U, sigma, V^H) of that call)."""
+    matrices = vals[:, _tables(N).index]
+    return matrices, np.linalg.svd(matrices, compute_uv=vectors)
+
+
+def _blocks(plan: _Plan, Ns, log_b: np.ndarray):
+    """(N, rows, matrices, sigma, scales) of each stacked SVD call over the
+    points (Ns[k], log_b[k]), each N's points consecutive, ``rows`` the slice
+    of the points it holds: one entry pass builds every point, then each N's
+    points go through consecutive calls of at most _BLOCK_ENTRIES matrix
+    entries, one call where they fit."""
+    vals, scale = _entries(plan, Ns, log_b)
+    lo = 0
+    for N, group in itertools.groupby(Ns):
+        hi = lo + len(list(group))
+        step = max(1, _BLOCK_ENTRIES // (N + 1) ** 2)
+        for start in range(lo, hi, step):
+            rows = slice(start, min(start + step, hi))
+            yield (N, rows, *_spectra(vals[rows], N), scale[rows])
+        lo = hi
+
+
+def hankel_matrices(psi: FockVector, Ns, b: float) -> list:
+    """[(matrix, singular_values, scale) of H_{N,b}(psi) for N in Ns], from one
+    entry pass and one SVD call per N: each matrix is stored divided by
+    e^scale and the singular values are its own, so the true ones are
+    singular_values * e^scale."""
+    plan = _Plan(psi, max(Ns))  # checks the largest N before anything is built
+    blocks = _blocks(plan, list(Ns), _log_b([b] * len(Ns)))
+    return [point for _, _, *block in blocks for point in zip(*block)]
 
 
 def hankel_matrix(psi: FockVector, N: int, b: float):
-    """(matrix, singular_values, scale) of H_{N,b}(psi) at the caller's b, the
-    one-b slice of _spectra: the matrix is stored divided by e^scale and the
-    singular values are its own, so the true ones are singular_values * e^scale."""
-    matrices, sigma, scale = _spectra(_Plan(psi, N), _log_b([b]))
-    return matrices[0], sigma[0], scale[0]
+    """(matrix, singular_values, scale) of H_{N,b}(psi), the one-N case of
+    hankel_matrices."""
+    return hankel_matrices(psi, [N], b)[0]
 
 
 def numerical_rank(s: np.ndarray) -> int:
@@ -175,77 +244,77 @@ def numerical_rank(s: np.ndarray) -> int:
     return int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
 
 
-def _log_weight_max(plan: _Plan, log_b: np.ndarray) -> np.ndarray:
-    """log max_{n=0..2N} m_n b^{2n} n! for each log b, m_n the anti-diagonal multiplicity."""
-    t = plan.tables
-    return (t.log_m + t.two_k * log_b[:, None] + t.lgam).max(axis=1)
-
-
 def _threshold(tail: float, scale: float, log_den: float) -> float:
     """tail / e^{log_den} for a squared tail of the matrix stored at e^{-scale}, 0 if empty."""
     return math.exp(math.log(tail) + 2.0 * scale - log_den) if tail > 0.0 else 0.0
 
 
-def _thresholds_at(plan: _Plan, log_b: np.ndarray, rs, log_den=None) -> list:
-    """[threshold of r at log_b[k] for r in rs[k]] for each k: the points in
-    consecutive stacked SVD calls of at most _BLOCK_ENTRIES matrix entries,
-    and only the tails each point is asked for, each the correctly rounded sum
-    of its squared sigma (so it does not depend on which other r are asked).
-    ``log_den=None`` takes each b's rescaled log 2 max_n m_n b^{2n} n!."""
+def _thresholds_at(plan: _Plan, Ns, log_b: np.ndarray, rs, log_den=None) -> list:
+    """[threshold of r over e^{log_den[k]} for r in rs[k]] at each point
+    (Ns[k], log_b[k]), from ``_blocks``' calls, and only the tails each point
+    is asked for, each the correctly rounded sum of its squared sigma (so it
+    does not depend on which other r are asked).  ``log_den=None`` takes each
+    point's optimized log 2 max_n m_n b^{2n} n!."""
     out = []
-    step = max(1, _BLOCK_ENTRIES // (plan.N + 1) ** 2)
-    for lo in range(0, len(log_b), step):
-        part = log_b[lo : lo + step]
-        _, sigma, scale = _spectra(plan, part)
-        den = (np.full(len(part), log_den) if log_den is not None
-               else math.log(2.0) + _log_weight_max(plan, part))
-        for row, s, d, want in zip(sigma.tolist(), scale.tolist(), den.tolist(), rs[lo:]):
+    for N, rows, _, sigma, scale in _blocks(plan, Ns, log_b):
+        den = (log_den[rows] if log_den is not None
+               else _optimized_log_den(_tables(N), log_b[rows]))
+        for row, s, d in zip(sigma.tolist(), scale.tolist(), den):
             squares = [x * x for x in row]
-            out.append([_threshold(math.fsum(squares[r:]), s, d) for r in want])
+            out.append([_threshold(math.fsum(squares[r:]), s, d) for r in rs[len(out)]])
     return out
 
 
-def _point_thresholds(plan: _Plan, log_b: np.ndarray, rs, log_den=None) -> list:
-    """The threshold of r = rs[k] at log_b[k] for each k (one r per point)."""
-    if not 0 <= min(rs) <= max(rs) <= plan.N:
-        raise ValueError(f"need 0 <= r <= N, got r in [{min(rs)}, {max(rs)}], N={plan.N}")
-    return [value for [value] in _thresholds_at(plan, log_b, [[r] for r in rs], log_den)]
+def _point_thresholds(plan: _Plan, Ns, log_b: np.ndarray, rs, log_den=None) -> list:
+    """The threshold of r = rs[k] at (Ns[k], log_b[k]) for each k (one r per
+    point), over ``_thresholds_at``'s denominators."""
+    for r, N in zip(rs, Ns):
+        if not 0 <= r <= N:
+            raise ValueError(f"need 0 <= r <= N, got r in [{min(rs)}, {max(rs)}], N={N}")
+    return [value for [value] in _thresholds_at(plan, Ns, log_b, [[r] for r in rs], log_den)]
+
+
+def _plain_bounds(plan: _Plan, r: int, Ns) -> list:
+    """The plain bound of r at each N in Ns (ascending), from one entry pass."""
+    return _point_thresholds(plan, Ns, np.zeros(len(Ns)), [r] * len(Ns),
+                             [_tables(N).plain_log_den for N in Ns])
 
 
 def plain_bound(psi: FockVector, r: int, N: int) -> float:
     """Certified eps threshold sum_{l>r} sigma_l(H_N)^2 / (2 (N+1) (2N)!)."""
-    plan = _Plan(psi, N)  # checks N before the log below reads it
-    log_den = math.log(2.0) + math.log(N + 1) + float(plan.tables.lgam[2 * N])
-    return _point_thresholds(plan, np.zeros(1), [r], log_den)[0]
+    return _plain_bounds(_Plan(psi, N), r, [N])[0]
+
+
+def plain_bounds(psi: FockVector, r: int, cfg: SearchConfig) -> dict:
+    """{N: plain_bound(psi, r, N)} for N = max(r, 1)..cfg.N_max, the plain
+    search, from one entry pass and one SVD call per N.  It refuses what
+    ``optimized_bounds`` refuses, in the same order and words."""
+    if r < 0:
+        raise ValueError("r must be non-negative")
+    n_max = cfg.resolve_n_max(psi.cutoff)
+    check_searchable(r, n_max)
+    Ns = range(max(r, 1), n_max + 1)
+    return dict(zip(Ns, _plain_bounds(_Plan(psi, n_max), r, Ns)))
 
 
 def rescaled_bound(psi: FockVector, r: int, N: int, b: float) -> float:
     """The optimized-bound objective at one fixed (N, b)."""
-    return _point_thresholds(_Plan(psi, N), _log_b([b]), [r])[0]
+    return _point_thresholds(_Plan(psi, N), [N], _log_b([b]), [r])[0]
 
 
-_PROBE = 1e-6  # an end's probe sits this fraction of the segment's width inside it
-_XTOL = 1e-9  # a secant stops once a step or its bracket is this fraction of the segment's width
-_SECANT_STEPS = 40  # and after this many steps in any case
-
-
-def _scored_at(xs) -> np.ndarray:
-    """The log b that scoring at b = exp(x) reads, as ``rescaled_bound`` reads it."""
-    return _log_b([*map(math.exp, xs)])
-
-
-def _slopes(plan: _Plan, xs: list, rs) -> list:
-    """[d log(threshold of r) / d log b at log b = xs[k] for r in rs[k]] for
-    each k, on a segment where the denominator is the one monomial
+def _slopes(plan: _Plan, N: int, xs: list, rs) -> list:
+    """[d log(threshold of r) / d log b at (N, log b = xs[k]) for r in rs[k]]
+    for each k, on a segment where the denominator is the one monomial
     m_N N! b^{2N} (N = 1, 2).  With dH/d(log b) = K.H, K_ij = i + j, a simple
     singular value moves by Re(u_l^H (K.H) v_l) (Stewart & Sun, Matrix
     Perturbation Theory, 1990), so the slope is
     2 sum_{l>r} sigma_l Re(u_l^H (K.H) v_l) / sum_{l>r} sigma_l^2 - 2N; the
-    matrices' common scale cancels.  NaN where the tail is 0.  One stacked SVD
-    call with vectors; the refinement asks for at most N + 1 <= 3 points, far
-    inside one _BLOCK_ENTRIES block."""
-    matrices, (u, sigma, vh), _ = _spectra(plan, np.array(xs), vectors=True)
-    moved = (matrices * plan.tables.index) @ vh.conj().swapaxes(-1, -2)
+    matrices' common scale cancels.  NaN where the tail is 0.  One entry pass
+    and one stacked SVD call with vectors; the refinement asks for at most
+    N + 1 <= 3 points, far inside one _BLOCK_ENTRIES block."""
+    vals, _ = _entries(plan, [N] * len(xs), np.array(xs))
+    matrices, (u, sigma, vh) = _spectra(vals, N, vectors=True)
+    moved = (matrices * _tables(N).index) @ vh.conj().swapaxes(-1, -2)
     rates = (u.conj() * moved).sum(axis=-2).real
     out = []
     for s, d, want in zip(sigma.tolist(), rates.tolist(), rs):
@@ -254,7 +323,7 @@ def _slopes(plan: _Plan, xs: list, rs) -> list:
         for r in want:
             tail = math.fsum(t for t, _ in terms[r:])
             rise = math.fsum(p for _, p in terms[r:])
-            out[-1].append(2.0 * rise / tail - 2 * plan.N if tail > 0.0 else math.nan)
+            out[-1].append(2.0 * rise / tail - 2 * N if tail > 0.0 else math.nan)
     return out
 
 
@@ -296,25 +365,41 @@ def _secant(slope, lo: list, hi: list, at_lo: list, at_hi: list) -> list:
     return x
 
 
-def _search(plan: _Plan, rs: list) -> list:
-    """(log b, threshold) of the maximum over every b > 0 for each r in
-    ``rs``, which lies on the segment [x0, x1] between the first and last
-    kink.  One stacked call scores x0, x1, a probe _PROBE of the width inside
-    each end (none for a one-point segment) and b = 1.  An end wins if it is
-    at least its probe and the other end, x0 first, so a segment whose values
-    are all exactly 0 is not refined.  On a segment neither end settles, one
-    stacked call gives each r's slope at both ends; where they bracket a root
-    (rising at x0, falling at x1) the secants of all such r run in lockstep,
-    one stacked call a step, and one more call scores each root, which
-    replaces the segment's best scored point (ends and probes, in that
-    order) only when strictly higher.  b = 1 replaces the segment's point
-    only when strictly higher."""
+def _searches(plan: _Plan, Ns, rs) -> list:
+    """For each N in Ns (ascending, all at least 1), [(log b, threshold)] of the
+    maximum over every b > 0 for each r <= N of ``rs``, which lies on the
+    segment [x0, x1] between the first and last kink.  One entry pass builds
+    every N's first call, one stacked SVD call per N: x0, x1, a probe _PROBE
+    of the width inside each end (none for a one-point segment) and b = 1
+    (``_Tables.first_log_b``).  The rest runs per N (``_refine``)."""
+    tables = [_tables(N) for N in Ns]
+    live = [[r for r in rs if r <= N] for N in Ns]
+    scored = _thresholds_at(
+        plan, [N for N, t in zip(Ns, tables) for _ in t.first_log_b],
+        np.concatenate([t.first_log_b for t in tables]),
+        [want for want, t in zip(live, tables) for _ in t.first_log_b],
+        [d for t in tables for d in t.first_log_den])
+    out, lo = [], 0
+    for N, t, want in zip(Ns, tables, live):
+        rows = scored[lo : lo + len(t.first_log_b)]
+        lo += len(rows)
+        out.append(_refine(plan, N, want, list(zip(*rows))))
+    return out
 
-    x0, x1 = plan.tables.ends
-    h = _PROBE * (x1 - x0)
-    ends = [x0, x1, x0 + h, x1 - h] if x1 > x0 else [x0]
-    xs = ends + [0.0]
-    columns = list(zip(*_thresholds_at(plan, _scored_at(xs), [rs] * len(xs))))
+
+def _refine(plan: _Plan, N: int, rs: list, columns: list) -> list:
+    """(log b, threshold) of the maximum at N for each r in ``rs``, whose first
+    call's values (the segment's points, then b = 1) are ``columns``.  An end
+    wins if it is at least its probe and the other end, x0 first, so a segment
+    whose values are all exactly 0 is not refined.  On a segment neither end
+    settles, one stacked call gives each r's slope at both ends; where they
+    bracket a root (rising at x0, falling at x1) the secants of all such r run
+    in lockstep, one stacked call a step, and one more call scores each root,
+    which replaces the segment's best scored point (ends and probes, in that
+    order) only when strictly higher.  b = 1 replaces the segment's point only
+    when strictly higher."""
+    t = _tables(N)
+    (x0, x1), ends = t.ends, t.segment
     found, todo = {}, []
     for k, v in enumerate(columns):
         if len(ends) == 1 or v[0] >= max(v[1], v[2]):
@@ -326,13 +411,13 @@ def _search(plan: _Plan, rs: list) -> list:
             todo.append(k)
     if todo:
         want = [rs[k] for k in todo]
-        slopes = dict(zip(todo, zip(*_slopes(plan, [x0, x1], [want, want]))))
+        slopes = dict(zip(todo, zip(*_slopes(plan, N, [x0, x1], [want, want]))))
         ks = [k for k in todo if slopes[k][0] > 0.0 > slopes[k][1]]
         if ks:
             roots = _secant(
-                lambda points, live: [g for [g] in _slopes(plan, points, [[rs[ks[i]]] for i in live])],
+                lambda points, live: [g for [g] in _slopes(plan, N, points, [[rs[ks[i]]] for i in live])],
                 [x0] * len(ks), [x1] * len(ks), [slopes[k][0] for k in ks], [slopes[k][1] for k in ks])
-            scored = _point_thresholds(plan, _scored_at(roots), [rs[k] for k in ks])
+            scored = _point_thresholds(plan, [N] * len(ks), _scored_at(roots), [rs[k] for k in ks])
             for k, x, value in zip(ks, roots, scored):
                 if value > max(columns[k][: len(ends)]):
                     found[k] = (x, value)
@@ -351,7 +436,7 @@ def optimized_bounds(psi: FockVector, rs, cfg: SearchConfig) -> dict:
     The denominator max_n m_n b^{2n} n! is the n = 0 term 1 left of its first
     kink and the n = 2N term (2N)! b^{4N} right of its last, so the objective
     rises up to the first kink and falls after the last: the maximum over
-    every b > 0 lies on the segment between the two kinks (``_search``),
+    every b > 0 lies on the segment between the two kinks (``_searches``),
     which depend on N alone and lie in [0.0364, 1] for every N = 1..1023.
     With c_k = log m_k + log k!, they are x0 = min_{1<=k<=2N} (c_0 - c_k) /
     (2k) and x1 = max_{0<=k<2N} (c_k - c_2N) / (2 (2N - k)) in log b
@@ -366,9 +451,10 @@ def optimized_bounds(psi: FockVector, rs, cfg: SearchConfig) -> dict:
     slopes at the segment's ends bracket a root.  A zero tail stays
     zero at every b (H_{N,b} = B H_{N,1} B with B = diag(b^i) invertible).
     b = 1 is always scored too, so the optimized bound dominates the plain
-    one at every searched N even on noise-level tails.  Each N takes one
-    stacked call of at most five points for every r <= N, and a segment no
-    end settles a handful more.
+    one at every searched N even on noise-level tails.  One entry pass
+    scores every N's first points (at most five per N, for every r <= N) in
+    one stacked SVD call per N, and a segment no end settles takes a handful
+    more calls at its N.
 
     Ties go to the segment over b = 1, then to smaller N, then smaller b.
     Every value is scored at b = exp(log b), as ``rescaled_bound`` scores it,
@@ -388,9 +474,9 @@ def optimized_bounds(psi: FockVector, rs, cfg: SearchConfig) -> dict:
     check_searchable(rs[-1], n_max)
 
     best = {r: OptimizedBound(0.0, 1.0, max(r, 1)) for r in rs}
-    for N in range(max(rs[0], 1), n_max + 1):
-        live = [r for r in rs if r <= N]
-        for r, (log_b_star, val) in zip(live, _search(_Plan(psi, N), live)):
+    Ns = range(max(rs[0], 1), n_max + 1)
+    for N, found in zip(Ns, _searches(_Plan(psi, n_max), Ns, rs)):
+        for r, (log_b_star, val) in zip([r for r in rs if r <= N], found):
             b_star, old = math.exp(log_b_star), best[r]
             if val > old.value or (val == old.value and (N, b_star) < (old.N_star, old.b_star)):
                 best[r] = OptimizedBound(float(val), float(b_star), N)

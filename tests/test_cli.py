@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csrank
+from csrank import hankel
 from csrank.certify import fock_analytic_threshold
 from csrank.cli import build_parser, main
 from csrank.decomp import MAX_CIRCLE_NODES, MAX_RESTARTS, fit_superposition
@@ -124,6 +125,20 @@ def test_n_max_defaults_to_10_for_certify_and_max_r_10_for_bound(capsys):
     code, payload = run_json(capsys, ["bound", squeezed, "--r", "12"])
     assert code == 0
     assert payload["parameters"]["N"] == 12
+
+
+def test_plain_and_optimized_refuse_a_short_cutoff_alike(capsys, monkeypatch):
+    # bound's default --n-max is max(r, 10), so cutoff 14 holds no H_10
+    built = []
+    entries = hankel._entries
+    monkeypatch.setattr(hankel, "_entries", lambda *args: built.append(args) or entries(*args))
+    errors = []
+    for method in ("plain", "optimized"):
+        assert main(["bound", '{"type":"fock","n":6,"cutoff":14}', "--r", "6",
+                     "--method", method]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: cutoff 14 too small for N_max 10\n"] * 2
+    assert built == []  # refused before any Hankel matrix is built
 
 
 @pytest.mark.parametrize("method", ["plain", "optimized", "analytic"])

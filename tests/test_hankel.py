@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gammaln
 
 from csrank import hankel
-from csrank.certify import certify_rank, recurrence_order
+from csrank.certify import bound_certificate, certify_rank, recurrence_order
 from csrank.errors import ResourceLimit
 from csrank.fock import (
     CoherentSuperposition,
@@ -224,6 +224,14 @@ def test_search_config_validation():
         optimized_bound(fock_state(1, 2), 5, SearchConfig(N_max=1))
 
 
+def one_n_spectra(plan, N, log_b):
+    """(matrices, sigma, scales) of H_N at every log b, from one entry pass of
+    the plan and one stacked SVD call."""
+    vals, scale = hankel._entries(plan, [N] * len(log_b), log_b)
+    matrices, sigma = hankel._spectra(vals, N)
+    return matrices, sigma, scale
+
+
 # 200 log-spaced b on the default range, plus b = 1.
 B_GRID = np.unique(np.append(np.geomspace(1e-3, 10.0, 200), 1.0))
 
@@ -243,13 +251,43 @@ def builder_states():
 def test_stacked_spectra_equal_one_b_builds(state, N):
     psi = builder_states()[state]
     grid = B_GRID
-    matrices, sigma, scale = hankel._spectra(hankel._Plan(psi, N), hankel._log_b(grid))
+    matrices, sigma, scale = one_n_spectra(hankel._Plan(psi, N), N, hankel._log_b(grid))
     assert matrices.shape == (len(grid), N + 1, N + 1)
     for k, b in enumerate(grid):
         one_matrix, one_sigma, one_scale = hankel_matrix(psi, N, b)
         assert np.array_equal(one_sigma, sigma[k])
         assert one_scale == scale[k]
         assert np.array_equal(one_matrix, matrices[k])
+
+
+def test_every_n_of_one_pass_equals_its_one_n_build():
+    # one entry pass over N = 1..8 at four b each: every N's group is its one-N
+    # build and the reference builder's, bit for bit; |5> has no support at
+    # n <= 2N for N = 1, 2, so those matrices are zero with scale 0
+    b, Ns = [0.05, 0.6, 1.0, 4.0], range(1, 9)
+    states = [psi for _, psi, _ in corpus_states()] + builder_states() + [fock_state(5, 16)]
+    for i, psi in enumerate(states):
+        log_b = hankel._log_b(b * len(Ns))
+        blocks = list(hankel._blocks(hankel._Plan(psi, 8), [N for N in Ns for _ in b], log_b))
+        assert [(N, len(scale)) for N, _, _, _, scale in blocks] == [(N, len(b)) for N in Ns]
+        for N, rows, matrices, sigma, scale in blocks:
+            _, ref_sigma, ref_scale = reference_spectra(psi, N, log_b[rows])
+            assert hexes(sigma) == hexes(ref_sigma) and hexes(scale) == hexes(ref_scale), (i, N)
+            for k, x in enumerate(b):
+                one = hankel_matrix(psi, N, x)
+                assert matrices[k].tobytes() == one[0].tobytes(), (i, N, x)
+                assert sigma[k].tobytes() == one[1].tobytes(), (i, N, x)
+                assert scale[k].hex() == one[2].hex(), (i, N, x)
+            if i == len(states) - 1 and N <= 2:
+                assert not matrices.any() and not sigma.any() and not scale.any()
+        for x in b:
+            together = hankel.hankel_matrices(psi, Ns, x)
+            for N, (matrix, s, scale) in zip(Ns, together):
+                one = hankel_matrix(psi, N, x)
+                assert (matrix.tobytes(), s.tobytes(), scale.hex()) == (
+                    one[0].tobytes(), one[1].tobytes(), one[2].hex()), (i, N, x)
+        ranks = [(N, numerical_rank(hankel_matrix(psi, N, 1.0)[1])) for N in Ns]
+        assert list(recurrence_order(psi, 8).ranks_by_N) == ranks, i
 
 
 # Reference builders that recompute every b-independent part on each call;
@@ -304,18 +342,18 @@ def test_plan_matches_the_reference_builder_on_the_corpus(N):
         plan = hankel._Plan(psi, N)
         for b in (grid, off_grid):
             log_b = hankel._log_b(b)
-            _, sigma, scale = hankel._spectra(plan, log_b)
+            _, sigma, scale = one_n_spectra(plan, N, log_b)
             _, ref_sigma, ref_scale = reference_spectra(psi, N, log_b)
             assert hexes(sigma) == hexes(ref_sigma), name
             assert hexes(scale) == hexes(ref_scale), name
-            assert hexes(hankel._log_weight_max(plan, log_b)) == hexes(
-                reference_log_weight_max(N, log_b)), name
+            assert hexes(hankel._optimized_log_den(hankel._tables(N), log_b)) == hexes(
+                math.log(2.0) + reference_log_weight_max(N, log_b)), name
             table = reference_tails(psi, N, b, rs)
-            together = hankel._thresholds_at(plan, log_b, [rs] * len(b))
+            together = hankel._thresholds_at(plan, [N] * len(b), log_b, [rs] * len(b))
             assert hexes(together) == hexes(table.T), name
             # a refinement point asks for one r; cycle the r over the points
             ks = [i % len(rs) for i in range(len(b))]
-            points = hankel._point_thresholds(plan, log_b, [rs[k] for k in ks])
+            points = hankel._point_thresholds(plan, [N] * len(b), log_b, [rs[k] for k in ks])
             assert hexes(points) == hexes(table[ks, range(len(b))]), name
         log_den = math.log(2.0) + math.log(N + 1) + float(gammaln(2 * N + 1))
         plain = [plain_bound(psi, r, N) for r in rs]
@@ -323,16 +361,30 @@ def test_plan_matches_the_reference_builder_on_the_corpus(N):
 
 
 def record_blocks(monkeypatch):
-    """Wrap hankel._spectra to record (N, number of b, with vectors) of every call."""
+    """Wrap hankel._spectra to record (N, number of b, with vectors) of every
+    stacked SVD call."""
     calls = []
     spectra = hankel._spectra
 
-    def wrapped(plan, log_b, vectors=False):
-        calls.append((plan.N, len(log_b), vectors))
-        return spectra(plan, log_b, vectors)
+    def wrapped(vals, N, vectors=False):
+        calls.append((N, len(vals), vectors))
+        return spectra(vals, N, vectors)
 
     monkeypatch.setattr(hankel, "_spectra", wrapped)
     return calls
+
+
+def record_passes(monkeypatch):
+    """Wrap hankel._entries to record the N of every point of every entry pass."""
+    passes = []
+    entries_of = hankel._entries
+
+    def wrapped(plan, Ns, log_b):
+        passes.append(list(Ns))
+        return entries_of(plan, Ns, log_b)
+
+    monkeypatch.setattr(hankel, "_entries", wrapped)
+    return passes
 
 
 def entries(calls):
@@ -344,98 +396,119 @@ def test_block_split_keeps_every_threshold(monkeypatch, state):
     psi = builder_states()[state]
     N, rs = 6, [0, 2, 6]
     log_b = hankel._log_b(B_GRID)
-    plan = hankel._Plan(psi, N)
-    whole = hankel._thresholds_at(plan, log_b, [rs] * len(B_GRID))
-    plain = hankel._point_thresholds(plan, log_b[:1], [2], 1.5)
+    plan, at_n = hankel._Plan(psi, N), [N] * len(B_GRID)
+    whole = hankel._thresholds_at(plan, at_n, log_b, [rs] * len(B_GRID))
+    plain = hankel._point_thresholds(plan, [N], log_b[:1], [2], [1.5])
     # blocks of four matrices leave a shorter last block (201 = 50 * 4 + 1)
     monkeypatch.setattr(hankel, "_BLOCK_ENTRIES", 4 * (N + 1) ** 2 + 1)
     calls = record_blocks(monkeypatch)
-    split = hankel._thresholds_at(plan, log_b, [rs] * len(B_GRID))
+    split = hankel._thresholds_at(plan, at_n, log_b, [rs] * len(B_GRID))
     assert [(p, uv) for _, p, uv in calls] == [(4, False)] * 50 + [(1, False)]
     assert max(entries(calls)) <= hankel._BLOCK_ENTRIES
     table = reference_tails(psi, N, B_GRID, rs)
     assert hexes(split) == hexes(whole) == hexes(table.T)
-    assert hankel._point_thresholds(plan, log_b[:1], [2], 1.5) == plain
+    assert hankel._point_thresholds(plan, [N], log_b[:1], [2], [1.5]) == plain
     assert [rescaled_bound(psi, 2, N, b) for b in B_GRID] == list(table[1])
-    points = hankel._point_thresholds(plan, log_b, [2] * len(B_GRID))
+    points = hankel._point_thresholds(plan, at_n, log_b, [2] * len(B_GRID))
     assert points == list(table[1])
 
 
 def test_stacked_svd_calls_stay_within_the_block_bound(monkeypatch):
-    # blocks of two 3x3 matrices split the five points of each N = 2 segment,
-    # and a secant's points too
-    psi, cfg = builder_states()[1], SearchConfig(N_max=2)
-    whole = optimized_bounds(psi, [0, 1, 2], cfg)
+    # blocks of two 3x3 matrices: the one entry pass of the first calls is
+    # split per N, four 2x2 and one, two, two and one 3x3, and one 4x4 at a time
+    core2 = next(psi for name, psi, _ in corpus_states() if name == "core2")
+    cfg, rs = SearchConfig(N_max=3), [0, 1, 2, 3]
+    whole = [optimized_bounds(psi, rs, cfg) for psi in (builder_states()[1], core2)]
     monkeypatch.setattr(hankel, "_BLOCK_ENTRIES", 2 * 9)
-    calls = record_blocks(monkeypatch)
-    assert optimized_bounds(psi, [0, 1, 2], cfg) == whole
+    passes, calls = record_passes(monkeypatch), record_blocks(monkeypatch)
+    assert optimized_bounds(builder_states()[1], rs, cfg) == whole[0]
+    assert passes == [[1] * 5 + [2] * 5 + [3] * 2]
+    assert calls == [(1, 4, False), (1, 1, False), (2, 2, False), (2, 2, False),
+                     (2, 1, False), (3, 1, False), (3, 1, False)]
+    # core2 refines at N = 1 and 2: its slopes and secant points stay within the bound too
+    assert optimized_bounds(core2, rs, cfg) == whole[1]
+    assert any(uv for _, _, uv in calls[7:])
     assert max(entries(calls)) <= hankel._BLOCK_ENTRIES
-    assert [p for N, p, _ in calls if N == 2][:3] == [2, 2, 1]
 
 
 def unsettled_and_bracketed(psi, N):
     """The r whose segment neither end settles, and of those the r whose slope
     rises at the segment's lower end and falls at its upper end."""
     plan = hankel._Plan(psi, N)
-    x0, x1 = plan.tables.ends
+    x0, x1 = hankel._tables(N).ends
     h = hankel._PROBE * (x1 - x0)
     unsettled = []
     for r in range(N + 1):
         v0, v1, p0, p1 = (rescaled_bound(psi, r, N, math.exp(x)) for x in (x0, x1, x0 + h, x1 - h))
         if not (v0 >= max(v1, p0) or v1 >= max(v0, p1)):
             unsettled.append(r)
-    slopes = hankel._slopes(plan, [x0, x1], [unsettled, unsettled])
+    slopes = hankel._slopes(plan, N, [x0, x1], [unsettled, unsettled])
     return unsettled, [r for r, g0, g1 in zip(unsettled, *slopes) if g0 > 0.0 > g1]
 
 
 def test_certify_makes_one_grid_pass_per_n(monkeypatch):
     core2 = next(psi for name, psi, _ in corpus_states() if name == "core2")
+    # the first call of every N: at N = 1 and 2 the segment's two ends, a probe
+    # inside each and b = 1; from N = 3 on its one point and b = 1
+    first = [(1, 5, False), (2, 5, False)] + [(N, 2, False) for N in range(3, 7)]
     for state, psi in enumerate(builder_states() + [core2]):
-        calls = record_blocks(monkeypatch)
+        passes, calls = record_passes(monkeypatch), record_blocks(monkeypatch)
         certify_rank(psi, 1e-6, 6, named(psi))
         monkeypatch.undo()
-        # one scoring call per N for every r: at N = 1 and 2 the segment's two
-        # ends, a probe inside each and b = 1; from N = 3 on its one point and b = 1
-        assert [call for call in calls if call[0] >= 3] == [(N, 2, False) for N in range(3, 7)]
+        # one entry pass builds every N's first call, then one SVD call per N
+        assert passes[0] == [N for N, points, _ in first for _ in range(points)]
+        assert calls[: len(first)] == first, state
+        # every later pass and call refines N = 1, then N = 2, alone
+        later = calls[len(first):]
+        assert [set(p) for p in passes[1:]] == [{N} for N, _, _ in later], state
+        assert [N for N, _, _ in later] == sorted(N for N, _, _ in later if N in (1, 2))
         for N in (1, 2):
-            at_n = [call[1:] for call in calls if call[0] == N]
+            at_n = [call[1:] for call in later if call[0] == N]
             unsettled, bracketed = unsettled_and_bracketed(psi, N)
-            assert at_n[0] == (5, False)
             if not unsettled:
-                assert at_n == [(5, False)], (state, N)
+                assert at_n == [], (state, N)
                 continue
             # the slopes at both ends, the secant steps with one point per live
             # bracket, then one call scoring every root
-            steps = [points for points, _ in at_n[2:-1]]
-            assert at_n[1] == (2, True) and at_n[-1] == (len(bracketed), False), (state, N)
-            assert all(uv for _, uv in at_n[2:-1]), (state, N)
+            steps = [points for points, _ in at_n[1:-1]]
+            assert at_n[0] == (2, True) and at_n[-1] == (len(bracketed), False), (state, N)
+            assert all(uv for _, uv in at_n[:-1]), (state, N)
             assert steps == sorted(steps, reverse=True) and steps[0] == len(bracketed)
             assert len(steps) <= hankel._SECANT_STEPS
         if state < 4:  # every builder state settles on an end at every r
-            assert all(not uv for _, _, uv in calls)
+            assert later == [] and len(passes) == 1
         else:  # core2 refines r = 1 at N = 1 and r = 1, 2 at N = 2, at most 10 steps per N
             assert [unsettled_and_bracketed(psi, N) for N in (1, 2)] == [([1], [1]), ([1, 2], [1, 2])]
             assert sum(uv for _, _, uv in calls) <= 2 * 11
 
 
 def test_certify_builds_the_b_independent_parts_once_per_n(monkeypatch):
-    calls = []
-    log_factorials = hankel.log_factorials
+    calls, plans = [], []
+    log_factorials, plan_init = hankel.log_factorials, hankel._Plan.__init__
 
     def counted(k_max):
         table = log_factorials(k_max)
         calls.append(len(table))
         return table
 
+    def counted_plan(self, psi, N):
+        plans.append(N)
+        plan_init(self, psi, N)
+
     monkeypatch.setattr(hankel, "log_factorials", counted)
+    monkeypatch.setattr(hankel._Plan, "__init__", counted_plan)
     hankel._tables.cache_clear()
     certify_rank(builder_states()[1], 1e-6, 6, SQUEEZED_06_04)
-    # one log k! table per N, for k = 0..2N, not one per plan or refinement step
-    assert calls == [2 * N + 1 for N in range(1, 7)]
+    # one log k! table per N, for k = 0..2N, not one per plan or refinement
+    # step, and the state's parts once per call, for every N up to N_max
+    assert sorted(calls) == [2 * N + 1 for N in range(1, 7)] and plans == [6]
     certify_rank(builder_states()[2], 1e-6, 7, named(builder_states()[2]))
     plain_bound(builder_states()[3], 1, 5)
-    assert calls == [2 * N + 1 for N in range(1, 8)]
-    assert hankel._tables(3) is hankel._Plan(builder_states()[0], 3).tables
+    assert sorted(calls) == [2 * N + 1 for N in range(1, 8)] and plans == [6, 7, 5]
+    # the plain search and the recurrence build the state's parts once too
+    bound_certificate(SQUEEZED_06_04, 2, "plain", 8)
+    recurrence_order(builder_states()[3], 8)
+    assert sorted(calls) == [2 * N + 1 for N in range(1, 9)] and plans == [6, 7, 5, 8, 8]
 
 
 @pytest.mark.parametrize("state", range(4), ids=["fock", "squeezed", "core", "superposition"])
@@ -452,14 +525,14 @@ def test_tails_of_several_r_equal_one_r_at_a_time(state):
     psi = builder_states()[state]
     N, rs = 6, [0, 2, 3, 6]
     log_b = hankel._log_b(B_GRID)
-    plan = hankel._Plan(psi, N)
-    together = hankel._thresholds_at(plan, log_b, [rs] * len(B_GRID))
+    plan, at_n = hankel._Plan(psi, N), [N] * len(B_GRID)
+    together = hankel._thresholds_at(plan, at_n, log_b, [rs] * len(B_GRID))
     for k, r in enumerate(rs):
-        alone = hankel._point_thresholds(plan, log_b, [r] * len(B_GRID))
+        alone = hankel._point_thresholds(plan, at_n, log_b, [r] * len(B_GRID))
         assert [row[k] for row in together] == alone
     # a secant step scores one point per r and reads only that point's tail
     points = B_GRID[[3, 50, 120, 200]]
-    values = hankel._point_thresholds(plan, hankel._log_b(points), rs)
+    values = hankel._point_thresholds(plan, [N] * len(rs), hankel._log_b(points), rs)
     assert values == [rescaled_bound(psi, r, N, b) for r, b in zip(rs, points)]
     assert values == list(reference_tails(psi, N, points, rs).diagonal())
 
@@ -532,15 +605,14 @@ def test_secant_refinement_is_the_same_for_every_r_set():
     for name, psi, _ in corpus_states():
         for N in (1, 2):
             rs = list(range(N + 1))
-            together = hankel._search(hankel._Plan(psi, N), rs)
+            [together] = hankel._searches(hankel._Plan(psi, N), [N], rs)
             for r, (x, value) in zip(rs, together):
-                [(x_alone, value_alone)] = hankel._search(hankel._Plan(psi, N), [r])
+                [[(x_alone, value_alone)]] = hankel._searches(hankel._Plan(psi, N), [N], [r])
                 assert (x.hex(), value.hex()) == (x_alone.hex(), value_alone.hex()), (name, N, r)
 
 
 @pytest.mark.parametrize("N", range(1, 21))
 def test_kinks_are_the_upper_envelope_of_the_denominator(N):
-    plan = hankel._Plan(fock_state(1, 2 * N), N)
     k = np.arange(2 * N + 1)
     c = np.log(np.where(k <= N, k + 1, 2 * N - k + 1)) + gammaln(k + 1)
     # brute force: every crossing of two lines that no third line passes above
@@ -552,7 +624,7 @@ def test_kinks_are_the_upper_envelope_of_the_denominator(N):
                 brute.append(x)
     brute = sorted(brute)
     distinct = [x for x, y in zip(brute, [-math.inf] + brute) if x - y > 1e-9]
-    x0, x1 = plan.tables.ends
+    x0, x1 = hankel._tables(N).ends
     assert x0 <= x1
     ends = sorted({x0, x1})
     assert len(ends) == len(distinct)
@@ -590,11 +662,12 @@ def test_kink_refinement_reaches_golden_section_on_the_corpus():
     for name, psi, _ in corpus_states():
         for N in (1, 2):
             plan = hankel._Plan(psi, N)
-            x0, x1 = plan.tables.ends
-            for r, (_, value) in enumerate(hankel._search(plan, list(range(N + 1)))):
+            x0, x1 = hankel._tables(N).ends
+            [found] = hankel._searches(plan, [N], list(range(N + 1)))
+            for r, (_, value) in enumerate(found):
 
                 def at(x):
-                    return hankel._point_thresholds(plan, hankel._scored_at([x]), [r])[0]
+                    return hankel._point_thresholds(plan, [N], hankel._scored_at([x]), [r])[0]
 
                 _, reference = scalar_golden_max(at, x0, x1, 43)
                 if max(value, reference) > 1e-20:
@@ -608,7 +681,7 @@ def test_singular_values_rise_with_b_and_fall_after_dividing_by_b_to_the_2n(N):
     grid = B_GRID
     allowance = 10 * (N + 1) * 2.0**-52
     for name, psi, _ in corpus_states():
-        _, sigma, scale = hankel._spectra(hankel._Plan(psi, N), hankel._log_b(grid))
+        _, sigma, scale = one_n_spectra(hankel._Plan(psi, N), N, hankel._log_b(grid))
         s = sigma * np.exp(scale)[:, None]
         t = s / grid[:, None] ** (2 * N)
         for low, high in ((s[:-1], s[1:]), (t[1:], t[:-1])):
@@ -624,7 +697,7 @@ def grid_optimized_bounds(psi, rs, n_max, b_grid):
     best = dict.fromkeys(rs, 0.0)
     for N in range(1, n_max + 1):
         live = [r for r in rs if r <= N]
-        for row in hankel._thresholds_at(hankel._Plan(psi, N), log_b, [live] * len(b)):
+        for row in hankel._thresholds_at(hankel._Plan(psi, N), [N] * len(b), log_b, [live] * len(b)):
             for r, value in zip(live, row):
                 best[r] = max(best[r], value)
     return best
@@ -674,11 +747,11 @@ def test_search_reaches_the_dense_oracle():
         zip(["fock", "squeezed", "core", "superposition"], builder_states()))
     for name, psi in states:
         for N in range(1, 9):
-            plan = hankel._Plan(psi, N)
             rs = list(range(N + 1))
-            log_b = np.concatenate([DENSE_LOG_B, sorted(set(plan.tables.ends)), [0.0]])
+            log_b = np.concatenate([DENSE_LOG_B, sorted(set(hankel._tables(N).ends)), [0.0]])
             oracle = dense_oracle_thresholds(psi, N, log_b).max(axis=0)
-            for r, (_, value) in zip(rs, hankel._search(plan, rs)):
+            [found] = hankel._searches(hankel._Plan(psi, N), [N], rs)
+            for r, (_, value) in zip(rs, found):
                 assert value >= oracle[r] * (1 - 1e-12), (name, N, r)
 
 
@@ -711,6 +784,8 @@ def test_hankel_size_cap_refuses_before_building():
         lambda: rescaled_bound(psi, 1, N, 0.5),
         lambda: hankel_matrix(psi, N, 1.0),
         lambda: optimized_bound(psi, 1, SearchConfig(N_max=N)),
+        lambda: hankel.plain_bounds(psi, 1, SearchConfig(N_max=N)),
+        lambda: hankel.hankel_matrices(psi, [1, N], 1.0),
         lambda: certify_rank(psi, 0.1, N, {"type": "fock", "n": 1, "cutoff": psi.cutoff}),
         lambda: recurrence_order(psi, N),
     ]

@@ -38,6 +38,9 @@ COMMANDS = {
     "bound_check": ["bound", "--check", "cert.json"],
     "certify_squeezed_nmax10": ["certify", '{"type":"squeezed","r":0.5,"phi":0}',
                                 "--eps", "1e-8", "--n-max", "10"],
+    # the plain search over N = 2..10
+    "bound_plain_squeezed_nmax10": ["bound", '{"type":"squeezed","r":0.5,"phi":0}', "--r", "2",
+                                    "--n-max", "10", "--method", "plain"],
     "fit_fock1": ["fit", '{"type":"fock","n":1}', "--r", "1", "--seed", "0"],
     # a complex target: the r = 1 fit runs the 41 x 41 plane grid, not the real axis
     "fit_core_r1": ["fit", '{"type":"core","amps":[[0.6,0],[0,0.8]]}', "--r", "1", "--seed", "0"],
