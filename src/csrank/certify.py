@@ -8,6 +8,9 @@ amplitudes obey no linear recurrence (e.g. squeezed vacua) stay full rank
 for every N.  No function here defaults the truncation n_max: ``load_state``,
 ``certify_rank`` and ``bound_certificate`` take an int, which the CLI's
 ``--n-max`` supplies (10 for ``certify``, max(r, 10) for ``bound``).
+``certify_rank`` and ``bound_certificate`` issue from a descriptor alone and
+build its state with ``load_state``, as ``recompute`` does; a ``FockVector``
+gets thresholds, not certificates, from ``hankel.optimized_bounds``.
 """
 
 import math
@@ -35,12 +38,15 @@ METHODS = ("plain", "optimized", "analytic_fock")
 
 CHECK_REL_TOL = 1e-12  # a stored threshold re-checks within this relative distance
 
+_FORMAT_RULE = f"statement must read {STATEMENT!r} and version be a string"
+
 
 @dataclass(frozen=True)
 class BoundCertificate:
     """Machine-checkable record of a certified rank lower bound.
 
-    ``to_dict`` writes the certificate format and ``from_dict`` reads it back;
+    ``to_dict`` writes the certificate format, whose statement is always
+    STATEMENT, and ``from_dict`` reads it back, refusing any other statement;
     construction refuses, either way, what no method writes.  ``check``
     re-derives the threshold (``recompute``) and compares it with the stored one.
     """
@@ -51,7 +57,6 @@ class BoundCertificate:
     method: str  # one of METHODS
     N: int | None
     b: float | None
-    statement: str = STATEMENT
     version: str = field(default=__version__)
 
     def __post_init__(self):
@@ -66,8 +71,8 @@ class BoundCertificate:
             raise ValueError("N and b are stored together, and r > 0 needs them")
         if self.method != "optimized" and self.b != 1.0:
             raise ValueError(f"method {self.method} stores b = 1")
-        if self.statement != STATEMENT or not isinstance(self.version, str):
-            raise ValueError(f"statement must read {STATEMENT!r} and version be a string")
+        if not isinstance(self.version, str):
+            raise ValueError(_FORMAT_RULE)
         if self.method == "analytic_fock":
             d = self.state_descriptor
             if d.get("type") != "fock":
@@ -86,7 +91,7 @@ class BoundCertificate:
             "epsilon_threshold": self.epsilon_threshold,
             "method": self.method,
             "parameters": {"N": self.N, "b": self.b},
-            "statement": self.statement,
+            "statement": STATEMENT,
             "version": self.version,
         }
 
@@ -99,15 +104,18 @@ class BoundCertificate:
                 raise ValueError(f"certificate has no field {key!r}")
         params = object_field(stored.get("parameters") or {}, "parameters")
         n, b = params.get("N"), params.get("b")
-        return cls(
+        cert = cls(
             object_field(stored["state_descriptor"], "state_descriptor"),  # refused before r
             int_field(stored["r"], "r"),
             real_field(stored["epsilon_threshold"], "epsilon_threshold"),
             stored["method"],
             None if n is None else int_field(n, "N"),
             None if b is None else real_field(b, "b"),
-            **{key: stored[key] for key in ("statement", "version") if key in stored},
+            stored.get("version", __version__),
         )
+        if stored.get("statement", STATEMENT) != STATEMENT:
+            raise ValueError(_FORMAT_RULE)
+        return cert
 
     def recompute(self) -> float:
         """The threshold re-derived from the method and parameters alone, on
@@ -164,17 +172,19 @@ def load_state(descriptor: dict, n_max: int) -> FockVector:
     return psi
 
 
-def certify_rank(psi: FockVector, epsilon: float, n_max: int, descriptor: dict) -> BoundCertificate:
-    """Largest r whose optimized bound exceeds epsilon, i.e. kappa_eps >= r+1.
+def certify_rank(descriptor: dict, epsilon: float, n_max: int) -> BoundCertificate:
+    """Largest r whose optimized bound on ``load_state(descriptor, n_max)``
+    exceeds epsilon, i.e. kappa_eps >= r+1.
 
     One search gives the bound for every r = 1..n_max.  The bound is
     non-increasing in r (the singular-value tail shrinks), so the upward
     selection stops at the first failure.  Returns r = 0 with a zero
-    threshold when not even r = 1 is certified.
+    threshold when not even r = 1 is certified.  Refuses what ``load_state``,
+    ``SearchConfig``, ``check_epsilon`` and the search refuse, in that order.
     """
-    cfg = SearchConfig(N_max=n_max)
+    psi, cfg = load_state(descriptor, n_max), SearchConfig(N_max=n_max)
     check_epsilon(epsilon)
-    bounds = optimized_bounds(psi, range(1, cfg.resolve_n_max(psi.cutoff) + 1), cfg)
+    bounds = optimized_bounds(psi, range(1, n_max + 1), cfg)
 
     r = 0
     while r < n_max and bounds[r + 1].value > epsilon:
@@ -193,10 +203,8 @@ def bound_certificate(descriptor, r: int, method: str, n_max: int) -> BoundCerti
     by the closed form at r = n, building no state; ``plain`` (b = 1, ties to
     the smallest N) and ``optimized`` by the search of N = max(r, 1)..n_max on
     ``load_state(descriptor, n_max)``.  Every method refuses a negative r
-    first, then an n_max below max(r, 1); both searches then refuse an
-    explicit cutoff below 2 n_max with one message, before any SVD."""
-    if r < 0:
-        raise ValueError("r must be non-negative")
+    first, then an n_max below max(r, 1) (``check_searchable``); both searches
+    then refuse an explicit cutoff below 2 n_max, before any SVD."""
     check_searchable(r, n_max)
     if method == "analytic":
         return BoundCertificate(descriptor, r, fock_analytic_threshold(r), "analytic_fock", r, 1.0)
@@ -226,11 +234,8 @@ def recurrence_order(psi: FockVector, N_max: int) -> RecurrenceReport:
     """
     if N_max < 1:
         raise ValueError("N_max must be at least 1")
-    if psi.cutoff < 2 * N_max:
-        raise ValueError(f"cutoff {psi.cutoff} < 2 N_max = {2 * N_max}")
-    check_hankel_size(N_max)
     Ns = range(1, N_max + 1)
-    spectra = hankel_matrices(psi, Ns, 1.0)  # one entry pass, one SVD call per N
+    spectra = hankel_matrices(psi, Ns, 1.0)  # refuses 2 N_max > cutoff; one SVD call per N
     ranks = tuple((N, numerical_rank(sigma)) for N, (_, sigma, _) in zip(Ns, spectra))
     tail = [rank for _, rank in ranks[-3:]]
     saturated = (

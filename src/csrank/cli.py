@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .certify import BoundCertificate, bound_certificate, certify_rank, check_epsilon, load_state
+from .certify import BoundCertificate, bound_certificate, certify_rank, check_epsilon
 from .decomp import best_single_coherent, circle_decomposition_report, fit_superposition
 from .errors import NumericalFailure, ResourceLimit
 from .fock import state_from_descriptor
@@ -102,7 +102,7 @@ def cmd_certify(args, descriptor):
     if args.eps is None:
         raise ValueError("--eps is required")
     n_max = args.n_max if args.n_max is not None else 10
-    cert = certify_rank(load_state(descriptor, n_max), args.eps, n_max, descriptor)
+    cert = certify_rank(descriptor, args.eps, n_max)
     return dict(cert.to_dict(), epsilon=args.eps, kappa_eps_at_least=cert.r + 1)
 
 

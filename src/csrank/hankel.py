@@ -22,7 +22,8 @@ one-N function (``hankel_matrix``, ``plain_bound``, ``rescaled_bound``) is
 the one-N case.  Every bound comes from ``_threshold``.  The truncation N_max
 has no default in the library: every search takes a ``SearchConfig`` (the
 CLI's ``--n-max`` defaults to 10 for ``certify`` and max(r, 10) for
-``bound``).
+``bound``).  Each refusal has one home: ``_Plan`` refuses 2N past the cutoff
+and N past ``MAX_HANKEL_N``, ``check_searchable`` a negative r or an r past N_max.
 
 Each sigma_l(H_{N,b}) is non-decreasing in b and sigma_l(H_{N,b}) / b^{2N}
 is non-increasing: for b' <= b, H_{N,b'} = D H_{N,b} D with D = diag((b'/b)^i)
@@ -83,16 +84,11 @@ class SearchConfig:
         if self.N_max < 0:
             raise ValueError(f"N_max must be non-negative, got {self.N_max}")
 
-    def resolve_n_max(self, cutoff: int) -> int:
-        """N_max, once a state of this cutoff and one SVD block hold H_{N_max}."""
-        if 2 * self.N_max > cutoff:
-            raise ValueError(f"cutoff {cutoff} too small for N_max {self.N_max}")
-        check_hankel_size(self.N_max)
-        return self.N_max
-
 
 def check_searchable(r: int, n_max: int) -> None:
-    """ValueError unless N = max(r, 1), where every N search of r starts, is at most n_max."""
+    """ValueError for a negative r or one whose first N, max(r, 1), is past n_max."""
+    if r < 0:
+        raise ValueError("r must be non-negative")
     if max(r, 1) > n_max:
         raise ValueError(f"r={r} needs N >= max(r, 1) = {max(r, 1)}, past N_max={n_max}")
 
@@ -168,11 +164,14 @@ class _Plan:
     """The b-independent parts of H_{N',b}(psi) that depend on the state, for
     every N' <= N: its nonzero indices n <= 2N, their log sqrt(n!) and
     log |psi_n|, and their phases, built once per state and call so that every
-    (N', b) of the call reuses them."""
+    (N', b) of the call reuses them; every call's refusal of 2N > cutoff and of
+    N past MAX_HANKEL_N is here."""
 
     def __init__(self, psi: FockVector, N: int):
-        if not 0 <= 2 * N <= psi.cutoff:
+        if N < 0:
             raise ValueError(f"need 0 <= 2N <= cutoff, got N={N}, cutoff {psi.cutoff}")
+        if 2 * N > psi.cutoff:
+            raise ValueError(f"cutoff {psi.cutoff} too small for N_max {N}")
         check_hankel_size(N)
         amps = psi.amplitudes[: 2 * N + 1]
         self.N = N
@@ -287,14 +286,10 @@ def plain_bound(psi: FockVector, r: int, N: int) -> float:
 
 def plain_bounds(psi: FockVector, r: int, cfg: SearchConfig) -> dict:
     """{N: plain_bound(psi, r, N)} for N = max(r, 1)..cfg.N_max, the plain
-    search, from one entry pass and one SVD call per N.  It refuses what
-    ``optimized_bounds`` refuses, in the same order and words."""
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    n_max = cfg.resolve_n_max(psi.cutoff)
-    check_searchable(r, n_max)
-    Ns = range(max(r, 1), n_max + 1)
-    return dict(zip(Ns, _plain_bounds(_Plan(psi, n_max), r, Ns)))
+    search, from one entry pass and one SVD call per N."""
+    check_searchable(r, cfg.N_max)
+    Ns = range(max(r, 1), cfg.N_max + 1)
+    return dict(zip(Ns, _plain_bounds(_Plan(psi, cfg.N_max), r, Ns)))
 
 
 def rescaled_bound(psi: FockVector, r: int, N: int, b: float) -> float:
@@ -468,14 +463,11 @@ def optimized_bounds(psi: FockVector, rs, cfg: SearchConfig) -> dict:
     rs = sorted(set(rs))
     if not rs:
         return {}
-    if rs[0] < 0:
-        raise ValueError("r must be non-negative")
-    n_max = cfg.resolve_n_max(psi.cutoff)
-    check_searchable(rs[-1], n_max)
+    check_searchable(rs[0] if rs[0] < 0 else rs[-1], cfg.N_max)  # the smallest r, if negative
 
     best = {r: OptimizedBound(0.0, 1.0, max(r, 1)) for r in rs}
-    Ns = range(max(rs[0], 1), n_max + 1)
-    for N, found in zip(Ns, _searches(_Plan(psi, n_max), Ns, rs)):
+    Ns = range(max(rs[0], 1), cfg.N_max + 1)
+    for N, found in zip(Ns, _searches(_Plan(psi, cfg.N_max), Ns, rs)):
         for r, (log_b_star, val) in zip([r for r in rs if r <= N], found):
             b_star, old = math.exp(log_b_star), best[r]
             if val > old.value or (val == old.value and (N, b_star) < (old.N_star, old.b_star)):

@@ -222,7 +222,7 @@ def bunching_row(core: MultimodeFockState, seed: int | None) -> np.ndarray:
         scores[lo:lo + size] = np.abs(reduction_amplitudes(core, rows[lo:lo + size])[:, n])
     pick = np.flatnonzero(scores >= (1 - _TIE_RTOL) * scores.max())[0]
     score, u = scores[pick], rows[pick]
-    floor = 1e-14 * math.exp(0.5 * math.lgamma(n + 1))  # |P_n(u)| < 1e-14
+    floor = 1e-14 * math.exp(0.5 * log_factorials(n)[n])  # |P_n(u)| < 1e-14
     if score < floor and m == 1:  # |d_n| is the top amplitude on every row
         raise NumericalFailure(f"the top-sector amplitude {score:.3e} of a one-mode core "
                                f"is below the floor {floor:.3e}; every row gives the same "

@@ -114,9 +114,8 @@ def test_criterion_2_optimized_bound_gap():
     for name, psi, fock_n in corpus_states():
         rs = [1] if fock_n is None else sorted({1, min(fock_n, 8)})
         for r in rs:
-            n_hi = cfg.resolve_n_max(psi.cutoff)
             res = optimized_bound(psi, r, cfg)
-            best_plain = max(plain_bound(psi, r, N) for N in range(max(r, 1), n_hi + 1))
+            best_plain = max(plain_bound(psi, r, N) for N in range(max(r, 1), cfg.N_max + 1))
             if res.value < best_plain * (1 - 1e-12):
                 ok = False
                 detail += f"; dominance fails at {name} r={r}"

@@ -17,8 +17,6 @@ from csrank.fock import (
     CoherentTerm,
     FockVector,
     SqueezedParams,
-    coherent_state,
-    core_state,
     fock_state,
     squeezed_state,
     superposition_to_fock,
@@ -56,34 +54,32 @@ def named(psi):
 
 
 def test_certify_fock1():
-    cert = certify_rank(fock_state(1, 20), 0.1, 10, FOCK1_20)
+    cert = certify_rank(FOCK1_20, 0.1, 10)
     assert cert.r == 1
     assert cert.epsilon_threshold == pytest.approx(0.25, rel=1e-9)
 
 
 def test_certify_coherent_returns_zero():
     coherent1 = {"type": "superposition", "terms": [{"c": [1, 0], "alpha": [1, 0]}]}
-    cert = certify_rank(coherent_state(1.0), 1e-6, 7, coherent1)
+    cert = certify_rank(coherent1, 1e-6, 7)
     assert cert.r == 0
     assert cert.epsilon_threshold == 0.0
 
 
 def test_certify_squeezed():
-    sq = squeezed_state(SqueezedParams(0.5), cutoff=20)
-    cert = certify_rank(sq, 1e-8, 10, {"type": "squeezed", "r": 0.5, "cutoff": 20})
+    cert = certify_rank({"type": "squeezed", "r": 0.5, "cutoff": 20}, 1e-8, 10)
     assert cert.r >= 2
 
 
 def test_certify_epsilon_range():
     with pytest.raises(ValueError):
-        certify_rank(fock_state(1, 20), 0.0, 10, FOCK1_20)
+        certify_rank(FOCK1_20, 0.0, 10)
     with pytest.raises(ValueError):
-        certify_rank(fock_state(1, 20), 1.0, 10, FOCK1_20)
+        certify_rank(FOCK1_20, 1.0, 10)
 
 
 def test_certify_monotone_in_epsilon():
-    psi = fock_state(3, 12)
-    rs = [certify_rank(psi, eps, 6, {"type": "fock", "n": 3, "cutoff": 12}).r
+    rs = [certify_rank({"type": "fock", "n": 3, "cutoff": 12}, eps, 6).r
           for eps in (1e-6, 1e-3, 1e-2, 0.2)]
     assert all(a >= b for a, b in zip(rs, rs[1:]))
 
@@ -99,23 +95,30 @@ def per_r_certificate(per_r, epsilon):
     return best
 
 
-def certify_states():
+def pairs(zs):
+    """[re, im] of each complex z, as descriptors hold them."""
+    return [[z.real, z.imag] for z in map(complex, zs)]
+
+
+def certify_descriptors():
     rng = np.random.default_rng(5)
-    core = core_state(rng.standard_normal(4) + 1j * rng.standard_normal(4), cutoff=16)
-    sup = CoherentSuperposition([CoherentTerm(1.0, 0.6), CoherentTerm(0.5j, -0.3 + 0.8j),
-                                 CoherentTerm(0.4, -1.0)])
-    return [fock_state(4, 16), squeezed_state(SqueezedParams(0.7, 0.3), 16), core,
-            superposition_to_fock(sup, 16)]
+    core = pairs(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    terms = [{"c": c, "alpha": a} for c, a in zip(pairs([1.0, 0.5j, 0.4]),
+                                                  pairs([0.6, -0.3 + 0.8j, -1.0]))]
+    return [{"type": "fock", "n": 4, "cutoff": 16},
+            {"type": "squeezed", "r": 0.7, "phi": 0.3, "cutoff": 16},
+            {"type": "core", "amps": core, "cutoff": 16},
+            {"type": "superposition", "terms": terms, "cutoff": 16}]
 
 
 @pytest.mark.parametrize("state", range(4), ids=["fock", "squeezed", "core", "superposition"])
 @pytest.mark.parametrize("n_max", [5, 8])
 def test_certify_equals_a_search_per_r(state, n_max):
-    psi = certify_states()[state]
-    cfg = SearchConfig(N_max=n_max)
+    descriptor = certify_descriptors()[state]
+    psi, cfg = load_state(descriptor, n_max), SearchConfig(N_max=n_max)
     per_r = [optimized_bound(psi, r, cfg) for r in range(1, n_max + 1)]
     for eps in (1e-2, 1e-4, 1e-7, 1e-12):
-        cert = certify_rank(psi, eps, n_max, named(psi))
+        cert = certify_rank(descriptor, eps, n_max)
         got = (cert.r, cert.epsilon_threshold.hex() if cert.r else 0.0, cert.N,
                None if cert.b is None else cert.b.hex())
         assert got == per_r_certificate(per_r, eps)
@@ -159,7 +162,7 @@ def test_recurrence_synthetic_exponential_sums():
 
 
 def test_recurrence_preconditions():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cutoff 4 too small for N_max 3$"):
         recurrence_order(fock_state(1, 4), 3)
     with pytest.raises(ValueError):
         recurrence_order(fock_state(1, 4), 0)
@@ -199,9 +202,9 @@ def test_certificate_reads_back_what_it_writes():
         BoundCertificate(fock2, 2, plain_bound(psi, 2, 3), "plain", 3, 1.0),
         bound_certificate(SQUEEZED, 2, "plain", 6),
         bound_certificate(SQUEEZED, 2, "optimized", 6),
-        certify_rank(psi, 1e-4, 6, fock2),
-        certify_rank(load_state(SQUEEZED, 6), 1e-6, 6, SQUEEZED),
-        certify_rank(psi, 0.9, 2, fock2),  # r = 0
+        certify_rank(fock2, 1e-4, 6),
+        certify_rank(SQUEEZED, 1e-6, 6),
+        certify_rank(fock2, 0.9, 2),  # r = 0
     ]
     assert [cert.r for cert in certificates] == [3, 2, 2, 2, 2, 4, 0]
     extra = {"rank_tol": 1e-10, "manifest": {}, "certifies": True, "epsilon": 1e-4,
@@ -211,6 +214,47 @@ def test_certificate_reads_back_what_it_writes():
         assert BoundCertificate.from_dict(stored) == cert
         ok, recomputed = cert.check()  # each re-derives its threshold bit for bit
         assert ok and recomputed == cert.epsilon_threshold
+
+
+def drawn_descriptors(seed, rounds):
+    """Squeezed, core and superposition descriptors drawn as the certify
+    benchmark draws them (cutoff 16), three a round."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(rounds):
+        r, phi = rng.uniform(0.2, 1.0), rng.uniform(0.0, 2 * math.pi)
+        d = int(rng.integers(2, 7))
+        amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        k = int(rng.integers(1, 5))
+        alphas = rng.uniform(-1.4, 1.4, k) + 1j * rng.uniform(-1.4, 1.4, k)
+        coeffs = rng.uniform(0.3, 1.0, k) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, k))
+        terms = [{"c": c, "alpha": a} for c, a in zip(pairs(coeffs), pairs(alphas))]
+        out += [{"type": "squeezed", "r": float(r), "phi": float(phi), "cutoff": 16},
+                {"type": "core", "amps": pairs(amps), "cutoff": 16},
+                {"type": "superposition", "terms": terms, "cutoff": 16}]
+    return out
+
+
+RECHECKED = [*({"type": "fock", "n": n} for n in range(1, 13)),
+             *({"type": "fock", "n": n, "cutoff": 2 * n + 2} for n in range(1, 13)),
+             *certify_descriptors()[1:], *drawn_descriptors(38, 4)]
+
+
+@pytest.mark.parametrize("descriptor", RECHECKED,
+                         ids=[f"{d['type']}{i}" for i, d in enumerate(RECHECKED)])
+def test_every_issued_certificate_rechecks_bit_for_bit(descriptor):
+    # each certificate is issued on load_state of the descriptor it stores, so
+    # its own check re-derives its threshold exactly
+    n = descriptor.get("n")
+    for n_max in sorted({min(m, descriptor.get("cutoff", 99) // 2) for m in (6, 10)}):
+        certificates = [certify_rank(descriptor, eps, n_max) for eps in (1e-2, 1e-4, 1e-7)]
+        for r in sorted({1, 3, n_max, n or 1} & set(range(1, n_max + 1))):
+            certificates += [bound_certificate(descriptor, r, method, n_max)
+                             for method in ("plain", "optimized")]
+        if n is not None and n <= n_max:
+            certificates.append(bound_certificate(descriptor, n, "analytic", n_max))
+        for cert in certificates:
+            assert cert.check() == (True, cert.epsilon_threshold), cert
 
 
 def recording_loads(monkeypatch, psi):

@@ -218,7 +218,11 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
                        "analytic-n-max-below-r": "needs N >= max(r, 1) = 2, past N_max=1",
                        **{f"check-missing-{field}": f"certificate has no field '{field}'"
                           for field in _CERT_FIELDS},
-                       "check-empty": "certificate has no field 'state_descriptor'"}
+                       "check-empty": "certificate has no field 'state_descriptor'",
+                       "check-N-past-cutoff": "cutoff 2 too small for N_max 3",
+                       "check-negative-r": "r must be non-negative",
+                       "bound-without-r": "--r is required",
+                       "bound-without-state": "a state descriptor is required"}
 
 
 @pytest.mark.parametrize(
@@ -276,6 +280,11 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
         *(["bound", "--check", {k: v for k, v in CERT.items() if k != field}]
           for field in _CERT_FIELDS),
         ["bound", "--check", {}],
+        ["bound", "--check", dict(CERT, state_descriptor=dict(FOCK1, cutoff=2),
+                                  parameters={"N": 3, "b": 1.0})],
+        ["bound", "--check", dict(CERT, r=-1)],
+        ["bound", '{"type":"fock","n":1}'],
+        ["bound"],
     ],
     ids=["core-scalar-amps", "superposition-scalar-c", "multimode-scalar-c", "squeezed-huge-r",
          "fock-list-n", "core-scalar-amps-field", "squeezed-list-r", "fock-string-cutoff",
@@ -291,7 +300,8 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
          "superposition-huge-c", "superposition-huge-norm", "superposition-merged-overflow",
          "certify-negative-n-max", "bound-r0-n-max-0", "bound-plain-r0-n-max-0",
          "bound-eps-negative", "bound-eps-nan", "bound-eps-one",
-         *(f"check-missing-{field}" for field in _CERT_FIELDS), "check-empty"],
+         *(f"check-missing-{field}" for field in _CERT_FIELDS), "check-empty",
+         "check-N-past-cutoff", "check-negative-r", "bound-without-r", "bound-without-state"],
 )
 def test_malformed_descriptor_values_exit_2(capsys, tmp_path, request, argv):
     # A non-string argument is a certificate, written to a file for --check.

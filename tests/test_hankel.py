@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gammaln
 
 from csrank import hankel
-from csrank.certify import bound_certificate, certify_rank, recurrence_order
+from csrank.certify import bound_certificate, certify_rank, load_state, recurrence_order
 from csrank.errors import ResourceLimit
 from csrank.fock import (
     CoherentSuperposition,
@@ -451,9 +451,10 @@ def test_certify_makes_one_grid_pass_per_n(monkeypatch):
     # the first call of every N: at N = 1 and 2 the segment's two ends, a probe
     # inside each and b = 1; from N = 3 on its one point and b = 1
     first = [(1, 5, False), (2, 5, False)] + [(N, 2, False) for N in range(3, 7)]
-    for state, psi in enumerate(builder_states() + [core2]):
+    for state, descriptor in enumerate(map(named, builder_states() + [core2])):
+        psi = load_state(descriptor, 6)  # the state certify_rank certifies
         passes, calls = record_passes(monkeypatch), record_blocks(monkeypatch)
-        certify_rank(psi, 1e-6, 6, named(psi))
+        certify_rank(descriptor, 1e-6, 6)
         monkeypatch.undo()
         # one entry pass builds every N's first call, then one SVD call per N
         assert passes[0] == [N for N, points, _ in first for _ in range(points)]
@@ -498,11 +499,11 @@ def test_certify_builds_the_b_independent_parts_once_per_n(monkeypatch):
     monkeypatch.setattr(hankel, "log_factorials", counted)
     monkeypatch.setattr(hankel._Plan, "__init__", counted_plan)
     hankel._tables.cache_clear()
-    certify_rank(builder_states()[1], 1e-6, 6, SQUEEZED_06_04)
+    certify_rank(SQUEEZED_06_04, 1e-6, 6)
     # one log k! table per N, for k = 0..2N, not one per plan or refinement
     # step, and the state's parts once per call, for every N up to N_max
     assert sorted(calls) == [2 * N + 1 for N in range(1, 7)] and plans == [6]
-    certify_rank(builder_states()[2], 1e-6, 7, named(builder_states()[2]))
+    certify_rank(named(builder_states()[2]), 1e-6, 7)
     plain_bound(builder_states()[3], 1, 5)
     assert sorted(calls) == [2 * N + 1 for N in range(1, 8)] and plans == [6, 7, 5]
     # the plain search and the recurrence build the state's parts once too
@@ -786,7 +787,7 @@ def test_hankel_size_cap_refuses_before_building():
         lambda: optimized_bound(psi, 1, SearchConfig(N_max=N)),
         lambda: hankel.plain_bounds(psi, 1, SearchConfig(N_max=N)),
         lambda: hankel.hankel_matrices(psi, [1, N], 1.0),
-        lambda: certify_rank(psi, 0.1, N, {"type": "fock", "n": 1, "cutoff": psi.cutoff}),
+        lambda: certify_rank({"type": "fock", "n": 1, "cutoff": psi.cutoff}, 0.1, N),
         lambda: recurrence_order(psi, N),
     ]
     for call in refused:
