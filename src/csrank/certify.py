@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import __version__
-from .fock import FockVector, int_field, log_factorial, object_field, real_field
+from .fock import FockVector, int_field, log_factorials, object_field, real_field
 from .fock import state_from_descriptor
 from .hankel import (
     SearchConfig,
@@ -151,9 +151,8 @@ def fock_analytic_threshold(n: int) -> float:
         raise ValueError("Fock number must be non-negative")
     if n >= 200:  # n! / (2n)! < (n + 1)^-n < 1e-460, below the smallest positive double
         return 0.0
-    return math.exp(
-        log_factorial(n) - math.log(2.0) - math.log(n + 1) - log_factorial(2 * n)
-    )
+    log_fact = log_factorials(2 * n)
+    return math.exp(float(log_fact[n]) - math.log(2.0) - math.log(n + 1) - float(log_fact[2 * n]))
 
 
 def check_epsilon(epsilon: float) -> None:

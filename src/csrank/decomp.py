@@ -160,6 +160,8 @@ def _circle_solve(core: FockVector, delta: float):
     if not np.isfinite(rhs_norm):  # the coefficients are as large as rhs
         raise ValueError(f"delta={delta:g} puts the circle coefficients past the double "
                          "range: they scale as sqrt(k!) e^(delta^2/2) / delta^k")
+    if rhs_norm == 0:  # |rhs| >= |target|, so the target's squares underflow too
+        raise ValueError("target has zero norm")
     try:
         coeffs = np.linalg.solve(W, rhs)
     except np.linalg.LinAlgError as exc:  # unreachable for distinct nodes, but guarded
@@ -209,7 +211,7 @@ def _normalized_target(target: FockVector) -> np.ndarray:
     if norm == 0:
         raise ValueError("target has zero norm")
     if abs(norm - 1.0) > 1e-6:
-        raise ValueError("target must be normalized")
+        raise ValueError(f"the cutoff drops more than 1e-6 of the state's norm (kept {norm:.6g})")
     return t / norm
 
 

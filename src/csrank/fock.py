@@ -8,7 +8,9 @@ in the log domain so large Fock numbers stay inside double range, from one
 table of log k! (``log_factorials``).  ``CoherentSuperposition`` is the one
 superposition type, for one mode and for coherent products.  One rule
 (``_truncate``) picks a coherent or squeezed state's cutoff and the weight it
-drops, from one reversed cumulative sum of the weights (``_tails``).
+drops, from one reversed cumulative sum of the weights (``_tails``).  One
+function (``state_from_descriptor``) decides the unit vector a descriptor names;
+``superposition_to_fock`` is the raw expansion witnesses are scored by.
 """
 
 import functools
@@ -19,8 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ResourceLimit
-
-NORM_TOL = 1e-12
 
 # Largest cutoff (amplitude vector length MAX_CUTOFF + 1) a state may have.
 MAX_CUTOFF = 100_000
@@ -38,24 +38,23 @@ _STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.9365034045
 
 
 def _lgamma_of_integers(x: np.ndarray) -> np.ndarray:
-    """log Gamma(x) for integer-valued floats x >= 1, bit for bit as cephes lgam
-    (which scipy's gammaln runs) computes it: the log of the exact product (x-1)!
-    below 13, the Stirling series over math.log (libm log; numpy's log differs in
-    the last bit) above, with its correction term dropped past 1e8."""
+    """log Gamma(x) for integer-valued floats 1 <= x <= 1e8 (past which cephes drops
+    the series' correction term), bit for bit as cephes lgam (which scipy's gammaln
+    runs) computes it: the log of the exact product (x-1)! below 13, the Stirling
+    series over math.log (libm log; numpy's log differs in the last bit) above."""
     out = np.empty_like(x)
     small = x < 13
     out[small] = [math.log(math.factorial(int(v) - 1)) for v in x[small].tolist()]
     x = x[~small]
-    with np.errstate(over="ignore"):  # past x ~ 1e154 the terms saturate, as in C
-        q = (x - 0.5) * np.fromiter(map(math.log, x.tolist()), float, len(x)) - x + _LS2PI
-        p = 1.0 / (x * x)
+    q = (x - 0.5) * np.fromiter(map(math.log, x.tolist()), float, len(x)) - x + _LS2PI
+    p = 1.0 / (x * x)
     series = _STIRLING[0]
     for a in _STIRLING[1:]:
         series = series * p + a
     asymptotic = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
                   + 0.0833333333333333333333)
     correction = np.where(x >= 1000.0, asymptotic, series) / x
-    out[~small] = np.where(x > 1e8, q, q + correction)
+    out[~small] = q + correction
     return out
 
 
@@ -75,13 +74,6 @@ def log_factorials(k_max: int) -> np.ndarray:
     return _log_factorial_table[: max(k_max + 1, 0)]
 
 
-def log_factorial(k: int) -> float:
-    """log k!: the table's entry up to k = 2 MAX_CUTOFF, the same formula past it."""
-    if k <= 2 * MAX_CUTOFF:
-        return float(log_factorials(k)[k])
-    return float(_lgamma_of_integers(np.array([float(k + 1)]))[0])
-
-
 def _check_non_negative(cutoff: int) -> None:
     if cutoff < 0:
         raise ValueError(f"cutoff must be non-negative, got {cutoff}")
@@ -89,17 +81,11 @@ def _check_non_negative(cutoff: int) -> None:
 
 @dataclass(frozen=True)
 class FockVector:
-    """A single-mode pure state truncated at ``cutoff``.
-
-    ``normalized`` marks vectors whose stored norm is 1 to within 1e-12;
-    truncated infinite-support states keep the flag off and carry the
-    truncation weight in ``tail_weight`` instead of being silently
-    renormalized.
-    """
+    """A single-mode vector truncated at ``cutoff``, the weight the cutoff drops in
+    ``tail_weight`` rather than renormalized away."""
 
     amplitudes: np.ndarray
     cutoff: int
-    normalized: bool = False
     tail_weight: float | None = None
 
     def __post_init__(self):
@@ -112,12 +98,8 @@ class FockVector:
             raise ValueError(
                 f"length {len(amps)} does not match cutoff {self.cutoff}"
             )
-        if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
-        if self.normalized:
-            norm_sq = float(np.vdot(amps, amps).real)
-            if abs(norm_sq - 1.0) > NORM_TOL:
-                raise ValueError(f"normalized flag set but |norm^2 - 1| = {abs(norm_sq - 1.0):.3e}")
 
     @functools.cached_property
     def phases(self) -> np.ndarray:
@@ -150,7 +132,7 @@ class FockVector:
             return self
         amps = np.zeros(cutoff + 1, dtype=complex)
         amps[: self.cutoff + 1] = self.amplitudes
-        return FockVector(amps, cutoff, self.normalized, self.tail_weight)
+        return FockVector(amps, cutoff, self.tail_weight)
 
 
 class CoherentTerm(NamedTuple):
@@ -230,6 +212,16 @@ class CoherentSuperposition:
         """(terms,) for one mode, (terms, modes) for coherent products."""
         return self._displacements
 
+    @functools.cached_property
+    def norm_sq(self) -> float:
+        """Re c^H G c, G the exact coherent Gram matrix: formed once per superposition."""
+        c, alphas = self._coefficients, self._displacements.reshape(len(self), -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm_sq = float(np.real(np.conj(c) @ coherent_gram(alphas) @ c))
+        if not math.isfinite(norm_sq):
+            raise ValueError("the superposition's squared norm is past the double range")
+        return norm_sq
+
 
 @dataclass(frozen=True)
 class SqueezedParams:
@@ -263,7 +255,7 @@ def fock_state(n: int, cutoff: int | None = None) -> FockVector:
         raise ValueError(f"n={n} exceeds cutoff={cutoff}")
     amps = np.zeros(cutoff + 1, dtype=complex)
     amps[n] = 1.0
-    return FockVector(amps, cutoff, normalized=True, tail_weight=0.0)
+    return FockVector(amps, cutoff, tail_weight=0.0)
 
 
 def core_state(amplitudes, cutoff: int | None = None) -> FockVector:
@@ -283,7 +275,7 @@ def core_state(amplitudes, cutoff: int | None = None) -> FockVector:
     amps = amps / norm
     if cutoff is not None and cutoff + 1 > len(amps):
         amps = np.concatenate([amps, np.zeros(cutoff + 1 - len(amps), dtype=complex)])
-    return FockVector(amps, len(amps) - 1, normalized=True, tail_weight=0.0)
+    return FockVector(amps, len(amps) - 1, tail_weight=0.0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -468,12 +460,8 @@ def superposition_to_fock(sup: CoherentSuperposition, cutoff: int | None = None)
     if cutoff is None:
         # the Poisson tail grows with |alpha|, so the largest |alpha| sets the cutoff
         cutoff = coherent_cutoff(np.hypot(alphas.real, alphas.imag).max(), DEFAULT_MAX_TAIL)
-    c = sup.coefficients()
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm_sq = float(np.real(np.conj(c) @ coherent_gram(alphas.reshape(len(c), -1)) @ c))
-    if not math.isfinite(norm_sq):
-        raise ValueError("the superposition's squared norm is past the double range")
-    amps = coherent_columns(alphas, cutoff) @ c
+    norm_sq = sup.norm_sq  # refuses a norm past the double range before the expansion
+    amps = coherent_columns(alphas, cutoff) @ sup.coefficients()
     tail = max(0.0, norm_sq - float(np.vdot(amps, amps).real))
     return FockVector(amps, cutoff, tail_weight=tail)
 
@@ -482,10 +470,11 @@ def fidelity(a: FockVector, b: FockVector) -> float:
     """|<a|b>|^2 of the two truncations, renormalized before the overlap."""
     cutoff = max(a.cutoff, b.cutoff)
     x, y = a.padded(cutoff).amplitudes, b.padded(cutoff).amplitudes
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
+    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
     if nx == 0 or ny == 0:
         raise ValueError("fidelity of a zero-norm vector is undefined")
+    if nx * ny < 1e-150:  # (nx ny)^2 would underflow: divide by the norms first
+        return min(1.0, float(abs(np.vdot(x / nx, y / ny)) ** 2))
     return min(1.0, float(abs(np.vdot(x, y)) ** 2 / (nx * ny) ** 2))
 
 
@@ -540,7 +529,7 @@ def _check_cutoff(cutoff: int) -> None:
 
 
 def state_from_descriptor(descriptor: dict) -> FockVector:
-    """Build a single-mode state from a JSON descriptor.
+    """The leading amplitudes of the unit vector a JSON descriptor names, at its cutoff.
 
     Supported forms (all with optional "cutoff"):
       {"type": "fock", "n": N}
@@ -572,5 +561,15 @@ def state_from_descriptor(descriptor: dict) -> FockVector:
         terms = (object_field(t, "term") for t in list_field(descriptor["terms"], "terms"))
         sup = CoherentSuperposition(
             (complex_from_pair(t["c"]), complex_from_pair(t["alpha"])) for t in terms)
-        return superposition_to_fock(sup, cutoff)
+        psi, n = superposition_to_fock(sup, cutoff), sup.norm_sq
+        # n = Re c^H G c is off by at most e = (12 s^2 + 2k + 16) u a^2 (u = 2^-53, a = sum|c_k|,
+        # s = max|alpha_k| <= 8e6): each exponent of G sums terms of size <= s^2, off by at most
+        # 11 u s^2 <= 1/11, so each entry (|G_jl| <= 1) by <= (12 s^2 + 5) u; the k-term products
+        # c^H G and (c^H G) c add <= 2 (k + 2) u a^2, and 7 u a^2 is slack: sqrt(n + e) >= the norm.
+        s = max(map(abs, sup.displacements().tolist()))
+        a = sum(map(abs, sup.coefficients().tolist()))
+        e = (12 * s * s + 2 * len(sup) + 16) * 2.0**-53 * a * a
+        if not n > e:
+            raise ValueError(f"terms cancel below rounding: squared norm {n:.3g} <= {e:.3g}")
+        return FockVector(psi.amplitudes / math.sqrt(n + e), psi.cutoff, psi.tail_weight / (n + e))
     raise ValueError(f"unknown state type {kind!r}")

@@ -225,7 +225,7 @@ def hankel_matrices(psi: FockVector, Ns, b: float) -> list:
     entry pass and one SVD call per N: each matrix is stored divided by
     e^scale and the singular values are its own, so the true ones are
     singular_values * e^scale."""
-    plan = _Plan(psi, max(Ns))  # checks the largest N before anything is built
+    plan = _Plan(psi, min(Ns) if min(Ns) < 0 else max(Ns))  # refuses any bad N before a build
     blocks = _blocks(plan, list(Ns), _log_b([b] * len(Ns)))
     return [point for _, _, *block in blocks for point in zip(*block)]
 

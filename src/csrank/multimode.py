@@ -30,7 +30,6 @@ from .fock import (
     complex_from_pair,
     int_field,
     list_field,
-    log_factorial,
     log_factorials,
     object_field,
 )
@@ -185,7 +184,7 @@ def reduce_to_single_mode(core: MultimodeFockState, u) -> FockVector:
     if np.linalg.norm(u) > 1 + UNITARY_TOL:
         raise ValueError(f"row norm {np.linalg.norm(u)!r} exceeds 1")
     amps = reduction_amplitudes(core, u[None, :])[0]
-    return FockVector(amps, core.max_total, normalized=False)
+    return FockVector(amps, core.max_total)
 
 
 def _complete_to_unitary(u: np.ndarray) -> np.ndarray:
@@ -263,8 +262,9 @@ def evolve_fock_state(core: MultimodeFockState, U: np.ndarray) -> MultimodeFockS
             poly = nxt
         for expo, w in poly.items():
             out[expo] += w
+    log_fact = log_factorials(core.max_total).tolist()
     return MultimodeFockState(core.modes, {
-        expo: w * math.exp(0.5 * sum(log_factorial(k) for k in expo))
+        expo: w * math.exp(0.5 * sum(log_fact[k] for k in expo))
         for expo, w in out.items()})
 
 

@@ -12,6 +12,7 @@ from csrank.certify import (
     load_state,
     recurrence_order,
 )
+from csrank.decomp import best_single_coherent
 from csrank.fock import (
     CoherentSuperposition,
     CoherentTerm,
@@ -19,6 +20,7 @@ from csrank.fock import (
     SqueezedParams,
     fock_state,
     squeezed_state,
+    state_from_descriptor,
     superposition_to_fock,
 )
 from csrank.hankel import SearchConfig, optimized_bound, plain_bound, rescaled_bound
@@ -328,3 +330,57 @@ def test_bound_certificate_refuses_negative_r_before_anything_else(monkeypatch, 
         bound_certificate({"type": "fock", "n": 2}, -1, method, n_max)
     assert calls == []  # refused before a state is built
 
+
+
+# |0.5> + |-0.5>, of squared norm 3.213: the state it names is within infidelity
+# 0.030456 of |0>, so no eps above that certifies kappa_eps > 1.
+CAT = {"type": "superposition", "terms": [{"c": [1, 0], "alpha": [0.5, 0]},
+                                          {"c": [1, 0], "alpha": [-0.5, 0]}]}
+
+
+def test_a_superposition_certifies_for_the_unit_vector_it_names():
+    alpha, single = best_single_coherent(state_from_descriptor(CAT))
+    assert alpha == 0 and single == pytest.approx(0.030456, abs=1e-6)
+    cert = certify_rank(CAT, 0.04, 6)
+    assert (cert.r, cert.epsilon_threshold) == (0, 0.0)
+    assert bound_certificate(CAT, 1, "optimized", 6).epsilon_threshold <= 0.030456
+
+
+def scaled_superpositions(count, seed):
+    """Superpositions as the benchmark draws them (1..4 terms, |alpha| <= 1.5 at
+    least 0.2 apart, |c| in [0.3, 1) with uniform phases, cutoff 16), their
+    coefficients scaled by a log-uniform s in [0.2, 5] in place of the unit norm."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k, alphas = int(rng.integers(1, 5)), []
+        while len(alphas) < k:
+            a = complex(*rng.uniform(-1.5, 1.5, 2))
+            if abs(a) <= 1.5 and all(abs(a - b) >= 0.2 for b in alphas):
+                alphas.append(a)
+        coeffs = rng.uniform(0.3, 1.0, k) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, k))
+        coeffs *= math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
+        yield {"type": "superposition", "cutoff": 16,
+               "terms": [{"c": c, "alpha": a} for c, a in zip(pairs(coeffs), pairs(alphas))]}
+
+
+def test_no_scale_of_the_coefficients_lifts_a_threshold_past_a_coherent_fit():
+    # sound thresholds stay below the infidelity of the best single coherent state,
+    # read as 1 - F, to within 2^-52, the finest step 1 - F resolves
+    for descriptor in scaled_superpositions(60, 3900):
+        _, single = best_single_coherent(state_from_descriptor(descriptor))
+        threshold = bound_certificate(descriptor, 1, "optimized", 8).epsilon_threshold
+        assert threshold <= single + 2.0**-52, descriptor
+
+
+@pytest.mark.parametrize("k", [-4, 3])
+def test_coefficients_scaled_by_a_power_of_two_give_the_same_certificates(k):
+    for descriptor in [CAT, *scaled_superpositions(6, 3901)]:
+        scaled = dict(descriptor, terms=[dict(t, c=[x * 2.0**k for x in t["c"]])
+                                         for t in descriptor["terms"]])
+        builders = [lambda d: certify_rank(d, 1e-6, 6),
+                    lambda d: bound_certificate(d, 1, "plain", 6),
+                    lambda d: bound_certificate(d, 2, "optimized", 6)]
+        for build in builders:
+            got, want = (dict(build(d).to_dict(), state_descriptor=None)
+                         for d in (scaled, descriptor))
+            assert json.dumps(got) == json.dumps(want), descriptor

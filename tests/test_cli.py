@@ -222,7 +222,12 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
                        "check-N-past-cutoff": "cutoff 2 too small for N_max 3",
                        "check-negative-r": "r must be non-negative",
                        "bound-without-r": "--r is required",
-                       "bound-without-state": "a state descriptor is required"}
+                       "bound-without-state": "a state descriptor is required",
+                       "superposition-cancelling-pair": "terms cancel below rounding: "
+                                                        "squared norm 0 <=",
+                       "fit-cutoff-drops-the-norm": "the cutoff drops more than 1e-6 of the "
+                                                    "state's norm (kept 0.689495)",
+                       "squeezed-400-digit-r": f"r={10**399} is out of range"}
 
 
 @pytest.mark.parametrize(
@@ -285,6 +290,10 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
         ["bound", "--check", dict(CERT, r=-1)],
         ["bound", '{"type":"fock","n":1}'],
         ["bound"],
+        ["bound", '{"type":"superposition","terms":[{"c":[1,0],"alpha":[0.5,0]},'
+                  '{"c":[-1,0],"alpha":[0.500000001,0]}]}', "--r", "1"],
+        ["fit", '{"type":"squeezed","r":2,"cutoff":4}', "--r", "1"],
+        ["bound", f'{{"type":"squeezed","r":{10**399}}}', "--r", "1"],
     ],
     ids=["core-scalar-amps", "superposition-scalar-c", "multimode-scalar-c", "squeezed-huge-r",
          "fock-list-n", "core-scalar-amps-field", "squeezed-list-r", "fock-string-cutoff",
@@ -301,7 +310,8 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
          "certify-negative-n-max", "bound-r0-n-max-0", "bound-plain-r0-n-max-0",
          "bound-eps-negative", "bound-eps-nan", "bound-eps-one",
          *(f"check-missing-{field}" for field in _CERT_FIELDS), "check-empty",
-         "check-N-past-cutoff", "check-negative-r", "bound-without-r", "bound-without-state"],
+         "check-N-past-cutoff", "check-negative-r", "bound-without-r", "bound-without-state",
+         "superposition-cancelling-pair", "fit-cutoff-drops-the-norm", "squeezed-400-digit-r"],
 )
 def test_malformed_descriptor_values_exit_2(capsys, tmp_path, request, argv):
     # A non-string argument is a certificate, written to a file for --check.
@@ -338,6 +348,13 @@ def test_negative_seed_is_a_usage_error_naming_the_flag(capsys, tmp_path, argv):
     assert err.startswith("usage: ")
     assert f"error: argument --seed: must be non-negative, got {argv[-1]}" in err
     assert not out.exists()
+
+
+def test_non_integer_seed_is_a_usage_error_naming_the_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", '{"type":"fock","n":1}', "--r", "1", "--seed", "x"])
+    assert exc.value.code == 2
+    assert "error: argument --seed: invalid int value: 'x'" in capsys.readouterr().err
 
 
 def test_resource_limit_exits_4(capsys):
@@ -862,6 +879,10 @@ def test_fit_flags_never_leak_a_traceback(r, restarts):
 @example({"type": "fock", "n": 2}, "1e-4")  # ill conditioned, still solved
 @example({"type": "core", "amps": [[0, 0], [0, 0]]}, "0.1")  # no nonzero amplitude
 @example({"type": "squeezed", "r": 4}, "0.5")  # 37,891 nodes: refused unbuilt
+# kept amplitudes of |28i> and |20i> whose squares, or the product of norms, underflow
+@example({"type": "superposition", "terms": [{"c": [0, 1], "alpha": [0, 28]}], "cutoff": 1}, "1.0")
+@example({"type": "superposition", "terms": [{"c": [0, 1], "alpha": [0, 20]}], "cutoff": 0},
+         "1e-300")
 def test_decompose_never_leaks_a_traceback(descriptor, delta):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
@@ -979,6 +1000,21 @@ def test_check_matches_within_a_relative_1e_12(tmp_path, capsys, argv, scale, co
     capsys.readouterr()
     assert main(["bound", "--check", str(cert_path)]) == code
     assert capsys.readouterr().out.startswith(f"certificate {verdict}: ")
+
+
+def test_an_off_norm_superposition_certificate_over_claims_and_fails_its_check(tmp_path, capsys):
+    # the threshold of |0.5> + |-0.5> taken as its raw vector, of squared norm 3.213,
+    # as certificates stored it before a superposition named its unit vector
+    cat = {"type": "superposition", "terms": [{"c": [1, 0], "alpha": [0.5, 0]},
+                                              {"c": [1, 0], "alpha": [-0.5, 0]}]}
+    code, payload = run_json(capsys, ["certify", json.dumps(cat), "--eps", "0.04", "--n-max", "6"])
+    assert (code, payload["kappa_eps_at_least"]) == (0, 1)
+    stored = {"state_descriptor": cat, "r": 1, "epsilon_threshold": 0.048675048941962784,
+              "method": "optimized", "parameters": {"N": 1, "b": 1.0}}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(stored))
+    assert main(["bound", "--check", str(path)]) == 3
+    assert capsys.readouterr().out.startswith("certificate MISMATCH: ")
 
 
 def test_analytic_bound_on_a_non_fock_state_names_the_rule(capsys):

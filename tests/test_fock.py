@@ -20,7 +20,6 @@ from csrank.fock import (
     core_state,
     fidelity,
     fock_state,
-    log_factorial,
     log_factorials,
     squeezed_state,
     state_from_descriptor,
@@ -32,7 +31,6 @@ from csrank.multimode import MultimodeSuperposition
 def test_fock_state_vacuum():
     v = fock_state(0, 4)
     assert np.allclose(v.amplitudes, [1, 0, 0, 0, 0])
-    assert v.normalized
 
 
 def test_fock_state_basis_vector():
@@ -326,12 +324,12 @@ def test_norm_distance_relations():
         y = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         x /= np.linalg.norm(x)
         y /= np.linalg.norm(y)
-        a = FockVector(x, 8, normalized=True)
-        b = FockVector(y, 8, normalized=True)
+        a = FockVector(x, 8)
+        b = FockVector(y, 8)
         d2 = two_norm_distance(a, b) ** 2
         assert d2 == pytest.approx(2 * (1 - np.vdot(x, y).real), abs=1e-12)
         theta = np.angle(np.vdot(x, y))
-        aligned = FockVector(y * np.exp(-1j * theta), 8, normalized=True)
+        aligned = FockVector(y * np.exp(-1j * theta), 8)
         f = fidelity(a, b)
         d_aligned = two_norm_distance(a, aligned)
         assert d_aligned == pytest.approx(math.sqrt(2 * (1 - math.sqrt(f))), abs=1e-10)
@@ -341,8 +339,6 @@ def test_norm_distance_relations():
 def test_invariant_checks():
     with pytest.raises(ValueError):
         FockVector(np.array([1.0, np.nan], dtype=complex), 1)
-    with pytest.raises(ValueError):
-        FockVector(np.array([1.0, 1.0], dtype=complex), 1, normalized=True)
     with pytest.raises(ValueError):
         FockVector(np.ones(3, dtype=complex), 5)
 
@@ -375,7 +371,6 @@ def test_coherent_state_past_the_double_range_is_a_resource_limit(cutoff):
 def test_core_state_normalizes_amplitudes_past_the_double_range(part):
     # the squares of these leave the double range; the state is |0> + |1> all the same
     v = core_state([part, part])
-    assert v.normalized
     unit = cmath.exp(1j * cmath.phase(part)) / math.sqrt(2)
     assert np.allclose(v.amplitudes, [unit, unit], rtol=1e-15, atol=0)
 
@@ -442,9 +437,6 @@ def test_log_factorial_table_is_scipy_gammaln_bit_for_bit():
     assert np.array_equal(_bits(table), _bits(gammaln(k + 1)))
     top = 2 * MAX_CUTOFF
     assert _bits(log_factorials(top)[top]) == _bits(gammaln(top + 1))
-    # past the table the same formula runs on one value, its correction dropped past 1e8
-    for k in (top, top + 1, 10**8 - 1, 10**8, 10**12, 10**20):
-        assert _bits(log_factorial(k)) == _bits(gammaln(float(k + 1))), k
 
 
 # Displacements the column tests run on: the vacuum, a subnormal, pure imaginary,

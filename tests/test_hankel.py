@@ -793,3 +793,10 @@ def test_hankel_size_cap_refuses_before_building():
     for call in refused:
         with pytest.raises(ResourceLimit, match=str(MAX_HANKEL_N)):
             call()
+
+
+@pytest.mark.parametrize("Ns", [[-1, 3], [3, -1]], ids=["first", "last"])
+def test_hankel_matrices_refuse_any_negative_n(Ns):
+    # the refusal names the negative N, not only the largest, before anything is built
+    with pytest.raises(ValueError, match=rf"^need 0 <= 2N <= cutoff, got N={min(Ns)}, cutoff 8$"):
+        hankel.hankel_matrices(fock_state(1, 8), Ns, 1.0)

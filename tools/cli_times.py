@@ -41,6 +41,9 @@ COMMANDS = {
     # the plain search over N = 2..10
     "bound_plain_squeezed_nmax10": ["bound", '{"type":"squeezed","r":0.5,"phi":0}', "--r", "2",
                                     "--n-max", "10", "--method", "plain"],
+    # a superposition descriptor: the state is loaded through its norm
+    "bound_cat": ["bound", '{"type":"superposition","terms":[{"c":[1,0],"alpha":[0.5,0]},'
+                  '{"c":[1,0],"alpha":[-0.5,0]}]}', "--r", "1"],
     "fit_fock1": ["fit", '{"type":"fock","n":1}', "--r", "1", "--seed", "0"],
     # a complex target: the r = 1 fit runs the 41 x 41 plane grid, not the real axis
     "fit_core_r1": ["fit", '{"type":"core","amps":[[0.6,0],[0,0.8]]}', "--r", "1", "--seed", "0"],
