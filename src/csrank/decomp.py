@@ -5,10 +5,13 @@ delta * omega^j (omega the (n+1)-th root of unity) and solves the linear
 system that matches the target's first n+1 Fock amplitudes exactly; the
 fidelity tends to 1 as delta shrinks.  best_single_coherent finds the global
 maximum of |<target|alpha>|^2 by a Newton climb from the best points of a
-coarse grid.  fit_superposition maximizes fidelity over r-term
-superpositions by variable projection: for a fixed displacement vector the
-optimal coefficients are a linear least-squares solve, so only the 2r real
-displacement parameters are searched.  At r = 1 that search is
+coarse grid.  The grid's coherent columns depend on (plane or real axis,
+radius, cutoff, block step) alone, never on the target, so a table of them up
+to 2^16 entries is kept for the process and scored by the same products: a
+later target's result is bit-identical to a fresh build.  fit_superposition
+maximizes fidelity over r-term superpositions by variable projection: for a
+fixed displacement vector the optimal coefficients are a linear least-squares
+solve, so only the 2r real displacement parameters are searched.  At r = 1 that search is
 best_single_coherent's climb.  At r >= 2 minimize climbs every restart at
 once by safeguarded Newton steps on -log F, with F the projected fidelity of
 a QR of the coherent columns, the exact variable-projection gradient (Golub &
@@ -62,6 +65,15 @@ GRAD_TOL = 1e-12
 # worker threads, which then spin and slow every later numpy call of the
 # process; one entry fewer keeps each block's product on the calling thread.
 _GRID_BLOCK_ENTRIES = (1 << 12) - 1
+
+# Most matrix entries of one grid table kept for the process (1 MiB of
+# complex), and the most points each grid holds: 201 on the real axis, and on
+# the plane the 1257 points (i, j) of the 41 x 41 grid with i^2 + j^2 <= 20^2
+# (rounding can only drop those on the circle).  The plane table is kept up to
+# cutoff 51 and the real axis up to cutoff 325; a larger grid's blocks are
+# built on every call, one at a time.
+_GRID_TABLE_ENTRIES = 1 << 16
+_GRID_POINTS = {True: 1257, False: 201}
 
 # Machine epsilon, read once: np.finfo is a lookup on every call.
 _EPS = np.finfo(float).eps
@@ -523,6 +535,33 @@ def _ascent_step(alphas: np.ndarray, z: np.ndarray, plane: bool) -> np.ndarray:
     return np.where(np.isfinite(step), step, 0.0)
 
 
+def _grid_points(plane: bool, radius: float) -> np.ndarray:
+    """The coarse grid over the disk of that radius: the 41 x 41 square grid
+    clipped to the disk (x outer, y inner), or 201 points on the real axis."""
+    if plane:
+        xs = np.linspace(-radius, radius, 41)
+        x, y = np.meshgrid(xs, xs, indexing="ij")  # x outer, y inner once flattened
+        return (x + 1j * y)[x * x + y * y <= radius**2]
+    return np.linspace(-radius, radius, 201).astype(complex)
+
+
+def _grid_blocks(points: np.ndarray, cutoff: int, step: int):
+    """The coherent columns of points on cutoff + 1 rows, step points a block,
+    each built when it is read."""
+    return (coherent_columns(points[lo : lo + step], cutoff) for lo in range(0, len(points), step))
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_table(plane: bool, radius: float, cutoff: int, step: int):
+    """_grid_points and every block of _grid_blocks, read-only and kept for
+    the process: they depend on the key alone, never on the target."""
+    points = _grid_points(plane, radius)
+    blocks = tuple(_grid_blocks(points, cutoff, step))
+    for array in (points, *blocks):
+        array.flags.writeable = False
+    return points, blocks
+
+
 def _climb_from_grid(target: FockVector, count: int, starts, max_steps: int):
     """The count best points of target's coarse grid (first on ties) and the
     given starts, climbed in lockstep by at most max_steps Newton steps each.
@@ -534,19 +573,20 @@ def _climb_from_grid(target: FockVector, count: int, starts, max_steps: int):
     cutoff = len(t) - 1
     plane = not (np.max(np.abs(t.imag)) < 1e-14 and np.min(t.real) >= 0)
     radius = max(4.0, 2.0 * math.sqrt(target.mean_fock_number()))
-    if plane:
-        xs = np.linspace(-radius, radius, 41)
-        x, y = np.meshgrid(xs, xs, indexing="ij")  # x outer, y inner once flattened
-        points = (x + 1j * y)[x * x + y * y <= radius**2]
-    else:
-        points = np.linspace(-radius, radius, 201).astype(complex)
-    # The grid scores |t^H B|^2 with B's columns built in blocks.  Squaring
-    # hypot by pow rounds like the scalar abs(z) ** 2 of _coherent_overlap_sq
-    # (numpy's array abs and square do not); the ascent scores the same way.
+    # The grid scores |t^H B|^2 with B's columns built in blocks, kept for the
+    # process where the table fits its budget.  Squaring hypot by pow rounds
+    # like the scalar abs(z) ** 2 of _coherent_overlap_sq (numpy's array abs
+    # and square do not); the ascent scores the same way.
     step = max(1, _GRID_BLOCK_ENTRIES // len(t))
+    if _GRID_POINTS[plane] * len(t) <= _GRID_TABLE_ENTRIES:
+        points, blocks = _grid_table(plane, radius, cutoff, step)
+    else:
+        points = _grid_points(plane, radius)
+        blocks = _grid_blocks(points, cutoff, step)
     scores = np.empty(len(points))
-    for lo in range(0, len(points), step):
-        z = t.conj() @ coherent_columns(points[lo : lo + step], cutoff)
+    tc = t.conj()
+    for lo, block in zip(range(0, len(points), step), blocks):
+        z = tc @ block
         scores[lo : lo + step] = np.float_power(np.hypot(z.real, z.imag), 2.0)
     alphas = np.concatenate([points[np.argsort(-scores, kind="stable")[:count]],
                              np.asarray(starts, dtype=complex)])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from csrank.fock import (
     state_from_descriptor,
     superposition_to_fock,
 )
-from test_acceptance import corpus_states
+from test_acceptance import corpus_states, random_separated_superposition
 
 
 def odd_cat_infidelity(delta):
@@ -629,6 +630,7 @@ def test_best_single_leaves_the_real_axis_for_mixed_signs(amps, infidelity, imag
 
 
 def test_best_single_block_split_keeps_the_result(monkeypatch):
+    # both targets search the plane grid of radius 4 at cutoff 16: one table
     targets = [_rotated(fock_state(3, 16), 1j), core_state([0.3, -0.5j, 0.8], cutoff=16)]
     expected = [best_single_coherent(t) for t in targets]
     sizes = []
@@ -636,17 +638,22 @@ def test_best_single_block_split_keeps_the_result(monkeypatch):
 
     def recording_columns(alphas, cutoff):
         block = columns(alphas, cutoff)
-        sizes.append(block.size)
+        sizes[-1].append(block.size)
         return block
 
     monkeypatch.setattr(decomp, "_GRID_BLOCK_ENTRIES", 60)
     monkeypatch.setattr(decomp, "coherent_columns", recording_columns)
+    decomp._grid_table.cache_clear()
     for target, want in zip(targets, expected):
+        sizes.append([])
         assert _hex(*best_single_coherent(target)) == _hex(*want)
     # the ascent's calls hold the 4 candidates of 17 entries; every other is a grid block
-    grid = [size for size in sizes if size != decomp.CANDIDATES * 17]
-    assert len(grid) > 2 * 1_200 // 3  # 3 columns of 17 entries per block
-    assert max(grid) <= 60
+    first, second = ([size for size in calls if size != decomp.CANDIDATES * 17]
+                     for calls in sizes)
+    points = len(decomp._grid_points(True, 4.0))
+    assert len(first) == math.ceil(points / 3)  # 3 columns of 17 entries per block
+    assert max(first) <= 60
+    assert second == []
 
 
 @pytest.mark.parametrize("cutoff", [15, 31, 63, 127])
@@ -663,11 +670,109 @@ def test_grid_products_stay_under_the_openblas_thread_cutoff(monkeypatch, cutoff
         return block
 
     monkeypatch.setattr(decomp, "coherent_columns", recording_columns)
+    decomp._grid_table.cache_clear()  # so every grid block is built here
     for target in (core_state([0.3, -0.5j, 0.8], cutoff=cutoff), fock_state(3, cutoff)):
         best_single_coherent(target)
     assert {rows for rows, _ in shapes} == {cutoff + 1}
     assert max(rows * points for rows, points in shapes) < 4096
 
+
+
+def _sandwich_draws():
+    """48 benchmark-style targets at cutoff 16 and up: complex and real
+    non-negative cores, separated superpositions, and Fock states as given
+    (real axis) and times i (plane), on grids of radius 4 to 2 sqrt(12)."""
+    rng = np.random.default_rng(40)
+    draws = []
+    for _ in range(12):
+        d = int(rng.integers(2, 7))
+        draws.append(core_state(rng.standard_normal(d) + 1j * rng.standard_normal(d), cutoff=16))
+        draws.append(core_state(np.abs(rng.standard_normal(d)), cutoff=16))
+        draws.append(random_separated_superposition(rng, int(rng.integers(1, 5)), 16,
+                                                    max_abs=1.5)[0])
+    for n in range(1, 13, 2):
+        draws += [fock_state(n, max(2 * n, 16)), _rotated(fock_state(n + 1, max(2 * n, 16)), 1j)]
+    return draws
+
+
+def _r1_bits(target):
+    """Every bit of best_single_coherent and of the benchmark's r = 1 fit."""
+    fit = fit_superposition(target, 1, restarts=3, seed=7, max_iters=600)
+    sup = fit.superposition
+    terms = [v.hex() for c, a in zip(sup.coefficients().tolist(), sup.displacements().tolist())
+             for v in (c.real, c.imag, a.real, a.imag)]
+    reports = [(rep.nit, rep.converged, rep.fidelity.hex()) for rep in fit.restarts]
+    return _hex(*best_single_coherent(target)), fit.fidelity_achieved.hex(), terms, reports
+
+
+def test_grid_table_keeps_every_bit(monkeypatch):
+    targets = [psi for _, psi, _ in corpus_states()] + _sandwich_draws()
+    for target in targets:
+        decomp._grid_table.cache_clear()
+        cold = _r1_bits(target)  # builds the table
+        hits = decomp._grid_table.cache_info().hits
+        assert _r1_bits(target) == cold  # from the kept table
+        assert decomp._grid_table.cache_info().hits == hits + 2
+        with monkeypatch.context() as m:
+            m.setattr(decomp, "_GRID_TABLE_ENTRIES", 0)  # built block by block, kept nowhere
+            assert _r1_bits(target) == cold
+    # both grids, at several radii
+    planes = {bool(np.abs(t.amplitudes.imag).max() >= 1e-14 or t.amplitudes.real.min() < 0)
+              for t in targets}
+    radii = {max(4.0, 2.0 * math.sqrt(t.mean_fock_number())) for t in targets}
+    assert planes == {False, True} and len(radii) > 5
+
+
+def test_grid_table_is_read_only():
+    best_single_coherent(core_state([0.3, -0.5j, 0.8], cutoff=16))
+    best_single_coherent(fock_state(3, 16))
+    for plane in (True, False):
+        points, blocks = decomp._grid_table(plane, 4.0, 16, decomp._GRID_BLOCK_ENTRIES // 17)
+        for array in (points, *blocks):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            blocks[0][0, 0] = 0.0
+
+
+def test_grid_points_stay_within_the_table_bound():
+    # the plane grid holds at most the 1257 points i^2 + j^2 <= 20^2 of the
+    # 41 x 41 integer grid, so a table is kept up to cutoff 51 at any radius
+    lattice = sum(i * i + j * j <= 400 for i in range(-20, 21) for j in range(-20, 21))
+    assert decomp._GRID_POINTS == {True: lattice, False: 201}
+    for radius in np.concatenate([np.linspace(4.0, 40.0, 400), 2.0 * np.sqrt(np.arange(4, 60))]):
+        assert len(decomp._grid_points(True, radius)) <= lattice
+        assert len(decomp._grid_points(False, radius)) == 201
+    assert 1245 * 52 <= decomp._GRID_TABLE_ENTRIES < 1245 * 53
+    assert 201 * 326 <= decomp._GRID_TABLE_ENTRIES < 201 * 327
+
+
+@pytest.mark.parametrize("target", [core_state([0.3, -0.5j, 0.8], cutoff=6000),
+                                    fock_state(3, 6000)], ids=["plane", "real-axis"])
+def test_large_grids_are_built_block_by_block(monkeypatch, target):
+    # past the table budget the grid is built one block at a time on every
+    # call and kept nowhere: at cutoff 6000 each block is one column
+    widths = []
+    columns = decomp.coherent_columns
+
+    def recording_columns(alphas, rows):
+        block = columns(alphas, rows)
+        widths.append(block.shape[1])
+        return block
+
+    monkeypatch.setattr(decomp, "coherent_columns", recording_columns)
+    kept = decomp._grid_table.cache_info().currsize
+    tracemalloc.start()
+    try:
+        best_single_coherent(target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decomp._grid_table.cache_info().currsize == kept
+    # the ascent's calls hold the 4 candidates; every other is a grid block
+    plane = bool(np.abs(target.amplitudes.imag).max() > 0)
+    assert widths.count(1) == len(decomp._grid_points(plane, 4.0))
+    assert set(widths) == {1, decomp.CANDIDATES}
+    assert peak < 2 << 20
 
 def test_delta_cat_product_structure():
     sup = delta_cat_product(3, 0.2)

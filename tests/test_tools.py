@@ -61,6 +61,30 @@ def test_cli_times_alternates_the_labels_on_every_run(monkeypatch, tmp_path):
     assert data["parent"]["commands"]["version"]["median_s"] == 0.4
 
 
+def test_cli_times_records_each_repeats_ratio_to_the_first_label(monkeypatch, tmp_path):
+    cli_times = load_cli_times()
+    monkeypatch.setattr(cli_times, "COMMANDS", {"version": ["--version"]})
+    other = tmp_path / "other"
+    (other / "src" / "csrank").mkdir(parents=True)
+    (other / "src" / "csrank" / "__init__.py").write_text("x = 1\n")
+    # each label's runs in repeat order, for the command and then the suite
+    times = {str(other / "src"): iter([0.2, 0.4, 0.3] * 2),
+             str(ROOT / "src"): iter([0.1, 0.6, 0.9] * 2)}
+    monkeypatch.setattr(cli_times, "run_once",
+                        lambda argv, env, cwd: (next(times[env["PYTHONPATH"]]), 0))
+    out = tmp_path / "BENCH.json"
+    argv = ["--repo", str(other), "--label", "parent", "--repo", str(ROOT), "--label", "change",
+            "--out", str(out)]
+    assert cli_times.main(argv) == 0
+    data = json.loads(out.read_text())
+    for run in (data["change"]["commands"]["version"], data["change"]["tier1_suite"]):
+        assert run["ratio_to"] == "parent"
+        assert run["ratios"] == [0.5, 1.5, 3.0]
+        # the median of the ratios, not the ratio of the medians (0.6 / 0.3)
+        assert run["median_ratio"] == 1.5
+    for run in (data["parent"]["commands"]["version"], data["parent"]["tier1_suite"]):
+        assert not {"ratio_to", "ratios", "median_ratio"} & set(run)
+
 def test_cli_times_wants_one_repo_per_label(tmp_path, capsys):
     cli_times = load_cli_times()
     out = tmp_path / "BENCH.json"

@@ -14,6 +14,11 @@ One call times one or more checkouts, one ``--repo`` per ``--label``; a
 single ``--label`` without ``--repo`` times this checkout.  The labels take
 turns on every run of every command, the first of them rotating from one
 repeat to the next, so drift on a shared host reaches every label alike.
+Every label after the first also records, per command and for the suite,
+each repeat's time over the first label's run in that repeat (``ratios``)
+and their median (``median_ratio``): a pair run back to back shares the
+host's state, so the ratios resolve a move that 3-run medians of a 0.2 s
+command cannot.
 Runs with different labels share one file: each call replaces only its own
 labels.  Standard library only.
 """
@@ -72,6 +77,8 @@ def timed(runs: dict) -> dict:
     """label -> REPEAT timed runs of runs[label] = (argv, env, cwd).
 
     Each repeat runs every label once, starting from the next label in turn.
+    Every label after the first also gets each repeat's time over the first
+    label's run in the same repeat, and the median of those ratios.
     """
     labels = list(runs)
     done = {label: [] for label in labels}
@@ -79,11 +86,16 @@ def timed(runs: dict) -> dict:
         first = i % len(labels)
         for label in labels[first:] + labels[:first]:
             done[label].append(run_once(*runs[label]))
-    return {label: {"best_s": round(min(t for t, _ in done[label]), 4),
-                    "median_s": round(statistics.median(t for t, _ in done[label]), 4),
-                    "runs_s": [round(t, 4) for t, _ in done[label]],
-                    "exit_codes": sorted({code for _, code in done[label]})}
-            for label in labels}
+    out = {label: {"best_s": round(min(t for t, _ in done[label]), 4),
+                   "median_s": round(statistics.median(t for t, _ in done[label]), 4),
+                   "runs_s": [round(t, 4) for t, _ in done[label]],
+                   "exit_codes": sorted({code for _, code in done[label]})}
+           for label in labels}
+    for label in labels[1:]:
+        ratios = [t / base for (t, _), (base, _) in zip(done[label], done[labels[0]])]
+        out[label].update(ratio_to=labels[0], ratios=[round(r, 4) for r in ratios],
+                          median_ratio=round(statistics.median(ratios), 4))
+    return out
 
 
 def src_lines(repo: Path) -> dict:
