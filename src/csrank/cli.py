@@ -26,8 +26,11 @@ from .multimode import multimode_from_descriptor, multimode_lower_bound
 from .permanent import verify_permanent_bound
 
 
+_FLOAT = "%.17e"  # every float written, 17 significant digits
+
+
 def _fmt(x: float) -> str:
-    return f"{x:.17e}"
+    return _FLOAT % x
 
 
 def _c2j(z: complex):
@@ -44,18 +47,21 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def _emit_csv(header, rows, out: str | None, manifest: dict) -> None:
+    # One %-format per row type signature: a float cell as _fmt, any other as str.
+    formats = {}
     lines = [",".join(header)]
     for row in rows:
-        lines.append(
-            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-        )
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join(
+                _FLOAT if issubclass(kind, float) else "%s" for kind in kinds)
+        lines.append(fmt % tuple(row))
     text = "\n".join(lines) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
-        with open(out + ".manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _emit_json(manifest, out + ".manifest.json")
     else:
         sys.stdout.write(text)
 

@@ -19,11 +19,15 @@ the phase alignment F(U) = sqrt(1 - delta_inf) Per(U) exactly, and a trial's
 error is |Per(U)| (1 - sqrt(1 - delta_inf)).  Its infidelity and tail weight
 are n-th powers of one mode's numbers, so no 2^n-row formula is built.
 Trials are scored in blocks: one stacked QR draws a block's Haar unitaries and
-one Glynn pass scores them.
+one Glynn pass scores them.  Trial i draws from the default_rng(seed + i)
+stream, as haar_unitary does: one vectorized pass of numpy's own seed hash
+(_pcg64_states) gives every trial's PCG64 state before the first block, and
+one Generator, set to each state in turn, draws the normals.
 """
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -114,20 +118,116 @@ def haar_unitary(n: int, seed: int | None) -> np.ndarray:
     """Haar sample from default_rng(seed): QR of a Ginibre matrix, R's diagonal phase-fixed."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return _haar_stack(n, [seed])[0]
+    return _unitaries(np.random.default_rng(seed).standard_normal((1, 2, n, n)))[0]
 
 
-def _haar_stack(n: int, seeds) -> np.ndarray:
-    """(len(seeds), n, n) stack of haar_unitary(n, seed), one default_rng(seed)
-    stream per matrix, through one stacked QR and one phase fix."""
-    draws = np.empty((len(seeds), 2, n, n))
-    for out, seed in zip(draws, seeds):
-        np.random.default_rng(seed).standard_normal(out=out)
+def _unitaries(draws: np.ndarray) -> np.ndarray:
+    """Stack of Haar unitaries from (k, 2, n, n) normals, the real then the
+    imaginary parts of each Ginibre matrix: one stacked QR and one phase fix."""
     z = (draws[:, 0] + 1j * draws[:, 1]) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=1, axis2=2)
     q *= (d / np.abs(d))[:, None, :]
     return q
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) in uint32
+# arithmetic, and the multiplier of PCG64's 128-bit LCG.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_chain(init: int, mult: int, calls: int) -> np.ndarray:
+    """(calls + 1, 1) uint32 constants that ``calls`` hashmix calls run through:
+    call j XORs with row j and multiplies by row j + 1."""
+    chain = [init]
+    for _ in range(calls):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array(chain, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, one call per row of the constants ``xor`` and ``mul``."""
+    values = (values ^ xor) * mul
+    return values ^ values >> np.uint32(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words ``x`` with hashed words ``y``."""
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ result >> np.uint32(16)
+
+
+def _pcg64_states(seeds) -> list:
+    """``bit_generator.state`` of default_rng(seed) for every seed, in one pass.
+
+    SeedSequence(seed) hashes the seed's 32-bit words into a pool of four and
+    draws PCG64's 128-bit seed and increment from it.  Every seed meets the
+    same chain of hash constants, so the pools of all seeds are mixed at once,
+    one column per seed.  Words past the fourth (seeds >= 2^128) take extra
+    mixing rounds, kept only for the seeds that have them.  The PCG64 set-seq
+    step then runs in Python ints.  Raises ValueError on a negative seed, as
+    default_rng does.
+    """
+    seeds = [operator.index(s) for s in seeds]
+    if min(seeds) < 0:
+        raise ValueError("expected non-negative integer")
+    width = max(_POOL_SIZE, -(-max(seeds).bit_length() // 32))
+    # (width, len(seeds)): a seed's words, then zeros, which the pool's first fill hashes.
+    entropy = np.frombuffer(b"".join(s.to_bytes(4 * width, "little") for s in seeds),
+                            dtype="<u4").reshape(len(seeds), width).T.astype(np.uint32)
+    chain = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE * width)
+    pool = _hashmix(entropy[:_POOL_SIZE], chain[:_POOL_SIZE], chain[1:_POOL_SIZE + 1])
+    # Each source word mixes into the other three in turn; they do not feed each
+    # other, so one pass over the pool mixes all three and keeps the source row.
+    call = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        rows = np.arange(_POOL_SIZE)
+        rows = call + rows - (rows >= src)  # the source's row borrows a neighbour's, then is reset
+        mixed = _mix(pool, _hashmix(pool[src], chain[rows], chain[rows + 1]))
+        mixed[src] = pool[src]
+        pool = mixed
+        call += _POOL_SIZE - 1
+    if width > _POOL_SIZE:
+        words = np.array([-(-s.bit_length() // 32) for s in seeds])
+        for src in range(_POOL_SIZE, width):
+            consts = chain[call:call + _POOL_SIZE + 1]
+            mixed = _mix(pool, _hashmix(entropy[src], consts[:-1], consts[1:]))
+            pool = np.where(words > src, mixed, pool)
+            call += _POOL_SIZE
+
+    # generate_state(4, np.uint64): eight words cycled from the pool, paired low-high.
+    chain = _hash_chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    out = _hashmix(np.tile(pool, (2, 1)), chain[:-1], chain[1:]).astype(np.uint64)
+    halves = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
+
+    states = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in zip(*halves):
+        # pcg_setseq_128_srandom_r: state 0, step, add the seed, step.
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = (((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _haar_stack(n: int, states, rng) -> np.ndarray:
+    """(len(states), n, n) stack of Haar unitaries, matrix k drawn by the
+    Generator ``rng`` from bit-generator state states[k]: with
+    _pcg64_states(seeds), the stack of haar_unitary(n, seed), each seed's
+    default_rng(seed) stream unchanged.  (No annotation names np.random,
+    which would import it with this module.)"""
+    draws = np.empty((len(states), 2, n, n))
+    bit_generator = rng.bit_generator
+    for out, state in zip(draws, states):
+        bit_generator.state = state
+        rng.standard_normal(out=out)
+    return _unitaries(draws)
 
 
 @dataclass(frozen=True)
@@ -212,9 +312,11 @@ def verify_permanent_bound(
     against |1>^n and ``tail_weight`` its weight outside occupations <= 2 per
     mode.  Each row's |F| is sqrt(1 - delta_inf) |Per| and its error
     |Per| (1 - sqrt(1 - delta_inf)), the identity of the module docstring.
-    Raises ResourceLimit past MAX_MODES modes or MAX_TRIALS trials, before
-    anything is drawn, and NumericalFailure if any trial's error exceeds the
-    bound.
+    Every trial's stream is the one default_rng(seed + i) gives, its state
+    computed with all the others' in one pass (_pcg64_states).  Raises
+    ResourceLimit past MAX_MODES modes or MAX_TRIALS trials, before anything
+    is drawn, ValueError on a negative seed, as default_rng does, and
+    NumericalFailure if any trial's error exceeds the bound.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -234,11 +336,13 @@ def verify_permanent_bound(
     shortfall = -math.expm1(0.5 * math.log1p(-delta_inf))  # 1 - sqrt(1 - delta_inf)
 
     block = TRIAL_BLOCK_ROWS >> modes
+    states = _pcg64_states(range(seed, seed + trials))
+    rng = np.random.default_rng(0)  # every draw first sets a trial's state
     rows = []
     for start in range(0, trials, block):
         stop = min(start + block, trials)
         seeds = range(seed + start, seed + stop)
-        per = _glynn(_haar_stack(modes, seeds))
+        per = _glynn(_haar_stack(modes, states[start:stop], rng))
         # np.hypot rounds |z| as Python's abs(complex) does; np.abs may not.
         abs_per = np.hypot(per.real, per.imag)
         rows += zip(range(start, stop), seeds, abs_per.tolist(), (scale * abs_per).tolist(),

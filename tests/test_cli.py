@@ -13,6 +13,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 import csrank
 from csrank import hankel
 from csrank.certify import fock_analytic_threshold
-from csrank.cli import build_parser, main
+from csrank.cli import _emit_csv, build_parser, main
 from csrank.decomp import MAX_CIRCLE_NODES, MAX_RESTARTS, fit_superposition
 from csrank.fock import MAX_CUTOFF, fock_state, state_from_descriptor
 from csrank.hankel import (
@@ -686,6 +687,16 @@ def test_commands_without_fits_or_poisson_tails_import_no_scipy(tmp_path):
     assert out.splitlines() == [f"{[0] * 11} []", "[]", "[]"]
 
 
+def test_importing_the_cli_loads_no_numpy_random():
+    # numpy loads numpy.random on first use, about 15 ms; a module-level use (an
+    # annotation naming np.random is enough) would pay it on every command
+    env = dict(os.environ, PYTHONPATH=str(Path(csrank.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, csrank.cli; print('numpy.random' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False"]
+
+
 @pytest.mark.parametrize("delta", ["10", "20", "30", "100"])
 def test_permanent_far_from_one_photon_names_delta_inf(capsys, delta):
     # (1 - w_1 / W) rounds to 1 here: delta_inf is exactly 1, not log1p(-1)
@@ -935,6 +946,28 @@ def test_figure_csvs_keep_their_bytes(tmp_path, panel):
     out = tmp_path / f"{panel}.csv"
     assert main(["figure", "--panel", panel, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_SHA256[panel]
+
+
+def test_csv_rows_keep_the_per_cell_rule(tmp_path):
+    # Each row is formatted by one %-format per type signature; every cell must
+    # read as the old per-cell rule wrote it: a float by f"{v:.17e}", anything
+    # else by str.
+    rows = [
+        (1, True, "a%sb", 0.1, np.float64(2.5), math.nan),
+        (-7, False, "", math.inf, -math.inf, -0.0),
+        (10**30, 5e-324, np.float64(-1e308), np.float64(math.nan), "x,y", 0),
+        (1, True, "a%sb", 0.3, np.float64(-0.0), 1e-310),  # a signature seen before
+        (np.int64(3), 2.0, None),
+        (),
+    ]
+    out = tmp_path / "rows.csv"
+    manifest = {"seed": 3, "value": 0.1, "nested": {"b": [1, 2], "a": None}}
+    _emit_csv(["h1", "h2"], rows, str(out), manifest)
+    expected = ["h1,h2"] + [",".join(f"{v:.17e}" if isinstance(v, float) else str(v) for v in row)
+                            for row in rows]
+    assert out.read_text() == "\n".join(expected) + "\n"
+    manifest_bytes = (tmp_path / "rows.csv.manifest.json").read_text()
+    assert manifest_bytes == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
 def test_outputs_deterministic(tmp_path):

@@ -15,6 +15,7 @@ from csrank.permanent import (
     MultilinearFormula,
     _haar_stack,
     _odd_cat_power,
+    _pcg64_states,
     evaluate_formula,
     haar_unitary,
     permanent_glynn,
@@ -162,8 +163,9 @@ def test_verify_bound_resource_limit():
 
 def test_verify_bound_refuses_trials_past_the_cap_before_drawing(monkeypatch):
     def no_draws(*args):
-        raise AssertionError("a refused call drew a unitary")
+        raise AssertionError("a refused call seeded or drew a unitary")
 
+    monkeypatch.setattr(permanent, "_pcg64_states", no_draws)
     monkeypatch.setattr(permanent, "_haar_stack", no_draws)
     for trials in (permanent.MAX_TRIALS + 1, 10**400):
         with pytest.raises(ResourceLimit, match=f"at most {permanent.MAX_TRIALS} trials"):
@@ -260,19 +262,74 @@ def _one_haar(n, seed):
     return q * (d / np.abs(d))
 
 
+def _stack(n, seeds):
+    """_haar_stack over ``seeds`` as verify_permanent_bound draws it: every state
+    from one seeding pass, one Generator for them all."""
+    return _haar_stack(n, _pcg64_states(seeds), np.random.default_rng())
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_stacked_haar_draws_are_bit_identical_to_single_draws(n):
     seeds = range(40 * n, 40 * n + 7)
     expected = np.array([_one_haar(n, s) for s in seeds])
-    np.testing.assert_array_equal(_haar_stack(n, seeds), expected)
+    np.testing.assert_array_equal(_stack(n, seeds), expected)
     np.testing.assert_array_equal(np.array([haar_unitary(n, s) for s in seeds]), expected)
+
+
+# Seed blocks at the edges of SeedSequence's 32-bit words: the largest one-word
+# seed, the smallest of two, three and five words (2^128, the first past the
+# four-word pool), blocks across 2^32 and 2^128, seeds of many words, and
+# seeds of every length in one unsorted block.
+_WORD_EDGE_SEEDS = {"0": range(0, 3), "2^32-1": range(2**32 - 1, 2**32),
+                    "2^32": range(2**32, 2**32 + 1), "across-2^32": range(2**32 - 3, 2**32 + 3),
+                    "2^64": range(2**64, 2**64 + 2), "2^128-1": range(2**128 - 1, 2**128),
+                    "2^128": range(2**128, 2**128 + 2),
+                    "across-2^128": range(2**128 - 2, 2**128 + 2),
+                    "2^300": range(2**300, 2**300 + 2), "10^400": range(10**400, 10**400 + 2),
+                    "mixed": [0, 5, 2**40 + 1, 2**128 + 7, 3, 2**200 - 1, 10**400, 2**64]}
+
+
+@pytest.mark.parametrize("seeds", list(_WORD_EDGE_SEEDS.values()), ids=list(_WORD_EDGE_SEEDS))
+def test_seeding_pass_is_default_rng_at_every_word_count(seeds):
+    expected = [np.random.default_rng(s).bit_generator.state for s in seeds]
+    assert _pcg64_states(seeds) == expected
+    for n in (1, 3):
+        np.testing.assert_array_equal(_stack(n, seeds), [_one_haar(n, s) for s in seeds])
+
+
+def test_negative_seed_is_refused_as_default_rng_refuses_it():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        np.random.default_rng(-1)
+    for seed, trials in ((-1, 1), (-3, 5)):  # also when later trials' seeds are valid
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            verify_permanent_bound(4, 0.2, trials=trials, seed=seed)
+
+
+def test_haar_unitary_without_a_seed_draws_fresh_entropy():
+    u, v = haar_unitary(4, None), haar_unitary(4, None)
+    for w in (u, v):
+        assert np.max(np.abs(w.conj().T @ w - np.eye(4))) < 1e-12
+    assert not np.array_equal(u, v)
+
+
+def test_one_seeding_pass_serves_every_block(monkeypatch):
+    # At 16 modes a block holds one trial: five blocks, one pass.
+    calls = {"_pcg64_states": 0, "_haar_stack": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(permanent, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(permanent, name, counted)
+    report = verify_permanent_bound(16, 0.2, trials=5, seed=2**32 - 2)
+    assert calls == {"_pcg64_states": 1, "_haar_stack": 5}
+    assert [row[1] for row in report.trials] == list(range(2**32 - 2, 2**32 + 3))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 6, 9])
 @pytest.mark.parametrize("kernel", [_kernels.glynn, _kernels.ryser], ids=["glynn", "ryser"])
 def test_stacked_kernels_match_per_matrix_calls(monkeypatch, kernel, n):
     # Small blocks split the stack between matrices and within one matrix.
-    stack = _haar_stack(n, range(9))
+    stack = _stack(n, range(9))
     expected = np.array([kernel(u) for u in stack])
     for bits in (2, 4, 6, 16):
         monkeypatch.setattr(_kernels, "_BLOCK_BITS", bits)
@@ -290,7 +347,7 @@ def test_bridge_formula_is_the_scaled_permanent(modes, delta):
     formula, phase = _bridge_formula(modes, delta)
     report = verify_permanent_bound(modes, delta, trials=20, seed=5)
     scale = math.sqrt(1.0 - report.delta_inf)
-    for u in _haar_stack(modes, range(5, 25)):
+    for u in _stack(modes, range(5, 25)):
         value = np.conj(phase) * evaluate_formula(formula, u)
         assert abs(value - scale * permanent_glynn(u)) <= _identity_tolerance(formula, u)
     assert all(row[4] <= report.bound for row in report.trials)
