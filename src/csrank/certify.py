@@ -24,7 +24,6 @@ from .hankel import (
     check_hankel_size,
     check_searchable,
     hankel_matrices,
-    numerical_rank,
     optimized_bound,
     optimized_bounds,
     plain_bound,
@@ -213,6 +212,16 @@ def bound_certificate(descriptor, r: int, method: str, n_max: int) -> BoundCerti
     values = plain_bounds(psi, r, cfg)
     n_star = max(values, key=values.get)  # the smallest N wins ties
     return BoundCertificate(descriptor, r, values[n_star], "plain", n_star, 1.0)
+
+
+DEFAULT_RANK_TOL = 1e-10  # relative to sigma_1; recurrence_order argues for the value
+
+
+def numerical_rank(s) -> int:
+    """Number of singular values s above DEFAULT_RANK_TOL * s[0] (0 for a zero matrix)."""
+    if len(s) == 0 or s[0] == 0:
+        return 0
+    return int((s > DEFAULT_RANK_TOL * s[0]).sum())
 
 
 def recurrence_order(psi: FockVector, N_max: int) -> RecurrenceReport:

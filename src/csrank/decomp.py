@@ -435,7 +435,7 @@ def fit_superposition(target: FockVector, r: int, restarts: int, seed: int | Non
     if r < 1:
         raise ValueError("r must be at least 1")
     if restarts < 1 and init_alphas is None:
-        raise ValueError("need at least one restart or an explicit warm start")
+        raise ValueError("restarts must be at least 1 without init_alphas")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     warm = []

@@ -15,7 +15,7 @@ function (``state_from_descriptor``) decides the unit vector a descriptor names;
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -81,25 +81,23 @@ def _check_non_negative(cutoff: int) -> None:
 
 @dataclass(frozen=True)
 class FockVector:
-    """A single-mode vector truncated at ``cutoff``, the weight the cutoff drops in
-    ``tail_weight`` rather than renormalized away."""
+    """A single-mode vector truncated at ``cutoff`` = len(amplitudes) - 1, the
+    weight the cutoff drops in ``tail_weight`` rather than renormalized away."""
 
     amplitudes: np.ndarray
-    cutoff: int
-    tail_weight: float | None = None
+    tail_weight: float | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
-        if amps.ndim != 1:
-            raise ValueError("amplitudes must be a 1-d sequence")
-        _check_non_negative(self.cutoff)
-        if len(amps) != self.cutoff + 1:
-            raise ValueError(
-                f"length {len(amps)} does not match cutoff {self.cutoff}"
-            )
+        if amps.ndim != 1 or len(amps) == 0:
+            raise ValueError("amplitudes must be a non-empty 1-d sequence")
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
+
+    @property
+    def cutoff(self) -> int:
+        return len(self.amplitudes) - 1
 
     @functools.cached_property
     def phases(self) -> np.ndarray:
@@ -132,7 +130,7 @@ class FockVector:
             return self
         amps = np.zeros(cutoff + 1, dtype=complex)
         amps[: self.cutoff + 1] = self.amplitudes
-        return FockVector(amps, cutoff, self.tail_weight)
+        return FockVector(amps, tail_weight=self.tail_weight)
 
 
 class CoherentTerm(NamedTuple):
@@ -255,12 +253,14 @@ def fock_state(n: int, cutoff: int | None = None) -> FockVector:
         raise ValueError(f"n={n} exceeds cutoff={cutoff}")
     amps = np.zeros(cutoff + 1, dtype=complex)
     amps[n] = 1.0
-    return FockVector(amps, cutoff, tail_weight=0.0)
+    return FockVector(amps, tail_weight=0.0)
 
 
 def core_state(amplitudes, cutoff: int | None = None) -> FockVector:
-    """A normalized finite superposition of Fock states."""
+    """A normalized finite superposition of Fock states, zero-padded to ``cutoff``."""
     amps = np.asarray(amplitudes, dtype=complex)
+    if cutoff is not None and len(amps) > cutoff + 1:
+        raise ValueError(f"{len(amps)} amplitudes exceed cutoff={cutoff}, which holds {cutoff + 1}")
     if not np.isfinite(amps).all():
         raise ValueError("amplitudes must be finite")
     with np.errstate(over="ignore"):
@@ -275,7 +275,7 @@ def core_state(amplitudes, cutoff: int | None = None) -> FockVector:
     amps = amps / norm
     if cutoff is not None and cutoff + 1 > len(amps):
         amps = np.concatenate([amps, np.zeros(cutoff + 1 - len(amps), dtype=complex)])
-    return FockVector(amps, len(amps) - 1, tail_weight=0.0)
+    return FockVector(amps, tail_weight=0.0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -391,7 +391,7 @@ def coherent_state(alpha: complex, cutoff: int | None = None) -> FockVector:
     diagnostic; the vector is not renormalized.
     """
     cutoff, tail = _coherent_truncation(alpha, cutoff, DEFAULT_MAX_TAIL)
-    return FockVector(coherent_amplitudes(alpha, cutoff), cutoff, tail_weight=tail)
+    return FockVector(coherent_amplitudes(alpha, cutoff), tail_weight=tail)
 
 
 def _squeezed_even_log_mags(params: SqueezedParams, n_pairs: int, start: int = 0) -> np.ndarray:
@@ -442,7 +442,7 @@ def squeezed_state(params: SqueezedParams, cutoff: int | None = None) -> FockVec
     phases = np.exp(1j * np.arange(n_pairs + 1) * np.angle(lam)) if lam != 0 else 1.0
     amps = np.zeros(cutoff + 1, dtype=complex)
     amps[0 : 2 * n_pairs + 1 : 2] = np.exp(_squeezed_even_log_mags(params, n_pairs)) * phases
-    return FockVector(amps, cutoff, tail_weight=tail)
+    return FockVector(amps, tail_weight=tail)
 
 
 def coherent_gram(alphas) -> np.ndarray:
@@ -463,7 +463,7 @@ def superposition_to_fock(sup: CoherentSuperposition, cutoff: int | None = None)
     norm_sq = sup.norm_sq  # refuses a norm past the double range before the expansion
     amps = coherent_columns(alphas, cutoff) @ sup.coefficients()
     tail = max(0.0, norm_sq - float(np.vdot(amps, amps).real))
-    return FockVector(amps, cutoff, tail_weight=tail)
+    return FockVector(amps, tail_weight=tail)
 
 
 def fidelity(a: FockVector, b: FockVector) -> float:
@@ -571,5 +571,5 @@ def state_from_descriptor(descriptor: dict) -> FockVector:
         e = (12 * s * s + 2 * len(sup) + 16) * 2.0**-53 * a * a
         if not n > e:
             raise ValueError(f"terms cancel below rounding: squared norm {n:.3g} <= {e:.3g}")
-        return FockVector(psi.amplitudes / math.sqrt(n + e), psi.cutoff, psi.tail_weight / (n + e))
+        return FockVector(psi.amplitudes / math.sqrt(n + e), tail_weight=psi.tail_weight / (n + e))
     raise ValueError(f"unknown state type {kind!r}")

@@ -53,8 +53,6 @@ import numpy as np
 from .errors import ResourceLimit
 from .fock import FockVector, log_factorials
 
-DEFAULT_RANK_TOL = 1e-10
-
 # Largest number of complex matrix entries (16 MB) one stacked SVD call holds.
 _BLOCK_ENTRIES = 1 << 20
 
@@ -234,13 +232,6 @@ def hankel_matrix(psi: FockVector, N: int, b: float):
     """(matrix, singular_values, scale) of H_{N,b}(psi), the one-N case of
     hankel_matrices."""
     return hankel_matrices(psi, [N], b)[0]
-
-
-def numerical_rank(s: np.ndarray) -> int:
-    """Number of singular values s above DEFAULT_RANK_TOL * s[0] (0 for a zero matrix)."""
-    if len(s) == 0 or s[0] == 0:
-        return 0
-    return int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
 
 
 def _threshold(tail: float, scale: float, log_den: float) -> float:

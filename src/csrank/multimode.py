@@ -103,12 +103,6 @@ class MultimodeSuperposition(CoherentSuperposition):
     row of displacements, one per mode."""
 
 
-def tensor_fock(occupations) -> MultimodeFockState:
-    """The product Fock state |n_1, ..., n_m>."""
-    occ = tuple(int(k) for k in occupations)
-    return MultimodeFockState(len(occ), {occ: 1.0})
-
-
 def multimode_from_descriptor(descriptor: dict) -> MultimodeFockState:
     """{"modes": m, "amps": [{"occ": [n1, ..., nm], "c": [re, im]}, ...]}"""
     modes = int_field(descriptor["modes"], "modes")
@@ -130,33 +124,6 @@ def check_unitary(U: np.ndarray) -> np.ndarray:
     if defect > UNITARY_TOL:
         raise ValueError(f"matrix is not unitary: max |U^H U - I| = {defect:.3e}")
     return U
-
-
-def fourier_matrix(m: int) -> np.ndarray:
-    """DFT unitary (1/sqrt(m)) omega^{(k-1)(l-1)}, omega = e^{2 pi i / m}."""
-    if m < 1:
-        raise ValueError("need at least one mode")
-    k = np.arange(m)
-    omega = np.exp(2j * np.pi / m)
-    return omega ** np.outer(k, k) / math.sqrt(m)
-
-
-def apply_unitary_to_superposition(
-    U: np.ndarray, sup: MultimodeSuperposition
-) -> MultimodeSuperposition:
-    """Passive evolution: each |alpha> becomes |U alpha>, coefficients unchanged."""
-    U = check_unitary(U)
-    alphas = sup.displacements()
-    if U.shape[0] != alphas.shape[1]:
-        raise ValueError(f"unitary dimension {U.shape[0]} does not match {alphas.shape[1]} modes")
-    return MultimodeSuperposition(zip(sup.coefficients(), alphas @ U.T))
-
-
-def project_vacuum_tail(sup: MultimodeSuperposition) -> CoherentSuperposition:
-    """Project modes 2..m onto vacuum: (c, alpha) -> (c e^{-sum|alpha_j|^2/2}, alpha_1)."""
-    alphas = sup.displacements()
-    sub = np.exp(-0.5 * np.sum(np.abs(alphas[:, 1:]) ** 2, axis=1))
-    return CoherentSuperposition(zip(sup.coefficients() * sub, alphas[:, 0]))
 
 
 def reduction_amplitudes(core: MultimodeFockState, rows) -> np.ndarray:
@@ -184,7 +151,7 @@ def reduce_to_single_mode(core: MultimodeFockState, u) -> FockVector:
     if np.linalg.norm(u) > 1 + UNITARY_TOL:
         raise ValueError(f"row norm {np.linalg.norm(u)!r} exceeds 1")
     amps = reduction_amplitudes(core, u[None, :])[0]
-    return FockVector(amps, core.max_total)
+    return FockVector(amps)
 
 
 def _complete_to_unitary(u: np.ndarray) -> np.ndarray:

@@ -230,34 +230,14 @@ def _haar_stack(n: int, states, rng) -> np.ndarray:
     return _unitaries(draws)
 
 
-@dataclass(frozen=True)
-class MultilinearFormula:
-    """The (gamma_j, alpha_jk) data of a decomposition-induced formula."""
-
-    n: int
-    gammas: np.ndarray
-    alphas: np.ndarray
-
-    def __post_init__(self):
-        gammas = np.asarray(self.gammas, dtype=complex)
-        alphas = np.asarray(self.alphas, dtype=complex)
-        if alphas.shape != (len(gammas), self.n):
-            raise ValueError("alphas must be (len(gammas), n)")
-        object.__setattr__(self, "gammas", gammas)
-        object.__setattr__(self, "alphas", alphas)
-
-    @property
-    def size(self) -> int:
-        """Formula size r n^2: each branch reads every matrix entry once."""
-        return len(self.gammas) * self.n**2
-
-
-def evaluate_formula(formula: MultilinearFormula, x) -> complex:
-    """F(X) = sum_j gamma_j prod_i (sum_k alpha_jk X[i, k]); cost O(r n^2)."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (formula.n, formula.n):
-        raise ValueError(f"matrix must be {formula.n} x {formula.n}")
-    return complex(np.prod(x @ formula.alphas.T, axis=0) @ formula.gammas)
+def evaluate_formula(gammas, alphas, x) -> complex:
+    """F(X) = sum_j gamma_j prod_i (sum_k alpha_jk X[i, k]) for gammas (r,) and
+    alphas (r, n); cost O(r n^2)."""
+    alphas, x = np.asarray(alphas, dtype=complex), np.asarray(x, dtype=complex)
+    n = alphas.shape[-1]
+    if x.shape != (n, n):
+        raise ValueError(f"matrix must be {n} x {n}")
+    return complex(np.prod(x @ alphas.T, axis=0) @ np.asarray(gammas, dtype=complex))
 
 
 def _power_complement(share: float, modes: int) -> float:

@@ -29,10 +29,8 @@ from csrank.hankel import SearchConfig, optimized_bound, plain_bound
 from csrank.multimode import (
     MultimodeFockState,
     evolve_fock_state,
-    fourier_matrix,
     multimode_lower_bound,
     reduce_to_single_mode,
-    tensor_fock,
 )
 from csrank.permanent import (
     haar_unitary,
@@ -63,7 +61,7 @@ def random_separated_superposition(rng, k, cutoff, min_sep=0.2, max_abs=2.0):
         [CoherentTerm(c, a) for c, a in zip(coeffs, alphas)]
     )
     psi = superposition_to_fock(sup, cutoff=cutoff)
-    return FockVector(psi.amplitudes / psi.norm, cutoff), k
+    return FockVector(psi.amplitudes / psi.norm), k
 
 
 def corpus_states():
@@ -75,7 +73,7 @@ def corpus_states():
         states.append((f"fock{n}", fock_state(n, max(2 * n, 16)), n))
     for r in (0.3, 0.6, 1.0):
         sq = squeezed_state(SqueezedParams(r), 16)
-        normalized = FockVector(sq.amplitudes / sq.norm, sq.cutoff)
+        normalized = FockVector(sq.amplitudes / sq.norm)
         states.append((f"squeezed{r}", normalized, None))
     for i in range(20):
         dim = int(rng.integers(2, 7))
@@ -161,15 +159,17 @@ def test_criterion_5_multimode_reduction():
     t0 = time.perf_counter()
     ok = True
     for n in range(1, 7):
-        core = tensor_fock([1] * n)
-        d = reduce_to_single_mode(core, fourier_matrix(n)[0]).amplitudes[n]
+        core = MultimodeFockState(n, {(1,) * n: 1.0})
+        dft = np.fft.ifft(np.eye(n), axis=0) * np.sqrt(n)  # omega^{kl} / sqrt(n)
+        d = reduce_to_single_mode(core, dft[0]).amplitudes[n]
         ok &= abs(abs(d) ** 2 - math.factorial(n) / n**n) <= 1e-10
         # cross-check against the full polynomial-substitution evolution
-        evolved = evolve_fock_state(core, fourier_matrix(n))
+        evolved = evolve_fock_state(core, dft)
         bunched = tuple([n] + [0] * (n - 1))
         ok &= abs(evolved.amplitudes[bunched] - d) <= 1e-10
         ok &= multimode_lower_bound(core, seed=0).bound == n + 1
-    hom = reduce_to_single_mode(tensor_fock([1, 1]), fourier_matrix(2)[0]).amplitudes[2]
+    hom = reduce_to_single_mode(MultimodeFockState(2, {(1, 1): 1.0}),
+                                [math.sqrt(0.5)] * 2).amplitudes[2]
     ok &= abs(abs(hom) ** 2 - 0.5) <= 1e-12
     elapsed = time.perf_counter() - t0
     report("criterion 5: multimode reduction", ok and elapsed < 30, elapsed)
@@ -184,9 +184,10 @@ def test_criterion_6_permanent_bridge():
         ref = permanent_naive(m)
         ok &= abs(permanent_glynn(m) - ref) <= 1e-9 * abs(ref)
         ok &= abs(permanent_ryser(m) - ref) <= 1e-9 * abs(ref)
+    ones = MultimodeFockState(4, {(1, 1, 1, 1): 1.0})
     for seed in range(10):
         u = haar_unitary(4, seed=seed)
-        amp = evolve_fock_state(tensor_fock([1, 1, 1, 1]), u).amplitudes[(1, 1, 1, 1)]
+        amp = evolve_fock_state(ones, u).amplitudes[(1, 1, 1, 1)]
         ok &= abs(amp - permanent_glynn(u)) <= 1e-10
     reports = {}
     for delta in (0.5, 0.2):

@@ -159,7 +159,7 @@ def test_recurrence_synthetic_exponential_sums():
         n = np.arange(17)
         s = sum(d * lam**n for d, lam in zip(ds, lams))
         amps = s / np.sqrt([math.factorial(int(m)) for m in n])
-        rep = recurrence_order(FockVector(amps, 16), 8)
+        rep = recurrence_order(FockVector(amps), 8)
         assert rep.detected_order == k, (k, rep.ranks_by_N)
 
 

@@ -228,7 +228,9 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
                                                         "squared norm 0 <=",
                        "fit-cutoff-drops-the-norm": "the cutoff drops more than 1e-6 of the "
                                                     "state's norm (kept 0.689495)",
-                       "squeezed-400-digit-r": f"r={10**399} is out of range"}
+                       "squeezed-400-digit-r": f"r={10**399} is out of range",
+                       "bound-core-past-cutoff": "3 amplitudes exceed cutoff=1, which holds 2",
+                       "decompose-core-past-cutoff": "2 amplitudes exceed cutoff=0, which holds 1"}
 
 
 @pytest.mark.parametrize(
@@ -295,6 +297,9 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
                   '{"c":[-1,0],"alpha":[0.500000001,0]}]}', "--r", "1"],
         ["fit", '{"type":"squeezed","r":2,"cutoff":4}', "--r", "1"],
         ["bound", f'{{"type":"squeezed","r":{10**399}}}', "--r", "1"],
+        ["bound", '{"type":"core","amps":[[0.6,0],[0,0],[0.8,0]],"cutoff":1}', "--r", "1",
+         "--n-max", "1"],
+        ["decompose", '{"type":"core","amps":[[0,0],[1,0]],"cutoff":0}', "--delta", "0.1"],
     ],
     ids=["core-scalar-amps", "superposition-scalar-c", "multimode-scalar-c", "squeezed-huge-r",
          "fock-list-n", "core-scalar-amps-field", "squeezed-list-r", "fock-string-cutoff",
@@ -312,7 +317,8 @@ _MALFORMED_MESSAGES = {"check-negative-N": "need 0 <= 2N <= cutoff",
          "bound-eps-negative", "bound-eps-nan", "bound-eps-one",
          *(f"check-missing-{field}" for field in _CERT_FIELDS), "check-empty",
          "check-N-past-cutoff", "check-negative-r", "bound-without-r", "bound-without-state",
-         "superposition-cancelling-pair", "fit-cutoff-drops-the-norm", "squeezed-400-digit-r"],
+         "superposition-cancelling-pair", "fit-cutoff-drops-the-norm", "squeezed-400-digit-r",
+         "bound-core-past-cutoff", "decompose-core-past-cutoff"],
 )
 def test_malformed_descriptor_values_exit_2(capsys, tmp_path, request, argv):
     # A non-string argument is a certificate, written to a file for --check.
@@ -363,19 +369,23 @@ def test_resource_limit_exits_4(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "message"),
     [
-        ["fit", '{"type":"fock","n":1}', "--r", "1", "--max-iters", "0"],
-        ["permanent", "--n", "2", "--delta", "0.2", "--trials", "0"],
-        ["permanent", "--n", "2", "--delta", "0.2", "--trials", "-2"],
+        (["fit", '{"type":"fock","n":1}', "--r", "1", "--max-iters", "0"],
+         "max_iters must be at least 1"),
+        (["fit", '{"type":"fock","n":1}', "--r", "1", "--restarts", "0"],
+         "restarts must be at least 1 without init_alphas"),
+        (["permanent", "--n", "2", "--delta", "0.2", "--trials", "0"],
+         "trials must be at least 1"),
+        (["permanent", "--n", "2", "--delta", "0.2", "--trials", "-2"],
+         "trials must be at least 1"),
     ],
-    ids=["fit-max-iters-0", "permanent-trials-0", "permanent-trials-negative"],
+    ids=["fit-max-iters-0", "fit-restarts-0", "permanent-trials-0", "permanent-trials-negative"],
 )
-def test_malformed_counts_exit_2(capsys, tmp_path, argv):
+def test_malformed_counts_exit_2(capsys, tmp_path, argv, message):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -532,7 +532,7 @@ def test_best_single_complex_search_flag():
 
 def test_best_single_recovers_a_complex_coherent_target():
     psi = coherent_state(0.7 + 0.9j, cutoff=30)
-    target = FockVector(psi.amplitudes / np.linalg.norm(psi.amplitudes), psi.cutoff)
+    target = FockVector(psi.amplitudes / np.linalg.norm(psi.amplitudes))
     alpha, infid = best_single_coherent(target)
     assert abs(alpha - (0.7 + 0.9j)) < 1e-6
     assert 0 <= infid < 1e-12
@@ -572,7 +572,7 @@ def _hex(alpha, infid):
 
 def _rotated(target, phase):
     """phase * target: the same overlaps, on the complex grid unless phase is 1."""
-    return target if phase == 1 else FockVector(phase * target.amplitudes, target.cutoff)
+    return target if phase == 1 else FockVector(phase * target.amplitudes)
 
 
 def _figure_left_core(gamma):

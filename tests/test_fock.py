@@ -305,7 +305,7 @@ def test_fidelity_vacuum_coherent():
 
 
 def test_fidelity_zero_norm_rejected():
-    z = FockVector(np.zeros(3, dtype=complex), 2)
+    z = FockVector(np.zeros(3, dtype=complex))
     with pytest.raises(ValueError):
         fidelity(z, fock_state(0, 2))
 
@@ -324,12 +324,12 @@ def test_norm_distance_relations():
         y = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         x /= np.linalg.norm(x)
         y /= np.linalg.norm(y)
-        a = FockVector(x, 8)
-        b = FockVector(y, 8)
+        a = FockVector(x)
+        b = FockVector(y)
         d2 = two_norm_distance(a, b) ** 2
         assert d2 == pytest.approx(2 * (1 - np.vdot(x, y).real), abs=1e-12)
         theta = np.angle(np.vdot(x, y))
-        aligned = FockVector(y * np.exp(-1j * theta), 8)
+        aligned = FockVector(y * np.exp(-1j * theta))
         f = fidelity(a, b)
         d_aligned = two_norm_distance(a, aligned)
         assert d_aligned == pytest.approx(math.sqrt(2 * (1 - math.sqrt(f))), abs=1e-10)
@@ -338,9 +338,12 @@ def test_norm_distance_relations():
 
 def test_invariant_checks():
     with pytest.raises(ValueError):
-        FockVector(np.array([1.0, np.nan], dtype=complex), 1)
-    with pytest.raises(ValueError):
-        FockVector(np.ones(3, dtype=complex), 5)
+        FockVector(np.array([1.0, np.nan], dtype=complex))
+    with pytest.raises(ValueError, match="non-empty"):
+        FockVector(np.zeros(0, dtype=complex))
+    with pytest.raises(TypeError):  # a stale positional cutoff is not read as the tail weight
+        FockVector(np.ones(3, dtype=complex), 2)
+    assert FockVector(np.ones(3, dtype=complex), tail_weight=0.5).cutoff == 2
 
 
 _NEGATIVE_CUTOFF_BUILDS = {"coherent": lambda cutoff: coherent_state(1.0, cutoff),

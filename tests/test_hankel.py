@@ -5,7 +5,13 @@ import pytest
 from scipy.special import gammaln
 
 from csrank import hankel
-from csrank.certify import bound_certificate, certify_rank, load_state, recurrence_order
+from csrank.certify import (
+    bound_certificate,
+    certify_rank,
+    load_state,
+    numerical_rank,
+    recurrence_order,
+)
 from csrank.errors import ResourceLimit
 from csrank.fock import (
     CoherentSuperposition,
@@ -22,7 +28,6 @@ from csrank.hankel import (
     MAX_HANKEL_N,
     SearchConfig,
     hankel_matrix,
-    numerical_rank,
     optimized_bound,
     optimized_bounds,
     plain_bound,
@@ -57,7 +62,7 @@ def test_fock1_hankel_matrix_entries():
 def test_hankel_structure_random_state():
     rng = np.random.default_rng(3)
     amps = rng.standard_normal(13) + 1j * rng.standard_normal(13)
-    psi = FockVector(amps / np.linalg.norm(amps), 12)
+    psi = FockVector(amps / np.linalg.norm(amps))
     m, _, scale = hankel_matrix(psi, 6, 0.7)
     assert np.allclose(m, m.T)  # plain (not conjugate) transpose symmetry
     # constant anti-diagonals
@@ -113,7 +118,7 @@ def test_plain_bound_argument_checks():
 def test_plain_bound_monotone_in_r():
     rng = np.random.default_rng(9)
     amps = rng.standard_normal(13) + 1j * rng.standard_normal(13)
-    psi = FockVector(amps / np.linalg.norm(amps), 12)
+    psi = FockVector(amps / np.linalg.norm(amps))
     vals = [plain_bound(psi, r, 6) for r in range(7)]
     assert all(a >= b - 1e-18 for a, b in zip(vals, vals[1:]))
 
@@ -121,8 +126,8 @@ def test_plain_bound_monotone_in_r():
 def test_phase_covariance_of_singular_values():
     rng = np.random.default_rng(21)
     amps = rng.standard_normal(11) + 1j * rng.standard_normal(11)
-    psi = FockVector(amps, 10)
-    rotated = FockVector(amps * np.exp(0.73j), 10)
+    psi = FockVector(amps)
+    rotated = FockVector(amps * np.exp(0.73j))
     s1 = hankel_matrix(psi, 5, 0.8)[1]
     s2 = hankel_matrix(rotated, 5, 0.8)[1]
     assert np.allclose(s1, s2, rtol=1e-12)
@@ -152,7 +157,7 @@ def test_optimized_bound_fock12_magnitude():
 def test_optimized_dominates_plain_at_every_searched_n():
     rng = np.random.default_rng(17)
     amps = rng.standard_normal(17) + 1j * rng.standard_normal(17)
-    psi = FockVector(amps / np.linalg.norm(amps), 16)
+    psi = FockVector(amps / np.linalg.norm(amps))
     cfg = SearchConfig(N_max=8)
     for r in (1, 2, 3):
         res = optimized_bound(psi, r, cfg)
@@ -164,7 +169,7 @@ def test_numerical_rank_cases():
     assert numerical_rank(hankel_matrix(fock_state(4, 8), 4, 1.0)[1]) == 5
     psi = k_term_state([0.5, -0.7, 0.2 + 0.9j], [1.0, 0.6, 0.9], cutoff=16)
     assert numerical_rank(hankel_matrix(psi, 8, 1.0)[1]) == 3
-    zero = FockVector(np.zeros(9, dtype=complex), 8)
+    zero = FockVector(np.zeros(9, dtype=complex))
     assert numerical_rank(hankel_matrix(zero, 4, 1.0)[1]) == 0
 
 
@@ -183,7 +188,7 @@ def test_frobenius_bridge_plain_and_rescaled():
         N = int(rng.integers(1, 7))
         x = rng.standard_normal(2 * N + 1) + 1j * rng.standard_normal(2 * N + 1)
         y = rng.standard_normal(2 * N + 1) + 1j * rng.standard_normal(2 * N + 1)
-        diff = FockVector(x / np.linalg.norm(x) - y / np.linalg.norm(y), 2 * N)
+        diff = FockVector(x / np.linalg.norm(x) - y / np.linalg.norm(y))
         norm_sq = float(np.vdot(diff.amplitudes, diff.amplitudes).real)
         lhs = frobenius_norm_sq(diff, N, 1.0)
         assert lhs <= (N + 1) * math.factorial(2 * N) * norm_sq * (1 + 1e-12)
@@ -200,7 +205,7 @@ def test_truncated_svd_tail_identity():
     # Young-Eckart-Mirsky: ||H - A_r||_F^2 equals the singular tail sum
     rng = np.random.default_rng(8)
     amps = rng.standard_normal(17) + 1j * rng.standard_normal(17)
-    psi = FockVector(amps / np.linalg.norm(amps), 16)
+    psi = FockVector(amps / np.linalg.norm(amps))
     matrix = hankel_matrix(psi, 8, 1.0)[0]
     u, s, vh = np.linalg.svd(matrix)
     for r in (1, 3, 6):

@@ -6,21 +6,17 @@ import pytest
 
 from csrank import multimode
 from csrank.errors import NumericalFailure, ResourceLimit
-from csrank.fock import superposition_to_fock
+from csrank.fock import CoherentSuperposition, superposition_to_fock
 from csrank.multimode import (
     MultimodeFockState,
     MultimodeSuperposition,
-    apply_unitary_to_superposition,
     bunching_row,
     check_unitary,
     evolve_fock_state,
-    fourier_matrix,
     multimode_from_descriptor,
     multimode_lower_bound,
-    project_vacuum_tail,
     reduce_to_single_mode,
     reduction_amplitudes,
-    tensor_fock,
 )
 from csrank.permanent import haar_unitary, permanent_naive
 
@@ -41,57 +37,9 @@ def fock_transition_oracle(U, out_occ, in_occ):
     return permanent_naive(sub) / norm
 
 
-def test_fourier_matrix_small():
-    assert np.allclose(fourier_matrix(1), [[1]])
-    assert np.allclose(fourier_matrix(2), np.array([[1, 1], [1, -1]]) / math.sqrt(2))
-
-
-@pytest.mark.parametrize("m", [2, 5, 9, 16])
-def test_fourier_unitarity(m):
-    U = fourier_matrix(m)
-    assert np.max(np.abs(U.conj().T @ U - np.eye(m))) < 1e-12
-
-
-def test_apply_identity_unitary():
-    sup = MultimodeSuperposition([(1.0, [0.3, -0.2]), (0.5j, [0.0, 1.0])])
-    out = apply_unitary_to_superposition(np.eye(2), sup)
-    for (c1, a1), (c2, a2) in zip(sup.terms, out.terms):
-        assert c1 == c2 and np.allclose(a1, a2)
-
-
-def test_apply_unitary_preserves_norm_and_count():
-    rng = np.random.default_rng(2)
-    U = haar_unitary(3, seed=5)
-    sup = MultimodeSuperposition(
-        [(1.0, rng.standard_normal(3) + 1j * rng.standard_normal(3)) for _ in range(3)]
-    )
-    out = apply_unitary_to_superposition(U, sup)
-    assert len(out) == 3
-    for (_, a1), (_, a2) in zip(sup.terms, out.terms):
-        assert np.linalg.norm(a2) == pytest.approx(np.linalg.norm(a1), abs=1e-12)
-    out = apply_unitary_to_superposition(fourier_matrix(3), sup)
-    assert len(out) == 3
-
-
-def test_apply_unitary_dimension_mismatch():
-    sup = MultimodeSuperposition([(1.0, [0.3, -0.2, 0.1])])
-    with pytest.raises(ValueError):
-        apply_unitary_to_superposition(np.eye(2), sup)
-
-
-def test_project_vacuum_tail_examples():
-    sup = MultimodeSuperposition([(1.0, [2.0, 0.0, 0.0])])
-    out = project_vacuum_tail(sup)
-    assert out.terms[0].c == pytest.approx(1.0)
-    assert out.terms[0].alpha == pytest.approx(2.0)
-
-    sup = MultimodeSuperposition([(1.0, [1.0, 1.0])])
-    out = project_vacuum_tail(sup)
-    assert out.terms[0].c == pytest.approx(math.exp(-0.5), rel=1e-14)
-
-    sup = MultimodeSuperposition([(0.7, [0.4])])
-    out = project_vacuum_tail(sup)
-    assert out.terms[0].c == pytest.approx(0.7) and out.terms[0].alpha == 0.4
+def dft(m):
+    """The DFT unitary omega^{kl} / sqrt(m), omega = e^{2 pi i / m}, up to rounding."""
+    return np.fft.ifft(np.eye(m), axis=0) * np.sqrt(m)
 
 
 def _bunched(core, U):
@@ -111,13 +59,13 @@ def _sector_reference(core, u):
 
 
 def test_bunching_unitary_hom():
-    U = multimode_lower_bound(tensor_fock([1, 1]), seed=0).unitary
+    U = multimode_lower_bound(MultimodeFockState(2, {(1, 1): 1.0}), seed=0).unitary
     assert np.allclose(np.abs(U[0]), [1 / math.sqrt(2)] * 2, atol=1e-12)
     assert np.max(np.abs(U.conj().T @ U - np.eye(2))) < 1e-12
 
 
 def test_bunching_unitary_single_mode():
-    U = multimode_lower_bound(tensor_fock([2]), seed=0).unitary
+    U = multimode_lower_bound(MultimodeFockState(1, {(2,): 1.0}), seed=0).unitary
     assert np.allclose(np.abs(U), [[1.0]])
 
 
@@ -139,22 +87,22 @@ def test_bunching_unitary_random_cores_never_vanish():
 
 
 def test_bunched_amplitude_hom():
-    core = tensor_fock([1, 1])
-    d2 = _bunched(core, fourier_matrix(2))
+    core = MultimodeFockState(2, {(1, 1): 1.0})
+    d2 = _bunched(core, dft(2))
     assert abs(d2) ** 2 == pytest.approx(0.5, rel=1e-12)
-    oracle = fock_transition_oracle(fourier_matrix(2), (2, 0), (1, 1))
+    oracle = fock_transition_oracle(dft(2), (2, 0), (1, 1))
     assert d2 == pytest.approx(oracle, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_bunched_amplitude_uniform_fock(n):
-    core = tensor_fock([1] * n)
-    d = _bunched(core, fourier_matrix(n))
+    core = MultimodeFockState(n, {(1,) * n: 1.0})
+    d = _bunched(core, dft(n))
     assert abs(d) ** 2 == pytest.approx(math.factorial(n) / n**n, abs=1e-12)
 
 
 def test_bunched_amplitude_trivial():
-    core = tensor_fock([3, 0, 0])
+    core = MultimodeFockState(3, {(3, 0, 0): 1.0})
     assert _bunched(core, np.eye(3)) == pytest.approx(1.0)
 
 
@@ -165,14 +113,14 @@ def test_evolution_matches_permanent_oracle():
         in_occ = tuple(rng.integers(0, 3, 3))
         if sum(in_occ) == 0 or sum(in_occ) > 5:
             continue
-        evolved = evolve_fock_state(tensor_fock(in_occ), U)
+        evolved = evolve_fock_state(MultimodeFockState(3, {in_occ: 1.0}), U)
         for out_occ, amp in evolved.amplitudes.items():
             oracle = fock_transition_oracle(U, out_occ, in_occ)
             assert amp == pytest.approx(oracle, abs=1e-11)
 
 
 def test_reduce_hom_state():
-    red = reduce_to_single_mode(tensor_fock([1, 1]), fourier_matrix(2)[0])
+    red = reduce_to_single_mode(MultimodeFockState(2, {(1, 1): 1.0}), dft(2)[0])
     assert red.amplitudes[1] == pytest.approx(0.0, abs=1e-14)
     assert red.amplitudes[2] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
 
@@ -221,12 +169,12 @@ def test_reduction_amplitudes_scores_every_row_as_alone():
 )
 def test_reduce_refuses_a_row_that_is_no_contraction(row):
     with pytest.raises(ValueError):
-        reduce_to_single_mode(tensor_fock([1, 1]), row)
+        reduce_to_single_mode(MultimodeFockState(2, {(1, 1): 1.0}), row)
 
 
 def test_reduce_needs_no_unitary_around_the_row():
     # d_2 = sqrt(2) u_1 u_2 for |1, 1>; a row shorter than 1 is loss.
-    core = tensor_fock([1, 1])
+    core = MultimodeFockState(2, {(1, 1): 1.0})
     assert reduce_to_single_mode(core, [0.6, 0.8]).amplitudes[2] == pytest.approx(
         0.48 * math.sqrt(2), rel=1e-15)
     assert reduce_to_single_mode(core, [0.3, 0.4j]).amplitudes[2] == pytest.approx(
@@ -255,7 +203,7 @@ def test_reduce_matches_vacuum_tail_of_the_evolved_state():
 
 
 def test_sector_preservation():
-    core = tensor_fock([2, 1])  # pure 3-boson sector
+    core = MultimodeFockState(2, {(2, 1): 1.0})  # pure 3-boson sector
     U = haar_unitary(2, seed=3)
     red = reduce_to_single_mode(core, U[0])
     assert np.allclose(red.amplitudes[:3], 0.0, atol=1e-14)
@@ -303,7 +251,7 @@ def test_earliest_row_in_the_tie_band_of_the_best_wins(monkeypatch, block):
     # Candidate 1 is within 1e-12 of the final best (candidate 3); candidate 0
     # only of candidate 1, so the band is read from the final best.
     scores = [1.0, 1 + 0.6e-12, 0.5, 1 + 1.2e-12, 1 + 1.2e-12]
-    core = tensor_fock([1, 1])
+    core = MultimodeFockState(2, {(1, 1): 1.0})
     monkeypatch.setattr(multimode, "_BLOCK_ENTRIES", block)
     seen = _scripted_scores(monkeypatch, scores)
     u = bunching_row(core, seed=0)
@@ -314,7 +262,7 @@ def test_earliest_row_in_the_tie_band_of_the_best_wins(monkeypatch, block):
 def test_a_vanishing_top_sector_exits_as_a_numerical_failure(monkeypatch):
     _scripted_scores(monkeypatch, [0.0, 1e-15, 0.0])
     with pytest.raises(NumericalFailure, match="retry with a different seed"):
-        bunching_row(tensor_fock([1, 1]), seed=0)
+        bunching_row(MultimodeFockState(2, {(1, 1): 1.0}), seed=0)
 
 
 def test_single_mode_core_takes_the_uniform_row():
@@ -343,17 +291,6 @@ def test_multimode_lower_bound_evaluates_once_per_block_and_once_to_reduce(monke
     assert calls == [20, 20, 20, 5, 1]
 
 
-def test_rank_preservation_under_projection():
-    rng = np.random.default_rng(6)
-    sup = MultimodeSuperposition(
-        [(1.0, rng.standard_normal(2) + 1j * rng.standard_normal(2)) for _ in range(3)]
-    )
-    projected = project_vacuum_tail(
-        apply_unitary_to_superposition(fourier_matrix(2), sup)
-    )
-    assert len(projected) <= 3
-
-
 def test_superposition_state_duality():
     # Fock-expanding, evolving, and vacuum-projecting a coherent superposition
     # agrees with evolving the coherent parameters directly.
@@ -377,8 +314,11 @@ def test_superposition_state_duality():
         norm = math.sqrt(float(np.real(np.conj(coeffs) @ gram @ coeffs)))
         sup = MultimodeSuperposition([(c / norm, a) for c, a in sup.terms])
 
-        # route A: stay in coherent parameters
-        single = project_vacuum_tail(apply_unitary_to_superposition(U, sup))
+        # route A: stay in coherent parameters, |alpha> -> |U alpha>, then the
+        # vacuum factor e^{-sum_{j>=2} |beta_j|^2 / 2} joins each coefficient
+        betas = sup.displacements() @ U.T
+        vacuum = np.exp(-0.5 * np.sum(np.abs(betas[:, 1:]) ** 2, axis=1))
+        single = CoherentSuperposition(zip(sup.coefficients() * vacuum, betas[:, 0]))
         route_a = superposition_to_fock(single, cutoff=per_mode_cutoff)
 
         # route B: expand in the Fock basis first, then evolve exactly
@@ -406,23 +346,23 @@ def test_superposition_state_duality():
 
 
 def test_multimode_lower_bound_values():
-    rep = multimode_lower_bound(tensor_fock([1, 1, 1]), seed=0)
+    rep = multimode_lower_bound(MultimodeFockState(3, {(1, 1, 1): 1.0}), seed=0)
     assert rep.bound == 4
     assert rep.abs_d_n_sq > 0
     assert rep.hankel_threshold > 0
 
-    rep = multimode_lower_bound(tensor_fock([2, 1]), seed=0)
+    rep = multimode_lower_bound(MultimodeFockState(2, {(2, 1): 1.0}), seed=0)
     assert rep.bound == 4
 
-    rep = multimode_lower_bound(tensor_fock([0, 0]), seed=0)
+    rep = multimode_lower_bound(MultimodeFockState(2, {(0, 0): 1.0}), seed=0)
     assert rep.bound == 1
 
 
 def test_desk_scale_guard():
     with pytest.raises(ResourceLimit):
-        evolve_fock_state(tensor_fock([13]), np.eye(1))
+        evolve_fock_state(MultimodeFockState(1, {(13,): 1.0}), np.eye(1))
     with pytest.raises(ResourceLimit):
-        evolve_fock_state(tensor_fock([1] * 7), np.eye(7))
+        evolve_fock_state(MultimodeFockState(7, {(1,) * 7: 1.0}), np.eye(7))
 
 
 @pytest.mark.parametrize("amps", [{(1.5, 0): 1.0}, {("1", "1"): 1.0},

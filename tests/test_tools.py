@@ -85,6 +85,38 @@ def test_cli_times_records_each_repeats_ratio_to_the_first_label(monkeypatch, tm
     for run in (data["parent"]["commands"]["version"], data["parent"]["tier1_suite"]):
         assert not {"ratio_to", "ratios", "median_ratio"} & set(run)
 
+
+def test_cli_times_gives_a_failed_run_no_ratio(monkeypatch, tmp_path):
+    cli_times = load_cli_times()
+    monkeypatch.setattr(cli_times, "COMMANDS", {"version": ["--version"], "fit": ["fit"]})
+    other = tmp_path / "other"
+    (other / "src" / "csrank").mkdir(parents=True)
+    (other / "src" / "csrank" / "__init__.py").write_text("x = 1\n")
+    change = str(ROOT / "src")
+    # the change's fit crashes in its first repeat only, its suite in every repeat
+    runs = {"parent": iter([0.2] * 9), "change": iter([0.1, 0.1, 0.1, 0.05, 0.3, 0.5, 1, 1, 1])}
+    codes = {"parent": iter([0] * 9), "change": iter([0, 0, 0, 1, 0, 0, 1, 1, 1])}
+
+    def fake_run(argv, env, cwd):
+        label = "change" if env["PYTHONPATH"] == change else "parent"
+        return next(runs[label]), next(codes[label])
+
+    monkeypatch.setattr(cli_times, "run_once", fake_run)
+    out = tmp_path / "BENCH.json"
+    argv = ["--repo", str(other), "--label", "parent", "--repo", str(ROOT), "--label", "change",
+            "--out", str(out)]
+    assert cli_times.main(argv) == 0
+    change_run = json.loads(out.read_text())["change"]
+    version, fit = change_run["commands"]["version"], change_run["commands"]["fit"]
+    assert version["ratios"] == [0.5, 0.5, 0.5] and version["median_ratio"] == 0.5
+    assert fit["exit_codes"] == [0, 1]
+    assert fit["ratios"] == [None, 1.5, 2.5]
+    assert fit["median_ratio"] == 2.0  # over the clean pairs: the crash's 0.25 is not one
+    suite = change_run["tier1_suite"]
+    assert suite["exit_codes"] == [1] and suite["ratios"] == [None] * 3
+    assert suite["median_ratio"] is None
+
+
 def test_cli_times_wants_one_repo_per_label(tmp_path, capsys):
     cli_times = load_cli_times()
     out = tmp_path / "BENCH.json"

@@ -18,7 +18,8 @@ Every label after the first also records, per command and for the suite,
 each repeat's time over the first label's run in that repeat (``ratios``)
 and their median (``median_ratio``): a pair run back to back shares the
 host's state, so the ratios resolve a move that 3-run medians of a 0.2 s
-command cannot.
+command cannot.  A pair in which either run exited non-zero gets no ratio
+(null), and the median is taken over the clean pairs (null if none is).
 Runs with different labels share one file: each call replaces only its own
 labels.  Standard library only.
 """
@@ -78,7 +79,8 @@ def timed(runs: dict) -> dict:
 
     Each repeat runs every label once, starting from the next label in turn.
     Every label after the first also gets each repeat's time over the first
-    label's run in the same repeat, and the median of those ratios.
+    label's run in the same repeat, None where either run exited non-zero,
+    and the median of the others (None if there are none).
     """
     labels = list(runs)
     done = {label: [] for label in labels}
@@ -92,9 +94,12 @@ def timed(runs: dict) -> dict:
                    "exit_codes": sorted({code for _, code in done[label]})}
            for label in labels}
     for label in labels[1:]:
-        ratios = [t / base for (t, _), (base, _) in zip(done[label], done[labels[0]])]
-        out[label].update(ratio_to=labels[0], ratios=[round(r, 4) for r in ratios],
-                          median_ratio=round(statistics.median(ratios), 4))
+        ratios = [t / base if code == base_code == 0 else None
+                  for (t, code), (base, base_code) in zip(done[label], done[labels[0]])]
+        clean = [r for r in ratios if r is not None]
+        out[label].update(ratio_to=labels[0],
+                          ratios=[None if r is None else round(r, 4) for r in ratios],
+                          median_ratio=round(statistics.median(clean), 4) if clean else None)
     return out
 
 
